@@ -421,7 +421,8 @@ const char *kUsage =
     "  req/s      completed requests per second (the headline)\n"
     "  HE-ops/s   primitive HE ops per second across requests\n"
     "  Mwords/s   backend-measured operand words streamed per second\n"
-    "  p50/p99 ms queueing-inclusive request latency percentiles\n"
+    "  p50/p99 ms execute-time percentiles (execute() alone, no\n"
+    "             queueing; histogram estimates, < 9.05% high)\n"
     "The second table puts the best host config next to the simulated\n"
     "single-chip ARK accelerator draining the same mix FCFS\n"
     "(ArkSimulator::runBatch) — different parameter sets, so compare\n"

@@ -1,8 +1,8 @@
 /**
  * @file
- * Small order-statistics helpers shared by the serving metrics and
- * the simulator's batched mode (one fencepost-prone formula, one
- * home).
+ * Small order-statistics helpers for the simulator's batched mode,
+ * and the exact reference the latency-histogram estimates are tested
+ * against (one fencepost-prone formula, one home).
  */
 
 #pragma once

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <thread>
 
 namespace ark {
 namespace obs {
@@ -27,6 +26,8 @@ counterName(Counter c)
     case Counter::DeadlineExpired: return "deadline_expired";
     case Counter::DrainRefused: return "drain_refused";
     case Counter::SessionsReaped: return "sessions_reaped";
+    case Counter::RequestsSloGood: return "requests_slo_good";
+    case Counter::HeOps: return "he_ops";
     }
     return "?";
 }
@@ -41,6 +42,7 @@ phaseName(Phase p)
     case Phase::Dispatch: return "dispatch";
     case Phase::Execute: return "execute";
     case Phase::Respond: return "respond";
+    case Phase::E2e: return "e2e";
     }
     return "?";
 }
@@ -61,23 +63,32 @@ Histogram::upperMs(size_t i)
 {
     if (i + 1 >= kBuckets)
         return std::numeric_limits<double>::infinity();
-    return 0.001 * static_cast<double>(u64{1} << i);
+    return 0.001 * std::exp2(static_cast<double>(i) / kPerOctave);
 }
 
 size_t
 Histogram::bucketIndex(double ms)
 {
-    for (size_t i = 0; i + 1 < kBuckets; ++i) {
-        if (ms <= upperMs(i))
-            return i;
-    }
-    return kBuckets - 1;
+    if (!(ms > upperMs(0))) // also NaN
+        return 0;
+    if (ms > upperMs(kBuckets - 2))
+        return kBuckets - 1;
+    // The logarithm lands within one bucket of the answer; comparing
+    // against the edges themselves makes the result exact.
+    size_t i = static_cast<size_t>(
+        std::ceil(kPerOctave * std::log2(ms / upperMs(0))));
+    i = std::min(std::max<size_t>(i, 1), kBuckets - 2);
+    if (ms <= upperMs(i - 1))
+        --i;
+    else if (ms > upperMs(i))
+        ++i;
+    return i;
 }
 
 void
 Histogram::record(double ms)
 {
-    if (ms < 0 || std::isnan(ms))
+    if (!(ms >= 0)) // negative or NaN
         ms = 0;
     count += 1;
     sum_ms += ms;
@@ -106,15 +117,20 @@ Histogram::quantileMs(double q) const
     u64 seen = 0;
     for (size_t i = 0; i < kBuckets; ++i) {
         seen += buckets[i];
-        if (seen >= rank && seen > 0) {
-            // The unbounded bucket has no upper edge to report; the
-            // observed max is the tightest true statement.
-            if (i + 1 >= kBuckets)
-                return max_ms;
-            return upperMs(i);
-        }
+        // The overflow bucket's +inf edge clamps to the max too.
+        if (seen >= rank && seen > 0)
+            return std::min(upperMs(i), max_ms);
     }
     return max_ms;
+}
+
+void
+MetricsTally::merge(const MetricsTally &other)
+{
+    for (size_t i = 0; i < kCounterCount; ++i)
+        counters[i] += other.counters[i];
+    for (size_t i = 0; i < kPhaseCount; ++i)
+        phases[i].merge(other.phases[i]);
 }
 
 std::string
@@ -151,79 +167,11 @@ MetricsSnapshot::toString() const
     return out;
 }
 
-/** One thread's private slice of the counters and histograms. */
-struct MetricsRegistry::Shard
-{
-    std::thread::id owner;
-    mutable std::mutex m;
-    std::array<u64, kCounterCount> counters{};
-    std::array<Histogram, kPhaseCount> phases{};
-};
-
-MetricsRegistry::MetricsRegistry()
-    : instance_id_([] {
-          static std::atomic<u64> next{1};
-          return next.fetch_add(1);
-      }())
-{
-}
-
-MetricsRegistry::~MetricsRegistry() = default;
-
 MetricsRegistry &
 MetricsRegistry::global()
 {
     static MetricsRegistry registry;
     return registry;
-}
-
-MetricsRegistry::Shard &
-MetricsRegistry::shard() const
-{
-    struct CacheEntry
-    {
-        u64 id;
-        Shard *shard;
-    };
-    thread_local std::vector<CacheEntry> cache;
-    for (const auto &e : cache) {
-        if (e.id == instance_id_)
-            return *e.shard;
-    }
-    std::lock_guard<std::mutex> lk(shards_m_);
-    Shard *s = nullptr;
-    const std::thread::id self = std::this_thread::get_id();
-    for (const auto &existing : shards_) {
-        if (existing->owner == self) {
-            s = existing.get();
-            break;
-        }
-    }
-    if (s == nullptr) {
-        shards_.push_back(std::make_unique<Shard>());
-        s = shards_.back().get();
-        s->owner = self;
-    }
-    if (cache.size() >= 256)
-        cache.clear();
-    cache.push_back({instance_id_, s});
-    return *s;
-}
-
-void
-MetricsRegistry::count(Counter c, u64 n)
-{
-    Shard &s = shard();
-    std::lock_guard<std::mutex> lk(s.m);
-    s.counters[static_cast<size_t>(c)] += n;
-}
-
-void
-MetricsRegistry::observe(Phase p, double ms)
-{
-    Shard &s = shard();
-    std::lock_guard<std::mutex> lk(s.m);
-    s.phases[static_cast<size_t>(p)].record(ms);
 }
 
 void
@@ -241,31 +189,36 @@ MetricsRegistry::gaugeAdd(Gauge g, i64 delta)
 }
 
 MetricsSnapshot
-MetricsRegistry::snapshot() const
+MetricsRegistry::collect(bool zero) const
 {
     MetricsSnapshot snap;
-    std::lock_guard<std::mutex> lk(shards_m_);
-    for (const auto &s : shards_) {
-        std::lock_guard<std::mutex> sk(s->m);
-        for (size_t i = 0; i < kCounterCount; ++i)
-            snap.counters[i] += s->counters[i];
-        for (size_t i = 0; i < kPhaseCount; ++i)
-            snap.phases[i].merge(s->phases[i]);
-    }
+    shards_.forEach([&](Shard &s) {
+        std::lock_guard<std::mutex> lk(s.m);
+        snap.merge(s.tally);
+        if (zero)
+            s.tally = MetricsTally{};
+    });
     for (size_t i = 0; i < kGaugeCount; ++i)
         snap.gauges[i] = gauges_[i].load(std::memory_order_relaxed);
     return snap;
 }
 
+MetricsSnapshot
+MetricsRegistry::snapshot() const
+{
+    return collect(false);
+}
+
+MetricsSnapshot
+MetricsRegistry::snapshotAndReset()
+{
+    return collect(true);
+}
+
 void
 MetricsRegistry::reset()
 {
-    std::lock_guard<std::mutex> lk(shards_m_);
-    for (const auto &s : shards_) {
-        std::lock_guard<std::mutex> sk(s->m);
-        s->counters.fill(0);
-        s->phases.fill(Histogram{});
-    }
+    (void)collect(true);
     for (auto &g : gauges_)
         g.store(0, std::memory_order_relaxed);
 }

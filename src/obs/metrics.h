@@ -4,7 +4,7 @@
  * latency histograms.
  *
  * Counters and histograms are recorded into per-thread shards and
- * merged on read (the KernelStats scheme), so the hot path touches
+ * merged on read (common/thread_shards.h), so the hot path touches
  * only thread-local memory and never contends. Gauges are single
  * atomics — they represent "current level" values (queue depth,
  * in-flight requests) that are written from one place at a time and
@@ -16,9 +16,12 @@
  * wire frame can ship names from one table (docs/observability.md
  * lists the catalog).
  *
- * Every record call is gated on obs::metricsEnabled() — use the
- * count()/observe()/gauge*() wrappers below, which compile to nothing
- * when ARK_OBS_ENABLED=0.
+ * The process registry, global(), is what the STATS frame and the
+ * periodic emitter read; every record into it is gated on
+ * obs::metricsEnabled() — use the count()/observe()/gauge*() wrappers
+ * below, which compile to nothing when ARK_OBS_ENABLED=0. A
+ * BatchServer also owns a private registry it records into
+ * unconditionally: its drain windows (serve/metrics.h).
  */
 
 #pragma once
@@ -26,11 +29,10 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
+#include "common/thread_shards.h"
 #include "common/types.h"
 #include "obs/obs.h"
 
@@ -54,11 +56,14 @@ enum class Counter : size_t
     DeadlineExpired,   ///< requests dropped pre-execute past deadline
     DrainRefused,      ///< queued requests refused at graceful drain
     SessionsReaped,    ///< idle sessions closed by the server reaper
+    RequestsSloGood,   ///< completions within their class's p99 target
+    HeOps,             ///< primitive HE ops executed by requests
 };
-constexpr size_t kCounterCount = 14;
+constexpr size_t kCounterCount = 16;
 const char *counterName(Counter c);
 
-/** Per-phase latency histograms (one per request phase span). */
+/** Per-phase latency histograms: one per request phase span, plus the
+ *  end-to-end time the SLO targets bound. */
 enum class Phase : size_t
 {
     Recv = 0,  ///< SUBMIT body deserialization
@@ -67,8 +72,9 @@ enum class Phase : size_t
     Dispatch,  ///< pop -> execution start (schedule/setup)
     Execute,   ///< homomorphic evaluation
     Respond,   ///< RESPONSE serialization + send
+    E2e,       ///< admission -> completion, on the server's ServeClock
 };
-constexpr size_t kPhaseCount = 6;
+constexpr size_t kPhaseCount = 7;
 const char *phaseName(Phase p);
 
 /** Current-level values (set/adjusted, not accumulated). */
@@ -82,18 +88,26 @@ constexpr size_t kGaugeCount = 3;
 const char *gaugeName(Gauge g);
 
 /**
- * Fixed-bucket latency histogram. Bucket upper bounds are geometric:
- * bucket i holds values <= 0.001 * 2^i ms (1 us, 2 us, ... ~4.2 s);
- * the last bucket is unbounded. Fixed buckets make merge a plain
- * element-wise add and keep record() allocation-free.
+ * Fixed-bucket latency histogram with geometric edges, 8 per octave:
+ * bucket i holds values in (upperMs(i-1), upperMs(i)], where
+ * upperMs(i) = 0.001 * 2^(i/8) ms, from 1 us up to 2^26 us (~67 s);
+ * bucket 0 also takes everything below 1 us, and the last bucket is
+ * the unbounded overflow. A quantile reports its bucket's upper edge
+ * clamped to the recorded max, so for a true nearest-rank value
+ * v >= 1 us the estimate lies in [v, v * 2^(1/8)), under 9.05% high.
+ * Fixed buckets make merge a plain element-wise add and keep record()
+ * allocation-free.
  */
 struct Histogram
 {
-    static constexpr size_t kBuckets = 24;
+    static constexpr size_t kPerOctave = 8;
+    static constexpr size_t kOctaves = 26;
+    /** 1 + kOctaves * kPerOctave bounded buckets, then the overflow. */
+    static constexpr size_t kBuckets = kOctaves * kPerOctave + 2;
 
     /** Upper bound of bucket @p i in ms (+inf for the last bucket). */
     static double upperMs(size_t i);
-    /** Bucket index a value of @p ms lands in. */
+    /** Bucket index a value of @p ms lands in (O(1)). */
     static size_t bucketIndex(double ms);
 
     u64 count = 0;
@@ -101,19 +115,37 @@ struct Histogram
     double max_ms = 0;
     std::array<u64, kBuckets> buckets{};
 
+    /** Negative and NaN values record as 0. */
     void record(double ms);
     void merge(const Histogram &other);
     /** Quantile estimate (q in [0,1]): the upper bound of the bucket
-     *  where the cumulative count crosses q. 0 when empty. */
+     *  where the cumulative count crosses q, clamped to max_ms. 0 when
+     *  empty. */
     double quantileMs(double q) const;
     double meanMs() const { return count ? sum_ms / count : 0.0; }
 };
 
-/** Merged point-in-time view of every metric. */
-struct MetricsSnapshot
+/** Counters and phase histograms: one thread's shard of a registry,
+ *  or the merge of them all. */
+struct MetricsTally
 {
     std::array<u64, kCounterCount> counters{};
     std::array<Histogram, kPhaseCount> phases{};
+
+    void count(Counter c, u64 n = 1)
+    {
+        counters[static_cast<size_t>(c)] += n;
+    }
+    void observe(Phase p, double ms)
+    {
+        phases[static_cast<size_t>(p)].record(ms);
+    }
+    void merge(const MetricsTally &other);
+};
+
+/** Merged point-in-time view of every metric. */
+struct MetricsSnapshot : MetricsTally
+{
     std::array<i64, kGaugeCount> gauges{};
 
     /** Human-readable multi-line block (the periodic emitter's and
@@ -121,35 +153,53 @@ struct MetricsSnapshot
     std::string toString() const;
 };
 
-/** Process-wide registry; record via the free wrappers below. */
+/** A sharded registry: global() for the process, or one per owner. */
 class MetricsRegistry
 {
   public:
-    MetricsRegistry();
-    ~MetricsRegistry();
-
-    MetricsRegistry(const MetricsRegistry &) = delete;
-    MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
     static MetricsRegistry &global();
 
-    void count(Counter c, u64 n);
-    void observe(Phase p, double ms);
+    void count(Counter c, u64 n)
+    {
+        update([&](MetricsTally &t) { t.count(c, n); });
+    }
+    void observe(Phase p, double ms)
+    {
+        update([&](MetricsTally &t) { t.observe(p, ms); });
+    }
+    /** Apply @p f(MetricsTally &) to the calling thread's shard under
+     *  the shard's lock: everything @p f records lands in the same
+     *  snapshotAndReset() window. */
+    template <typename F>
+    void update(F &&f)
+    {
+        Shard &s = shards_.local();
+        std::lock_guard<std::mutex> lk(s.m);
+        f(s.tally);
+    }
     void gaugeSet(Gauge g, i64 v);
     void gaugeAdd(Gauge g, i64 delta);
 
     /** Merge every shard into one snapshot. */
     MetricsSnapshot snapshot() const;
+    /** snapshot(), zeroing each shard's counters and histograms under
+     *  that shard's lock as it is merged, so an update() racing the
+     *  call lands wholly in this snapshot or wholly in the next.
+     *  Gauges are levels and keep their values. */
+    MetricsSnapshot snapshotAndReset();
     /** Zero all shards and gauges (tests). */
     void reset();
 
   private:
-    struct Shard;
-    Shard &shard() const;
+    struct Shard
+    {
+        std::mutex m;
+        MetricsTally tally;
+    };
+    /** Merge every shard, zeroing each as it goes iff @p zero. */
+    MetricsSnapshot collect(bool zero) const;
 
-    const u64 instance_id_;
-    mutable std::mutex shards_m_;
-    mutable std::vector<std::unique_ptr<Shard>> shards_;
+    ThreadShards<Shard> shards_;
     std::array<std::atomic<i64>, kGaugeCount> gauges_{};
 };
 

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdio>
-#include <thread>
+#include <mutex>
 
 namespace ark {
 namespace obs {
@@ -17,21 +16,13 @@ namespace obs {
  */
 struct TraceSession::Ring
 {
-    std::thread::id owner;
-    /** Small dense tid for the JSON (registration order). */
-    u32 tid = 0;
-    mutable std::mutex m;
+    std::mutex m;
     std::array<TraceEvent, kRingCapacity> ev;
     /** Total events ever recorded; min(total, capacity) retained. */
     u64 total = 0;
 };
 
-TraceSession::TraceSession()
-    : instance_id_([] {
-          static std::atomic<u64> next{1};
-          return next.fetch_add(1);
-      }()),
-      epoch_(std::chrono::steady_clock::now())
+TraceSession::TraceSession() : epoch_(std::chrono::steady_clock::now())
 {
 }
 
@@ -42,44 +33,6 @@ TraceSession::global()
 {
     static TraceSession session;
     return session;
-}
-
-TraceSession::Ring &
-TraceSession::ring() const
-{
-    struct CacheEntry
-    {
-        u64 id;
-        Ring *ring;
-    };
-    // Per-thread cache of (session instance id -> ring) — the
-    // KernelBackend::shard() scheme: stale entries for destroyed
-    // sessions are never matched again, and an evicted entry only
-    // costs a re-lookup that re-adopts this thread's ring.
-    thread_local std::vector<CacheEntry> cache;
-    for (const auto &e : cache) {
-        if (e.id == instance_id_)
-            return *e.ring;
-    }
-    std::lock_guard<std::mutex> lk(rings_m_);
-    Ring *r = nullptr;
-    const std::thread::id self = std::this_thread::get_id();
-    for (const auto &existing : rings_) {
-        if (existing->owner == self) {
-            r = existing.get();
-            break;
-        }
-    }
-    if (r == nullptr) {
-        rings_.push_back(std::make_unique<Ring>());
-        r = rings_.back().get();
-        r->owner = self;
-        r->tid = static_cast<u32>(rings_.size());
-    }
-    if (cache.size() >= 256)
-        cache.clear();
-    cache.push_back({instance_id_, r});
-    return *r;
 }
 
 void
@@ -102,7 +55,7 @@ TraceSession::record(const char *name, u64 request_id,
         std::chrono::duration_cast<std::chrono::nanoseconds>(end -
                                                              start)
             .count());
-    Ring &r = ring();
+    Ring &r = rings_.local();
     std::lock_guard<std::mutex> lk(r.m);
     r.ev[r.total % kRingCapacity] = e;
     r.total += 1;
@@ -111,96 +64,72 @@ TraceSession::record(const char *name, u64 request_id,
 size_t
 TraceSession::eventCount() const
 {
-    std::lock_guard<std::mutex> lk(rings_m_);
     size_t n = 0;
-    for (const auto &r : rings_) {
-        std::lock_guard<std::mutex> rk(r->m);
-        n += static_cast<size_t>(
-            std::min<u64>(r->total, kRingCapacity));
-    }
+    rings_.forEach([&](Ring &r) {
+        std::lock_guard<std::mutex> lk(r.m);
+        n += static_cast<size_t>(std::min<u64>(r.total, kRingCapacity));
+    });
     return n;
 }
 
 u64
 TraceSession::droppedCount() const
 {
-    std::lock_guard<std::mutex> lk(rings_m_);
     u64 n = 0;
-    for (const auto &r : rings_) {
-        std::lock_guard<std::mutex> rk(r->m);
-        n += r->total > kRingCapacity ? r->total - kRingCapacity : 0;
-    }
+    rings_.forEach([&](Ring &r) {
+        std::lock_guard<std::mutex> lk(r.m);
+        n += r.total > kRingCapacity ? r.total - kRingCapacity : 0;
+    });
     return n;
 }
 
 void
 TraceSession::clear()
 {
-    std::lock_guard<std::mutex> lk(rings_m_);
-    for (const auto &r : rings_) {
-        std::lock_guard<std::mutex> rk(r->m);
-        r->total = 0;
-    }
+    rings_.forEach([](Ring &r) {
+        std::lock_guard<std::mutex> lk(r.m);
+        r.total = 0;
+    });
+}
+
+std::vector<std::pair<TraceEvent, u32>>
+TraceSession::tagged() const
+{
+    std::vector<std::pair<TraceEvent, u32>> out;
+    u32 tid = 0; // forEach visits rings in registration order
+    rings_.forEach([&](Ring &r) {
+        ++tid;
+        std::lock_guard<std::mutex> lk(r.m);
+        const u64 kept = std::min<u64>(r.total, kRingCapacity);
+        for (u64 i = 0; i < kept; ++i)
+            out.emplace_back(r.ev[i], tid);
+    });
+    std::stable_sort(out.begin(), out.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first.start_ns < b.first.start_ns;
+                     });
+    return out;
 }
 
 std::vector<TraceEvent>
 TraceSession::events() const
 {
-    struct Tagged
-    {
-        TraceEvent e;
-        u32 tid;
-    };
-    std::vector<Tagged> tagged;
-    {
-        std::lock_guard<std::mutex> lk(rings_m_);
-        for (const auto &r : rings_) {
-            std::lock_guard<std::mutex> rk(r->m);
-            const u64 kept = std::min<u64>(r->total, kRingCapacity);
-            for (u64 i = 0; i < kept; ++i)
-                tagged.push_back({r->ev[i], r->tid});
-        }
-    }
-    std::stable_sort(tagged.begin(), tagged.end(),
-                     [](const Tagged &a, const Tagged &b) {
-                         return a.e.start_ns < b.e.start_ns;
-                     });
+    const std::vector<std::pair<TraceEvent, u32>> all = tagged();
     std::vector<TraceEvent> out;
-    out.reserve(tagged.size());
-    for (const Tagged &t : tagged)
-        out.push_back(t.e);
+    out.reserve(all.size());
+    for (const auto &t : all)
+        out.push_back(t.first);
     return out;
 }
 
 std::string
 TraceSession::toJson() const
 {
-    // Re-collect with tids (events() drops them); duplicating the
-    // merge keeps the public snapshot type free of export details.
-    struct Tagged
-    {
-        TraceEvent e;
-        u32 tid;
-    };
-    std::vector<Tagged> tagged;
-    {
-        std::lock_guard<std::mutex> lk(rings_m_);
-        for (const auto &r : rings_) {
-            std::lock_guard<std::mutex> rk(r->m);
-            const u64 kept = std::min<u64>(r->total, kRingCapacity);
-            for (u64 i = 0; i < kept; ++i)
-                tagged.push_back({r->ev[i], r->tid});
-        }
-    }
-    std::stable_sort(tagged.begin(), tagged.end(),
-                     [](const Tagged &a, const Tagged &b) {
-                         return a.e.start_ns < b.e.start_ns;
-                     });
-
+    const std::vector<std::pair<TraceEvent, u32>> all = tagged();
     std::string out = "{\"traceEvents\":[\n";
     char buf[256];
-    for (size_t i = 0; i < tagged.size(); ++i) {
-        const TraceEvent &e = tagged[i].e;
+    for (size_t i = 0; i < all.size(); ++i) {
+        const TraceEvent &e = all[i].first;
         // Span names are static identifiers (phase / kernel-op
         // names), so no JSON string escaping is needed.
         std::snprintf(
@@ -209,9 +138,9 @@ TraceSession::toJson() const
             "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u,"
             "\"args\":{\"req\":%llu}}%s\n",
             e.name, static_cast<double>(e.start_ns) / 1e3,
-            static_cast<double>(e.dur_ns) / 1e3, tagged[i].tid,
+            static_cast<double>(e.dur_ns) / 1e3, all[i].second,
             static_cast<unsigned long long>(e.request_id),
-            i + 1 < tagged.size() ? "," : "");
+            i + 1 < all.size() ? "," : "");
         out += buf;
     }
     out += "],\"displayTimeUnit\":\"ms\"}\n";

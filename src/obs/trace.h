@@ -7,8 +7,8 @@
  * `respond` per request, and the kernel backend records child spans
  * for the heavy kernels (NTT, BConv, evk MAC, the fused digit path)
  * on whatever worker thread ran them. Spans land in a fixed-capacity
- * per-thread ring buffer (the KernelStats shard pattern: the owning
- * thread writes under an uncontended per-ring mutex, readers merge on
+ * per-thread ring buffer (common/thread_shards.h: the owning thread
+ * writes under an uncontended per-ring mutex, readers merge on
  * demand), so recording never allocates on the hot path and a burst
  * overwrites the oldest events rather than growing without bound.
  *
@@ -28,11 +28,11 @@
 #pragma once
 
 #include <chrono>
-#include <memory>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/thread_shards.h"
 #include "common/types.h"
 #include "obs/obs.h"
 
@@ -97,14 +97,12 @@ class TraceSession
 
   private:
     struct Ring;
-    Ring &ring() const;
+    /** Every retained event with its ring's tid (1-based registration
+     *  order), ordered by start time. */
+    std::vector<std::pair<TraceEvent, u32>> tagged() const;
 
-    /** Process-unique id keying the thread-local ring cache (same
-     *  scheme as KernelBackend's stats shards). */
-    const u64 instance_id_;
     const std::chrono::steady_clock::time_point epoch_;
-    mutable std::mutex rings_m_;
-    mutable std::vector<std::unique_ptr<Ring>> rings_;
+    ThreadShards<Ring> rings_;
 };
 
 /**

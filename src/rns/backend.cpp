@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -28,10 +27,6 @@ struct KernelBackend::StatsShard
         std::atomic<u64> words{0};
         std::atomic<u64> mults{0};
     };
-
-    /** Registering thread; lets a thread whose cache entry was
-     *  evicted re-adopt its shard instead of leaking a duplicate. */
-    std::thread::id owner;
 
     std::array<Counter, kNumKernelOps> counters{};
     std::atomic<u64> evk_words{0};
@@ -533,60 +528,14 @@ KernelBackend::nttBconvNtt(const RnsPoly &digit,
 // Per-thread measured-tally shards
 // ---------------------------------------------------------------------------
 
-namespace {
-std::atomic<u64> next_backend_id{1};
-} // namespace
-
-KernelBackend::KernelBackend() : instance_id_(next_backend_id.fetch_add(1))
-{
-}
+KernelBackend::KernelBackend() = default;
 
 KernelBackend::~KernelBackend() = default;
-
-KernelBackend::StatsShard &
-KernelBackend::shard() const
-{
-    struct CacheEntry
-    {
-        u64 id;
-        StatsShard *shard;
-    };
-    // Per-thread cache of (backend instance id -> shard). Entries for
-    // destroyed backends go stale but are never matched again (ids are
-    // unique), and the occasional flush only costs a re-lookup.
-    thread_local std::vector<CacheEntry> cache;
-    for (const auto &e : cache) {
-        if (e.id == instance_id_)
-            return *e.shard;
-    }
-    std::lock_guard<std::mutex> lk(shards_m_);
-    // Re-adopt this thread's shard if the cache entry was evicted —
-    // registering a fresh one would grow shards_ unboundedly in a
-    // long-lived backend. (An OS-recycled thread id can only match a
-    // dead owner's shard, which is then safe to adopt.)
-    StatsShard *s = nullptr;
-    const std::thread::id self = std::this_thread::get_id();
-    for (const auto &existing : shards_) {
-        if (existing->owner == self) {
-            s = existing.get();
-            break;
-        }
-    }
-    if (s == nullptr) {
-        shards_.push_back(std::make_unique<StatsShard>());
-        s = shards_.back().get();
-        s->owner = self;
-    }
-    if (cache.size() >= 256)
-        cache.clear();
-    cache.push_back({instance_id_, s});
-    return *s;
-}
 
 void
 KernelBackend::recordStats(KernelOp op, u64 limbs, u64 words, u64 mults)
 {
-    auto &c = shard().counters[static_cast<size_t>(op)];
+    auto &c = shards_.local().counters[static_cast<size_t>(op)];
     c.calls.fetch_add(1, std::memory_order_relaxed);
     c.limbs.fetch_add(limbs, std::memory_order_relaxed);
     c.words.fetch_add(words, std::memory_order_relaxed);
@@ -596,23 +545,22 @@ KernelBackend::recordStats(KernelOp op, u64 limbs, u64 words, u64 mults)
 void
 KernelBackend::noteEvkWords(u64 words)
 {
-    shard().evk_words.fetch_add(words, std::memory_order_relaxed);
+    shards_.local().evk_words.fetch_add(words, std::memory_order_relaxed);
 }
 
 void
 KernelBackend::notePlaintextWords(u64 words)
 {
-    shard().plaintext_words.fetch_add(words, std::memory_order_relaxed);
+    shards_.local().plaintext_words.fetch_add(words, std::memory_order_relaxed);
 }
 
 KernelStats
 KernelBackend::stats() const
 {
-    std::lock_guard<std::mutex> lk(shards_m_);
     KernelStats out;
-    for (const auto &s : shards_) {
+    shards_.forEach([&](const StatsShard &s) {
         for (size_t i = 0; i < kNumKernelOps; ++i) {
-            const auto &c = s->counters[i];
+            const auto &c = s.counters[i];
             out.counters[i].calls +=
                 c.calls.load(std::memory_order_relaxed);
             out.counters[i].limbs +=
@@ -622,27 +570,26 @@ KernelBackend::stats() const
             out.counters[i].mults +=
                 c.mults.load(std::memory_order_relaxed);
         }
-        out.evk_words += s->evk_words.load(std::memory_order_relaxed);
+        out.evk_words += s.evk_words.load(std::memory_order_relaxed);
         out.plaintext_words +=
-            s->plaintext_words.load(std::memory_order_relaxed);
-    }
+            s.plaintext_words.load(std::memory_order_relaxed);
+    });
     return out;
 }
 
 void
 KernelBackend::resetStats()
 {
-    std::lock_guard<std::mutex> lk(shards_m_);
-    for (const auto &s : shards_) {
-        for (auto &c : s->counters) {
+    shards_.forEach([](StatsShard &s) {
+        for (auto &c : s.counters) {
             c.calls.store(0, std::memory_order_relaxed);
             c.limbs.store(0, std::memory_order_relaxed);
             c.words.store(0, std::memory_order_relaxed);
             c.mults.store(0, std::memory_order_relaxed);
         }
-        s->evk_words.store(0, std::memory_order_relaxed);
-        s->plaintext_words.store(0, std::memory_order_relaxed);
-    }
+        s.evk_words.store(0, std::memory_order_relaxed);
+        s.plaintext_words.store(0, std::memory_order_relaxed);
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@
 
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
+#include "common/thread_shards.h"
 #include "rns/automorphism.h"
 #include "rns/backend_kind.h"
 #include "rns/bconv.h"
@@ -200,16 +199,7 @@ class KernelBackend
 
   private:
     struct StatsShard;
-    /** The calling thread's shard for this backend instance
-     *  (registered on first use, found via a thread-local cache). */
-    StatsShard &shard() const;
-
-    /** Process-unique instance id keying the thread-local shard cache
-     *  (never reused, so a stale cache entry for a destroyed backend
-     *  can never alias a live one). */
-    const u64 instance_id_;
-    mutable std::mutex shards_m_;
-    mutable std::vector<std::unique_ptr<StatsShard>> shards_;
+    ThreadShards<StatsShard> shards_;
     PolyPool pool_;
 };
 

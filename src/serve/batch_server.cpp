@@ -219,7 +219,11 @@ BatchServer::BatchServer(const CkksContext &ctx, KeyCache &keys,
       admission_(cfg.admission),
       clock_(cfg.clock != nullptr ? *cfg.clock
                                   : SystemServeClock::instance()),
-      shard_plan_(planServeShards(workloads_, cfg.shards))
+      shard_plan_(planServeShards(workloads_, cfg.shards)),
+      shard_done_base_(cfg.shards, 0),
+      shard_inflight_(cfg.shards),
+      shard_total_done_(cfg.shards),
+      shard_evk_miss_(cfg.shards)
 {
     ARK_ASSERT(!workloads_.empty(), "server needs at least one workload");
     ARK_ASSERT(!inputs_.empty(), "server needs at least one input");
@@ -243,10 +247,6 @@ BatchServer::BatchServer(const CkksContext &ctx, KeyCache &keys,
     queues_.reserve(cfg_.shards);
     for (size_t s = 0; s < cfg_.shards; ++s)
         queues_.push_back(std::make_unique<RequestQueue>(caps[s]));
-    shard_done_.assign(cfg_.shards, 0);
-    shard_inflight_.assign(cfg_.shards, 0);
-    shard_total_done_.assign(cfg_.shards, 0);
-    shard_evk_miss_.assign(cfg_.shards, 0);
     last_rebalance_us_.store(clock_.nowMicros());
     last_watchdog_us_.store(clock_.nowMicros());
 
@@ -337,8 +337,7 @@ BatchServer::checkWorkers()
     }
     if (replaced > 0) {
         respawns_.fetch_add(replaced);
-        obs::count(obs::Counter::WorkerRespawns,
-                   static_cast<u64>(replaced));
+        book(obs::Counter::WorkerRespawns, static_cast<u64>(replaced));
         ARK_LOG(Info, "watchdog replaced %zu worker(s)", replaced);
     }
     return replaced;
@@ -366,79 +365,90 @@ BatchServer::~BatchServer()
     shutdown();
 }
 
+template <typename F>
 void
-BatchServer::completeShed(ServeJob &&job, bool was_queued)
+BatchServer::book(const F &f)
 {
-    ServeResult r;
-    r.id = job.request.id;
-    r.error = was_queued
-                  ? "shed by SLO admission control (evicted from "
-                    "queue for higher-priority work)"
-                  : "shed by SLO admission control (predicted p99 "
-                    "over target)";
-    r.error_kind = ServeErrorKind::Shed;
-    job.promise.set_value(std::move(r));
-    if (obs::metricsEnabled()) {
-        obs::count(obs::Counter::RequestsShed);
-        // Only queued victims passed the admission gauge increment.
-        if (was_queued)
-            obs::gaugeAdd(obs::Gauge::InFlight, -1);
-    }
+    metrics_.update(f);
+    if (obs::metricsEnabled())
+        obs::MetricsRegistry::global().update(f);
+}
+
+void
+BatchServer::book(obs::Counter c, u64 n)
+{
+    book([&](obs::MetricsTally &t) { t.count(c, n); });
+}
+
+void
+BatchServer::book(obs::Phase p, double ms)
+{
+    book([&](obs::MetricsTally &t) { t.observe(p, ms); });
+}
+
+void
+BatchServer::releaseOutstanding(bool refused)
+{
     {
-        std::lock_guard<std::mutex> lk(metrics_m_);
-        shed_ += 1;
-    }
-    {
+        // Decrement-then-notify under the idle mutex so drain() can
+        // never observe the old count after its predicate check.
         std::lock_guard<std::mutex> lk(idle_m_);
         outstanding_.fetch_sub(1);
+        if (refused && window_open_ && outstanding_.load() == 0) {
+            u64 done = 0;
+            for (size_t s = 0; s < shard_total_done_.size(); ++s)
+                done += shard_total_done_[s].load() - shard_done_base_[s];
+            if (done == 0)
+                window_open_ = false;
+        }
     }
     idle_cv_.notify_all();
 }
 
 void
-BatchServer::completeDeadline(ServeJob &&job)
+BatchServer::settleUnexecuted(ServeJob &&job, ServeErrorKind kind,
+                              const char *error, obs::Counter counter,
+                              bool refused)
 {
     ServeResult r;
     r.id = job.request.id;
-    r.error = "deadline expired before execution started";
-    r.error_kind = ServeErrorKind::DeadlineExceeded;
+    r.error = error;
+    r.error_kind = kind;
     job.promise.set_value(std::move(r));
-    if (obs::metricsEnabled()) {
-        obs::count(obs::Counter::DeadlineExpired);
+    book(counter);
+    if (!refused)
         obs::gaugeAdd(obs::Gauge::InFlight, -1);
-    }
-    {
-        std::lock_guard<std::mutex> lk(metrics_m_);
-        deadline_expired_ += 1;
-    }
-    {
-        std::lock_guard<std::mutex> lk(idle_m_);
-        outstanding_.fetch_sub(1);
-    }
-    idle_cv_.notify_all();
+    releaseOutstanding(refused);
 }
 
 void
-BatchServer::completeDrainRefused(ServeJob &&job)
+BatchServer::complete(ServeJob &&job, ServeResult r, size_t group,
+                      bool executed)
 {
-    ServeResult r;
-    r.id = job.request.id;
-    r.error = "refused at graceful drain (queued, never started)";
-    r.error_kind = ServeErrorKind::DrainRefused;
+    // Settle the request against its SLO class's end-to-end budget,
+    // and feed the admission controller's service model.
+    double e2e_ms = 0;
+    if (job.submit_us != 0)
+        e2e_ms = static_cast<double>(clock_.nowMicros() - job.submit_us) /
+                 1000.0;
+    const double target_ms = admission_.classAt(job.class_id).p99_ms;
+    const bool slo_good = r.ok && target_ms > 0 && e2e_ms <= target_ms;
+    if (executed)
+        admission_.recordService(job.class_id, r.latency_ms);
+    book([&](obs::MetricsTally &t) {
+        t.count(r.ok ? obs::Counter::RequestsDone
+                     : obs::Counter::RequestsFailed);
+        t.count(obs::Counter::HeOps, r.he_ops);
+        if (slo_good)
+            t.count(obs::Counter::RequestsSloGood);
+        if (executed)
+            t.observe(obs::Phase::Execute, r.latency_ms);
+        t.observe(obs::Phase::E2e, e2e_ms);
+    });
+    obs::gaugeAdd(obs::Gauge::InFlight, -1);
+    shard_total_done_[group].fetch_add(1);
     job.promise.set_value(std::move(r));
-    if (obs::metricsEnabled()) {
-        obs::count(obs::Counter::DrainRefused);
-        obs::gaugeAdd(obs::Gauge::InFlight, -1);
-    }
-    {
-        std::lock_guard<std::mutex> lk(metrics_m_);
-        drain_refused_ += 1;
-    }
-    {
-        std::lock_guard<std::mutex> lk(idle_m_);
-        outstanding_.fetch_sub(1);
-    }
-    idle_cv_.notify_all();
+    releaseOutstanding();
 }
 
 AdmitResult
@@ -477,14 +487,12 @@ BatchServer::admitJob(ServeJob &&job, bool blocking)
         job.enqueue_tp = std::chrono::steady_clock::now();
     const auto admit_t0 = job.enqueue_tp;
 
-    // Count the attempt *before* opening the window: a concurrent
-    // drain() waits for outstanding_ == 0, so it can never close a
-    // window between our open and the admission becoming visible.
-    outstanding_.fetch_add(1);
     {
-        // Open the metrics window at first admission so throughput
-        // covers queueing, not just service.
-        std::lock_guard<std::mutex> lk(metrics_m_);
+        // Take the drain hold and open the metrics window together
+        // (see idle_m_): the window opens at first admission so
+        // throughput covers queueing, not just service.
+        std::lock_guard<std::mutex> lk(idle_m_);
+        outstanding_.fetch_add(1);
         if (!window_open_) {
             window_open_ = true;
             window_start_ = std::chrono::steady_clock::now();
@@ -510,7 +518,10 @@ BatchServer::admitJob(ServeJob &&job, bool blocking)
         if (verdict == AdmissionVerdict::EvictLower) {
             ServeJob victim;
             if (queue.evictLowestBelow(job.priority, victim))
-                completeShed(std::move(victim), /*was_queued=*/true);
+                settleUnexecuted(std::move(victim), ServeErrorKind::Shed,
+                                 "shed by SLO admission control (evicted "
+                                 "from queue for higher-priority work)",
+                                 obs::Counter::RequestsShed);
             continue; // re-decide against the reduced depth
         }
         admitted = AdmitResult::Shed;
@@ -535,37 +546,22 @@ BatchServer::admitJob(ServeJob &&job, bool blocking)
     }
 
     if (admitted == AdmitResult::Shed) {
-        // completeShed handles the promise, shed count, and the
-        // outstanding_ release; only the window probe check remains.
-        completeShed(std::move(job), /*was_queued=*/false);
-        std::lock_guard<std::mutex> lk(metrics_m_);
-        if (window_open_ && done_ == 0 && outstanding_.load() == 0)
-            window_open_ = false;
+        settleUnexecuted(std::move(job), ServeErrorKind::Shed,
+                         "shed by SLO admission control (predicted p99 "
+                         "over target)",
+                         obs::Counter::RequestsShed, /*refused=*/true);
     } else if (admitted != AdmitResult::Admitted) {
-        {
-            std::lock_guard<std::mutex> lk(idle_m_);
-            outstanding_.fetch_sub(1);
-        }
-        idle_cv_.notify_all();
-        // A refused probe must not skew the next report's wall clock:
-        // close the window again while it is still empty.
-        std::lock_guard<std::mutex> lk(metrics_m_);
-        if (window_open_ && done_ == 0 && outstanding_.load() == 0)
-            window_open_ = false;
+        book(obs::Counter::AdmitRefused);
+        releaseOutstanding(/*refused=*/true);
+    } else {
+        book(obs::Counter::AdmitAccepted);
+        obs::gaugeAdd(obs::Gauge::InFlight, 1);
     }
-    if (observed && obs::metricsEnabled()) {
-        if (admitted == AdmitResult::Admitted) {
-            obs::count(obs::Counter::AdmitAccepted);
-            obs::gaugeAdd(obs::Gauge::InFlight, 1);
-        } else if (admitted != AdmitResult::Shed) {
-            // Shed is counted as RequestsShed in completeShed.
-            obs::count(obs::Counter::AdmitRefused);
-        }
-        obs::observe(
-            obs::Phase::Admit,
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - admit_t0)
-                .count());
+    if (obs::metricsEnabled()) {
+        book(obs::Phase::Admit,
+             std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - admit_t0)
+                 .count());
         // Sampled depth gauge: one sample per admission attempt is
         // plenty for a "what does the queue look like" readout.
         size_t depth = 0;
@@ -764,6 +760,11 @@ void
 BatchServer::workerLoop(WorkerSlot *slot)
 {
     const size_t group = slot->group;
+    // Register this thread's metrics shard before the first request's
+    // transient buffers: allocated later, the long-lived shard can sit
+    // above freed memory in the thread's malloc arena and keep it from
+    // being trimmed (about +1 MiB peak RSS on a 2-worker server).
+    metrics_.update([](obs::MetricsTally &) {});
     ServeJob job;
     while (queues_[group]->pop(job)) {
         // 0 is the idle sentinel; an injected clock may legitimately
@@ -787,7 +788,10 @@ BatchServer::workerLoop(WorkerSlot *slot)
         // and the deadline does its job.
         if (job.deadline_us != 0 &&
             clock_.nowMicros() > job.deadline_us) {
-            completeDeadline(std::move(job));
+            settleUnexecuted(std::move(job),
+                             ServeErrorKind::DeadlineExceeded,
+                             "deadline expired before execution started",
+                             obs::Counter::DeadlineExpired);
             slot->busy_since_us.store(0);
             if (crash || slot->superseded.load())
                 break;
@@ -795,38 +799,17 @@ BatchServer::workerLoop(WorkerSlot *slot)
         }
 
         // Injected crash: settle the in-hand job as failed through the
-        // normal accounting (promise, window counters, outstanding_)
-        // so nothing leaks, then let the thread die — recovery is the
-        // watchdog's job, not this thread's.
+        // normal accounting (promise, counters, outstanding_) so
+        // nothing leaks, then let the thread die — recovery is the
+        // watchdog's job, not this thread's. It never executed, so it
+        // adds no execute-time sample.
         if (crash) {
             ServeResult r;
             r.id = job.request.id;
             r.error = "injected worker crash";
             r.error_kind = ServeErrorKind::Other;
-            if (obs::metricsEnabled()) {
-                obs::count(obs::Counter::RequestsFailed);
-                obs::gaugeAdd(obs::Gauge::InFlight, -1);
-            }
-            double e2e_ms = 0;
-            if (job.submit_us != 0)
-                e2e_ms = static_cast<double>(clock_.nowMicros() -
-                                             job.submit_us) /
-                         1000.0;
-            {
-                std::lock_guard<std::mutex> lk(metrics_m_);
-                latencies_ms_.push_back(0.0);
-                e2e_ms_.push_back(e2e_ms);
-                done_ += 1;
-                failed_ += 1;
-                shard_done_[group] += 1;
-                shard_total_done_[group] += 1;
-            }
-            job.promise.set_value(std::move(r));
-            {
-                std::lock_guard<std::mutex> lk(idle_m_);
-                outstanding_.fetch_sub(1);
-            }
-            idle_cv_.notify_all();
+            complete(std::move(job), std::move(r), group,
+                     /*executed=*/false);
             break;
         }
 
@@ -842,30 +825,26 @@ BatchServer::workerLoop(WorkerSlot *slot)
             if (obs::traceEnabled())
                 obs::TraceSession::global().record(
                     "queue_wait", rid, job.enqueue_tp, pop_tp);
-            obs::observe(obs::Phase::QueueWait,
-                         std::chrono::duration<double, std::milli>(
-                             pop_tp - job.enqueue_tp)
-                             .count());
+            book(obs::Phase::QueueWait,
+                 std::chrono::duration<double, std::milli>(
+                     pop_tp - job.enqueue_tp)
+                     .count());
         }
-        {
-            std::lock_guard<std::mutex> lk(metrics_m_);
-            shard_inflight_[group] += 1;
-        }
+        shard_inflight_[group].fetch_add(1);
         ServeResult r;
         {
-            // dispatch: pop -> execution start (bookkeeping between
-            // the two; tiny unless the metrics lock contends).
+            // dispatch: pop -> execution start (the bookkeeping
+            // between the two).
             std::chrono::steady_clock::time_point exec_tp{};
             if (observed && stamped) {
                 exec_tp = std::chrono::steady_clock::now();
                 if (obs::traceEnabled())
                     obs::TraceSession::global().record(
                         "dispatch", rid, pop_tp, exec_tp);
-                obs::observe(
-                    obs::Phase::Dispatch,
-                    std::chrono::duration<double, std::milli>(
-                        exec_tp - pop_tp)
-                        .count());
+                book(obs::Phase::Dispatch,
+                     std::chrono::duration<double, std::milli>(
+                         exec_tp - pop_tp)
+                         .count());
             }
             obs::ScopedSpan execute_span("execute", rid);
             // Snapshot this thread's KeyCache tallies around the
@@ -876,48 +855,11 @@ BatchServer::workerLoop(WorkerSlot *slot)
             r = execute(job.request);
             const u64 miss_delta =
                 KeyCache::threadStats().misses - miss0;
-            if (miss_delta > 0) {
-                std::lock_guard<std::mutex> lk(metrics_m_);
-                shard_evk_miss_[group] += miss_delta;
-            }
+            if (miss_delta > 0)
+                shard_evk_miss_[group].fetch_add(miss_delta);
         }
-        if (observed) {
-            obs::observe(obs::Phase::Execute, r.latency_ms);
-            obs::count(r.ok ? obs::Counter::RequestsDone
-                            : obs::Counter::RequestsFailed);
-            obs::gaugeAdd(obs::Gauge::InFlight, -1);
-        }
-        // Feed the admission controller's service model, and settle
-        // the request against its SLO class's end-to-end budget.
-        admission_.recordService(job.class_id, r.latency_ms);
-        const double target_ms =
-            admission_.classAt(job.class_id).p99_ms;
-        double e2e_ms = 0;
-        if (job.submit_us != 0)
-            e2e_ms = static_cast<double>(clock_.nowMicros() -
-                                         job.submit_us) /
-                     1000.0;
-        {
-            std::lock_guard<std::mutex> lk(metrics_m_);
-            latencies_ms_.push_back(r.latency_ms);
-            e2e_ms_.push_back(e2e_ms);
-            if (r.ok && target_ms > 0 && e2e_ms <= target_ms)
-                slo_good_ += 1;
-            done_ += 1;
-            failed_ += r.ok ? 0 : 1;
-            ops_done_ += r.he_ops;
-            shard_done_[group] += 1;
-            shard_inflight_[group] -= 1;
-            shard_total_done_[group] += 1;
-        }
-        job.promise.set_value(std::move(r));
-        // Decrement-then-notify under the idle mutex so drain() can
-        // never observe the old count after its predicate check.
-        {
-            std::lock_guard<std::mutex> lk(idle_m_);
-            outstanding_.fetch_sub(1);
-        }
-        idle_cv_.notify_all();
+        shard_inflight_[group].fetch_sub(1);
+        complete(std::move(job), std::move(r), group, /*executed=*/true);
         slot->busy_since_us.store(0);
         // A superseded worker (the watchdog already spawned its
         // replacement) exits after settling its job instead of
@@ -959,10 +901,8 @@ BatchServer::rebalanceNow()
     signal.peak_depth.reserve(queues_.size());
     for (const auto &q : queues_)
         signal.peak_depth.push_back(q->peakDepth());
-    {
-        std::lock_guard<std::mutex> lk(metrics_m_);
-        signal.evk_miss = shard_evk_miss_;
-    }
+    for (const auto &m : shard_evk_miss_)
+        signal.evk_miss.push_back(m.load());
     return rebalanceNow(signal);
 }
 
@@ -985,10 +925,8 @@ BatchServer::rebalanceNow(const ServeShardSignal &signal)
     // observation window clean.
     for (const auto &q : queues_)
         q->resetPeak();
-    {
-        std::lock_guard<std::mutex> mlk(metrics_m_);
-        shard_evk_miss_.assign(queues_.size(), 0);
-    }
+    for (auto &m : shard_evk_miss_)
+        m.store(0);
     return true;
 }
 
@@ -997,14 +935,9 @@ BatchServer::liveStats() const
 {
     ServerLiveStats s;
     s.shards.resize(queues_.size());
-    {
-        std::lock_guard<std::mutex> lk(metrics_m_);
-        for (size_t i = 0; i < queues_.size(); ++i) {
-            s.shards[i].in_flight = shard_inflight_[i];
-            s.shards[i].total_done = shard_total_done_[i];
-        }
-    }
     for (size_t i = 0; i < queues_.size(); ++i) {
+        s.shards[i].in_flight = static_cast<size_t>(shard_inflight_[i]);
+        s.shards[i].total_done = shard_total_done_[i];
         s.shards[i].queue_depth = queues_[i]->depth();
         s.shards[i].queue_capacity = queues_[i]->capacity();
     }
@@ -1015,37 +948,43 @@ BatchServer::liveStats() const
 ServeReport
 BatchServer::drain()
 {
-    {
-        std::unique_lock<std::mutex> lk(idle_m_);
-        idle_cv_.wait(lk, [this] { return outstanding_.load() == 0; });
-    }
-
-    std::lock_guard<std::mutex> lk(metrics_m_);
+    // Held to the end: admissions wait on idle_m_, so the window
+    // closes at outstanding_ == 0 with every outcome of it booked.
+    std::unique_lock<std::mutex> lk(idle_m_);
+    idle_cv_.wait(lk, [this] { return outstanding_.load() == 0; });
     const auto now = std::chrono::steady_clock::now();
-    const KernelStats now_stats = ctx_.backend().stats();
+    const obs::MetricsSnapshot win = metrics_.snapshotAndReset();
+    const auto counted = [&](obs::Counter c) {
+        return static_cast<size_t>(win.counters[static_cast<size_t>(c)]);
+    };
 
     ServeReport rep;
     rep.schedule = schedulePolicyName(cfg_.schedule);
-    rep.shard_requests = shard_done_;
-    rep.shard_queue_peak.reserve(queues_.size());
-    for (const auto &q : queues_) {
-        rep.shard_queue_peak.push_back(q->peakDepth());
-        q->resetPeak();
+    for (size_t s = 0; s < queues_.size(); ++s) {
+        const u64 total = shard_total_done_[s].load();
+        rep.shard_requests.push_back(
+            static_cast<size_t>(total - shard_done_base_[s]));
+        shard_done_base_[s] = total;
+        rep.shard_queue_peak.push_back(queues_[s]->peakDepth());
+        queues_[s]->resetPeak();
     }
-    rep.requests = done_;
-    rep.failed = failed_;
-    rep.shed = shed_;
-    rep.slo_good = slo_good_;
-    rep.deadline_expired = deadline_expired_;
-    rep.drain_refused = drain_refused_;
-    rep.he_ops = ops_done_;
-    rep.latency = summarizeLatencies(std::move(latencies_ms_));
-    rep.e2e = summarizeLatencies(std::move(e2e_ms_));
+    rep.failed = counted(obs::Counter::RequestsFailed);
+    rep.requests = counted(obs::Counter::RequestsDone) + rep.failed;
+    rep.shed = counted(obs::Counter::RequestsShed);
+    rep.slo_good = counted(obs::Counter::RequestsSloGood);
+    rep.deadline_expired = counted(obs::Counter::DeadlineExpired);
+    rep.drain_refused = counted(obs::Counter::DrainRefused);
+    rep.he_ops = counted(obs::Counter::HeOps);
+    rep.latency = LatencySummary::from(
+        win.phases[static_cast<size_t>(obs::Phase::Execute)]);
+    rep.e2e = LatencySummary::from(
+        win.phases[static_cast<size_t>(obs::Phase::E2e)]);
     if (window_open_) {
         rep.wall_seconds =
             std::chrono::duration<double>(now - window_start_).count();
         // Backend tallies are quiescent here (no request in flight),
         // so the delta is exactly this window's kernel work.
+        const KernelStats now_stats = ctx_.backend().stats();
         rep.kernel_words =
             now_stats.totalWords() - stats_baseline_.totalWords();
         rep.mod_mults =
@@ -1059,21 +998,7 @@ BatchServer::drain()
         rep.words_per_sec = static_cast<double>(rep.kernel_words) / s;
         rep.mults_per_sec = static_cast<double>(rep.mod_mults) / s;
     }
-
-    latencies_ms_ = {};
-    e2e_ms_ = {};
-    shard_done_.assign(shard_done_.size(), 0);
-    done_ = failed_ = ops_done_ = 0;
-    shed_ = slo_good_ = 0;
-    deadline_expired_ = drain_refused_ = 0;
-    // A submit may have slipped in after our idle wait: hand the new
-    // window a sane start instead of orphaning that request's metrics
-    // (its own window-open sees window_open_ already true and no-ops).
-    window_open_ = outstanding_.load() > 0;
-    if (window_open_) {
-        window_start_ = now;
-        stats_baseline_ = now_stats;
-    }
+    window_open_ = false;
     return rep;
 }
 
@@ -1093,7 +1018,10 @@ BatchServer::shutdownImpl(bool graceful)
     // refusal (its wire surface is SERVER_SHUTDOWN), so no client is
     // left holding a promise that never resolves.
     for (ServeJob &job : refused)
-        completeDrainRefused(std::move(job));
+        settleUnexecuted(std::move(job), ServeErrorKind::DrainRefused,
+                         "refused at graceful drain (queued, never "
+                         "started)",
+                         obs::Counter::DrainRefused);
     // Workers parked on an injected stall must not outlive the
     // server: wake them (their abort predicate sees shut_down_).
     fault::FaultInjector::global().releaseStalls();

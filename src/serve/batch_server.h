@@ -24,7 +24,9 @@
  * Metrics: each drain window reports per-request latency percentiles
  * and aggregate requests/sec, HE-ops/sec, plus backend-measured
  * words/sec and modular mults/sec (KernelStats delta over the
- * window).
+ * window). Every outcome is booked once, into the server's own
+ * obs::MetricsRegistry (always) and the process registry (iff
+ * ARK_METRICS is on); drain() builds its ServeReport from the former.
  */
 
 #pragma once
@@ -40,6 +42,7 @@
 #include "boot/plaintext_store.h"
 #include "ckks/evaluator.h"
 #include "graph/serve_schedule.h"
+#include "obs/metrics.h"
 #include "serve/admission.h"
 #include "serve/clock.h"
 #include "serve/metrics.h"
@@ -360,13 +363,28 @@ class BatchServer
     std::future<ServeResult> enqueue(size_t workload_index,
                                      bool blocking,
                                      AdmitResult &admitted);
-    /** Complete @p job with a Shed result and release its admission
-     *  accounting (promise, outstanding_, window shed count). */
-    void completeShed(ServeJob &&job, bool was_queued);
-    /** Settle a popped job whose deadline already expired. */
-    void completeDeadline(ServeJob &&job);
-    /** Settle a queued job refused at graceful drain. */
-    void completeDrainRefused(ServeJob &&job);
+    /** Record @p f(obs::MetricsTally &) into this server's registry
+     *  and, iff ARK_METRICS is on, the process registry. */
+    template <typename F>
+    void book(const F &f);
+    void book(obs::Counter c, u64 n = 1);
+    void book(obs::Phase p, double ms);
+    /** Settle @p job as a request of group @p group that completed
+     *  with @p r: book it, resolve its promise, release it. Only a
+     *  job that actually @p executed adds an execute-time sample. */
+    void complete(ServeJob &&job, ServeResult r, size_t group,
+                  bool executed);
+    /** Settle @p job without executing it (shed, deadline expired,
+     *  refused at drain): a typed @p kind error booked as @p counter.
+     *  @p refused: @p job is a newcomer refused at admission, which
+     *  never entered the in-flight gauge (see releaseOutstanding). */
+    void settleUnexecuted(ServeJob &&job, ServeErrorKind kind,
+                          const char *error, obs::Counter counter,
+                          bool refused = false);
+    /** Drop one outstanding_ hold and wake drain(). @p refused: the
+     *  hold was a refused admission, so close the window again if
+     *  nothing else ran in it (it must not skew the next wall clock). */
+    void releaseOutstanding(bool refused = false);
     /** Fire rebalanceNow() when the configured interval elapsed. */
     void maybeRebalance();
     /** Fire checkWorkers() when watchdog_interval_ms elapsed. */
@@ -411,32 +429,29 @@ class BatchServer
     /** submitted - completed; drain() waits for 0 (counted at submit
      *  time so a popped-but-running request still holds the drain). */
     std::atomic<size_t> outstanding_{0};
+    /** Guards outstanding_'s transitions and the window bounds below:
+     *  an admission opens the window and takes its hold in one
+     *  critical section, and drain() closes it while holding this
+     *  lock at outstanding_ == 0, so every booked outcome belongs to
+     *  exactly one window. */
     std::mutex idle_m_;
     std::condition_variable idle_cv_;
-
-    /** Metrics window state (guarded by metrics_m_). */
-    mutable std::mutex metrics_m_;
-    std::vector<double> latencies_ms_;
-    std::vector<double> e2e_ms_; ///< admission -> completion (clock_)
-    std::vector<size_t> shard_done_; ///< completions per worker group
-    /** Evk misses attributed to each group's workers since the last
-     *  rebalance (KeyCache::threadStats deltas) — the rebalancer's
-     *  second signal. */
-    std::vector<u64> shard_evk_miss_;
-    size_t shed_ = 0;     ///< window: requests shed by admission
-    size_t slo_good_ = 0; ///< window: completions meeting their p99
-    size_t deadline_expired_ = 0; ///< window: dropped past deadline
-    size_t drain_refused_ = 0;    ///< window: refused at drain
-    /** Live-stats state (also guarded by metrics_m_): unlike the
-     *  window counters above these survive drain(). */
-    std::vector<size_t> shard_inflight_;
-    std::vector<u64> shard_total_done_;
-    size_t done_ = 0;
-    size_t failed_ = 0;
-    size_t ops_done_ = 0;
     bool window_open_ = false;
     std::chrono::steady_clock::time_point window_start_{};
     KernelStats stats_baseline_;
+    /** shard_total_done_ at the last drain (the window's baseline). */
+    std::vector<u64> shard_done_base_;
+
+    /** This server's outcomes: drain() snapshots and zeroes it. */
+    obs::MetricsRegistry metrics_;
+    /** Live per-group counters; unlike the window they survive
+     *  drain(). */
+    std::vector<std::atomic<u64>> shard_inflight_;
+    std::vector<std::atomic<u64>> shard_total_done_;
+    /** Evk misses attributed to each group's workers since the last
+     *  rebalance (KeyCache::threadStats deltas) — the rebalancer's
+     *  second signal. */
+    std::vector<std::atomic<u64>> shard_evk_miss_;
 };
 
 } // namespace ark

@@ -1,28 +1,19 @@
 #include "serve/metrics.h"
 
-#include <algorithm>
 #include <cstdio>
-
-#include "common/stats_util.h"
 
 namespace ark {
 
 LatencySummary
-summarizeLatencies(std::vector<double> samples_ms)
+LatencySummary::from(const obs::Histogram &h)
 {
     LatencySummary s;
-    s.count = samples_ms.size();
-    if (samples_ms.empty())
-        return s;
-    std::sort(samples_ms.begin(), samples_ms.end());
-    double sum = 0;
-    for (double v : samples_ms)
-        sum += v;
-    s.mean_ms = sum / static_cast<double>(samples_ms.size());
-    s.p50_ms = nearestRankPercentile(samples_ms, 0.50);
-    s.p90_ms = nearestRankPercentile(samples_ms, 0.90);
-    s.p99_ms = nearestRankPercentile(samples_ms, 0.99);
-    s.max_ms = samples_ms.back();
+    s.count = static_cast<size_t>(h.count);
+    s.mean_ms = h.meanMs();
+    s.p50_ms = h.quantileMs(0.50);
+    s.p90_ms = h.quantileMs(0.90);
+    s.p99_ms = h.quantileMs(0.99);
+    s.max_ms = h.max_ms;
     return s;
 }
 
@@ -34,7 +25,7 @@ ServeReport::toString() const
         buf, sizeof buf,
         "requests %zu (%zu failed) in %.3f s  |  %.1f req/s  "
         "%.1f HE-ops/s  [%s]\n"
-        "latency ms: mean %.3f  p50 %.3f  p90 %.3f  p99 %.3f  "
+        "execute ms: mean %.3f  p50 %.3f  p90 %.3f  p99 %.3f  "
         "max %.3f\n"
         "kernels: %.2f Mwords/s  %.2f Mmults/s",
         requests, failed, wall_seconds, requests_per_sec,

@@ -3,7 +3,9 @@
  * Serving metrics: per-request latency percentiles plus aggregate
  * throughput (requests/sec, HE-ops/sec, and — via the backend's
  * measured KernelStats — words/sec and modular mults/sec, the numbers
- * the paper's traffic analysis reasons in).
+ * the paper's traffic analysis reasons in). Every count in a
+ * ServeReport is exact; its percentiles are bounded-error histogram
+ * estimates (see LatencySummary).
  */
 
 #pragma once
@@ -13,10 +15,13 @@
 #include <vector>
 
 #include "common/types.h"
+#include "obs/metrics.h"
 
 namespace ark {
 
-/** Order statistics of a latency sample set. */
+/** Order statistics of one latency histogram: exact count, mean and
+ *  max; percentiles are obs::Histogram estimates, never below the true
+ *  nearest-rank value v and, for v >= 1 us, under 9.05% above it. */
 struct LatencySummary
 {
     size_t count = 0;
@@ -25,10 +30,9 @@ struct LatencySummary
     double p90_ms = 0;
     double p99_ms = 0;
     double max_ms = 0;
-};
 
-/** Nearest-rank percentiles of @p samples_ms (consumed: sorted). */
-LatencySummary summarizeLatencies(std::vector<double> samples_ms);
+    static LatencySummary from(const obs::Histogram &h);
+};
 
 /** One drain window's aggregate serving statistics. */
 struct ServeReport
@@ -68,10 +72,14 @@ struct ServeReport
     /** The headline under open-loop load: slo_good / wall_seconds —
      *  completions per second that were actually worth completing. */
     double goodput_per_sec = 0;
+    /** Execute time (ServeResult::latency_ms: the evaluator run
+     *  alone, no queueing), one sample per request that executed — a
+     *  request settled without running (an injected crash) counts in
+     *  `requests` and `failed` but adds no sample here. */
     LatencySummary latency;
     /** End-to-end latency (admission stamp -> completion, via the
-     *  injected ServeClock) — what the SLO targets bound. Empty when
-     *  no admitted request carried a stamp. */
+     *  injected ServeClock) of every request in `requests` — what the
+     *  SLO targets bound. */
     LatencySummary e2e;
     /** Backend-measured polynomial operand words moved in the window
      *  (KernelStats delta) and the implied streaming rate. */

@@ -541,6 +541,10 @@ TEST(ChaosServing, LedgerConservesEveryAdmittedRequest)
     EXPECT_EQ(rep.requests, 3u); // A, C, D executed/settled in-band
     EXPECT_EQ(rep.failed, 1u);
     EXPECT_EQ(rep.deadline_expired, 1u);
+    // Only A and D executed: the crashed C books its e2e time but no
+    // execute-time sample.
+    EXPECT_EQ(rep.latency.count, ok);
+    EXPECT_EQ(rep.e2e.count, rep.requests);
 }
 
 } // namespace

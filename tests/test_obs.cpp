@@ -1,7 +1,8 @@
 /**
  * @file
- * Observability subsystem tests (src/obs/): histogram bucket math,
- * concurrent sharded-counter merge under the ThreadPool, trace-event
+ * Observability subsystem tests (src/obs/): histogram bucket math and
+ * its quantile error bound, concurrent sharded-counter merge under the
+ * ThreadPool, drain-window exactness of snapshotAndReset, trace-event
  * JSON export shape, the periodic stats emitter, the env-switch
  * parsers, and — the contract the serving hot path depends on — that
  * the disabled path records nothing and allocates nothing.
@@ -15,6 +16,7 @@
 #include <limits>
 #include <mutex>
 #include <new>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/stats_util.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -51,6 +54,22 @@ operator new[](std::size_t n)
     if (void *p = std::malloc(n))
         return p;
     throw std::bad_alloc();
+}
+
+// The nothrow forms (std::stable_sort's temporary buffer) must come
+// from the same malloc the replaced deletes free into.
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n);
 }
 
 void operator delete(void *p) noexcept { std::free(p); }
@@ -92,18 +111,40 @@ class ObsTest : public ::testing::Test
 
 TEST_F(ObsTest, HistogramBucketBounds)
 {
-    // Geometric bounds: 0.001 * 2^i ms, last bucket unbounded.
+    // Geometric bounds, 8 per octave: 0.001 * 2^(i/8) ms from 1 us to
+    // 2^26 us (~67 s, past the 60 s the scheme must cover); the last
+    // bucket is the unbounded overflow.
+    EXPECT_EQ(Histogram::kBuckets, 210u);
     EXPECT_DOUBLE_EQ(Histogram::upperMs(0), 0.001);
-    EXPECT_DOUBLE_EQ(Histogram::upperMs(1), 0.002);
-    EXPECT_DOUBLE_EQ(Histogram::upperMs(10), 1.024);
+    EXPECT_DOUBLE_EQ(Histogram::upperMs(1), 0.001 * std::exp2(0.125));
+    EXPECT_DOUBLE_EQ(Histogram::upperMs(8), 0.002);
+    EXPECT_DOUBLE_EQ(Histogram::upperMs(80), 1.024);
+    EXPECT_DOUBLE_EQ(Histogram::upperMs(Histogram::kBuckets - 2),
+                     67108.864);
     EXPECT_TRUE(std::isinf(Histogram::upperMs(Histogram::kBuckets - 1)));
 
+    // A value exactly on an edge lands in that bucket; the next double
+    // past it lands in the next one.
+    for (size_t i = 0; i + 1 < Histogram::kBuckets; ++i) {
+        const double edge = Histogram::upperMs(i);
+        EXPECT_EQ(Histogram::bucketIndex(edge), i) << "edge " << i;
+        EXPECT_EQ(Histogram::bucketIndex(std::nextafter(
+                      edge, std::numeric_limits<double>::infinity())),
+                  i + 1)
+            << "past edge " << i;
+    }
     EXPECT_EQ(Histogram::bucketIndex(0.0), 0u);
-    EXPECT_EQ(Histogram::bucketIndex(0.001), 0u);   // at the bound
-    EXPECT_EQ(Histogram::bucketIndex(0.0011), 1u);  // just past it
-    EXPECT_EQ(Histogram::bucketIndex(1.0), 10u);
-    // Far past every finite bound: the overflow bucket.
-    EXPECT_EQ(Histogram::bucketIndex(1e12),
+    EXPECT_EQ(Histogram::bucketIndex(0.0011), 2u); // (1.09, 1.19] us
+    EXPECT_EQ(Histogram::bucketIndex(1.0), 80u);   // (0.939, 1.024] ms
+    // Junk clamps: negative and NaN to bucket 0, +inf and anything
+    // past every finite bound to the overflow bucket.
+    EXPECT_EQ(Histogram::bucketIndex(-1.0), 0u);
+    EXPECT_EQ(Histogram::bucketIndex(
+                  std::numeric_limits<double>::quiet_NaN()),
+              0u);
+    EXPECT_EQ(Histogram::bucketIndex(1e12), Histogram::kBuckets - 1);
+    EXPECT_EQ(Histogram::bucketIndex(
+                  std::numeric_limits<double>::infinity()),
               Histogram::kBuckets - 1);
 }
 
@@ -112,15 +153,22 @@ TEST_F(ObsTest, HistogramRecordQuantileMerge)
     Histogram h;
     EXPECT_DOUBLE_EQ(h.quantileMs(0.5), 0.0); // empty
     for (int i = 0; i < 99; ++i)
-        h.record(0.5); // bucket 9 (upper bound 0.512 ms)
-    h.record(100.0);   // bucket 17 (upper bound 0.131072 s)
+        h.record(0.5); // bucket 72: (0.470, 0.512] ms
+    h.record(100.0);   // bucket 133: (92.68, 101.07] ms
     EXPECT_EQ(h.count, 100u);
+    EXPECT_EQ(h.buckets[72], 99u);
+    EXPECT_EQ(h.buckets[133], 1u);
     EXPECT_DOUBLE_EQ(h.max_ms, 100.0);
     EXPECT_NEAR(h.meanMs(), (99 * 0.5 + 100.0) / 100.0, 1e-9);
-    // p50/p98 land in the dense bucket; p100 in the outlier's.
+    // p50/p98 report the dense bucket's edge; p100's edge (101.07 ms)
+    // clamps to the recorded max.
     EXPECT_DOUBLE_EQ(h.quantileMs(0.5), 0.512);
     EXPECT_DOUBLE_EQ(h.quantileMs(0.98), 0.512);
-    EXPECT_DOUBLE_EQ(h.quantileMs(1.0), Histogram::upperMs(17));
+    EXPECT_DOUBLE_EQ(h.quantileMs(1.0), 100.0);
+    // A lone sample reports itself, not its bucket's edge.
+    Histogram one;
+    one.record(0.5);
+    EXPECT_DOUBLE_EQ(one.quantileMs(0.5), 0.5);
 
     // Junk inputs clamp instead of corrupting buckets.
     Histogram j;
@@ -128,17 +176,104 @@ TEST_F(ObsTest, HistogramRecordQuantileMerge)
     j.record(std::numeric_limits<double>::quiet_NaN());
     EXPECT_EQ(j.count, 2u);
     EXPECT_EQ(j.buckets[0], 2u);
+    EXPECT_DOUBLE_EQ(j.sum_ms, 0.0);
+    EXPECT_DOUBLE_EQ(j.max_ms, 0.0);
 
     // Merge is element-wise add.
     Histogram a, b;
     a.record(0.5);
     b.record(100.0);
     b.record(0.5);
+    const Histogram a0 = a;
     a.merge(b);
     EXPECT_EQ(a.count, 3u);
     EXPECT_DOUBLE_EQ(a.max_ms, 100.0);
     EXPECT_NEAR(a.sum_ms, 101.0, 1e-9);
-    EXPECT_EQ(a.buckets[Histogram::bucketIndex(0.5)], 2u);
+    for (size_t i = 0; i < Histogram::kBuckets; ++i)
+        EXPECT_EQ(a.buckets[i], a0.buckets[i] + b.buckets[i]) << i;
+}
+
+TEST_F(ObsTest, HistogramQuantilesBoundTheNearestRankValue)
+{
+    // Seeded property: on log-uniform samples across 1 us .. 60 s,
+    // every quantile estimate lies in [v, v * 2^(1/8)) of the exact
+    // nearest-rank value v.
+    std::mt19937_64 rng(0x5eed14);
+    std::uniform_real_distribution<double> log10_ms(-3.0,
+                                                    std::log10(60000.0));
+    const double step = std::exp2(1.0 / Histogram::kPerOctave);
+    for (int trial = 0; trial < 200; ++trial) {
+        const size_t n = 1 + rng() % 400;
+        Histogram h;
+        std::vector<double> samples;
+        for (size_t i = 0; i < n; ++i) {
+            samples.push_back(std::pow(10.0, log10_ms(rng)));
+            h.record(samples.back());
+        }
+        std::sort(samples.begin(), samples.end());
+        for (double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+            const double v = nearestRankPercentile(samples, q);
+            const double est = h.quantileMs(q);
+            EXPECT_GE(est, v) << "trial " << trial << " q " << q;
+            EXPECT_LT(est, v * step) << "trial " << trial << " q " << q;
+        }
+    }
+
+    // bucketIndex (O(1)) agrees with a linear scan of the edges, on a
+    // fine geometric sweep and on random values.
+    const auto linear = [](double ms) {
+        for (size_t i = 0; i + 1 < Histogram::kBuckets; ++i) {
+            if (ms <= Histogram::upperMs(i))
+                return i;
+        }
+        return Histogram::kBuckets - 1;
+    };
+    size_t mismatches = 0;
+    for (double ms = 1e-4; ms < 1e6; ms *= 1.0007)
+        mismatches += Histogram::bucketIndex(ms) != linear(ms);
+    std::uniform_real_distribution<double> log10_wide(-5.0, 6.0);
+    for (int i = 0; i < 20000; ++i) {
+        const double ms = std::pow(10.0, log10_wide(rng));
+        mismatches += Histogram::bucketIndex(ms) != linear(ms);
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST_F(ObsTest, SnapshotAndResetHandsEachUpdateToOneWindow)
+{
+    // Pool threads book (count, sample) pairs through one update()
+    // while the main thread repeatedly drains: every window must hold
+    // whole pairs, and the windows must add up to every pair.
+    obs::MetricsRegistry reg;
+    constexpr size_t kJobs = 20000;
+    ThreadPool pool(3);
+    std::atomic<bool> done{false};
+    u64 counted = 0, sampled = 0;
+    bool paired = true;
+    std::thread drainer([&] {
+        for (bool last = false; !last;) {
+            last = done.load();
+            const obs::MetricsSnapshot w = reg.snapshotAndReset();
+            const u64 c =
+                w.counters[static_cast<size_t>(Counter::RequestsDone)];
+            const u64 s =
+                w.phases[static_cast<size_t>(Phase::Execute)].count;
+            paired = paired && c == s;
+            counted += c;
+            sampled += s;
+        }
+    });
+    pool.parallelFor(kJobs, [&](size_t i) {
+        reg.update([&](obs::MetricsTally &t) {
+            t.count(Counter::RequestsDone);
+            t.observe(Phase::Execute, 0.001 * static_cast<double>(i));
+        });
+    });
+    done.store(true);
+    drainer.join();
+    EXPECT_TRUE(paired);
+    EXPECT_EQ(counted, kJobs);
+    EXPECT_EQ(sampled, kJobs);
 }
 
 TEST_F(ObsTest, ConcurrentCountersMergeExactly)

@@ -174,7 +174,8 @@ TEST(Admission, ObservationsReplaceThePriorAfterMinSamples)
         << "one sample is below min_samples; the prior still stands";
 
     c.recordService(0, 4.0);
-    // Histogram now rules: mean 4.0, p99 = 4.096 (bucket edge).
+    // Histogram now rules: mean 4.0, p99 = 4.0 (the bucket edge
+    // clamped to the recorded max).
     const double p = c.predictedP99Ms(0, 0, 1);
     EXPECT_GT(p, 0.0);
     EXPECT_LT(p, 10.0);
