@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "rns/backend.h"
 
 namespace ark {
 
@@ -163,12 +164,39 @@ LinearTransform::apply(const CkksEvaluator &eval, const Ciphertext &ct,
     ARK_PANIC("unreachable");
 }
 
+std::optional<Ciphertext>
+LinearTransform::innerSum(const std::vector<const Ciphertext *> &babies,
+                          size_t j, size_t &pmults) const
+{
+    std::vector<PlainMulTerm> terms;
+    for (size_t i = 0; i < bs_; ++i) {
+        if (nonzero_[j * bs_ + i])
+            terms.push_back({&babies[i]->b, &babies[i]->a,
+                             &store_.stored(j * bs_ + i)});
+    }
+    if (terms.empty())
+        return std::nullopt;
+    pmults += terms.size();
+
+    // Every baby shares the input's level and scale, and every
+    // diagonal was encoded at scale_.
+    const Ciphertext &ct = *babies[0];
+    const size_t limbs = ct.b.numLimbs();
+    Ciphertext out;
+    out.scale = ct.scale * scale_;
+    out.slots = ct.slots;
+    out.b = RnsPoly(ctx_.degree(), limbs, Rep::Eval);
+    out.a = RnsPoly(ctx_.degree(), limbs, Rep::Eval);
+    ctx_.backend().plainMulSum(terms, ctx_.levelModuli(ct.level()),
+                               ctx_.qTablePtrs(limbs), out.b, out.a);
+    return out;
+}
+
 Ciphertext
 LinearTransform::applyBaseline(const CkksEvaluator &eval,
                                const Ciphertext &ct, KeyCache &keys,
                                LtStats *stats) const
 {
-    const int level = ct.level();
     std::set<i64> evk_amounts;
 
     // Hoisted baby rotations (Halevi-Shoup hoisting is part of the
@@ -183,26 +211,20 @@ LinearTransform::applyBaseline(const CkksEvaluator &eval,
     }
     auto rotated = eval.rotateHoisted(ct, baby_amounts, baby_keys);
 
+    std::vector<const Ciphertext *> babies{&ct};
+    for (const Ciphertext &r : rotated)
+        babies.push_back(&r);
+
     size_t n_rot = baby_amounts.size();
     size_t n_pmult = 0;
 
     Ciphertext out;
     bool out_set = false;
     for (size_t j = 0; j < gs_; ++j) {
-        Ciphertext inner;
-        bool inner_set = false;
-        for (size_t i = 0; i < bs_; ++i) {
-            if (!nonzero_[j * bs_ + i])
-                continue;
-            const Ciphertext &src = i == 0 ? ct : rotated[i - 1];
-            auto pt = store_.get(j * bs_ + i, level);
-            auto term = eval.mulPlain(src, pt);
-            ++n_pmult;
-            inner = inner_set ? eval.add(inner, term) : std::move(term);
-            inner_set = true;
-        }
-        if (!inner_set)
+        auto inner_sum = innerSum(babies, j, n_pmult);
+        if (!inner_sum)
             continue;
+        Ciphertext inner = std::move(*inner_sum);
         if (j > 0) {
             i64 g_amt = static_cast<i64>(j * bs_ * stride_);
             inner = eval.rotate(inner, g_amt, keys.rotation(g_amt));
@@ -228,7 +250,6 @@ LinearTransform::applyIterative(const CkksEvaluator &eval,
                                 KeyCache &keys, LtStats *stats) const
 {
     (void)sched;
-    const int level = ct.level();
     const i64 baby_amt = static_cast<i64>(stride_);
     const i64 giant_amt = static_cast<i64>(bs_ * stride_);
     const EvalKey &evk_baby = keys.rotation(baby_amt);
@@ -245,20 +266,12 @@ LinearTransform::applyIterative(const CkksEvaluator &eval,
         ++n_rot;
     }
 
-    std::vector<Ciphertext> inner(gs_);
-    std::vector<bool> inner_set(gs_, false);
-    for (size_t j = 0; j < gs_; ++j) {
-        for (size_t i = 0; i < bs_; ++i) {
-            if (!nonzero_[j * bs_ + i])
-                continue;
-            auto pt = store_.get(j * bs_ + i, level);
-            auto term = eval.mulPlain(babies[i], pt);
-            ++n_pmult;
-            inner[j] = inner_set[j] ? eval.add(inner[j], term)
-                                    : std::move(term);
-            inner_set[j] = true;
-        }
-    }
+    std::vector<const Ciphertext *> baby_ptrs;
+    for (const Ciphertext &b : babies)
+        baby_ptrs.push_back(&b);
+    std::vector<std::optional<Ciphertext>> inner(gs_);
+    for (size_t j = 0; j < gs_; ++j)
+        inner[j] = innerSum(baby_ptrs, j, n_pmult);
 
     // Giant steps: accumulate from the top so every rotation uses the
     // single giant key:
@@ -270,9 +283,9 @@ LinearTransform::applyIterative(const CkksEvaluator &eval,
             acc = eval.rotate(acc, giant_amt, evk_giant);
             ++n_rot;
         }
-        if (inner_set[j]) {
-            acc = acc_set ? eval.add(acc, inner[j])
-                          : std::move(inner[j]);
+        if (inner[j]) {
+            acc = acc_set ? eval.add(acc, *inner[j])
+                          : std::move(*inner[j]);
             acc_set = true;
         }
     }

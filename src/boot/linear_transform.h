@@ -16,11 +16,18 @@
  * acting on the slot vector, which covers both the single-shot
  * CoeffToSlot/SlotToCoeff of the functional bootstrapper and each
  * radix-2^k iteration of the FFT-like H-(I)DFT (Alg. 3).
+ *
+ * Both schedules build each giant-step inner sum sum_i rot_i(ct) *
+ * w_{j,i} with one fused KernelBackend::plainMulSum call over the
+ * stored diagonals: OF-Limb limbs are generated, NTT'd and consumed
+ * per output limb, products accumulate unreduced, and neither the
+ * plaintexts nor the per-diagonal products are materialized.
  */
 
 #pragma once
 
 #include <complex>
+#include <optional>
 #include <vector>
 
 #include "boot/key_cache.h"
@@ -95,6 +102,15 @@ class LinearTransform
     Ciphertext applyIterative(const CkksEvaluator &eval,
                               const Ciphertext &ct, KeySchedule sched,
                               KeyCache &keys, LtStats *stats) const;
+    /**
+     * Giant step @p j's inner sum, sum_i babies[i] * w_{j,i} over the
+     * nonzero diagonals, as one KernelBackend::plainMulSum call (adds
+     * the term count to @p pmults); nullopt when every diagonal of the
+     * step is zero.
+     */
+    std::optional<Ciphertext>
+    innerSum(const std::vector<const Ciphertext *> &babies, size_t j,
+             size_t &pmults) const;
 
     const CkksContext &ctx_;
     size_t n_;           ///< number of diagonals == slot count

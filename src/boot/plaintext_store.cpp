@@ -62,6 +62,13 @@ PlaintextStore::get(size_t idx, int level) const
     return pt;
 }
 
+const RnsPoly &
+PlaintextStore::stored(size_t idx) const
+{
+    ARK_ASSERT(idx < entries_.size(), "plaintext index out of range");
+    return entries_[idx].poly;
+}
+
 size_t
 PlaintextStore::storedBytes() const
 {

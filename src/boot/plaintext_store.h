@@ -14,6 +14,13 @@
  * signed values of magnitude << q0). This cuts the stored/loaded bytes
  * to 1/(l+1) at the price of l extra NTTs — exactly the compute/traffic
  * trade ARK's NTTU throughput absorbs.
+ *
+ * Two ways to consume a stored plaintext: get() materializes it as a
+ * Plaintext (the one-off MulPlain of a serving op list), while the
+ * BSGS transforms hand stored() straight to
+ * KernelBackend::plainMulSum, which generates each OF-Limb limb in
+ * per-job scratch and feeds it from the NTT into the MAC, as ARK's
+ * NTTU feeds its MADUs — no plaintext is ever materialized there.
  */
 
 #pragma once
@@ -51,6 +58,12 @@ class PlaintextStore
 
     /** Materialize plaintext @p idx with @p level + 1 limbs. */
     Plaintext get(size_t idx, int level) const;
+
+    /**
+     * Plaintext @p idx as stored, the pt of a PlainMulTerm: the full
+     * Eval-rep poly (Full) or the Coeff-rep q0 limb (OFLimb).
+     */
+    const RnsPoly &stored(size_t idx) const;
 
     size_t size() const { return entries_.size(); }
 

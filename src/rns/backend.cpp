@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -124,12 +125,13 @@ KernelBackend::mulEval(const RnsPoly &a, const RnsPoly &b,
     const size_t n = a.degree();
     recordStats(KernelOp::MulEval, a.numLimbs(),
                   3 * a.numLimbs() * n, a.numLimbs() * n);
+    // The closure keeps five captured words (n is re-read from a): run()
+    // heap-allocates it, and a sixth word moves every mulEval's closure
+    // to a larger malloc size class, which measurably fragments a
+    // serving process's heap (about +0.8 MiB peak RSS at testSmall).
     run(a.numLimbs(), [&](size_t l) {
-        const Modulus &q = moduli[l];
-        const u64 *pa = a.limb(l), *pb = b.limb(l);
-        u64 *pr = r.limb(l);
-        for (size_t i = 0; i < n; ++i)
-            pr[i] = q.mul(pa[i], pb[i]);
+        mulEvalLimbKernel(moduli[l], a.limb(l), b.limb(l), r.limb(l),
+                          a.degree());
     });
     r.setRep(Rep::Eval);
 }
@@ -256,21 +258,11 @@ KernelBackend::limbEmbed(const std::vector<u64> &src, const Modulus &src_q,
     ARK_ASSERT(src.size() == n, "source limb length mismatch");
     ARK_ASSERT(out_moduli.size() >= out.numLimbs(), "not enough moduli");
     ARK_ASSERT(out.rep() == Rep::Coeff, "limbEmbed produces Coeff rep");
-    const u64 q0 = src_q.value();
-    const u64 half = q0 / 2;
     recordStats(KernelOp::LimbEmbed, out.numLimbs(),
                   2 * out.numLimbs() * n, 0);
     run(out.numLimbs(), [&](size_t l) {
-        const u64 q = out_moduli[l].value();
-        const u64 q0_mod = q0 % q;
-        u64 *dst = out.limb(l);
-        for (size_t i = 0; i < n; ++i) {
-            const u64 v = src[i];
-            u64 rr = v % q;
-            if (v > half) // negative centered residue: subtract q0
-                rr = subMod(rr, q0_mod, q);
-            dst[i] = rr;
-        }
+        limbEmbedKernel(src.data(), n, src_q.value(), out_moduli[l],
+                        out.limb(l));
     });
 }
 
@@ -303,6 +295,91 @@ KernelBackend::evkMulAcc(const RnsPoly &digit, const RnsPoly &evk_b,
                             evk_b.limb(evk_limb), evk_a.limb(evk_limb),
                             acc_b.limb(l), acc_a.limb(l), n);
     });
+}
+
+size_t
+plainMacFoldTerms(const Modulus &q)
+{
+    const u128 max_product = static_cast<u128>(q.value() - 1) *
+                             (q.value() - 1);
+    const u128 terms = (~static_cast<u128>(0) - (q.value() - 1)) /
+                       max_product;
+    return terms > SIZE_MAX ? SIZE_MAX : static_cast<size_t>(terms);
+}
+
+void
+KernelBackend::plainMulSum(const std::vector<PlainMulTerm> &terms,
+                           const std::vector<Modulus> &moduli,
+                           const std::vector<const NttTables *> &tables,
+                           RnsPoly &out_b, RnsPoly &out_a)
+{
+    const size_t limbs = out_b.numLimbs();
+    const size_t n = out_b.degree();
+    ARK_ASSERT(out_a.sameShape(out_b), "output shape mismatch");
+    ARK_ASSERT(moduli.size() >= limbs && tables.size() >= limbs,
+               "not enough moduli or NTT tables");
+    u64 generated = 0, stored = 0;
+    for (const PlainMulTerm &t : terms) {
+        ARK_ASSERT(t.b->sameShape(out_b) && t.a->sameShape(out_b) &&
+                       t.b->rep() == Rep::Eval && t.a->rep() == Rep::Eval,
+                   "ciphertext terms must match the output, in Eval rep");
+        ARK_ASSERT(t.pt->degree() == n, "plaintext degree mismatch");
+        if (t.pt->rep() == Rep::Coeff) {
+            ARK_ASSERT(t.pt->numLimbs() == 1,
+                       "an OF-Limb plaintext is one q_0 limb");
+            ++generated;
+        } else {
+            ARK_ASSERT(t.pt->numLimbs() >= limbs,
+                       "stored plaintext has fewer limbs than the output");
+            ++stored;
+        }
+    }
+    obs::ScopedSpan span("plain_mul_sum");
+    const u64 k = terms.size();
+    if (generated > 0) {
+        recordStats(KernelOp::LimbEmbed, generated * limbs,
+                    2 * generated * limbs * n, 0);
+        recordStats(KernelOp::NttForward, generated * limbs,
+                    2 * generated * limbs * n,
+                    generated * limbs * nttMults(n));
+    }
+    recordStats(KernelOp::MulAccEval, k * limbs, (3 * k + 2) * limbs * n,
+                2 * k * limbs * n);
+    notePlaintextWords((generated + stored * limbs) * n);
+
+    const u64 q0 = moduli[0].value();
+    run(limbs, [&](size_t l) {
+        const Modulus &q = moduli[l];
+        const size_t fold = plainMacFoldTerms(q);
+        // Row 0: the generated plaintext limb; rows 1-4: the b and a
+        // accumulators (lo, hi), zeroed because the MAC adds into them.
+        RnsPoly scratch = pool_.acquire(n, 5, Rep::Coeff);
+        u64 *gen = scratch.limb(0);
+        u64 *acc = scratch.limb(1);
+        std::memset(acc, 0, 4 * n * sizeof(u64));
+        size_t pending = 0;
+        for (const PlainMulTerm &t : terms) {
+            const u64 *pt = gen;
+            if (t.pt->rep() == Rep::Coeff) {
+                limbEmbedKernel(t.pt->limb(0), n, q0, q, gen);
+                nttForwardLimbKernel(gen, *tables[l]);
+            } else {
+                pt = t.pt->limb(l);
+            }
+            if (pending == fold) {
+                plainReduceLimbKernel(q, acc, n, acc, acc + 2 * n);
+                std::memset(acc + n, 0, n * sizeof(u64));
+                std::memset(acc + 3 * n, 0, n * sizeof(u64));
+                pending = 0;
+            }
+            plainMacLimbKernel(pt, t.b->limb(l), t.a->limb(l), acc, n);
+            ++pending;
+        }
+        plainReduceLimbKernel(q, acc, n, out_b.limb(l), out_a.limb(l));
+        pool_.release(std::move(scratch));
+    });
+    out_b.setRep(Rep::Eval);
+    out_a.setRep(Rep::Eval);
 }
 
 // ---------------------------------------------------------------------------
@@ -340,6 +417,58 @@ KernelBackend::evkMulAccLimbKernel(const Modulus &m, const u64 *d,
     for (size_t i = 0; i < n; ++i) {
         ab[i] = m.add(ab[i], m.mul(d[i], kb[i]));
         aa[i] = m.add(aa[i], m.mul(d[i], ka[i]));
+    }
+}
+
+void
+KernelBackend::mulEvalLimbKernel(const Modulus &m, const u64 *a,
+                                 const u64 *b, u64 *r, size_t n) const
+{
+    for (size_t i = 0; i < n; ++i)
+        r[i] = m.mul(a[i], b[i]);
+}
+
+void
+KernelBackend::limbEmbedKernel(const u64 *src, size_t n, u64 src_q,
+                               const Modulus &m, u64 *dst) const
+{
+    const u64 half = src_q / 2;
+    const u64 q0_mod = m.reduceWord(src_q);
+    for (size_t i = 0; i < n; ++i) {
+        const u64 v = src[i];
+        const u64 r = m.reduceWord(v);
+        // A value above src_q / 2 is a negative centered residue.
+        dst[i] = v > half ? m.sub(r, q0_mod) : r;
+    }
+}
+
+void
+KernelBackend::plainMacLimbKernel(const u64 *pt, const u64 *b,
+                                  const u64 *a, u64 *acc, size_t n) const
+{
+    u64 *b_lo = acc, *b_hi = acc + n, *a_lo = acc + 2 * n,
+        *a_hi = acc + 3 * n;
+    for (size_t i = 0; i < n; ++i) {
+        const u128 sb = ((static_cast<u128>(b_hi[i]) << 64) | b_lo[i]) +
+                        static_cast<u128>(pt[i]) * b[i];
+        const u128 sa = ((static_cast<u128>(a_hi[i]) << 64) | a_lo[i]) +
+                        static_cast<u128>(pt[i]) * a[i];
+        b_lo[i] = static_cast<u64>(sb);
+        b_hi[i] = static_cast<u64>(sb >> 64);
+        a_lo[i] = static_cast<u64>(sa);
+        a_hi[i] = static_cast<u64>(sa >> 64);
+    }
+}
+
+void
+KernelBackend::plainReduceLimbKernel(const Modulus &m, const u64 *acc,
+                                     size_t n, u64 *out_b,
+                                     u64 *out_a) const
+{
+    for (size_t i = 0; i < n; ++i) {
+        out_b[i] = m.reduce((static_cast<u128>(acc[n + i]) << 64) | acc[i]);
+        out_a[i] = m.reduce((static_cast<u128>(acc[3 * n + i]) << 64) |
+                            acc[2 * n + i]);
     }
 }
 
@@ -678,6 +807,46 @@ SimdBackend::evkMulAccLimbKernel(const Modulus &m, const u64 *d,
         return;
     }
     KernelBackend::evkMulAccLimbKernel(m, d, kb, ka, ab, aa, n);
+}
+
+void
+SimdBackend::mulEvalLimbKernel(const Modulus &m, const u64 *a, const u64 *b,
+                               u64 *r, size_t n) const
+{
+    if (kernels_.mul_eval_limb != nullptr)
+        kernels_.mul_eval_limb(m, a, b, r, n);
+    else
+        KernelBackend::mulEvalLimbKernel(m, a, b, r, n);
+}
+
+void
+SimdBackend::limbEmbedKernel(const u64 *src, size_t n, u64 src_q,
+                             const Modulus &m, u64 *dst) const
+{
+    if (kernels_.limb_embed != nullptr)
+        kernels_.limb_embed(src, n, src_q, m, dst);
+    else
+        KernelBackend::limbEmbedKernel(src, n, src_q, m, dst);
+}
+
+void
+SimdBackend::plainMacLimbKernel(const u64 *pt, const u64 *b, const u64 *a,
+                                u64 *acc, size_t n) const
+{
+    if (kernels_.plain_mac_limb != nullptr)
+        kernels_.plain_mac_limb(pt, b, a, acc, n);
+    else
+        KernelBackend::plainMacLimbKernel(pt, b, a, acc, n);
+}
+
+void
+SimdBackend::plainReduceLimbKernel(const Modulus &m, const u64 *acc,
+                                   size_t n, u64 *out_b, u64 *out_a) const
+{
+    if (kernels_.plain_reduce_limb != nullptr)
+        kernels_.plain_reduce_limb(m, acc, n, out_b, out_a);
+    else
+        KernelBackend::plainReduceLimbKernel(m, acc, n, out_b, out_a);
 }
 
 ParallelBackend::ParallelBackend(size_t num_threads)

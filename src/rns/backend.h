@@ -39,6 +39,28 @@
 
 namespace ark {
 
+/**
+ * One term ct_k * pt_k of KernelBackend::plainMulSum. @p pt is either
+ * a stored plaintext in Eval rep with at least as many limbs as the
+ * output (read in place; dropping the extra limbs is the ModDown), or
+ * an OF-Limb source: one Coeff-rep limb of centered residues mod q_0,
+ * from which every output limb is generated at use time (Eq. 12).
+ */
+struct PlainMulTerm
+{
+    const RnsPoly *b;
+    const RnsPoly *a;
+    const RnsPoly *pt;
+};
+
+/**
+ * Products of two residues mod @p q a 128-bit accumulator that
+ * already holds a residue can absorb: floor((2^128 - q) / (q - 1)^2),
+ * at least 256 for q < 2^60. plainMulSum folds (reduces and restarts)
+ * its accumulators before exceeding it.
+ */
+size_t plainMacFoldTerms(const Modulus &q);
+
 /** Engine executing all limb-level kernels; owned by a CkksContext. */
 class KernelBackend
 {
@@ -98,6 +120,25 @@ class KernelBackend
                    const RnsPoly &evk_a, size_t nq, size_t full_nq,
                    const std::vector<Modulus> &key_moduli,
                    RnsPoly &acc_b, RnsPoly &acc_a);
+    /**
+     * Fused plaintext multiply-sum, the BSGS giant-step inner sum:
+     * out_b = sum_k b_k * pt_k and out_a = sum_k a_k * pt_k over the
+     * out_b.numLimbs() limbs of @p moduli (q_0 first; @p tables
+     * alike). One job per output limb: an OF-Limb term's limb is
+     * embedded from its q_0 residues and forward-NTT'd in per-job
+     * scratch, a stored term's limb is read in place, and both
+     * products accumulate in 128-bit words that are reduced once per
+     * output word (folding every plainMacFoldTerms terms). The result
+     * equals the mulEval + add chain bit for bit; neither the
+     * plaintexts nor the products are materialized. Records the work
+     * under LimbEmbed and NttForward (generated limbs), MulAccEval
+     * (the products), and the plaintext operand stream (n words per
+     * OF-Limb term, one word per limb word of a stored term).
+     */
+    void plainMulSum(const std::vector<PlainMulTerm> &terms,
+                     const std::vector<Modulus> &moduli,
+                     const std::vector<const NttTables *> &tables,
+                     RnsPoly &out_b, RnsPoly &out_a);
     /// @}
 
     /// @name NTT kernels
@@ -168,12 +209,15 @@ class KernelBackend
                      const std::function<void(size_t)> &fn) const = 0;
 
     /// @name Per-job kernel bodies
-    /// The innermost loop bodies every NTT / BConv / evk-MAC job
-    /// executes. Defaults are the reference scalar loops; SimdBackend
-    /// overrides them with hand-vectorized kernels that compute the
-    /// same arithmetic lane-wise (bit-identical by construction).
-    /// Element-wise kernels stay non-virtual: they are memory-bound
-    /// and the compiler already vectorizes their trivial loops.
+    /// The innermost loop bodies every NTT / BConv / evk-MAC /
+    /// mulEval / limb-embedding / plaintext-MAC job executes.
+    /// Defaults are the reference scalar loops; SimdBackend overrides
+    /// them with hand-vectorized kernels that compute the same
+    /// arithmetic lane-wise (bit-identical by construction). The
+    /// compiler does not vectorize a loop with a 64x64->128-bit
+    /// product or a per-word reduction, so mulEval and limbEmbed get
+    /// bodies here too; the other element-wise kernels stay plain
+    /// scalar loops.
     /// @{
     /** One limb of the lazy forward NTT (in place). */
     virtual void nttForwardLimbKernel(u64 *limb,
@@ -190,6 +234,25 @@ class KernelBackend
     virtual void evkMulAccLimbKernel(const Modulus &m, const u64 *d,
                                      const u64 *kb, const u64 *ka,
                                      u64 *ab, u64 *aa, size_t n) const;
+    /** One limb of mulEval: r = a * b mod m (r may alias a or b). */
+    virtual void mulEvalLimbKernel(const Modulus &m, const u64 *a,
+                                   const u64 *b, u64 *r, size_t n) const;
+    /** One limb of limbEmbed: dst = (src centered mod src_q) mod m. */
+    virtual void limbEmbedKernel(const u64 *src, size_t n, u64 src_q,
+                                 const Modulus &m, u64 *dst) const;
+    /**
+     * One limb of the plaintext MAC: @p acc holds four rows of n
+     * words, the 128-bit accumulators (lo row, hi row) of b then of
+     * a; they gain pt * b and pt * a (no reduction).
+     */
+    virtual void plainMacLimbKernel(const u64 *pt, const u64 *b,
+                                    const u64 *a, u64 *acc,
+                                    size_t n) const;
+    /** Reduce plainMacLimbKernel's accumulators mod @p m into
+     *  @p out_b / @p out_a, which may alias the two lo rows. */
+    virtual void plainReduceLimbKernel(const Modulus &m, const u64 *acc,
+                                       size_t n, u64 *out_b,
+                                       u64 *out_a) const;
     /// @}
 
     /** Tally one kernel call into the calling thread's shard. */
@@ -220,9 +283,10 @@ struct SimdKernels;
 
 /**
  * Hand-vectorized engine: serial over limb jobs like ScalarBackend,
- * but each NTT / BConv-tile / evk-MAC job body runs the AVX-512 or
- * AVX2 kernels from rns/simd_kernels.cpp, picked at construction from
- * the host CPU (capped by @p max_tier and by ARK_SIMD_TIER). On hosts
+ * but each NTT / BConv-tile / evk-MAC / mulEval / limb-embedding /
+ * plaintext-MAC job body runs the AVX-512 or AVX2 kernels from
+ * rns/simd_kernels.cpp, picked at construction from the host CPU
+ * (capped by @p max_tier and by ARK_SIMD_TIER). On hosts
  * with no vector ISA — or for transforms too small to fill a vector —
  * every call falls back to the scalar loop body, never aborts, so
  * ARK_BACKEND=simd is safe everywhere.
@@ -255,6 +319,14 @@ class SimdBackend final : public KernelBackend
     void evkMulAccLimbKernel(const Modulus &m, const u64 *d,
                              const u64 *kb, const u64 *ka, u64 *ab,
                              u64 *aa, size_t n) const override;
+    void mulEvalLimbKernel(const Modulus &m, const u64 *a, const u64 *b,
+                           u64 *r, size_t n) const override;
+    void limbEmbedKernel(const u64 *src, size_t n, u64 src_q,
+                         const Modulus &m, u64 *dst) const override;
+    void plainMacLimbKernel(const u64 *pt, const u64 *b, const u64 *a,
+                            u64 *acc, size_t n) const override;
+    void plainReduceLimbKernel(const Modulus &m, const u64 *acc, size_t n,
+                               u64 *out_b, u64 *out_a) const override;
 
   private:
     const SimdKernels &kernels_;

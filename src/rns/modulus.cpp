@@ -29,7 +29,8 @@ Modulus::reduceReference(u128 x) const
 {
     // Pre-PR correction tail: compare-and-subtract on the full
     // 128-bit remainder estimate. Kept verbatim for the reference
-    // kernels; reduce() below does the same correction in one word.
+    // kernels; reduce() (modulus.h) does the same correction in one
+    // word.
     u64 x_lo = static_cast<u64>(x);
     u64 x_hi = static_cast<u64>(x >> 64);
     u128 lo_lo = static_cast<u128>(x_lo) * barrett_lo_;
@@ -43,34 +44,6 @@ Modulus::reduceReference(u128 x) const
     while (r >= q_)
         r -= q_;
     return static_cast<u64>(r);
-}
-
-u64
-Modulus::reduce(u128 x) const
-{
-    // Barrett: q_est = floor(x * floor(2^128/q) / 2^128), then at most
-    // two correction subtractions.
-    u64 x_lo = static_cast<u64>(x);
-    u64 x_hi = static_cast<u64>(x >> 64);
-
-    // 256-bit product (x_hi:x_lo) * (barrett_hi_:barrett_lo_) >> 128.
-    u128 lo_lo = static_cast<u128>(x_lo) * barrett_lo_;
-    u128 lo_hi = static_cast<u128>(x_lo) * barrett_hi_;
-    u128 hi_lo = static_cast<u128>(x_hi) * barrett_lo_;
-    u128 hi_hi = static_cast<u128>(x_hi) * barrett_hi_;
-
-    u128 mid = (lo_lo >> 64) + static_cast<u64>(lo_hi) +
-               static_cast<u64>(hi_lo);
-    u128 q_est = hi_hi + (lo_hi >> 64) + (hi_lo >> 64) + (mid >> 64);
-
-    // The true remainder x - q_est * q is in [0, 3q) (the estimate is
-    // off by at most 2), so it fits a word and the correction can run
-    // in 64-bit arithmetic: mod-2^64 truncation of both operands
-    // preserves the value.
-    u64 r = static_cast<u64>(x) - static_cast<u64>(q_est) * q_;
-    if (r >= 2 * q_)
-        r -= 2 * q_;
-    return r >= q_ ? r - q_ : r;
 }
 
 } // namespace ark

@@ -27,8 +27,50 @@ class Modulus
     u64 value() const { return q_; }
     int bits() const { return bits_; }
 
-    /** Barrett reduction of a 128-bit value to [0, q). */
-    u64 reduce(u128 x) const;
+    /**
+     * Barrett reduction of a 128-bit value to [0, q). Inline: every
+     * element-wise product (mul) reduces through it, so an
+     * out-of-line call per word would dominate those loops.
+     */
+    u64 reduce(u128 x) const
+    {
+        // q_est = floor(x * floor(2^128/q) / 2^128), off by at most 2.
+        const u64 x_lo = static_cast<u64>(x);
+        const u64 x_hi = static_cast<u64>(x >> 64);
+
+        // 256-bit product (x_hi:x_lo) * (barrett_hi_:barrett_lo_) >> 128.
+        const u128 lo_lo = static_cast<u128>(x_lo) * barrett_lo_;
+        const u128 lo_hi = static_cast<u128>(x_lo) * barrett_hi_;
+        const u128 hi_lo = static_cast<u128>(x_hi) * barrett_lo_;
+        const u128 hi_hi = static_cast<u128>(x_hi) * barrett_hi_;
+
+        const u128 mid = (lo_lo >> 64) + static_cast<u64>(lo_hi) +
+                         static_cast<u64>(hi_lo);
+        const u128 q_est =
+            hi_hi + (lo_hi >> 64) + (hi_lo >> 64) + (mid >> 64);
+
+        // The true remainder x - q_est * q is in [0, 3q), so it fits a
+        // word and the correction can run in 64-bit arithmetic:
+        // mod-2^64 truncation of both operands preserves the value.
+        u64 r = x_lo - static_cast<u64>(q_est) * q_;
+        if (r >= 2 * q_)
+            r -= 2 * q_;
+        return r >= q_ ? r - q_ : r;
+    }
+
+    /**
+     * One-word Barrett: @p v mod q for any 64-bit @p v, with the
+     * quotient estimate mulhi(v, floor(2^64 / q)) (barrettHi()). The
+     * estimate is low by at most 1, so one conditional subtract
+     * finishes; bit-identical to v % q without the hardware divide.
+     */
+    u64 reduceWord(u64 v) const
+    {
+        const u64 quot =
+            static_cast<u64>((static_cast<u128>(v) * barrett_hi_) >> 64);
+        const u64 r = v - quot * q_;
+        return r >= q_ ? r - q_ : r;
+    }
 
     /**
      * The pre-lazy-pass reduce, frozen verbatim (128-bit correction

@@ -647,6 +647,122 @@ evkMacLimbAvx512(const Modulus &m, const u64 *pd, const u64 *kb,
 }
 
 // ---------------------------------------------------------------------------
+// AVX-512 pointwise product: full 128-bit product, then barrett512,
+// i.e. Modulus::mul lane-wise.
+// ---------------------------------------------------------------------------
+
+ARK_T512 void
+mulEvalLimbAvx512(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+                  size_t n)
+{
+    const Mod512 md = loadMod512(m);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m512i y = load512(b + i);
+        __m512i p_lo, p_hi;
+        mul64_512(load512(a + i), y, _mm512_srli_epi64(y, 32), md.m32,
+                  &p_lo, &p_hi);
+        store512(r + i, barrett512(p_lo, p_hi, md));
+    }
+    for (; i < n; ++i)
+        r[i] = m.mul(a[i], b[i]);
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512 limb embedding and plaintext MAC (KernelBackend::plainMulSum).
+// The embed mirrors Modulus::reduceWord (one-word Barrett quotient, one
+// conditional subtract) and the centered fix-up; the MAC keeps the
+// 128-bit accumulators as (lo, hi) rows with bconvTileAvx512's carry
+// idiom, and the reduce is barrett512.
+// ---------------------------------------------------------------------------
+
+ARK_T512 void
+limbEmbedAvx512(const u64 *src, size_t n, u64 src_q, const Modulus &m,
+                u64 *dst)
+{
+    const Mod512 md = loadMod512(m);
+    const u64 half = src_q / 2;
+    const u64 q0_mod = m.reduceWord(src_q);
+    const __m512i vhalf = set1_512(half);
+    const __m512i vq0 = set1_512(q0_mod);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m512i v = load512(src + i);
+        const __m512i quot = mulhi64_512(v, md.b_hi, md.b_hi_hi, md.m32);
+        __m512i r = _mm512_sub_epi64(v, mullo64_512(quot, md.q, md.q_hi));
+        r = csub512(r, md.q);
+        // Negative centered residue: r - q0_mod mod q.
+        const __mmask8 neg = _mm512_cmpgt_epu64_mask(v, vhalf);
+        const __mmask8 borrow = _mm512_cmplt_epu64_mask(r, vq0);
+        __m512i t = _mm512_sub_epi64(r, vq0);
+        t = _mm512_mask_add_epi64(t, borrow, t, md.q);
+        store512(dst + i, _mm512_mask_mov_epi64(r, neg, t));
+    }
+    for (; i < n; ++i) {
+        const u64 r = m.reduceWord(src[i]);
+        dst[i] = src[i] > half ? m.sub(r, q0_mod) : r;
+    }
+}
+
+/** acc_lo:acc_hi += x * y per lane (bconvTileAvx512's carry idiom). */
+ARK_T512 inline void
+mac512(__m512i x, __m512i y, __m512i m32, u64 *lo, u64 *hi)
+{
+    __m512i p_lo, p_hi;
+    mul64_512(x, y, _mm512_srli_epi64(y, 32), m32, &p_lo, &p_hi);
+    const __m512i acc_lo = _mm512_add_epi64(load512(lo), p_lo);
+    const __mmask8 carry = _mm512_cmplt_epu64_mask(acc_lo, p_lo);
+    __m512i acc_hi = _mm512_add_epi64(load512(hi), p_hi);
+    acc_hi = _mm512_mask_add_epi64(acc_hi, carry, acc_hi,
+                                   _mm512_set1_epi64(1));
+    store512(lo, acc_lo);
+    store512(hi, acc_hi);
+}
+
+ARK_T512 void
+plainMacLimbAvx512(const u64 *pt, const u64 *b, const u64 *a, u64 *acc,
+                   size_t n)
+{
+    const __m512i m32 = set1_512(0xffffffffULL);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m512i p = load512(pt + i);
+        mac512(load512(b + i), p, m32, acc + i, acc + n + i);
+        mac512(load512(a + i), p, m32, acc + 2 * n + i, acc + 3 * n + i);
+    }
+    for (; i < n; ++i) {
+        const u128 sb = ((static_cast<u128>(acc[n + i]) << 64) | acc[i]) +
+                        static_cast<u128>(pt[i]) * b[i];
+        const u128 sa =
+            ((static_cast<u128>(acc[3 * n + i]) << 64) | acc[2 * n + i]) +
+            static_cast<u128>(pt[i]) * a[i];
+        acc[i] = static_cast<u64>(sb);
+        acc[n + i] = static_cast<u64>(sb >> 64);
+        acc[2 * n + i] = static_cast<u64>(sa);
+        acc[3 * n + i] = static_cast<u64>(sa >> 64);
+    }
+}
+
+ARK_T512 void
+plainReduceLimbAvx512(const Modulus &m, const u64 *acc, size_t n,
+                      u64 *out_b, u64 *out_a)
+{
+    const Mod512 md = loadMod512(m);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        store512(out_b + i,
+                 barrett512(load512(acc + i), load512(acc + n + i), md));
+        store512(out_a + i, barrett512(load512(acc + 2 * n + i),
+                                       load512(acc + 3 * n + i), md));
+    }
+    for (; i < n; ++i) {
+        out_b[i] = m.reduce((static_cast<u128>(acc[n + i]) << 64) | acc[i]);
+        out_a[i] = m.reduce((static_cast<u128>(acc[3 * n + i]) << 64) |
+                            acc[2 * n + i]);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 helpers: 4 lanes of u64. No unsigned 64-bit compare below
 // AVX-512, so comparisons run signed after XOR-ing the sign bit in.
 // ---------------------------------------------------------------------------
@@ -1148,6 +1264,113 @@ evkMacLimbAvx2(const Modulus &m, const u64 *pd, const u64 *kb,
     }
 }
 
+ARK_T256 void
+mulEvalLimbAvx2(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+                size_t n)
+{
+    const Mod256 md = loadMod256(m);
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256i y = load256(b + i);
+        __m256i p_lo, p_hi;
+        mul64_256(load256(a + i), y, _mm256_srli_epi64(y, 32), md.m32,
+                  &p_lo, &p_hi);
+        store256(r + i, barrett256(p_lo, p_hi, md));
+    }
+    for (; i < n; ++i)
+        r[i] = m.mul(a[i], b[i]);
+}
+
+// ---------------------------------------------------------------------------
+// AVX2 limb embedding and plaintext MAC: structure identical to the
+// AVX-512 versions, carries and borrows tracked with compare masks.
+// ---------------------------------------------------------------------------
+
+ARK_T256 void
+limbEmbedAvx2(const u64 *src, size_t n, u64 src_q, const Modulus &m,
+              u64 *dst)
+{
+    const Mod256 md = loadMod256(m);
+    const u64 half = src_q / 2;
+    const u64 q0_mod = m.reduceWord(src_q);
+    const __m256i vhalf = set1_256(half);
+    const __m256i vq0 = set1_256(q0_mod);
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256i v = load256(src + i);
+        const __m256i quot = mulhi64_256(v, md.b_hi, md.b_hi_hi, md.m32);
+        __m256i r = _mm256_sub_epi64(v, mullo64_256(quot, md.q, md.q_hi));
+        r = csub256(r, md.bq, md.bias);
+        const __m256i neg = cmpltu256(vhalf, v, md.bias);
+        const __m256i borrow = cmpltu256(r, vq0, md.bias);
+        const __m256i t = _mm256_add_epi64(
+            _mm256_sub_epi64(r, vq0), _mm256_and_si256(borrow, md.q));
+        store256(dst + i, _mm256_blendv_epi8(r, t, neg));
+    }
+    for (; i < n; ++i) {
+        const u64 r = m.reduceWord(src[i]);
+        dst[i] = src[i] > half ? m.sub(r, q0_mod) : r;
+    }
+}
+
+ARK_T256 inline void
+mac256(__m256i x, __m256i y, __m256i m32, __m256i bias, u64 *lo, u64 *hi)
+{
+    __m256i p_lo, p_hi;
+    mul64_256(x, y, _mm256_srli_epi64(y, 32), m32, &p_lo, &p_hi);
+    const __m256i acc_lo = _mm256_add_epi64(load256(lo), p_lo);
+    const __m256i carry = cmpltu256(acc_lo, p_lo, bias);
+    const __m256i acc_hi =
+        _mm256_sub_epi64(_mm256_add_epi64(load256(hi), p_hi), carry);
+    store256(lo, acc_lo);
+    store256(hi, acc_hi);
+}
+
+ARK_T256 void
+plainMacLimbAvx2(const u64 *pt, const u64 *b, const u64 *a, u64 *acc,
+                 size_t n)
+{
+    const __m256i m32 = set1_256(0xffffffffULL);
+    const __m256i bias = set1_256(0x8000000000000000ULL);
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256i p = load256(pt + i);
+        mac256(load256(b + i), p, m32, bias, acc + i, acc + n + i);
+        mac256(load256(a + i), p, m32, bias, acc + 2 * n + i,
+               acc + 3 * n + i);
+    }
+    for (; i < n; ++i) {
+        const u128 sb = ((static_cast<u128>(acc[n + i]) << 64) | acc[i]) +
+                        static_cast<u128>(pt[i]) * b[i];
+        const u128 sa =
+            ((static_cast<u128>(acc[3 * n + i]) << 64) | acc[2 * n + i]) +
+            static_cast<u128>(pt[i]) * a[i];
+        acc[i] = static_cast<u64>(sb);
+        acc[n + i] = static_cast<u64>(sb >> 64);
+        acc[2 * n + i] = static_cast<u64>(sa);
+        acc[3 * n + i] = static_cast<u64>(sa >> 64);
+    }
+}
+
+ARK_T256 void
+plainReduceLimbAvx2(const Modulus &m, const u64 *acc, size_t n,
+                    u64 *out_b, u64 *out_a)
+{
+    const Mod256 md = loadMod256(m);
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        store256(out_b + i,
+                 barrett256(load256(acc + i), load256(acc + n + i), md));
+        store256(out_a + i, barrett256(load256(acc + 2 * n + i),
+                                       load256(acc + 3 * n + i), md));
+    }
+    for (; i < n; ++i) {
+        out_b[i] = m.reduce((static_cast<u128>(acc[n + i]) << 64) | acc[i]);
+        out_a[i] = m.reduce((static_cast<u128>(acc[3 * n + i]) << 64) |
+                            acc[2 * n + i]);
+    }
+}
+
 } // namespace
 
 #endif // ARK_SIMD_X86
@@ -1165,6 +1388,10 @@ simdKernels(SimdTier tier)
         k.ntt_inverse = &nttInverseAvx2;
         k.bconv_tile = &bconvTileAvx2;
         k.evk_mac_limb = &evkMacLimbAvx2;
+        k.mul_eval_limb = &mulEvalLimbAvx2;
+        k.limb_embed = &limbEmbedAvx2;
+        k.plain_mac_limb = &plainMacLimbAvx2;
+        k.plain_reduce_limb = &plainReduceLimbAvx2;
         return k;
     }();
     static const SimdKernels avx512_kernels = [] {
@@ -1175,6 +1402,10 @@ simdKernels(SimdTier tier)
         k.ntt_inverse = &nttInverseAvx512;
         k.bconv_tile = &bconvTileAvx512;
         k.evk_mac_limb = &evkMacLimbAvx512;
+        k.mul_eval_limb = &mulEvalLimbAvx512;
+        k.limb_embed = &limbEmbedAvx512;
+        k.plain_mac_limb = &plainMacLimbAvx512;
+        k.plain_reduce_limb = &plainReduceLimbAvx512;
         return k;
     }();
     const SimdTier effective = std::min(tier, detectSimdTier());

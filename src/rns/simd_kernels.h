@@ -9,11 +9,13 @@
  * 32x32->64 partial products, since x86 has no packed 64x64->128
  * multiply below AVX-512IFMA), the fused BConv tile accumulates the
  * full 128-bit MAC as a (lo, hi) vector pair with explicit carries,
- * and the evk MAC mirrors Modulus::reduce's Barrett formula word for
- * word. All operations are exact arithmetic mod 2^64 applied in the
- * same per-element order as the scalar loops, so results are
- * bit-identical by construction (tests/test_backend_parity.cpp
- * enforces it against ScalarBackend on every kernel).
+ * the evk MAC, mulEval and the plaintext MAC's final reduce mirror
+ * Modulus::reduce's Barrett formula word for word, and the limb
+ * embedding mirrors Modulus::reduceWord. All operations are exact
+ * arithmetic mod 2^64 applied in the same per-element order as the
+ * scalar loops, so results are bit-identical by construction
+ * (tests/test_backend_parity.cpp enforces it against ScalarBackend on
+ * every kernel).
  *
  * Null function pointers mean "no vector kernel at this tier" (scalar
  * hosts, the NEON stub tier, degrees below min_ntt_degree) and the
@@ -58,6 +60,22 @@ struct SimdKernels
     void (*evk_mac_limb)(const Modulus &m, const u64 *d, const u64 *kb,
                          const u64 *ka, u64 *ab, u64 *aa,
                          size_t n) = nullptr;
+    /** One limb of the pointwise product r = a * b mod m
+     *  (== KernelBackend::mulEvalLimbKernel). */
+    void (*mul_eval_limb)(const Modulus &m, const u64 *a, const u64 *b,
+                          u64 *r, size_t n) = nullptr;
+    /** One limb of the centered embedding
+     *  (== KernelBackend::limbEmbedKernel). */
+    void (*limb_embed)(const u64 *src, size_t n, u64 src_q,
+                       const Modulus &m, u64 *dst) = nullptr;
+    /** One limb of the plaintext MAC into 128-bit (lo, hi) rows
+     *  (== KernelBackend::plainMacLimbKernel). */
+    void (*plain_mac_limb)(const u64 *pt, const u64 *b, const u64 *a,
+                           u64 *acc, size_t n) = nullptr;
+    /** Reduce those rows mod m
+     *  (== KernelBackend::plainReduceLimbKernel). */
+    void (*plain_reduce_limb)(const Modulus &m, const u64 *acc, size_t n,
+                              u64 *out_b, u64 *out_a) = nullptr;
 };
 
 /**

@@ -734,6 +734,64 @@ TEST_P(SimdTierParityTest, EvkMulAccParityPerTier)
     }
 }
 
+/** mulEval and limbEmbed per tier, across prime widths (including the
+ *  wide-modulus and centered edge values) and sub-vector degrees. */
+TEST_P(SimdTierParityTest, MulEvalAndLimbEmbedPerTier)
+{
+    auto simd = simdAtTier(GetParam());
+    if (!simd)
+        GTEST_SKIP() << "tier not available on this host";
+    ScalarBackend scalar;
+
+    u64 seed = 600;
+    for (size_t degree : {size_t(4), size_t(256)}) {
+        for (int width : {30, 50, 60, 61}) {
+            SCOPED_TRACE("degree " + std::to_string(degree) + " width " +
+                         std::to_string(width));
+            std::vector<Modulus> moduli;
+            for (u64 q : generatePrimes(width, 2, degree))
+                moduli.emplace_back(q);
+            // Sources from a 60-bit q0 and from the narrowest limb, so
+            // the embedding runs both above and below the out modulus.
+            for (const Modulus &src_q :
+                 {Modulus(generatePrimes(60, 1, degree)[0]), moduli[1]}) {
+                Rng rng(seed++);
+                std::vector<u64> src = rng.uniformVector(degree, src_q.value());
+                const u64 q0 = src_q.value();
+                const std::vector<u64> edges = {0, q0 / 2, q0 / 2 + 1, q0 - 1};
+                std::copy(edges.begin(), edges.end(), src.begin());
+                RnsPoly es(degree, 2, Rep::Coeff), ev(degree, 2, Rep::Coeff);
+                scalar.limbEmbed(src, src_q, moduli, es);
+                simd->limbEmbed(src, src_q, moduli, ev);
+                for (size_t l = 0; l < 2; ++l) {
+                    for (size_t i = 0; i < degree; ++i)
+                        ASSERT_EQ(es.limb(l)[i], ev.limb(l)[i])
+                            << "limbEmbed limb " << l << " i=" << i;
+                }
+            }
+
+            Rng rng(seed++);
+            RnsPoly a(degree, 2, Rep::Eval), b(degree, 2, Rep::Eval);
+            for (size_t l = 0; l < 2; ++l) {
+                const u64 q = moduli[l].value();
+                auto va = rng.uniformVector(degree, q);
+                auto vb = rng.uniformVector(degree, q);
+                va[0] = vb[0] = q - 1;
+                std::copy(va.begin(), va.end(), a.limb(l));
+                std::copy(vb.begin(), vb.end(), b.limb(l));
+            }
+            RnsPoly rs(degree, 2, Rep::Eval), rv(degree, 2, Rep::Eval);
+            scalar.mulEval(a, b, moduli, rs);
+            simd->mulEval(a, b, moduli, rv);
+            for (size_t l = 0; l < 2; ++l) {
+                for (size_t i = 0; i < degree; ++i)
+                    ASSERT_EQ(rs.limb(l)[i], rv.limb(l)[i])
+                        << "mulEval limb " << l << " i=" << i;
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Tiers, SimdTierParityTest,
                          ::testing::Values(SimdTier::Scalar,
                                            SimdTier::Avx2,

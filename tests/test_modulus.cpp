@@ -57,6 +57,26 @@ TEST(Modulus, BarrettFullRange128)
     }
 }
 
+TEST(Modulus, ReduceWordMatchesHardwareRemainder)
+{
+    Rng rng(3);
+    const std::vector<u64> qs = {2, 97, (1ULL << 30) + 3, (1ULL << 45) + 59,
+                                 0x1fffffffffe00001ULL, (1ULL << 61) - 1,
+                                 (1ULL << 62) - 57};
+    for (u64 qv : qs) {
+        Modulus q(qv);
+        const std::vector<u64> edges = {0,          qv - 1, qv,    qv + 1,
+                                        2 * qv - 1, 2 * qv, ~0ULL, ~0ULL - qv,
+                                        1ULL << 63};
+        for (u64 v : edges)
+            EXPECT_EQ(q.reduceWord(v), v % qv) << "q=" << qv << " v=" << v;
+        for (int i = 0; i < 2000; ++i) {
+            const u64 v = rng.next();
+            EXPECT_EQ(q.reduceWord(v), v % qv) << "q=" << qv << " v=" << v;
+        }
+    }
+}
+
 TEST(Modulus, ShoupMatchesBarrett)
 {
     Rng rng(3);
