@@ -1,5 +1,6 @@
 #include "net/socket.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <atomic>
 #include <cerrno>
@@ -11,6 +12,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <thread>
 #include <unistd.h>
 
@@ -109,9 +111,24 @@ TcpStream::connect(const std::string &addr, u16 port)
 void
 TcpStream::sendAll(const void *data, size_t n)
 {
-    const u8 *p = static_cast<const u8 *>(data);
-    while (n > 0) {
-        size_t chunk = n;
+    sendSpans(data, n, nullptr, 0);
+}
+
+void
+TcpStream::sendSpans(const void *head, size_t head_len, const void *tail,
+                     size_t tail_len)
+{
+    iovec spans[2] = {{const_cast<void *>(head), head_len},
+                      {const_cast<void *>(tail), tail_len}};
+    iovec *iov = spans;
+    size_t count = 2;
+    size_t left = head_len + tail_len;
+    while (left > 0) {
+        while (iov->iov_len == 0) {
+            ++iov;
+            --count;
+        }
+        size_t chunk = left;
         if (fault::faultsEnabled()) {
             auto &fi = fault::FaultInjector::global();
             if (fi.shouldInject(fault::Site::SendReset)) {
@@ -123,7 +140,12 @@ TcpStream::sendAll(const void *data, size_t n)
             if (fi.shouldInject(fault::Site::SendShort))
                 chunk = 1;
         }
-        const ssize_t w = ::send(sock_.fd(), p, chunk, MSG_NOSIGNAL);
+        // A short send writes a prefix of the first unsent span only.
+        iovec prefix{iov->iov_base, std::min(chunk, iov->iov_len)};
+        msghdr msg{};
+        msg.msg_iov = chunk < left ? &prefix : iov;
+        msg.msg_iovlen = chunk < left ? 1 : count;
+        const ssize_t w = ::sendmsg(sock_.fd(), &msg, MSG_NOSIGNAL);
         if (w < 0) {
             if (errno == EINTR)
                 continue;
@@ -133,8 +155,17 @@ TcpStream::sendAll(const void *data, size_t n)
                 throw NetClosed();
             sysError("send");
         }
-        p += w;
-        n -= static_cast<size_t>(w);
+        left -= static_cast<size_t>(w);
+        for (size_t done = static_cast<size_t>(w); done > 0;) {
+            const size_t step = std::min(done, iov->iov_len);
+            iov->iov_base = static_cast<u8 *>(iov->iov_base) + step;
+            iov->iov_len -= step;
+            done -= step;
+            if (iov->iov_len == 0 && done > 0) {
+                ++iov;
+                --count;
+            }
+        }
     }
 }
 
@@ -202,8 +233,8 @@ void
 TcpStream::sendFrame(FrameType type, u64 params_hash,
                      const std::vector<u8> &body)
 {
-    const std::vector<u8> frame = encodeFrame(type, params_hash, body);
-    sendAll(frame.data(), frame.size());
+    const auto header = encodeFrameHeader(type, params_hash, body.size());
+    sendSpans(header.data(), header.size(), body.data(), body.size());
 }
 
 TcpStream::Frame

@@ -89,7 +89,8 @@ class TcpStream
     /** Read exactly @p n bytes. Throws NetClosed on EOF. */
     void recvAll(void *out, size_t n);
 
-    /** Encode and send one frame (§2 envelope + @p body). */
+    /** Send one frame: the §2 header and @p body go out as two
+     *  spans of one sendmsg, with no copy of the body. */
     void sendFrame(FrameType type, u64 params_hash,
                    const std::vector<u8> &body);
 
@@ -123,6 +124,11 @@ class TcpStream
     int fd() const { return sock_.fd(); }
 
   private:
+    /** Write @p head then @p tail. Each loop iteration takes the same
+     *  fault decisions as one send, so seeded schedules replay. */
+    void sendSpans(const void *head, size_t head_len, const void *tail,
+                   size_t tail_len);
+
     Socket sock_;
 };
 

@@ -1,6 +1,6 @@
 #include "wire/serializer.h"
 
-#include <cstring>
+#include <cmath>
 
 #include "ckks/keygen.h"
 
@@ -40,6 +40,22 @@ writeParamsNumeric(ByteWriter &w, const CkksParams &p)
 badField(const std::string &what)
 {
     throw WireError(WireCode::BadField, what);
+}
+
+/** §4: bytes of one encoded poly (shape fields + words). */
+size_t
+polyWireBytes(const RnsPoly &p)
+{
+    return sizeof(u32) + sizeof(u16) + sizeof(u8) + p.byteSize();
+}
+
+/** §5.10/§5.11: a scale is a finite factor > 0. */
+void
+checkScale(double scale, const char *what)
+{
+    if (!(std::isfinite(scale) && scale > 0))
+        badField(std::string(what) + " scale " + std::to_string(scale) +
+                 " is not finite and > 0");
 }
 
 } // namespace
@@ -87,19 +103,18 @@ readParams(ByteReader &r)
 void
 writePoly(ByteWriter &w, const RnsPoly &p)
 {
+    w.reserve(polyWireBytes(p));
     w.putU32(static_cast<u32>(p.degree()));
     w.putU16(static_cast<u16>(p.numLimbs()));
     w.putU8(p.rep() == Rep::Eval ? 1 : 0);
-    for (size_t l = 0; l < p.numLimbs(); ++l) {
-        // Words are serialized LE one by one; on the LE hosts this
-        // library targets the compiler reduces it to a block copy.
-        for (size_t i = 0; i < p.degree(); ++i)
-            w.putU64(p.limb(l)[i]);
-    }
+    // The limbs are contiguous rows, so §4's limb-major word order is
+    // the poly's own memory order.
+    w.putU64s(p.limb(0), p.numLimbs() * p.degree());
 }
 
 RnsPoly
-readPoly(ByteReader &r, size_t expect_degree, size_t max_limbs)
+readPoly(ByteReader &r, size_t expect_degree,
+         const std::vector<Modulus> &moduli)
 {
     const u32 degree = r.getU32();
     const u16 limbs = r.getU16();
@@ -108,15 +123,19 @@ readPoly(ByteReader &r, size_t expect_degree, size_t max_limbs)
         badField("poly degree " + std::to_string(degree) +
                  " does not match context degree " +
                  std::to_string(expect_degree));
-    if (limbs == 0 || limbs > max_limbs)
+    if (limbs == 0 || limbs > moduli.size())
         badField("poly limb count " + std::to_string(limbs) +
-                 " outside [1, " + std::to_string(max_limbs) + "]");
-    if (rep > 1)
-        badField("poly representation flag " + std::to_string(rep));
-    RnsPoly p(degree, limbs, rep == 1 ? Rep::Eval : Rep::Coeff);
+                 " outside [1, " + std::to_string(moduli.size()) + "]");
+    if (rep != 1)
+        badField("poly representation flag " + std::to_string(rep) +
+                 " is not 1 (Eval)");
+    RnsPoly p(degree, limbs, Rep::Eval);
     for (size_t l = 0; l < p.numLimbs(); ++l) {
-        for (size_t i = 0; i < p.degree(); ++i)
-            p.limb(l)[i] = r.getU64();
+        const u64 q = moduli[l].value();
+        if (r.getU64s(p.limb(l), p.degree()) >= q)
+            badField("poly limb " + std::to_string(l) +
+                     " carries a word >= its modulus " +
+                     std::to_string(q));
     }
     return p;
 }
@@ -134,11 +153,11 @@ readPlaintext(ByteReader &r, const CkksContext &ctx)
 {
     Plaintext pt;
     pt.scale = r.getF64();
+    checkScale(pt.scale, "plaintext");
     pt.level = r.getI32();
     if (pt.level < 0 || pt.level > ctx.maxLevel())
         badField("plaintext level " + std::to_string(pt.level));
-    pt.poly = readPoly(r, ctx.degree(),
-                       static_cast<size_t>(ctx.maxLevel()) + 1);
+    pt.poly = readPoly(r, ctx.degree(), ctx.qModuli());
     if (pt.poly.numLimbs() != static_cast<size_t>(pt.level) + 1)
         badField("plaintext limb count does not match its level");
     return pt;
@@ -147,6 +166,8 @@ readPlaintext(ByteReader &r, const CkksContext &ctx)
 void
 writeCiphertext(ByteWriter &w, const Ciphertext &ct)
 {
+    w.reserve(sizeof(double) + sizeof(u32) + polyWireBytes(ct.b) +
+              polyWireBytes(ct.a));
     w.putF64(ct.scale);
     w.putU32(static_cast<u32>(ct.slots));
     writePoly(w, ct.b);
@@ -158,10 +179,10 @@ readCiphertext(ByteReader &r, const CkksContext &ctx)
 {
     Ciphertext ct;
     ct.scale = r.getF64();
+    checkScale(ct.scale, "ciphertext");
     ct.slots = r.getU32();
-    const size_t max_limbs = static_cast<size_t>(ctx.maxLevel()) + 1;
-    ct.b = readPoly(r, ctx.degree(), max_limbs);
-    ct.a = readPoly(r, ctx.degree(), max_limbs);
+    ct.b = readPoly(r, ctx.degree(), ctx.qModuli());
+    ct.a = readPoly(r, ctx.degree(), ctx.qModuli());
     if (!ct.b.sameShape(ct.a))
         badField("ciphertext b/a limb counts differ");
     if (ct.slots == 0 || ct.slots > ctx.degree() / 2)
@@ -173,6 +194,14 @@ void
 writeEvalKey(ByteWriter &w, EvalKeyPurpose purpose, u64 galois_elt,
              const EvalKey &key)
 {
+    size_t bytes = 2 * sizeof(u8) + 2 * sizeof(u64) + sizeof(u16);
+    for (const RnsPoly &b : key.b)
+        bytes += polyWireBytes(b);
+    if (!key.seeded) {
+        for (const RnsPoly &a : key.a)
+            bytes += polyWireBytes(a);
+    }
+    w.reserve(bytes);
     w.putU8(static_cast<u8>(purpose));
     w.putU64(galois_elt);
     w.putU8(key.seeded ? 1 : 0); // §5.7 flags: bit0 = seed-compressed
@@ -205,29 +234,25 @@ readEvalKey(ByteReader &r, const CkksContext &ctx)
         badField("evk digit count " + std::to_string(dnum) +
                  " does not match context dnum " +
                  std::to_string(ctx.dnum()));
-    const size_t key_limbs =
-        ctx.keyModuli(ctx.maxLevel()).size();
+    const std::vector<Modulus> key_moduli = ctx.keyModuli(ctx.maxLevel());
+    const auto readHalf = [&](const char *half) {
+        RnsPoly p = readPoly(r, ctx.degree(), key_moduli);
+        if (p.numLimbs() != key_moduli.size())
+            badField(std::string("evk ") + half +
+                     " poly must span the extended basis");
+        return p;
+    };
     EvalKey &key = out.key;
-    for (u16 d = 0; d < dnum; ++d) {
-        RnsPoly b = readPoly(r, ctx.degree(), key_limbs);
-        if (b.numLimbs() != key_limbs || b.rep() != Rep::Eval)
-            badField("evk b poly must span the extended basis in "
-                     "Eval representation");
-        key.b.push_back(std::move(b));
-    }
+    for (u16 d = 0; d < dnum; ++d)
+        key.b.push_back(readHalf("b"));
     if (seeded) {
         // §6: the uniform halves are re-derived, never transferred.
         key.a = expandSeededEvkA(ctx, seed);
         key.a_seed = seed;
         key.seeded = true;
     } else {
-        for (u16 d = 0; d < dnum; ++d) {
-            RnsPoly a = readPoly(r, ctx.degree(), key_limbs);
-            if (a.numLimbs() != key_limbs || a.rep() != Rep::Eval)
-                badField("evk a poly must span the extended basis in "
-                         "Eval representation");
-            key.a.push_back(std::move(a));
-        }
+        for (u16 d = 0; d < dnum; ++d)
+            key.a.push_back(readHalf("a"));
     }
     return out;
 }
@@ -235,6 +260,8 @@ readEvalKey(ByteReader &r, const CkksContext &ctx)
 void
 writePublicKey(ByteWriter &w, const PublicKey &pk)
 {
+    w.reserve(sizeof(u8) + sizeof(u64) + polyWireBytes(pk.b) +
+              (pk.seeded ? 0 : polyWireBytes(pk.a)));
     w.putU8(pk.seeded ? 1 : 0); // §5.8 flags: bit0 = seed-compressed
     w.putU64(pk.seeded ? pk.a_seed : 0);
     writePoly(w, pk.b);
@@ -250,19 +277,17 @@ readPublicKey(ByteReader &r, const CkksContext &ctx)
         badField("public-key flags " + std::to_string(flags));
     const bool seeded = (flags & 1) != 0;
     const u64 seed = r.getU64();
-    const size_t q_limbs = static_cast<size_t>(ctx.maxLevel()) + 1;
     PublicKey pk;
-    pk.b = readPoly(r, ctx.degree(), q_limbs);
-    if (pk.b.numLimbs() != q_limbs || pk.b.rep() != Rep::Eval)
-        badField("public-key b poly must span q_0..q_L in Eval "
-                 "representation");
+    pk.b = readPoly(r, ctx.degree(), ctx.qModuli());
+    if (pk.b.numLimbs() != ctx.qModuli().size())
+        badField("public-key b poly must span q_0..q_L");
     if (seeded) {
         pk.a = expandSeededPkA(ctx, seed);
         pk.a_seed = seed;
         pk.seeded = true;
     } else {
-        pk.a = readPoly(r, ctx.degree(), q_limbs);
-        if (!pk.a.sameShape(pk.b) || pk.a.rep() != Rep::Eval)
+        pk.a = readPoly(r, ctx.degree(), ctx.qModuli());
+        if (!pk.a.sameShape(pk.b))
             badField("public-key a poly shape mismatch");
     }
     return pk;

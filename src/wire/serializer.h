@@ -6,9 +6,11 @@
  * the transport in net/).
  *
  * Readers validate every shape field against the receiving context
- * (degree, limb counts, digit counts, representation flags) and throw
- * WireError(BadField) on anything inconsistent — a malformed peer can
- * never construct an out-of-shape polynomial. Evaluation and public
+ * (degree, limb counts, digit counts, representation flags), every
+ * residue against its limb's modulus, and every scale for being
+ * finite and positive, and throw WireError(BadField) on anything
+ * inconsistent — a malformed peer can never construct an out-of-shape
+ * polynomial or hand the kernels a non-canonical word. Evaluation and public
  * keys ship seed-compressed when the key carries an `a_seed`
  * (§6): the uniform `a` halves are omitted and re-expanded by the
  * reader via expandSeededEvkA/expandSeededPkA, cutting key-transfer
@@ -37,9 +39,13 @@ void writeParams(ByteWriter &w, const CkksParams &p);
 CkksParams readParams(ByteReader &r);
 
 /** §4 `poly` encoding. Validation on read: degree must equal
- *  @p expect_degree, limb count in [1, @p max_limbs], rep flag < 2. */
+ *  @p expect_degree, limb count in [1, @p moduli.size()], rep flag 1
+ *  (Eval, the only representation a §5 body carries), and every word
+ *  of limb l below moduli[l] — canonical residues, checked in the
+ *  same pass as the copy. */
 void writePoly(ByteWriter &w, const RnsPoly &p);
-RnsPoly readPoly(ByteReader &r, size_t expect_degree, size_t max_limbs);
+RnsPoly readPoly(ByteReader &r, size_t expect_degree,
+                 const std::vector<Modulus> &moduli);
 
 /** §5.10 PLAINTEXT body. */
 void writePlaintext(ByteWriter &w, const Plaintext &pt);

@@ -1,8 +1,32 @@
 #include "wire/wire_format.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 namespace ark {
+
+namespace {
+
+/** §1: the wire is LE, so an LE host copies words as they are. */
+constexpr bool kHostIsLittleEndian =
+    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__;
+
+/** One LE u64 from @p p (unaligned). */
+u64
+loadLe64(const u8 *p)
+{
+    u64 v = 0;
+    if constexpr (kHostIsLittleEndian) {
+        std::memcpy(&v, p, sizeof(v));
+    } else {
+        for (int i = 0; i < 8; ++i)
+            v |= static_cast<u64>(p[i]) << (8 * i);
+    }
+    return v;
+}
+
+} // namespace
 
 const char *
 frameTypeName(FrameType t)
@@ -145,6 +169,18 @@ ByteWriter::putBytes(const void *data, size_t n)
 }
 
 void
+ByteWriter::putU64s(const u64 *words, size_t n)
+{
+    if constexpr (kHostIsLittleEndian) {
+        putBytes(words, n * sizeof(u64));
+    } else {
+        reserve(n * sizeof(u64));
+        for (size_t i = 0; i < n; ++i)
+            putU64(words[i]);
+    }
+}
+
+void
 ByteReader::need(size_t n) const
 {
     if (size_ - pos_ < n)
@@ -220,6 +256,26 @@ ByteReader::getBytes(void *out, size_t n)
     pos_ += n;
 }
 
+u64
+ByteReader::getU64s(u64 *out, size_t n)
+{
+    // Checked as a word count so a huge @p n cannot overflow n * 8.
+    if (n > remaining() / sizeof(u64))
+        throw WireError(WireCode::TruncatedFrame,
+                        "frame body truncated: need " +
+                            std::to_string(n) + " words, have " +
+                            std::to_string(remaining()) + " bytes");
+    const u8 *src = data_ + pos_;
+    u64 max = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const u64 v = loadLe64(src + i * sizeof(u64));
+        out[i] = v;
+        max = std::max(max, v);
+    }
+    pos_ += n * sizeof(u64);
+    return max;
+}
+
 void
 ByteReader::finish() const
 {
@@ -229,18 +285,29 @@ ByteReader::finish() const
                             " trailing bytes after frame body");
 }
 
-std::vector<u8>
-encodeFrame(FrameType type, u64 params_hash,
-            const std::vector<u8> &body)
+std::array<u8, kWireHeaderBytes>
+encodeFrameHeader(FrameType type, u64 params_hash, u64 body_len)
 {
     ByteWriter w;
     w.putU32(kWireMagic);
     w.putU16(kWireVersion);
     w.putU16(static_cast<u16>(type));
-    w.putU64(static_cast<u64>(body.size()));
+    w.putU64(body_len);
     w.putU64(params_hash);
-    w.putBytes(body.data(), body.size());
-    return w.take();
+    std::array<u8, kWireHeaderBytes> header;
+    std::copy(w.bytes().begin(), w.bytes().end(), header.begin());
+    return header;
+}
+
+std::vector<u8>
+encodeFrame(FrameType type, u64 params_hash,
+            const std::vector<u8> &body)
+{
+    const auto header = encodeFrameHeader(type, params_hash, body.size());
+    std::vector<u8> frame(kWireHeaderBytes + body.size());
+    std::copy(header.begin(), header.end(), frame.begin());
+    std::copy(body.begin(), body.end(), frame.begin() + kWireHeaderBytes);
+    return frame;
 }
 
 FrameHeader
@@ -250,9 +317,13 @@ decodeFrameHeader(const u8 *data, u64 max_frame_bytes)
     // §8: magic then version are validated before any other field, so
     // the failure mode for a foreign or future peer is well-defined.
     const u32 magic = r.getU32();
-    if (magic != kWireMagic)
+    if (magic != kWireMagic) {
+        char hex[9];
+        std::snprintf(hex, sizeof(hex), "%08X",
+                      static_cast<unsigned>(magic));
         throw WireError(WireCode::BadMagic,
-                        "bad frame magic 0x" + std::to_string(magic));
+                        std::string("bad frame magic 0x") + hex);
+    }
     FrameHeader h;
     h.version = r.getU16();
     if (h.version != kWireVersion)

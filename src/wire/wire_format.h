@@ -11,13 +11,15 @@
  * (params, plaintext, ciphertext, keys) lives in wire/serializer.h;
  * the socket transport lives in net/.
  *
- * Everything on the wire is little-endian (§1). The encoders below
- * write bytes explicitly rather than memcpy-ing structs, so the
- * format is identical on any host.
+ * Everything on the wire is little-endian (§1). Scalars are written
+ * byte by byte; word arrays (poly limbs) move as one memcpy on
+ * little-endian hosts, and only a big-endian build compiles the
+ * byte-swapping loop, so the format is identical on any host.
  */
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -151,6 +153,11 @@ class ByteWriter
     /** u32 byte length + UTF-8 bytes, no terminator (§4). */
     void putString(const std::string &s);
     void putBytes(const void *data, size_t n);
+    /** @p n u64 words, each LE (§4): one memcpy on an LE host. */
+    void putU64s(const u64 *words, size_t n);
+    /** Make room for @p n more bytes, so a large body is allocated
+     *  once instead of regrown while it is appended. */
+    void reserve(size_t n) { buf_.reserve(buf_.size() + n); }
 
     const std::vector<u8> &bytes() const { return buf_; }
     std::vector<u8> take() { return std::move(buf_); }
@@ -184,6 +191,9 @@ class ByteReader
     double getF64();
     std::string getString();
     void getBytes(void *out, size_t n);
+    /** Read @p n LE u64 words into @p out and return the largest, so
+     *  the caller range-checks them in the same pass as the copy. */
+    u64 getU64s(u64 *out, size_t n);
 
     size_t remaining() const { return size_ - pos_; }
     /** §8: reject bodies with unconsumed bytes. */
@@ -196,6 +206,11 @@ class ByteReader
     size_t size_;
     size_t pos_ = 0;
 };
+
+/** The §2 header of a frame whose body is @p body_len bytes. */
+std::array<u8, kWireHeaderBytes> encodeFrameHeader(FrameType type,
+                                                   u64 params_hash,
+                                                   u64 body_len);
 
 /** Assemble a full frame: §2 header followed by @p body. */
 std::vector<u8> encodeFrame(FrameType type, u64 params_hash,

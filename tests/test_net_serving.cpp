@@ -6,8 +6,9 @@
  * same input ciphertext), on both the scalar and simd kernel
  * backends; per-tenant session and key-upload flow; and the §7 typed
  * error surface (UNKNOWN_SESSION, SESSION_LIMIT, MISSING_KEY,
- * UNKNOWN_WORKLOAD, SERVER_SHUTDOWN, protocol violations), per
- * docs/wire_format.md and docs/serving.md.
+ * UNKNOWN_WORKLOAD, SERVER_SHUTDOWN, BAD_FIELD on a non-canonical
+ * residue, protocol violations), per docs/wire_format.md and
+ * docs/serving.md.
  */
 
 #include <cmath>
@@ -194,6 +195,69 @@ TEST(NetServing, LoopbackMatchesInProcessScalarBackend)
 TEST(NetServing, LoopbackMatchesInProcessSimdBackend)
 {
     loopbackMatchesInProcess(BackendKind::Simd);
+}
+
+TEST(NetServing, NonCanonicalSubmitIsBadFieldAndServerStaysUp)
+{
+    ServerStack s(BackendKind::Scalar);
+    const std::vector<i64> rotations = s.workloads[0].rotationAmounts();
+    Rng rng(8);
+
+    // A tenant whose input carries a residue equal to q_0: the words
+    // pass every shape check, so only ingress range validation can
+    // stop them before the kernels' canonical-at-entry contract.
+    {
+        WireClient client("127.0.0.1", s.net->port());
+        client.openSession("tenant-noncanonical");
+        TenantKeys tk(client.context(), rng, rotations, 9100);
+        uploadKeys(client, tk);
+        CkksEncoder encoder(client.context());
+        CkksEncryptor encryptor(client.context(), rng);
+        Ciphertext input = encryptor.encryptSymmetric(
+            encoder.encode(std::vector<Complex>(
+                               client.params().num_slots,
+                               Complex(0.3, 0)),
+                           client.context().maxLevel()),
+            tk.sk);
+        input.b.limb(0)[0] = client.context().qModuli()[0].value();
+        try {
+            (void)client.submit(0, input);
+            FAIL() << "non-canonical ciphertext accepted";
+        } catch (const WireError &e) {
+            EXPECT_EQ(e.code(), WireCode::BadField) << e.what();
+        }
+    }
+
+    // A second session on the same server is served, and its result
+    // is bit-identical to in-process execution of the same request.
+    WireClient client("127.0.0.1", s.net->port());
+    client.openSession("tenant-canonical");
+    TenantKeys tk(client.context(), rng, rotations, 9200);
+    uploadKeys(client, tk);
+    CkksEncoder encoder(client.context());
+    CkksEncryptor encryptor(client.context(), rng);
+    const Ciphertext input = encryptor.encryptSymmetric(
+        encoder.encode(std::vector<Complex>(client.params().num_slots,
+                                            Complex(0.3, 0)),
+                       client.context().maxLevel()),
+        tk.sk);
+    const WireClient::SubmitOutcome remote = client.submit(0, input);
+    ASSERT_TRUE(remote.ok) << remote.error;
+    ASSERT_TRUE(remote.has_output);
+    EXPECT_EQ(ciphertextChecksum(remote.output), remote.checksum);
+
+    KeyCache local(client.context().degree());
+    local.insertMultiplication(tk.mult);
+    for (const auto &[r, key] : tk.rotations)
+        local.insertRotation(r, key);
+    std::future<ServeResult> fut;
+    ASSERT_EQ(s.server->trySubmitRemote(
+                  0, std::make_shared<Ciphertext>(input), &local, fut),
+              AdmitResult::Admitted);
+    const ServeResult in_process = fut.get();
+    ASSERT_TRUE(in_process.ok) << in_process.error;
+    EXPECT_EQ(remote.checksum, in_process.checksum);
+    client.closeSession();
 }
 
 TEST(NetServing, SubmitBeforeOpenSessionIsUnknownSession)

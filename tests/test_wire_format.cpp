@@ -11,6 +11,7 @@
  * smaller evk and public-key frames).
  */
 
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
 #include "ckks/keygen.h"
+#include "rns/automorphism.h"
 #include "wire/serializer.h"
 #include "wire/stats_frame.h"
 
@@ -87,6 +89,8 @@ TEST(WireEnvelope, RejectsBadMagic)
         FAIL() << "bad magic accepted";
     } catch (const WireError &e) {
         EXPECT_EQ(e.code(), WireCode::BadMagic);
+        // "ARKW" with its first byte flipped, as 8 hex digits.
+        EXPECT_STREQ(e.what(), "bad frame magic 0x574B52BE");
     }
 }
 
@@ -420,6 +424,189 @@ TEST(WirePayloads, RoundTripTestSmall)
 TEST(WirePayloads, RoundTripTestBoot)
 {
     roundTripPayloads(CkksParams::testBoot());
+}
+
+// ------------------------------------------------- §4 golden body bytes
+
+/**
+ * Byte-at-a-time reference encoder: the original §4 `putU64` loop,
+ * kept here so the bulk encoder is pinned against the plain
+ * definition of the format, one shifted byte per output byte.
+ */
+class RefWriter
+{
+  public:
+    void put(u64 v, int width)
+    {
+        for (int i = 0; i < width; ++i)
+            out_.push_back(static_cast<u8>(v >> (8 * i)));
+    }
+
+    void putF64(double v)
+    {
+        u64 bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        put(bits, 8);
+    }
+
+    void poly(const RnsPoly &p)
+    {
+        put(p.degree(), 4);
+        put(p.numLimbs(), 2);
+        put(p.rep() == Rep::Eval ? 1 : 0, 1);
+        for (size_t l = 0; l < p.numLimbs(); ++l) {
+            for (size_t i = 0; i < p.degree(); ++i)
+                put(p.limb(l)[i], 8);
+        }
+    }
+
+    void ciphertext(const Ciphertext &ct)
+    {
+        putF64(ct.scale);
+        put(ct.slots, 4);
+        poly(ct.b);
+        poly(ct.a);
+    }
+
+    void plaintext(const Plaintext &pt)
+    {
+        putF64(pt.scale);
+        put(static_cast<u32>(pt.level), 4);
+        poly(pt.poly);
+    }
+
+    void evalKey(u64 galois_elt, const EvalKey &key)
+    {
+        put(static_cast<u8>(EvalKeyPurpose::Galois), 1);
+        put(galois_elt, 8);
+        put(key.seeded ? 1 : 0, 1);
+        put(key.seeded ? key.a_seed : 0, 8);
+        put(key.numDigits(), 2);
+        for (const RnsPoly &b : key.b)
+            poly(b);
+        if (!key.seeded) {
+            for (const RnsPoly &a : key.a)
+                poly(a);
+        }
+    }
+
+    void publicKey(const PublicKey &pk)
+    {
+        put(pk.seeded ? 1 : 0, 1);
+        put(pk.seeded ? pk.a_seed : 0, 8);
+        poly(pk.b);
+        if (!pk.seeded)
+            poly(pk.a);
+    }
+
+    const std::vector<u8> &bytes() const { return out_; }
+
+  private:
+    std::vector<u8> out_;
+};
+
+/** FNV-1a 64 over @p bytes (the §3 hash function). */
+u64
+fnv1a(const std::vector<u8> &bytes)
+{
+    u64 h = 1469598103934665603ull;
+    for (u8 b : bytes) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** Every payload encoder against RefWriter at one preset. */
+void
+bodiesMatchReference(CkksParams params)
+{
+    CkksContext ctx(params);
+    Rng rng(2026);
+    KeyGenerator keygen(ctx, rng);
+    const SecretKey sk = keygen.secretKey();
+    CkksEncoder encoder(ctx);
+    CkksEncryptor encryptor(ctx, rng);
+
+    std::vector<Complex> msg(params.num_slots);
+    for (size_t i = 0; i < msg.size(); ++i)
+        msg[i] = Complex(0.1 * static_cast<double>(i % 7), -0.05);
+    const Plaintext pt = encoder.encode(msg, ctx.maxLevel());
+    const Ciphertext ct = encryptor.encryptSymmetric(pt, sk);
+
+    const auto expectSame = [](const ByteWriter &w, const RefWriter &ref,
+                               const char *what) {
+        EXPECT_EQ(w.bytes(), ref.bytes()) << what;
+    };
+    {
+        ByteWriter w;
+        RefWriter ref;
+        writePoly(w, ct.a);
+        ref.poly(ct.a);
+        expectSame(w, ref, "poly");
+    }
+    {
+        ByteWriter w;
+        RefWriter ref;
+        writeCiphertext(w, ct);
+        ref.ciphertext(ct);
+        expectSame(w, ref, "ciphertext");
+    }
+    {
+        ByteWriter w;
+        RefWriter ref;
+        writePlaintext(w, pt);
+        ref.plaintext(pt);
+        expectSame(w, ref, "plaintext");
+    }
+    const u64 elt = galoisElt(1, ctx.degree());
+    for (const EvalKey &evk : {keygen.evkRotation(sk, 1),
+                               keygen.evkRotationSeeded(sk, 1, 0xE7C)}) {
+        ByteWriter w;
+        RefWriter ref;
+        writeEvalKey(w, EvalKeyPurpose::Galois, elt, evk);
+        ref.evalKey(elt, evk);
+        expectSame(w, ref, evk.seeded ? "seeded evk" : "unseeded evk");
+    }
+    for (const PublicKey &pk :
+         {keygen.publicKey(sk), keygen.publicKeySeeded(sk, 0x9C)}) {
+        ByteWriter w;
+        RefWriter ref;
+        writePublicKey(w, pk);
+        ref.publicKey(pk);
+        expectSame(w, ref, pk.seeded ? "seeded pk" : "unseeded pk");
+    }
+}
+
+TEST(WireGolden, BodiesMatchByteAtATimeReferenceTestTiny)
+{
+    bodiesMatchReference(CkksParams::testTiny());
+}
+
+TEST(WireGolden, BodiesMatchByteAtATimeReferenceTestBoot)
+{
+    bodiesMatchReference(CkksParams::testBoot());
+}
+
+TEST(WireGolden, FixedSeedCiphertextBodyHash)
+{
+    // A zero message keeps the encoder's floating point out of the
+    // words: the body depends only on the integer key and error
+    // sampling of the fixed seed, so this literal holds on any host.
+    CkksParams params = CkksParams::testTiny();
+    CkksContext ctx(params);
+    Rng rng(2026);
+    KeyGenerator keygen(ctx, rng);
+    const SecretKey sk = keygen.secretKey();
+    CkksEncoder encoder(ctx);
+    CkksEncryptor encryptor(ctx, rng);
+    const Ciphertext ct = encryptor.encryptSymmetric(
+        encoder.encode(std::vector<Complex>(params.num_slots),
+                       ctx.maxLevel()),
+        sk);
+    ByteWriter w;
+    writeCiphertext(w, ct);
+    EXPECT_EQ(fnv1a(w.bytes()), 0x99B5B1B6BAA40C5Dull);
 }
 
 TEST(WirePayloads, RejectsCorruptedShapeFields)

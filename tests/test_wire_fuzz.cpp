@@ -9,12 +9,18 @@
  * under test is §8's error discipline: a decoder presented with
  * arbitrary bytes either succeeds or throws a typed WireError —
  * never a crash, never an unbounded allocation, never any other
- * exception type. CI runs this under ASan/UBSan and TSan, so a leak
- * or UB on any rejection path fails the build.
+ * exception type. A second, targeted pass makes semantic mutations
+ * that leave every body well-formed byte-wise (a residue >= its
+ * limb's modulus, a NaN/infinite/non-positive scale, the Coeff rep
+ * flag) and requires each to be rejected as BAD_FIELD. CI runs this
+ * under ASan/UBSan and TSan, so a leak or UB on any rejection path
+ * fails the build.
  */
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -204,6 +210,184 @@ TEST(WireFuzz, EveryBodyDecoderRejectsMutationsTyped)
         if (::testing::Test::HasFailure())
             return; // one corpus dump is enough
     }
+}
+
+/** One poly inside a body: where its §4 header starts and the moduli
+ *  its limbs are checked against. */
+struct PolySite
+{
+    std::string name;
+    size_t offset;
+    std::vector<Modulus> moduli;
+};
+
+/** A body, its decoder, and the polys it carries. */
+struct SemanticTarget
+{
+    std::string name;
+    std::vector<u8> body;
+    std::function<void(const std::vector<u8> &)> decode;
+    std::vector<PolySite> polys;
+    bool has_scale; ///< an f64 scale leads the body
+};
+
+/** Overwrite the LE u64 at @p at. */
+void
+storeU64(std::vector<u8> &body, size_t at, u64 v)
+{
+    for (int i = 0; i < 8; ++i)
+        body[at + i] = static_cast<u8>(v >> (8 * i));
+}
+
+/** Decode @p body, which must be rejected as BAD_FIELD. */
+void
+expectBadField(const SemanticTarget &t, const std::vector<u8> &body,
+               const std::string &what)
+{
+    try {
+        t.decode(body);
+        ADD_FAILURE() << t.name << ": " << what << " accepted";
+    } catch (const WireError &e) {
+        EXPECT_EQ(e.code(), WireCode::BadField)
+            << t.name << ": " << what << ": " << e.what();
+    }
+}
+
+TEST(WireFuzz, SemanticMutationsAreBadField)
+{
+    // Targeted mutations a shape check cannot see: a residue word at
+    // or above its limb's modulus, a scale that is not a finite
+    // positive number, and the Coeff representation flag. Each keeps
+    // the body well-formed byte-wise, so only the §4/§5 semantic
+    // validation can reject it.
+    CkksParams params = CkksParams::testTiny();
+    CkksContext ctx(params);
+    Rng rng(2026);
+    KeyGenerator keygen(ctx, rng);
+    const SecretKey sk = keygen.secretKey();
+    CkksEncoder encoder(ctx);
+    CkksEncryptor encryptor(ctx, rng);
+    std::vector<Complex> msg(params.num_slots, Complex(0.3, -0.1));
+    const Plaintext pt = encoder.encode(msg, ctx.maxLevel());
+    const Ciphertext ct = encryptor.encryptSymmetric(pt, sk);
+    const EvalKey evk = keygen.evkMultSeeded(sk, 0xF00D);
+    const PublicKey pk = keygen.publicKey(sk);
+
+    const std::vector<Modulus> &q = ctx.qModuli();
+    const std::vector<Modulus> key_moduli = ctx.keyModuli(ctx.maxLevel());
+    const auto polyBytes = [](const RnsPoly &p) {
+        return 7 + p.byteSize();
+    };
+
+    std::vector<SemanticTarget> targets;
+    {
+        ByteWriter w;
+        writeCiphertext(w, ct);
+        // f64 scale, u32 slots, then b and a.
+        targets.push_back({"ciphertext", w.take(),
+                           [&ctx](const std::vector<u8> &b) {
+                               ByteReader r(b);
+                               (void)readCiphertext(r, ctx);
+                               r.finish();
+                           },
+                           {{"b", 12, q}, {"a", 12 + polyBytes(ct.b), q}},
+                           true});
+    }
+    {
+        ByteWriter w;
+        writePlaintext(w, pt);
+        // f64 scale, i32 level, then the poly.
+        targets.push_back({"plaintext", w.take(),
+                           [&ctx](const std::vector<u8> &b) {
+                               ByteReader r(b);
+                               (void)readPlaintext(r, ctx);
+                               r.finish();
+                           },
+                           {{"poly", 12, q}},
+                           true});
+    }
+    {
+        ByteWriter w;
+        writePublicKey(w, pk);
+        // u8 flags, u64 seed, then b.
+        targets.push_back({"public_key", w.take(),
+                           [&ctx](const std::vector<u8> &b) {
+                               ByteReader r(b);
+                               (void)readPublicKey(r, ctx);
+                               r.finish();
+                           },
+                           {{"b", 9, q}},
+                           false});
+    }
+    {
+        ByteWriter w;
+        writeEvalKey(w, EvalKeyPurpose::Multiplication, 0, evk);
+        // u8 purpose, u64 galois_elt, u8 flags, u64 seed, u16 dnum,
+        // then the b halves over the extended basis.
+        std::vector<PolySite> halves;
+        size_t at = 20;
+        for (size_t d = 0; d < evk.numDigits(); ++d) {
+            halves.push_back({"b" + std::to_string(d), at, key_moduli});
+            at += polyBytes(evk.b[d]);
+        }
+        targets.push_back({"eval_key", w.take(),
+                           [&ctx](const std::vector<u8> &b) {
+                               ByteReader r(b);
+                               (void)readEvalKey(r, ctx);
+                               r.finish();
+                           },
+                           halves, false});
+    }
+
+    const size_t n = ctx.degree();
+    size_t mutations = 0;
+    for (const SemanticTarget &t : targets) {
+        // The unmutated body decodes.
+        EXPECT_NO_THROW(t.decode(t.body)) << t.name;
+
+        for (const PolySite &site : t.polys) {
+            const size_t words = site.offset + 7;
+            const size_t limbs = t.body[site.offset + 4] |
+                                 (t.body[site.offset + 5] << 8);
+            ASSERT_LE(limbs, site.moduli.size()) << t.name;
+            for (const size_t l : {size_t{0}, limbs - 1}) {
+                const u64 ql = site.moduli[l].value();
+                for (const size_t i : {size_t{0}, n - 1}) {
+                    for (const u64 v : {ql, ql + 1, ~u64{0}}) {
+                        std::vector<u8> bad = t.body;
+                        storeU64(bad, words + 8 * (l * n + i), v);
+                        expectBadField(t, bad,
+                                       site.name + " limb " +
+                                           std::to_string(l) + " word " +
+                                           std::to_string(i) + " = " +
+                                           std::to_string(v));
+                        ++mutations;
+                    }
+                }
+            }
+            std::vector<u8> coeff = t.body;
+            coeff[site.offset + 6] = 0; // rep flag: Coeff
+            expectBadField(t, coeff, site.name + " rep flag Coeff");
+            ++mutations;
+        }
+
+        if (!t.has_scale)
+            continue;
+        const double inf = std::numeric_limits<double>::infinity();
+        for (const double scale :
+             {std::numeric_limits<double>::quiet_NaN(), inf, -inf, 0.0,
+              -0.0, -ct.scale}) {
+            std::vector<u8> bad = t.body;
+            u64 bits;
+            std::memcpy(&bits, &scale, sizeof(bits));
+            storeU64(bad, 0, bits);
+            expectBadField(t, bad, "scale " + std::to_string(scale));
+            ++mutations;
+        }
+    }
+    // 4 words x 3 values + 1 rep flag per poly site; 6 scales per
+    // scaled body.
+    EXPECT_EQ(mutations, (2 + 1 + 1 + ctx.dnum()) * 13 + 2 * 6);
 }
 
 TEST(WireFuzz, FrameHeaderRejectsMutationsTyped)
