@@ -184,7 +184,7 @@ runSimdComparison(bool smoke)
     ScalarBackend scalar;
     g_simd_tier = simdTierName(simd.tier());
     std::printf("Vector (simd backend, tier %s) vs scalar lazy "
-                "kernels, <2^60 limbs\n",
+                "kernels, 60-bit limbs (_q42: 42-bit)\n",
                 g_simd_tier.c_str());
     if (simd.tier() == SimdTier::Scalar)
         std::printf("  (no vector ISA on this host or tier capped; "
@@ -196,12 +196,17 @@ runSimdComparison(bool smoke)
     // simd_ntt_forward N=2^16 row is what docs/benchmarks.md records.
     const int reps = smoke ? 5 : 25;
     const int iters = smoke ? 5 : 10;
-    std::vector<size_t> log_ns = smoke
-                                     ? std::vector<size_t>{12, 16}
-                                     : std::vector<size_t>{12, 14, 16};
-    for (size_t log_n : log_ns) {
-        const size_t n = size_t(1) << log_n;
-        u64 prime = generatePrimes(60, 1, n).front();
+    const auto add_row = [&](const Result &r) {
+        g_results.push_back(r);
+        t.addRow({r.name, std::to_string(r.n),
+                  TablePrinter::fmt(r.baseline_ms, 3),
+                  TablePrinter::fmt(r.optimized_ms, 3),
+                  TablePrinter::fmt(r.speedup(), 2)});
+    };
+    // Forward and inverse rows for one N-point transform mod @p prime,
+    // named simd_ntt_{forward,inverse}<suffix>.
+    const auto ntt_rows = [&](size_t n, u64 prime,
+                              const std::string &suffix) {
         NttTables tables(n, Modulus(prime));
         std::vector<const NttTables *> tp{&tables};
         Rng rng(11);
@@ -231,7 +236,7 @@ runSimdComparison(bool smoke)
         // Any canonical vector is valid input, so the timing loops
         // transform the same buffer repeatedly (setRep is a flag).
         RnsPoly w = p;
-        Result rf{"simd_ntt_forward", n, 1, 0, 0};
+        Result rf{"simd_ntt_forward" + suffix, n, 1, 0, 0};
         rf.baseline_ms = timeMs(reps, [&] {
                              for (int i = 0; i < iters; ++i) {
                                  w.setRep(Rep::Coeff);
@@ -246,13 +251,9 @@ runSimdComparison(bool smoke)
                               }
                           }) /
                           iters;
-        g_results.push_back(rf);
-        t.addRow({"simd_ntt_forward", std::to_string(n),
-                  TablePrinter::fmt(rf.baseline_ms, 3),
-                  TablePrinter::fmt(rf.optimized_ms, 3),
-                  TablePrinter::fmt(rf.speedup(), 2)});
+        add_row(rf);
 
-        Result ri{"simd_ntt_inverse", n, 1, 0, 0};
+        Result ri{"simd_ntt_inverse" + suffix, n, 1, 0, 0};
         ri.baseline_ms = timeMs(reps, [&] {
                              for (int i = 0; i < iters; ++i) {
                                  w.setRep(Rep::Eval);
@@ -267,11 +268,74 @@ runSimdComparison(bool smoke)
                               }
                           }) /
                           iters;
-        g_results.push_back(ri);
-        t.addRow({"simd_ntt_inverse", std::to_string(n),
-                  TablePrinter::fmt(ri.baseline_ms, 3),
-                  TablePrinter::fmt(ri.optimized_ms, 3),
-                  TablePrinter::fmt(ri.speedup(), 2)});
+        add_row(ri);
+    };
+    std::vector<size_t> log_ns = smoke
+                                     ? std::vector<size_t>{12, 16}
+                                     : std::vector<size_t>{12, 14, 16};
+    for (size_t log_n : log_ns) {
+        const size_t n = size_t(1) << log_n;
+        ntt_rows(n, generatePrimes(60, 1, n).front(), "");
+    }
+    // testBoot's 42-bit scale primes: below 2^50, so the IFMA tier runs
+    // its 52-bit butterflies here while the 60-bit rows above cannot.
+    ntt_rows(4096, generatePrimes(42, 1, 4096).front(), "_q42");
+
+    // Pointwise product and evk MAC over four 42-bit limbs.
+    {
+        const size_t n = 4096, limbs = 4;
+        std::vector<Modulus> mods;
+        for (u64 q : generatePrimes(42, limbs, n))
+            mods.emplace_back(q);
+        Rng rng(13);
+        const auto random_poly = [&] {
+            RnsPoly p(n, limbs, Rep::Eval);
+            for (size_t l = 0; l < limbs; ++l) {
+                auto v = rng.uniformVector(n, mods[l].value());
+                std::copy(v.begin(), v.end(), p.limb(l));
+            }
+            return p;
+        };
+        const auto same = [&](const RnsPoly &x, const RnsPoly &y) {
+            bool eq = true;
+            for (size_t l = 0; eq && l < limbs; ++l)
+                eq = std::memcmp(x.limb(l), y.limb(l),
+                                 n * sizeof(u64)) == 0;
+            return eq;
+        };
+        const RnsPoly a = random_poly(), b = random_poly();
+        const RnsPoly c = random_poly();
+        RnsPoly rs(n, limbs, Rep::Eval), rv(n, limbs, Rep::Eval);
+        scalar.mulEval(a, b, mods, rs);
+        simd.mulEval(a, b, mods, rv);
+        checkParity(same(rs, rv), "simd mulEval != scalar");
+        Result rm{"simd_mul_eval_q42", n, limbs, 0, 0};
+        rm.baseline_ms = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i)
+                scalar.mulEval(a, b, mods, rs);
+        }) / iters;
+        rm.optimized_ms = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i)
+                simd.mulEval(a, b, mods, rv);
+        }) / iters;
+        add_row(rm);
+
+        // Accumulators stay canonical however often the MAC runs.
+        RnsPoly bs = c, as = c, bv = c, av = c;
+        scalar.evkMulAcc(a, b, c, limbs, limbs, mods, bs, as);
+        simd.evkMulAcc(a, b, c, limbs, limbs, mods, bv, av);
+        checkParity(same(bs, bv) && same(as, av),
+                    "simd evkMulAcc != scalar");
+        Result re{"simd_evk_mac_q42", n, limbs, 0, 0};
+        re.baseline_ms = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i)
+                scalar.evkMulAcc(a, b, c, limbs, limbs, mods, bs, as);
+        }) / iters;
+        re.optimized_ms = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i)
+                simd.evkMulAcc(a, b, c, limbs, limbs, mods, bv, av);
+        }) / iters;
+        add_row(re);
     }
 
     // The fused BConv tile with the vector MAC inner loop.
@@ -310,11 +374,7 @@ runSimdComparison(bool smoke)
             RnsPoly out = simd.bconv(bc, in);
             simd.pool().release(std::move(out));
         });
-        g_results.push_back(r);
-        t.addRow({"simd_bconv", std::to_string(n),
-                  TablePrinter::fmt(r.baseline_ms, 3),
-                  TablePrinter::fmt(r.optimized_ms, 3),
-                  TablePrinter::fmt(r.speedup(), 2)});
+        add_row(r);
     }
     t.print();
     std::printf("\n");

@@ -25,8 +25,9 @@ scalar-fallback runner, so those rows are skipped with a note instead
 of producing bogus warnings.
 
 Machine-class baselines: every run stamps a `machine_class` (the
-dispatched vector-ISA tier: scalar / neon / avx2 / avx512). Before
-comparing, the checker looks for a class-specific baseline at
+dispatched vector-ISA tier: scalar / neon / avx2 / avx512 /
+avx512ifma). Before comparing, the checker looks for a class-specific
+baseline at
     dirname(--baseline)/<machine_class>/basename(--baseline)
 and uses it when present, so each machine class is compared
 like-for-like against numbers measured on its own class. When no

@@ -284,9 +284,9 @@ struct SimdKernels;
 /**
  * Hand-vectorized engine: serial over limb jobs like ScalarBackend,
  * but each NTT / BConv-tile / evk-MAC / mulEval / limb-embedding /
- * plaintext-MAC job body runs the AVX-512 or AVX2 kernels from
- * rns/simd_kernels.cpp, picked at construction from the host CPU
- * (capped by @p max_tier and by ARK_SIMD_TIER). On hosts
+ * plaintext-MAC job body runs the AVX-512 (IFMA52 or plain) or AVX2
+ * kernels from rns/simd_kernels.cpp, picked at construction from the
+ * host CPU (capped by @p max_tier and by ARK_SIMD_TIER). On hosts
  * with no vector ISA — or for transforms too small to fill a vector —
  * every call falls back to the scalar loop body, never aborts, so
  * ARK_BACKEND=simd is safe everywhere.
@@ -296,7 +296,7 @@ class SimdBackend final : public KernelBackend
   public:
     /** @param max_tier cap on the dispatched ISA tier (the default
      *  caps nothing; tests pass lower tiers to pin a code path). */
-    explicit SimdBackend(SimdTier max_tier = SimdTier::Avx512);
+    explicit SimdBackend(SimdTier max_tier = kMaxSimdTier);
 
     const char *name() const override { return "simd"; }
     BackendKind kind() const override { return BackendKind::Simd; }

@@ -1,6 +1,5 @@
 #include "rns/cpu_features.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -20,6 +19,8 @@ simdTierName(SimdTier tier)
         return "avx2";
       case SimdTier::Avx512:
         return "avx512";
+      case SimdTier::Avx512Ifma:
+        return "avx512ifma";
     }
     return "scalar";
 }
@@ -29,21 +30,12 @@ parseSimdTier(const char *name, SimdTier &out)
 {
     if (name == nullptr)
         return false;
-    if (std::strcmp(name, "scalar") == 0) {
-        out = SimdTier::Scalar;
-        return true;
-    }
-    if (std::strcmp(name, "neon") == 0) {
-        out = SimdTier::Neon;
-        return true;
-    }
-    if (std::strcmp(name, "avx2") == 0) {
-        out = SimdTier::Avx2;
-        return true;
-    }
-    if (std::strcmp(name, "avx512") == 0) {
-        out = SimdTier::Avx512;
-        return true;
+    for (int i = 0; i <= static_cast<int>(kMaxSimdTier); ++i) {
+        const auto tier = static_cast<SimdTier>(i);
+        if (std::strcmp(name, simdTierName(tier)) == 0) {
+            out = tier;
+            return true;
+        }
     }
     return false;
 }
@@ -57,10 +49,13 @@ probeSimdTier()
     (defined(__GNUC__) || defined(__clang__))
     // The AVX-512 kernels use vpmullq, so the tier needs DQ on top of
     // F. Every AVX-512 server part since Skylake-SP ships both; the
-    // F-only Xeon Phi line drops to the AVX2 kernels.
+    // F-only Xeon Phi line drops to the AVX2 kernels. IFMA52
+    // (vpmadd52lo/hi, Cannon Lake / Ice Lake onward) adds the 52-bit
+    // NTT, evk-MAC and mulEval bodies on top of that.
     if (__builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512dq"))
-        return SimdTier::Avx512;
+        return __builtin_cpu_supports("avx512ifma") ? SimdTier::Avx512Ifma
+                                                    : SimdTier::Avx512;
     if (__builtin_cpu_supports("avx2"))
         return SimdTier::Avx2;
     return SimdTier::Scalar;
@@ -91,12 +86,15 @@ simdTierFromEnv(SimdTier fallback)
         return fallback;
     SimdTier tier;
     if (!parseSimdTier(env, tier)) {
-        char msg[160];
-        std::snprintf(msg, sizeof msg,
-                      "invalid ARK_SIMD_TIER '%s' (expected 'scalar', "
-                      "'neon', 'avx2', or 'avx512')",
-                      env);
-        ARK_FATAL(msg);
+        std::string msg =
+            std::string("invalid ARK_SIMD_TIER '") + env + "' (expected";
+        for (int i = 0; i <= static_cast<int>(kMaxSimdTier); ++i) {
+            msg += i == 0 ? " '" : ", '";
+            msg += simdTierName(static_cast<SimdTier>(i));
+            msg += "'";
+        }
+        msg += ")";
+        ARK_FATAL(msg.c_str());
     }
     return tier;
 }
@@ -121,6 +119,8 @@ cpuFeatureString()
          static_cast<bool>(__builtin_cpu_supports("avx512dq"))},
         {"avx512vl",
          static_cast<bool>(__builtin_cpu_supports("avx512vl"))},
+        {"avx512ifma",
+         static_cast<bool>(__builtin_cpu_supports("avx512ifma"))},
     };
     for (const Probe &p : probes) {
         if (!p.present)

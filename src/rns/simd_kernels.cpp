@@ -31,6 +31,7 @@ namespace ark {
 // can accidentally be auto-vectorized with an ISA the host lacks, and
 // runtime dispatch via detectSimdTier() stays safe in one binary.
 #define ARK_T512 __attribute__((target("avx512f,avx512dq")))
+#define ARK_TIFMA __attribute__((target("avx512f,avx512dq,avx512ifma")))
 #define ARK_T256 __attribute__((target("avx2")))
 
 namespace {
@@ -763,6 +764,359 @@ plainReduceLimbAvx512(const Modulus &m, const u64 *acc, size_t n,
 }
 
 // ---------------------------------------------------------------------------
+// AVX-512 IFMA52 NTT: the Harvey lazy transform with an exact 52-bit
+// Shoup product in three vpmadd52 ops (Boemer et al., "Intel HEXL:
+// Accelerating Homomorphic Encryption with Intel AVX512-IFMA52",
+// 2021). vpmadd52lo/hi multiply the low 52 bits of each lane, so every
+// multiplier input has to stay below 2^52: forward values live in the
+// Harvey domain [0, 4q) and inverse values in [0, 2q) (their
+// differences reach 4q), which needs 4q < 2^52, i.e. q < 2^50. Wider
+// limbs run the AVX-512 bodies above. The 52-bit Shoup companion
+// floor(w * 2^52 / q) is the stored 64-bit one shifted right by 12,
+// so no twiddle table is added.
+// ---------------------------------------------------------------------------
+
+/** Exclusive modulus bound of the IFMA kernels (4q < 2^52). */
+constexpr u64 kIfmaMaxQ = 1ULL << 50;
+
+/** Low-52-bit mask and 2^52 - q, broadcast. */
+struct Mod52
+{
+    __m512i q, two_q, neg_q, mask;
+};
+
+ARK_TIFMA inline Mod52
+loadMod52(const Modulus &m)
+{
+    return {set1_512(m.value()), set1_512(m.twoQ()),
+            set1_512((1ULL << 52) - m.value()),
+            set1_512((1ULL << 52) - 1)};
+}
+
+/**
+ * Shoup product x * w mod q in [0, 2q) for x < 2^52, w < q and
+ * w52 = floor(w * 2^52 / q): the quotient Q = floor(x * w52 / 2^52)
+ * undershoots floor(x * w / q) by at most one, so x * w - Q * q lies in
+ * [0, 2q) < 2^52 and its low 52 bits, x * w + Q * (2^52 - q) mod 2^52,
+ * are the whole value.
+ */
+ARK_TIFMA inline __m512i
+mulShoup52(__m512i x, __m512i w, __m512i w52, const Mod52 &md)
+{
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i quot = _mm512_madd52hi_epu64(zero, x, w52);
+    const __m512i xw = _mm512_madd52lo_epu64(zero, x, w);
+    return _mm512_and_si512(_mm512_madd52lo_epu64(xw, quot, md.neg_q),
+                            md.mask);
+}
+
+/** A broadcast twiddle and its 52-bit Shoup companion. */
+struct Tw52
+{
+    __m512i w, w52;
+};
+
+/** Twiddle i of a table pair (the companion is the stored 64-bit
+ *  Shoup word >> 12). */
+ARK_TIFMA inline Tw52
+tw52(const u64 *w, const u64 *ws, size_t i)
+{
+    return {set1_512(w[i]), set1_512(ws[i] >> 12)};
+}
+
+/** Per-lane twiddles: lanes of @p w / @p ws picked by @p idx. */
+ARK_TIFMA inline Tw52
+tw52Lanes(__m512i idx, __m512i w, __m512i ws)
+{
+    return {_mm512_permutexvar_epi64(idx, w),
+            _mm512_srli_epi64(_mm512_permutexvar_epi64(idx, ws), 12)};
+}
+
+/** Harvey forward butterfly on [0, 4q): x folded below 2q, plus and
+ *  minus (+ 2q) the Shoup product w * y. */
+ARK_TIFMA inline void
+fwdBfly52(__m512i *x, __m512i *y, const Tw52 &tw, const Mod52 &md)
+{
+    const __m512i u = csub512(*x, md.two_q);
+    const __m512i v = mulShoup52(*y, tw.w, tw.w52, md);
+    *x = _mm512_add_epi64(u, v);
+    *y = _mm512_sub_epi64(_mm512_add_epi64(u, md.two_q), v);
+}
+
+/** Gentleman-Sande butterfly on [0, 2q): x + y folded below 2q, and
+ *  the Shoup product of w with x - y + 2q (below 4q). */
+ARK_TIFMA inline void
+invBfly52(__m512i *x, __m512i *y, const Tw52 &tw, const Mod52 &md)
+{
+    const __m512i d = _mm512_sub_epi64(_mm512_add_epi64(*x, md.two_q), *y);
+    *x = csub512(_mm512_add_epi64(*x, *y), md.two_q);
+    *y = mulShoup52(d, tw.w, tw.w52, md);
+}
+
+/** nttForwardAvx512's schedule (fused stage pairs, then a 16-element
+ *  register window for the tail stages) on the [0, 4q) domain. */
+ARK_TIFMA void
+nttForwardIfma(u64 *a, const NttTables &tb)
+{
+    const Modulus &mod = tb.modulus();
+    if (mod.value() >= kIfmaMaxQ) {
+        nttForwardAvx512(a, tb);
+        return;
+    }
+    const size_t n = tb.degree();
+    const u64 *w = tb.rootPowers().data();
+    const u64 *ws = tb.rootPowersShoup().data();
+    const Mod52 md = loadMod52(mod);
+
+    size_t t = n >> 1;
+    size_t m = 1;
+    for (; t >= 16; m <<= 2, t >>= 2) {
+        const size_t ht = t >> 1;
+        for (size_t i = 0; i < m; ++i) {
+            const Tw52 t1 = tw52(w, ws, m + i);
+            const Tw52 t2a = tw52(w, ws, 2 * m + 2 * i);
+            const Tw52 t2b = tw52(w, ws, 2 * m + 2 * i + 1);
+            u64 *x = a + 2 * i * t;
+            u64 *y = x + t;
+            for (size_t j = 0; j < ht; j += 8) {
+                __m512i x0 = load512(x + j), x1 = load512(x + ht + j);
+                __m512i y0 = load512(y + j), y1 = load512(y + ht + j);
+                fwdBfly52(&x0, &y0, t1, md);
+                fwdBfly52(&x1, &y1, t1, md);
+                fwdBfly52(&x0, &x1, t2a, md);
+                fwdBfly52(&y0, &y1, t2b, md);
+                store512(x + j, x0);
+                store512(x + ht + j, x1);
+                store512(y + j, y0);
+                store512(y + ht + j, y1);
+            }
+        }
+    }
+    {
+        const size_t t_hi = t; // 8 or 4
+        __m512i idx_x[3], idx_y[3], bcast[3], back0[3], back1[3];
+        for (size_t s = 0, tt = 4; tt >= 1; tt >>= 1, ++s)
+            smallStageWin512(tt, &idx_x[s], &idx_y[s], &bcast[s],
+                             &back0[s], &back1[s]);
+        for (size_t base = 0, win = 0; base < n; base += 16, ++win) {
+            __m512i v0 = load512(a + base);
+            __m512i v1 = load512(a + base + 8);
+            size_t mm = m;
+            if (t_hi == 8) {
+                fwdBfly52(&v0, &v1, tw52(w, ws, mm + win), md);
+                mm <<= 1;
+            }
+            for (size_t s = 0, tt = 4; tt >= 1; tt >>= 1, ++s, mm <<= 1) {
+                const size_t blocks = 8 / tt;
+                const __mmask8 lmask =
+                    static_cast<__mmask8>((1u << blocks) - 1);
+                const size_t off = mm + win * blocks;
+                __m512i x = _mm512_permutex2var_epi64(v0, idx_x[s], v1);
+                __m512i y = _mm512_permutex2var_epi64(v0, idx_y[s], v1);
+                fwdBfly52(&x, &y,
+                          tw52Lanes(bcast[s],
+                                    _mm512_maskz_loadu_epi64(lmask, w + off),
+                                    _mm512_maskz_loadu_epi64(lmask, ws + off)),
+                          md);
+                if (tt == 1) {
+                    x = csub512(csub512(x, md.two_q), md.q);
+                    y = csub512(csub512(y, md.two_q), md.q);
+                }
+                v0 = _mm512_permutex2var_epi64(x, back0[s], y);
+                v1 = _mm512_permutex2var_epi64(x, back1[s], y);
+            }
+            store512(a + base, v0);
+            store512(a + base + 8, v1);
+        }
+    }
+}
+
+/** nttInverseAvx512's schedule on the [0, 2q) domain. */
+ARK_TIFMA void
+nttInverseIfma(u64 *a, const NttTables &tb)
+{
+    const Modulus &mod = tb.modulus();
+    if (mod.value() >= kIfmaMaxQ) {
+        nttInverseAvx512(a, tb);
+        return;
+    }
+    const size_t n = tb.degree();
+    const u64 *iw = tb.invRootPowers().data();
+    const u64 *iws = tb.invRootPowersShoup().data();
+    const Mod52 md = loadMod52(mod);
+
+    size_t t = 1;
+    {
+        __m512i idx_x[3], idx_y[3], bcast[3], back0[3], back1[3];
+        for (size_t s = 0, tt = 1; tt <= 4; tt <<= 1, ++s)
+            smallStageWin512(tt, &idx_x[s], &idx_y[s], &bcast[s],
+                             &back0[s], &back1[s]);
+        const size_t h8 = n >> 4;
+        for (size_t base = 0, win = 0; base < n; base += 16, ++win) {
+            __m512i v0 = load512(a + base);
+            __m512i v1 = load512(a + base + 8);
+            size_t hh = n >> 1;
+            for (size_t s = 0, tt = 1; tt <= 4; tt <<= 1, ++s, hh >>= 1) {
+                const size_t blocks = 8 / tt;
+                const __mmask8 lmask =
+                    static_cast<__mmask8>((1u << blocks) - 1);
+                const size_t off = hh + win * blocks;
+                __m512i x = _mm512_permutex2var_epi64(v0, idx_x[s], v1);
+                __m512i y = _mm512_permutex2var_epi64(v0, idx_y[s], v1);
+                invBfly52(&x, &y,
+                          tw52Lanes(bcast[s],
+                                    _mm512_maskz_loadu_epi64(lmask, iw + off),
+                                    _mm512_maskz_loadu_epi64(lmask,
+                                                             iws + off)),
+                          md);
+                v0 = _mm512_permutex2var_epi64(x, back0[s], y);
+                v1 = _mm512_permutex2var_epi64(x, back1[s], y);
+            }
+            invBfly52(&v0, &v1, tw52(iw, iws, h8 + win), md);
+            store512(a + base, v0);
+            store512(a + base + 8, v1);
+        }
+        t = 16;
+    }
+    for (; t <= n >> 2; t <<= 2) {
+        const size_t h = n / (2 * t);
+        const size_t h2 = h >> 1;
+        for (size_t i = 0; i < h2; ++i) {
+            const Tw52 ta = tw52(iw, iws, h + 2 * i);
+            const Tw52 tb2 = tw52(iw, iws, h + 2 * i + 1);
+            const Tw52 tc = tw52(iw, iws, h2 + i);
+            u64 *p = a + 4 * i * t;
+            for (size_t j = 0; j < t; j += 8) {
+                __m512i p0 = load512(p + j), p1 = load512(p + t + j);
+                __m512i p2 = load512(p + 2 * t + j);
+                __m512i p3 = load512(p + 3 * t + j);
+                invBfly52(&p0, &p1, ta, md);
+                invBfly52(&p2, &p3, tb2, md);
+                invBfly52(&p0, &p2, tc, md);
+                invBfly52(&p1, &p3, tc, md);
+                store512(p + j, p0);
+                store512(p + t + j, p1);
+                store512(p + 2 * t + j, p2);
+                store512(p + 3 * t + j, p3);
+            }
+        }
+    }
+    for (; t <= n >> 1; t <<= 1) {
+        const size_t h = n / (2 * t);
+        for (size_t i = 0; i < h; ++i) {
+            const Tw52 tw = tw52(iw, iws, h + i);
+            u64 *x = a + 2 * i * t;
+            u64 *y = x + t;
+            for (size_t j = 0; j < t; j += 8) {
+                __m512i xv = load512(x + j), yv = load512(y + j);
+                invBfly52(&xv, &yv, tw, md);
+                store512(x + j, xv);
+                store512(y + j, yv);
+            }
+        }
+    }
+    // 1/N scaling: the Shoup product lands in [0, 2q), one fold to
+    // canonical.
+    const __m512i vni = set1_512(tb.nInv());
+    const __m512i vnis = set1_512(tb.nInvShoup() >> 12);
+    for (size_t j = 0; j < n; j += 8)
+        store512(a + j,
+                 csub512(mulShoup52(load512(a + j), vni, vnis, md), md.q));
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512 IFMA52 evk MAC and pointwise product (q < 2^50). Both
+// operands are canonical (< q), so the product ab < q^2 fits 100 bits
+// and comes out of vpmadd52lo/hi as 52-bit halves (hi:lo). A Barrett
+// quotient over 52-bit pieces then replaces barrett512's 128-bit one.
+// Results are canonical, hence identical to Modulus::mul's.
+// ---------------------------------------------------------------------------
+
+/** mulMod52's constants: with L = bits(q), c1 = floor(ab / 2^(L-2)) is
+ *  below 2^(L+2) <= 2^52 and k = floor(2^(L+50) / q) below 2^51. */
+struct Barrett52
+{
+    Mod52 md;
+    __m128i shift_lo, shift_hi; ///< L - 2 and 52 - (L - 2)
+    __m512i k;
+};
+
+ARK_TIFMA inline Barrett52
+loadBarrett52(const Modulus &m)
+{
+    const int bits = m.bits();
+    return {loadMod52(m), _mm_cvtsi64_si128(bits - 2),
+            _mm_cvtsi64_si128(54 - bits),
+            set1_512(static_cast<u64>((static_cast<u128>(1) << (bits + 50)) /
+                                      m.value()))};
+}
+
+/**
+ * a * b mod q in [0, 3q) for a, b < q < 2^50. The quotient
+ * floor(c1 * k / 2^52) never overshoots ab / q and undershoots it by
+ * less than 2.5 (c1 and k each lose under one unit; the losses weigh
+ * ab / 2^(L+50) < 1 and 2^(L-2) / q <= 1/2), so the remainder lies in
+ * [0, 3q) < 2^52 and its low 52 bits are the whole value.
+ */
+ARK_TIFMA inline __m512i
+mulMod52Lazy(__m512i a, __m512i b, const Barrett52 &bc)
+{
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i lo = _mm512_madd52lo_epu64(zero, a, b);
+    const __m512i hi = _mm512_madd52hi_epu64(zero, a, b);
+    const __m512i c1 = _mm512_or_si512(_mm512_srl_epi64(lo, bc.shift_lo),
+                                       _mm512_sll_epi64(hi, bc.shift_hi));
+    const __m512i quot = _mm512_madd52hi_epu64(zero, c1, bc.k);
+    return _mm512_and_si512(_mm512_madd52lo_epu64(lo, quot, bc.md.neg_q),
+                            bc.md.mask);
+}
+
+ARK_TIFMA void
+evkMacLimbIfma(const Modulus &m, const u64 *pd, const u64 *kb,
+               const u64 *ka, u64 *ab, u64 *aa, size_t n)
+{
+    if (m.value() >= kIfmaMaxQ) {
+        evkMacLimbAvx512(m, pd, kb, ka, ab, aa, n);
+        return;
+    }
+    const Barrett52 bc = loadBarrett52(m);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m512i d = load512(pd + i);
+        // acc + [0, 3q) < 4q: two folds to canonical.
+        const __m512i tb = _mm512_add_epi64(
+            load512(ab + i), mulMod52Lazy(d, load512(kb + i), bc));
+        store512(ab + i, csub512(csub512(tb, bc.md.two_q), bc.md.q));
+        const __m512i ta = _mm512_add_epi64(
+            load512(aa + i), mulMod52Lazy(d, load512(ka + i), bc));
+        store512(aa + i, csub512(csub512(ta, bc.md.two_q), bc.md.q));
+    }
+    for (; i < n; ++i) {
+        ab[i] = m.add(ab[i], m.mul(pd[i], kb[i]));
+        aa[i] = m.add(aa[i], m.mul(pd[i], ka[i]));
+    }
+}
+
+ARK_TIFMA void
+mulEvalLimbIfma(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+                size_t n)
+{
+    if (m.value() >= kIfmaMaxQ) {
+        mulEvalLimbAvx512(m, a, b, r, n);
+        return;
+    }
+    const Barrett52 bc = loadBarrett52(m);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m512i v =
+            mulMod52Lazy(load512(a + i), load512(b + i), bc);
+        store512(r + i, csub512(csub512(v, bc.md.two_q), bc.md.q));
+    }
+    for (; i < n; ++i)
+        r[i] = m.mul(a[i], b[i]);
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 helpers: 4 lanes of u64. No unsigned 64-bit compare below
 // AVX-512, so comparisons run signed after XOR-ing the sign bit in.
 // ---------------------------------------------------------------------------
@@ -1408,7 +1762,20 @@ simdKernels(SimdTier tier)
         k.plain_reduce_limb = &plainReduceLimbAvx512;
         return k;
     }();
+    // The IFMA table is the AVX-512 one with 52-bit NTT entries (which
+    // hand q >= 2^50 limbs back to the AVX-512 bodies).
+    static const SimdKernels avx512ifma_kernels = [] {
+        SimdKernels k = avx512_kernels;
+        k.tier = SimdTier::Avx512Ifma;
+        k.ntt_forward = &nttForwardIfma;
+        k.ntt_inverse = &nttInverseIfma;
+        k.evk_mac_limb = &evkMacLimbIfma;
+        k.mul_eval_limb = &mulEvalLimbIfma;
+        return k;
+    }();
     const SimdTier effective = std::min(tier, detectSimdTier());
+    if (effective == SimdTier::Avx512Ifma)
+        return avx512ifma_kernels;
     if (effective == SimdTier::Avx512)
         return avx512_kernels;
     if (effective == SimdTier::Avx2)

@@ -1,13 +1,15 @@
 /**
  * @file
- * Hand-vectorized limb kernels for the SimdBackend (AVX2 / AVX-512F,
- * selected at runtime; see rns/cpu_features.h for the tier probe).
+ * Hand-vectorized limb kernels for the SimdBackend (AVX-512 IFMA52 ->
+ * AVX-512 -> AVX2, selected at runtime; see rns/cpu_features.h for the
+ * tier probe).
  *
  * Each entry runs the exact same integer arithmetic as its scalar
- * counterpart, lane-wise: the Harvey lazy NTT keeps its [0, 4q)
- * butterfly domain per lane (vector Shoup mul-hi built from four
- * 32x32->64 partial products, since x86 has no packed 64x64->128
- * multiply below AVX-512IFMA), the fused BConv tile accumulates the
+ * counterpart, lane-wise: the Harvey lazy NTT keeps a lazy butterfly
+ * domain per lane (vector Shoup mul-hi built from 32x32->64 partial
+ * products, since x86 has no packed 64x64->128 multiply; the IFMA
+ * tier instead runs an exact 52-bit Shoup product in three vpmadd52
+ * ops on limbs with q < 2^50), the fused BConv tile accumulates the
  * full 128-bit MAC as a (lo, hi) vector pair with explicit carries,
  * the evk MAC, mulEval and the plaintext MAC's final reduce mirror
  * Modulus::reduce's Barrett formula word for word, and the limb
@@ -80,7 +82,7 @@ struct SimdKernels
 
 /**
  * Kernel table for @p tier, clamped to what this binary was compiled
- * with and what the running CPU reports: asking for avx512 on an
+ * with and what the running CPU reports: asking for avx512ifma on an
  * AVX2-only host returns the AVX2 table; on a scalar host (or any
  * non-x86 build) the table has null entries and tier Scalar.
  */

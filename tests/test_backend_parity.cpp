@@ -14,12 +14,16 @@
  *
  * The SimdTierParityTest suite sweeps the vector kernels per ISA tier
  * (skipping tiers the host cannot run), including the sub-vector-degree
- * and wide-modulus fallbacks onto the scalar transforms.
+ * and wide-modulus fallbacks onto the scalar transforms and the q < 2^50
+ * bound of the IFMA tier's 52-bit kernels.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ckks/params.h"
+#include "common/math_util.h"
 #include "common/random.h"
 #include "rns/backend.h"
 #include "rns/cpu_features.h"
@@ -566,49 +570,77 @@ class SimdTierParityTest : public ::testing::TestWithParam<SimdTier>
 {
 };
 
+/** Forward NTT, inverse NTT and round trip of @p v on @p simd against
+ *  the scalar backend, bit for bit. */
+void
+expectNttParity(KernelBackend &simd, const NttTables &tables,
+                const std::vector<u64> &v)
+{
+    ScalarBackend scalar;
+    const size_t degree = tables.degree();
+    std::vector<const NttTables *> tp{&tables};
+    RnsPoly p(degree, 1, Rep::Coeff);
+    std::copy(v.begin(), v.end(), p.limb(0));
+    RnsPoly ps = p;
+
+    simd.nttForward(p, tp);
+    scalar.nttForward(ps, tp);
+    for (size_t i = 0; i < degree; ++i)
+        ASSERT_EQ(p.limb(0)[i], ps.limb(0)[i]) << "forward i=" << i;
+    simd.nttInverse(p, tp);
+    scalar.nttInverse(ps, tp);
+    for (size_t i = 0; i < degree; ++i) {
+        ASSERT_EQ(p.limb(0)[i], ps.limb(0)[i]) << "inverse i=" << i;
+        ASSERT_EQ(p.limb(0)[i], v[i]) << "round trip i=" << i;
+    }
+}
+
 /**
  * NTT parity against the scalar backend across every prime width the
  * shipped parameter sets use plus the widest supported one. Width 61
  * exercises the q >= 2^60 guard, where the vector kernels' widened
  * lazy bounds no longer hold and the backend must fall back to the
- * scalar transforms rather than compute garbage.
+ * scalar transforms rather than compute garbage. Widths 42 (testBoot's
+ * scale primes) and 49 run the IFMA tier's 52-bit butterflies, and the
+ * two primes around 2^50 pin that tier's bound: the largest one below
+ * takes the IFMA path with 4q just under 2^52, the smallest one above
+ * falls back to the AVX-512 body. Lazy values past 2^52 are rare that
+ * close to the bound, so width 51 (4q near 2^53) is what catches a
+ * bound set too high. Each prime sees a random vector and the
+ * adversarial all 0, all q - 1 and alternating 0 / q - 1 inputs.
  */
 TEST_P(SimdTierParityTest, NttParityAcrossPrimeWidths)
 {
     auto simd = simdAtTier(GetParam());
     if (!simd)
         GTEST_SKIP() << "tier not available on this host";
-    ScalarBackend scalar;
 
     const size_t degree = 2048;
-    u64 seed = 200;
-    for (int width : {30, 40, 50, 55, 59, 60, 61}) {
-        SCOPED_TRACE("width " + std::to_string(width));
-        auto qs = generatePrimes(width, 2, degree);
-        for (u64 q : qs) {
-            NttTables tables(degree, Modulus(q));
-            std::vector<const NttTables *> tp{&tables};
-            Rng rng(seed++);
-            RnsPoly p(degree, 1, Rep::Coeff);
-            auto v = rng.uniformVector(degree, q);
-            std::copy(v.begin(), v.end(), p.limb(0));
-            RnsPoly ps = p;
+    const u64 step = 2 * degree;
+    const u64 two50 = 1ULL << 50;
+    u64 below = (two50 - 1) / step * step + 1;
+    while (!isPrime(below))
+        below -= step;
+    u64 above = below + step;
+    while (above < two50 || !isPrime(above))
+        above += step;
+    ASSERT_LT(4 * below, 1ULL << 52);
+    std::vector<u64> primes = {below, above};
+    for (int width : {30, 40, 42, 49, 50, 51, 55, 59, 60, 61})
+        for (u64 q : generatePrimes(width, 2, degree))
+            primes.push_back(q);
 
-            simd->nttForward(p, tp);
-            scalar.nttForward(ps, tp);
-            for (size_t i = 0; i < degree; ++i)
-                ASSERT_EQ(p.limb(0)[i], ps.limb(0)[i])
-                    << "forward q=" << q << " i=" << i;
-
-            simd->nttInverse(p, tp);
-            scalar.nttInverse(ps, tp);
-            for (size_t i = 0; i < degree; ++i) {
-                ASSERT_EQ(p.limb(0)[i], ps.limb(0)[i])
-                    << "inverse q=" << q << " i=" << i;
-                ASSERT_EQ(p.limb(0)[i], v[i])
-                    << "round trip q=" << q << " i=" << i;
-            }
-        }
+    Rng rng(200);
+    for (u64 q : primes) {
+        SCOPED_TRACE("q " + std::to_string(q));
+        NttTables tables(degree, Modulus(q));
+        std::vector<u64> alt(degree);
+        for (size_t i = 0; i < degree; ++i)
+            alt[i] = i % 2 == 0 ? 0 : q - 1;
+        for (const auto &v :
+             {rng.uniformVector(degree, q), std::vector<u64>(degree, 0),
+              std::vector<u64>(degree, q - 1), alt})
+            expectNttParity(*simd, tables, v);
     }
 }
 
@@ -620,7 +652,6 @@ TEST_P(SimdTierParityTest, NttParityTinyDegrees)
     auto simd = simdAtTier(GetParam());
     if (!simd)
         GTEST_SKIP() << "tier not available on this host";
-    ScalarBackend scalar;
 
     u64 seed = 300;
     for (size_t degree : {size_t(2), size_t(4), size_t(8), size_t(16),
@@ -628,23 +659,8 @@ TEST_P(SimdTierParityTest, NttParityTinyDegrees)
         SCOPED_TRACE("degree " + std::to_string(degree));
         auto qs = generatePrimes(45, 1, degree);
         NttTables tables(degree, Modulus(qs[0]));
-        std::vector<const NttTables *> tp{&tables};
         Rng rng(seed++);
-        RnsPoly p(degree, 1, Rep::Coeff);
-        auto v = rng.uniformVector(degree, qs[0]);
-        std::copy(v.begin(), v.end(), p.limb(0));
-        RnsPoly ps = p;
-
-        simd->nttForward(p, tp);
-        scalar.nttForward(ps, tp);
-        for (size_t i = 0; i < degree; ++i)
-            ASSERT_EQ(p.limb(0)[i], ps.limb(0)[i]) << "forward i=" << i;
-        simd->nttInverse(p, tp);
-        scalar.nttInverse(ps, tp);
-        for (size_t i = 0; i < degree; ++i) {
-            ASSERT_EQ(p.limb(0)[i], ps.limb(0)[i]) << "inverse i=" << i;
-            ASSERT_EQ(p.limb(0)[i], v[i]) << "round trip i=" << i;
-        }
+        expectNttParity(*simd, tables, rng.uniformVector(degree, qs[0]));
     }
 }
 
@@ -686,7 +702,10 @@ TEST_P(SimdTierParityTest, BconvParityOddBases)
     }
 }
 
-/** evk MAC digit path per tier, including the full_nq > nq tail. */
+/** evk MAC digit path per tier, including the full_nq > nq tail, on
+ *  both sides of the IFMA tier's q < 2^50 bound. The first vector of
+ *  every limb holds q - 1 in each operand and accumulator (the largest
+ *  product plus the largest sum). */
 TEST_P(SimdTierParityTest, EvkMulAccParityPerTier)
 {
     auto simd = simdAtTier(GetParam());
@@ -696,40 +715,45 @@ TEST_P(SimdTierParityTest, EvkMulAccParityPerTier)
 
     const size_t degree = 256;
     const size_t np = 2, nq = 3, full_nq = nq + 1;
-    auto qs = generatePrimes(40, full_nq + np, degree);
-    std::vector<Modulus> key_moduli;
-    for (u64 q : qs)
-        key_moduli.emplace_back(q);
-
     Rng rng(500);
-    RnsPoly digit(degree, nq + np, Rep::Eval);
-    RnsPoly evk_b(degree, full_nq + np, Rep::Eval);
-    RnsPoly evk_a(degree, full_nq + np, Rep::Eval);
-    for (size_t l = 0; l < nq + np; ++l) {
-        auto v = rng.uniformVector(degree, key_moduli[l].value());
-        std::copy(v.begin(), v.end(), digit.limb(l));
-    }
-    for (size_t l = 0; l < full_nq + np; ++l) {
-        auto vb = rng.uniformVector(degree, key_moduli[l].value());
-        auto va = rng.uniformVector(degree, key_moduli[l].value());
-        std::copy(vb.begin(), vb.end(), evk_b.limb(l));
-        std::copy(va.begin(), va.end(), evk_a.limb(l));
-    }
+    for (int width : {40, 49, 50, 60}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        std::vector<Modulus> key_moduli;
+        for (u64 q : generatePrimes(width, full_nq + np, degree))
+            key_moduli.emplace_back(q);
+        // Random residues of key_moduli[l] with q - 1 in the first 8.
+        const auto fill = [&](RnsPoly &p, size_t l, size_t key_l) {
+            const u64 q = key_moduli[key_l].value();
+            auto v = rng.uniformVector(degree, q);
+            std::fill(v.begin(), v.begin() + 8, q - 1);
+            std::copy(v.begin(), v.end(), p.limb(l));
+        };
 
-    RnsPoly bs(degree, nq + np, Rep::Eval), as(degree, nq + np,
-                                               Rep::Eval);
-    RnsPoly bv(degree, nq + np, Rep::Eval), av(degree, nq + np,
-                                               Rep::Eval);
-    scalar.evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli, bs,
-                     as);
-    simd->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli, bv,
-                    av);
-    for (size_t l = 0; l < nq + np; ++l) {
-        for (size_t c = 0; c < degree; ++c) {
-            ASSERT_EQ(bs.limb(l)[c], bv.limb(l)[c])
-                << "b limb " << l << " coeff " << c;
-            ASSERT_EQ(as.limb(l)[c], av.limb(l)[c])
-                << "a limb " << l << " coeff " << c;
+        RnsPoly digit(degree, nq + np, Rep::Eval);
+        RnsPoly evk_b(degree, full_nq + np, Rep::Eval);
+        RnsPoly evk_a(degree, full_nq + np, Rep::Eval);
+        RnsPoly bs(degree, nq + np, Rep::Eval);
+        RnsPoly as(degree, nq + np, Rep::Eval);
+        for (size_t l = 0; l < nq + np; ++l) {
+            const size_t key_l = l < nq ? l : full_nq + (l - nq);
+            fill(digit, l, l);
+            fill(bs, l, l);
+            fill(as, l, l);
+            fill(evk_b, key_l, l);
+            fill(evk_a, key_l, l);
+        }
+        RnsPoly bv = bs, av = as;
+        scalar.evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli, bs,
+                         as);
+        simd->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli, bv,
+                        av);
+        for (size_t l = 0; l < nq + np; ++l) {
+            for (size_t c = 0; c < degree; ++c) {
+                ASSERT_EQ(bs.limb(l)[c], bv.limb(l)[c])
+                    << "b limb " << l << " coeff " << c;
+                ASSERT_EQ(as.limb(l)[c], av.limb(l)[c])
+                    << "a limb " << l << " coeff " << c;
+            }
         }
     }
 }
@@ -745,7 +769,7 @@ TEST_P(SimdTierParityTest, MulEvalAndLimbEmbedPerTier)
 
     u64 seed = 600;
     for (size_t degree : {size_t(4), size_t(256)}) {
-        for (int width : {30, 50, 60, 61}) {
+        for (int width : {30, 42, 49, 50, 60, 61}) {
             SCOPED_TRACE("degree " + std::to_string(degree) + " width " +
                          std::to_string(width));
             std::vector<Modulus> moduli;
@@ -776,7 +800,10 @@ TEST_P(SimdTierParityTest, MulEvalAndLimbEmbedPerTier)
                 const u64 q = moduli[l].value();
                 auto va = rng.uniformVector(degree, q);
                 auto vb = rng.uniformVector(degree, q);
-                va[0] = vb[0] = q - 1;
+                // One full vector of the largest product.
+                const size_t edge = std::min<size_t>(8, degree);
+                std::fill(va.begin(), va.begin() + edge, q - 1);
+                std::fill(vb.begin(), vb.begin() + edge, q - 1);
                 std::copy(va.begin(), va.end(), a.limb(l));
                 std::copy(vb.begin(), vb.end(), b.limb(l));
             }
@@ -795,7 +822,8 @@ TEST_P(SimdTierParityTest, MulEvalAndLimbEmbedPerTier)
 INSTANTIATE_TEST_SUITE_P(Tiers, SimdTierParityTest,
                          ::testing::Values(SimdTier::Scalar,
                                            SimdTier::Avx2,
-                                           SimdTier::Avx512),
+                                           SimdTier::Avx512,
+                                           SimdTier::Avx512Ifma),
                          [](const auto &info) {
                              return std::string(
                                  simdTierName(info.param));

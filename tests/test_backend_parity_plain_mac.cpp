@@ -48,8 +48,8 @@ allEngines()
     std::vector<Engine> out;
     out.push_back({"scalar", makeKernelBackend(BackendKind::Scalar)});
     out.push_back({"parallel", makeKernelBackend(BackendKind::Parallel, 4)});
-    for (SimdTier tier :
-         {SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512}) {
+    for (SimdTier tier : {SimdTier::Scalar, SimdTier::Avx2,
+                          SimdTier::Avx512, SimdTier::Avx512Ifma}) {
         auto simd = std::make_unique<SimdBackend>(tier);
         if (simd->tier() == tier)
             out.push_back({std::string("simd-") + simdTierName(tier),

@@ -121,6 +121,8 @@ TEST(EnvConfig, ParseSimdTierAcceptsKnownNames)
     EXPECT_EQ(tier, SimdTier::Avx2);
     EXPECT_TRUE(parseSimdTier("avx512", tier));
     EXPECT_EQ(tier, SimdTier::Avx512);
+    EXPECT_TRUE(parseSimdTier("avx512ifma", tier));
+    EXPECT_EQ(tier, SimdTier::Avx512Ifma);
 }
 
 TEST(EnvConfig, ParseSimdTierRejectsJunk)
@@ -132,6 +134,7 @@ TEST(EnvConfig, ParseSimdTierRejectsJunk)
     EXPECT_FALSE(parseSimdTier("avx2 ", tier));
     EXPECT_FALSE(parseSimdTier("avx-512", tier));
     EXPECT_FALSE(parseSimdTier("sse", tier));
+    EXPECT_FALSE(parseSimdTier("avx512ifma52", tier));
 }
 
 TEST(EnvConfig, SimdTierEnvReaderUsesValidValues)
@@ -151,7 +154,8 @@ TEST(EnvConfigDeathTest, JunkSimdTierExitsWithClearError)
     setenv("ARK_SIMD_TIER", "turbo", 1);
     EXPECT_EXIT((void)simdTierFromEnv(SimdTier::Avx512),
                 ::testing::ExitedWithCode(1),
-                "invalid ARK_SIMD_TIER 'turbo'");
+                "invalid ARK_SIMD_TIER 'turbo' \\(expected 'scalar', "
+                "'neon', 'avx2', 'avx512', 'avx512ifma'\\)");
     unsetenv("ARK_SIMD_TIER");
 }
 
@@ -178,8 +182,8 @@ TEST(EnvConfig, SimdBackendClampsToHostAndStaysCorrect)
     RnsPoly want = ref;
     scalar.nttForward(want, tp);
 
-    for (SimdTier cap : {SimdTier::Scalar, SimdTier::Neon,
-                         SimdTier::Avx2, SimdTier::Avx512}) {
+    for (SimdTier cap : {SimdTier::Scalar, SimdTier::Neon, SimdTier::Avx2,
+                         SimdTier::Avx512, SimdTier::Avx512Ifma}) {
         SCOPED_TRACE(simdTierName(cap));
         SimdBackend be(cap);
         EXPECT_LE(static_cast<int>(be.tier()), static_cast<int>(cap));
