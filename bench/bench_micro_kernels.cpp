@@ -6,13 +6,13 @@
  * times the lazy-reduction kernel pass against the strict pre-PR
  * reference kernels (Harvey lazy NTT vs strict NTT, fused cache-blocked
  * BConv vs the two-stage pipeline, pooled vs fresh allocation), the
- * SimdBackend's vector kernels against the scalar lazy kernels at the
- * host's best ISA tier, and prints the scalar-vs-parallel backend
- * table. `--json PATH` emits the same numbers machine-readably
- * (consumed by scripts/check_bench_regression.py and archived as a CI
- * artifact) together with the dispatched SIMD tier and detected CPU
- * features, so a baseline recorded on one ISA is never compared
- * against a run on another; `--smoke` shrinks sizes/reps for CI.
+ * vector kernel table against the scalar lazy kernels at the host's
+ * best ISA tier, and prints the serial-vs-pool executor table.
+ * `--json PATH` emits the same numbers machine-readably (consumed by
+ * scripts/check_bench_regression.py and archived as a CI artifact)
+ * together with the dispatched SIMD tier and detected CPU features, so
+ * a baseline recorded on one ISA is never compared against a run on
+ * another; `--smoke` shrinks sizes/reps for CI.
  * Bit-parity between the lazy and strict kernels — and between the
  * vector and scalar kernels — is always checked and is the only hard
  * gate; timing thresholds stay warn-only because shared CI runners
@@ -83,7 +83,7 @@ struct Result
 
 std::vector<Result> g_results;
 bool g_parity_ok = true;
-/// Tier the SimdBackend actually dispatched ("scalar" on plain hosts);
+/// Tier the simd engine actually dispatched ("scalar" on plain hosts);
 /// recorded in the JSON so baselines from different ISAs never mix.
 std::string g_simd_tier = "scalar";
 
@@ -174,14 +174,14 @@ runNttComparison(bool smoke)
 }
 
 // ---------------------------------------------------------------------------
-// SimdBackend vector kernels vs the scalar lazy kernels
+// Vector kernel table vs the scalar lazy kernels (both serial)
 // ---------------------------------------------------------------------------
 
 void
 runSimdComparison(bool smoke)
 {
-    SimdBackend simd;
-    ScalarBackend scalar;
+    KernelBackend simd;
+    KernelBackend scalar(SimdTier::Scalar);
     g_simd_tier = simdTierName(simd.tier());
     std::printf("Vector (simd backend, tier %s) vs scalar lazy "
                 "kernels, 60-bit limbs (_q42: 42-bit)\n",
@@ -524,7 +524,7 @@ runPoolComparison(bool smoke)
 }
 
 // ---------------------------------------------------------------------------
-// Scalar vs parallel kernel-backend comparison (full mode only)
+// Serial vs pool executor at the same kernel table (full mode only)
 // ---------------------------------------------------------------------------
 
 void
@@ -532,13 +532,15 @@ printBackendComparison()
 {
     const size_t threads =
         backendThreadsFromEnv(ThreadPool::defaultThreads());
-    auto scalar = makeKernelBackend(BackendKind::Scalar);
-    auto parallel = makeKernelBackend(BackendKind::Parallel, threads);
+    // Both engines pick the same (capped) table, so the speedup column
+    // isolates the executor.
+    KernelBackend serial;
+    KernelBackend pool(kMaxSimdTier, threads);
 
-    std::printf("Kernel-backend comparison (parallel: %zu threads)\n",
-                parallel->threads());
-    TablePrinter t({"Kernel", "N", "limbs", "scalar (ms)",
-                    "parallel (ms)", "speedup"});
+    std::printf("Executor comparison (table %s; pool: %zu threads)\n",
+                simdTierName(serial.tier()), pool.threads());
+    TablePrinter t({"Kernel", "N", "limbs", "serial (ms)", "pool (ms)",
+                    "speedup"});
 
     const int reps = 5;
     for (size_t log_n : {12u, 14u}) {
@@ -578,8 +580,8 @@ printBackendComparison()
         auto row = [&](const char *name, auto &&kernel) {
             // The kernel receives the backend; transformed data is
             // still valid input for the next rep.
-            double ms_s = timeMs(reps, [&] { kernel(*scalar); });
-            double ms_p = timeMs(reps, [&] { kernel(*parallel); });
+            double ms_s = timeMs(reps, [&] { kernel(serial); });
+            double ms_p = timeMs(reps, [&] { kernel(pool); });
             t.addRow({name, std::to_string(n), std::to_string(limbs),
                       TablePrinter::fmt(ms_s, 3),
                       TablePrinter::fmt(ms_p, 3),
@@ -797,7 +799,7 @@ printUsage(const char *argv0)
         "  (no args)     self-timed suite: lazy-vs-strict NTT, simd-\n"
         "                vs-scalar kernels (best host ISA), fused-\n"
         "                vs-two-stage BConv, pooled-vs-fresh alloc,\n"
-        "                scalar-vs-parallel backend table\n"
+        "                serial-vs-pool executor table\n"
         "  --smoke       reduced sizes/reps for CI; parity checks\n"
         "                still gate (nonzero exit on mismatch)\n"
         "  --json PATH   also write results as JSON (for\n"

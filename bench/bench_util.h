@@ -159,7 +159,7 @@ struct BenchJsonRow
  * `machine_class` is the host's dispatched vector-ISA tier — the
  * label check_bench_regression.py uses to pick a like-for-like
  * baseline from bench/baselines/<class>/ (timings from an AVX-512
- * box say nothing about a NEON one; comparing across classes is the
+ * box say nothing about an AVX2 one; comparing across classes is the
  * regression tracker's main noise source). Returns false (with a
  * message on stderr) if the file can't be written.
  */
@@ -176,9 +176,9 @@ writeBenchJson(const std::string &path, const char *bench, bool smoke,
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench);
     std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
     std::fprintf(f, "  \"machine_class\": \"%s\",\n",
-                 simdTierName(SimdBackend().tier()));
+                 simdTierName(KernelBackend().tier()));
     std::fprintf(f, "  \"simd_tier\": \"%s\",\n",
-                 simdTierName(SimdBackend().tier()));
+                 simdTierName(KernelBackend().tier()));
     std::fprintf(f, "  \"cpu_features\": \"%s\",\n",
                  cpuFeatureString().c_str());
     std::fprintf(f, "  \"parity_ok\": %s,\n",

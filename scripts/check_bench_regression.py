@@ -17,16 +17,15 @@ unless --strict escalates everything. The allowed drop per row is
 max(--tolerance, --rsd-mult * rsd): noisy rows automatically get the
 headroom their own measured variance says they need.
 
-SIMD rows are ISA-gated: the JSON records which vector tier the
-SimdBackend dispatched (and the host's CPU feature list), and simd_*
+SIMD rows are ISA-gated: the JSON records which kernel-table tier the
+simd engine dispatched (and the host's CPU feature list), and simd_*
 entries are only compared when the current run and the baseline used
 the same tier — an avx512 baseline says nothing about an avx2 or
 scalar-fallback runner, so those rows are skipped with a note instead
 of producing bogus warnings.
 
 Machine-class baselines: every run stamps a `machine_class` (the
-dispatched vector-ISA tier: scalar / neon / avx2 / avx512 /
-avx512ifma). Before comparing, the checker looks for a class-specific
+dispatched kernel-table tier: scalar / avx2 / avx512 / avx512ifma). Before comparing, the checker looks for a class-specific
 baseline at
     dirname(--baseline)/<machine_class>/basename(--baseline)
 and uses it when present, so each machine class is compared

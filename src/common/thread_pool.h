@@ -1,6 +1,6 @@
 /**
  * @file
- * Small work-stealing thread pool backing the ParallelBackend.
+ * Small work-stealing thread pool: the KernelBackend's pooled executor.
  *
  * Kernels submit a batch of independent limb jobs with parallelFor();
  * each worker owns a deque and pops its own work LIFO, stealing FIFO

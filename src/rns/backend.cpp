@@ -1,5 +1,6 @@
 #include "rns/backend.h"
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdint>
@@ -58,10 +59,22 @@ nttMults(size_t n)
 
 } // namespace
 
+template <typename Fn>
+void
+KernelBackend::run(size_t jobs, const Fn &fn) const
+{
+    if (executor_ == nullptr) {
+        for (size_t i = 0; i < jobs; ++i)
+            fn(i);
+        return;
+    }
+    executor_->parallelFor(jobs, fn);
+}
+
 // ---------------------------------------------------------------------------
-// Element-wise limb kernels. Loop bodies are the reference scalar code;
-// the executor (run) decides how limb jobs map onto threads, which is
-// the only difference between backends — hence bit-exact parity.
+// Element-wise limb kernels. The loop bodies are the same on every
+// engine; the executor (run) only decides how limb jobs map onto
+// threads, hence bit-exact parity across executors.
 // ---------------------------------------------------------------------------
 
 void
@@ -125,13 +138,9 @@ KernelBackend::mulEval(const RnsPoly &a, const RnsPoly &b,
     const size_t n = a.degree();
     recordStats(KernelOp::MulEval, a.numLimbs(),
                   3 * a.numLimbs() * n, a.numLimbs() * n);
-    // The closure keeps five captured words (n is re-read from a): run()
-    // heap-allocates it, and a sixth word moves every mulEval's closure
-    // to a larger malloc size class, which measurably fragments a
-    // serving process's heap (about +0.8 MiB peak RSS at testSmall).
     run(a.numLimbs(), [&](size_t l) {
-        mulEvalLimbKernel(moduli[l], a.limb(l), b.limb(l), r.limb(l),
-                          a.degree());
+        kernels_.mul_eval_limb(moduli[l], a.limb(l), b.limb(l), r.limb(l),
+                               n);
     });
     r.setRep(Rep::Eval);
 }
@@ -261,8 +270,8 @@ KernelBackend::limbEmbed(const std::vector<u64> &src, const Modulus &src_q,
     recordStats(KernelOp::LimbEmbed, out.numLimbs(),
                   2 * out.numLimbs() * n, 0);
     run(out.numLimbs(), [&](size_t l) {
-        limbEmbedKernel(src.data(), n, src_q.value(), out_moduli[l],
-                        out.limb(l));
+        kernels_.limb_embed(src.data(), n, src_q.value(), out_moduli[l],
+                            out.limb(l));
     });
 }
 
@@ -291,9 +300,9 @@ KernelBackend::evkMulAcc(const RnsPoly &digit, const RnsPoly &evk_b,
     run(limbs, [&](size_t l) {
         // evk polys span the full basis; select the matching limb.
         const size_t evk_limb = l < nq ? l : full_nq + (l - nq);
-        evkMulAccLimbKernel(key_moduli[l], digit.limb(l),
-                            evk_b.limb(evk_limb), evk_a.limb(evk_limb),
-                            acc_b.limb(l), acc_a.limb(l), n);
+        kernels_.evk_mac_limb(key_moduli[l], digit.limb(l),
+                              evk_b.limb(evk_limb), evk_a.limb(evk_limb),
+                              acc_b.limb(l), acc_a.limb(l), n);
     });
 }
 
@@ -361,115 +370,27 @@ KernelBackend::plainMulSum(const std::vector<PlainMulTerm> &terms,
         for (const PlainMulTerm &t : terms) {
             const u64 *pt = gen;
             if (t.pt->rep() == Rep::Coeff) {
-                limbEmbedKernel(t.pt->limb(0), n, q0, q, gen);
-                nttForwardLimbKernel(gen, *tables[l]);
+                kernels_.limb_embed(t.pt->limb(0), n, q0, q, gen);
+                kernels_.ntt_forward(gen, *tables[l]);
             } else {
                 pt = t.pt->limb(l);
             }
             if (pending == fold) {
-                plainReduceLimbKernel(q, acc, n, acc, acc + 2 * n);
+                kernels_.plain_reduce_limb(q, acc, n, acc, acc + 2 * n);
                 std::memset(acc + n, 0, n * sizeof(u64));
                 std::memset(acc + 3 * n, 0, n * sizeof(u64));
                 pending = 0;
             }
-            plainMacLimbKernel(pt, t.b->limb(l), t.a->limb(l), acc, n);
+            kernels_.plain_mac_limb(pt, t.b->limb(l), t.a->limb(l), acc,
+                                    n);
             ++pending;
         }
-        plainReduceLimbKernel(q, acc, n, out_b.limb(l), out_a.limb(l));
+        kernels_.plain_reduce_limb(q, acc, n, out_b.limb(l),
+                                   out_a.limb(l));
         pool_.release(std::move(scratch));
     });
     out_b.setRep(Rep::Eval);
     out_a.setRep(Rep::Eval);
-}
-
-// ---------------------------------------------------------------------------
-// Per-job kernel bodies (reference scalar defaults). SimdBackend
-// overrides these; Scalar/Parallel run them as-is.
-// ---------------------------------------------------------------------------
-
-void
-KernelBackend::nttForwardLimbKernel(u64 *limb,
-                                    const NttTables &table) const
-{
-    table.forward(limb);
-}
-
-void
-KernelBackend::nttInverseLimbKernel(u64 *limb,
-                                    const NttTables &table) const
-{
-    table.inverse(limb);
-}
-
-void
-KernelBackend::bconvTileKernel(const BaseConverter &bc, const RnsPoly &in,
-                               size_t c0, size_t c1, u64 *scratch,
-                               RnsPoly &out) const
-{
-    bc.convertTile(in, c0, c1, scratch, out);
-}
-
-void
-KernelBackend::evkMulAccLimbKernel(const Modulus &m, const u64 *d,
-                                   const u64 *kb, const u64 *ka, u64 *ab,
-                                   u64 *aa, size_t n) const
-{
-    for (size_t i = 0; i < n; ++i) {
-        ab[i] = m.add(ab[i], m.mul(d[i], kb[i]));
-        aa[i] = m.add(aa[i], m.mul(d[i], ka[i]));
-    }
-}
-
-void
-KernelBackend::mulEvalLimbKernel(const Modulus &m, const u64 *a,
-                                 const u64 *b, u64 *r, size_t n) const
-{
-    for (size_t i = 0; i < n; ++i)
-        r[i] = m.mul(a[i], b[i]);
-}
-
-void
-KernelBackend::limbEmbedKernel(const u64 *src, size_t n, u64 src_q,
-                               const Modulus &m, u64 *dst) const
-{
-    const u64 half = src_q / 2;
-    const u64 q0_mod = m.reduceWord(src_q);
-    for (size_t i = 0; i < n; ++i) {
-        const u64 v = src[i];
-        const u64 r = m.reduceWord(v);
-        // A value above src_q / 2 is a negative centered residue.
-        dst[i] = v > half ? m.sub(r, q0_mod) : r;
-    }
-}
-
-void
-KernelBackend::plainMacLimbKernel(const u64 *pt, const u64 *b,
-                                  const u64 *a, u64 *acc, size_t n) const
-{
-    u64 *b_lo = acc, *b_hi = acc + n, *a_lo = acc + 2 * n,
-        *a_hi = acc + 3 * n;
-    for (size_t i = 0; i < n; ++i) {
-        const u128 sb = ((static_cast<u128>(b_hi[i]) << 64) | b_lo[i]) +
-                        static_cast<u128>(pt[i]) * b[i];
-        const u128 sa = ((static_cast<u128>(a_hi[i]) << 64) | a_lo[i]) +
-                        static_cast<u128>(pt[i]) * a[i];
-        b_lo[i] = static_cast<u64>(sb);
-        b_hi[i] = static_cast<u64>(sb >> 64);
-        a_lo[i] = static_cast<u64>(sa);
-        a_hi[i] = static_cast<u64>(sa >> 64);
-    }
-}
-
-void
-KernelBackend::plainReduceLimbKernel(const Modulus &m, const u64 *acc,
-                                     size_t n, u64 *out_b,
-                                     u64 *out_a) const
-{
-    for (size_t i = 0; i < n; ++i) {
-        out_b[i] = m.reduce((static_cast<u128>(acc[n + i]) << 64) | acc[i]);
-        out_a[i] = m.reduce((static_cast<u128>(acc[3 * n + i]) << 64) |
-                            acc[2 * n + i]);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -487,7 +408,7 @@ KernelBackend::nttForward(RnsPoly &p,
     recordStats(KernelOp::NttForward, p.numLimbs(),
                   2 * p.numLimbs() * n, p.numLimbs() * nttMults(n));
     run(p.numLimbs(), [&](size_t l) {
-        nttForwardLimbKernel(p.limb(l), *tables[l]);
+        kernels_.ntt_forward(p.limb(l), *tables[l]);
     });
     p.setRep(Rep::Eval);
 }
@@ -504,7 +425,7 @@ KernelBackend::nttInverse(RnsPoly &p,
                   2 * p.numLimbs() * n,
                   p.numLimbs() * (nttMults(n) + n));
     run(p.numLimbs(), [&](size_t l) {
-        nttInverseLimbKernel(p.limb(l), *tables[l]);
+        kernels_.ntt_inverse(p.limb(l), *tables[l]);
     });
     p.setRep(Rep::Coeff);
 }
@@ -532,7 +453,7 @@ KernelBackend::nttForwardLimb(u64 *limb, const NttTables &table)
 {
     const size_t n = table.degree();
     recordStats(KernelOp::NttForward, 1, 2 * n, nttMults(n));
-    nttForwardLimbKernel(limb, table);
+    kernels_.ntt_forward(limb, table);
 }
 
 void
@@ -540,7 +461,7 @@ KernelBackend::nttInverseLimb(u64 *limb, const NttTables &table)
 {
     const size_t n = table.degree();
     recordStats(KernelOp::NttInverse, 1, 2 * n, nttMults(n) + n);
-    nttInverseLimbKernel(limb, table);
+    kernels_.ntt_inverse(limb, table);
 }
 
 // ---------------------------------------------------------------------------
@@ -570,8 +491,8 @@ KernelBackend::bconv(const BaseConverter &bc, const RnsPoly &in)
     run(num_tiles, [&](size_t t) {
         alignas(64) u64 scratch[BaseConverter::kTileWords];
         const size_t c0 = t * tile;
-        bconvTileKernel(bc, in, c0, std::min(c0 + tile, n), scratch,
-                        out);
+        kernels_.bconv_tile(bc, in, c0, std::min(c0 + tile, n), scratch,
+                            out);
     });
     return out;
 }
@@ -628,7 +549,7 @@ KernelBackend::nttBconvNtt(const RnsPoly &digit,
     run(nb, [&](size_t j) {
         u64 *dst = scaled.limb(j);
         std::memcpy(dst, digit.limb(j), n * sizeof(u64));
-        nttInverseLimbKernel(dst, *in_tables[j]);
+        kernels_.ntt_inverse(dst, *in_tables[j]);
     });
 
     // Stage 2: fused, cache-blocked scale+MAC over coefficient tiles
@@ -640,14 +561,14 @@ KernelBackend::nttBconvNtt(const RnsPoly &digit,
     run(num_tiles, [&](size_t t) {
         alignas(64) u64 scratch[BaseConverter::kTileWords];
         const size_t c0 = t * tile;
-        bconvTileKernel(bc, scaled, c0, std::min(c0 + tile, n), scratch,
-                        out);
+        kernels_.bconv_tile(bc, scaled, c0, std::min(c0 + tile, n),
+                            scratch, out);
     });
     pool_.release(std::move(scaled));
 
     // Stage 3: forward-NTT each produced limb in place.
     run(nc, [&](size_t i) {
-        nttForwardLimbKernel(out.limb(i), *out_tables[i]);
+        kernels_.ntt_forward(out.limb(i), *out_tables[i]);
     });
     out.setRep(Rep::Eval);
     return out;
@@ -657,9 +578,6 @@ KernelBackend::nttBconvNtt(const RnsPoly &digit,
 // Per-thread measured-tally shards
 // ---------------------------------------------------------------------------
 
-KernelBackend::KernelBackend() = default;
-
-KernelBackend::~KernelBackend() = default;
 
 void
 KernelBackend::recordStats(KernelOp op, u64 limbs, u64 words, u64 mults)
@@ -722,151 +640,46 @@ KernelBackend::resetStats()
 }
 
 // ---------------------------------------------------------------------------
-// Engines and factory
+// The two axes and the factory
 // ---------------------------------------------------------------------------
-
-void
-ScalarBackend::run(size_t jobs, const std::function<void(size_t)> &fn) const
-{
-    for (size_t i = 0; i < jobs; ++i)
-        fn(i);
-}
-
-SimdBackend::SimdBackend(SimdTier max_tier)
-    : kernels_(simdKernels(
-          std::min(simdTierFromEnv(max_tier), detectSimdTier())))
-{
-}
-
-SimdTier
-SimdBackend::tier() const
-{
-    return kernels_.tier;
-}
-
-void
-SimdBackend::run(size_t jobs, const std::function<void(size_t)> &fn) const
-{
-    for (size_t i = 0; i < jobs; ++i)
-        fn(i);
-}
 
 namespace {
 
-// The vector NTT kernels run an approximate-Shoup butterfly whose lazy
-// values reach 8q, so they need 8q < 2^63 (and the AVX2 variant's
-// unbiased signed compares need the same headroom). All shipped
-// parameter sets use <= 60-bit primes; a wider modulus falls back to
-// the scalar tables, which stay exact for any q < 2^62.
-inline bool
-simdNttSafe(const NttTables &table)
+/** The kernel table: host best, capped by @p max_tier and ARK_SIMD_TIER. */
+const SimdKernels &
+cappedKernels(SimdTier max_tier)
 {
-    return table.modulus().value() < (1ULL << 60);
+    return simdKernels(
+        std::min({max_tier, simdTierFromEnv(kMaxSimdTier), detectSimdTier()}));
 }
 
 } // namespace
 
-void
-SimdBackend::nttForwardLimbKernel(u64 *limb, const NttTables &table) const
-{
-    if (kernels_.ntt_forward != nullptr &&
-        table.degree() >= kernels_.min_ntt_degree && simdNttSafe(table))
-        kernels_.ntt_forward(limb, table);
-    else
-        table.forward(limb);
-}
-
-void
-SimdBackend::nttInverseLimbKernel(u64 *limb, const NttTables &table) const
-{
-    if (kernels_.ntt_inverse != nullptr &&
-        table.degree() >= kernels_.min_ntt_degree && simdNttSafe(table))
-        kernels_.ntt_inverse(limb, table);
-    else
-        table.inverse(limb);
-}
-
-void
-SimdBackend::bconvTileKernel(const BaseConverter &bc, const RnsPoly &in,
-                             size_t c0, size_t c1, u64 *scratch,
-                             RnsPoly &out) const
-{
-    if (kernels_.bconv_tile != nullptr)
-        kernels_.bconv_tile(bc, in, c0, c1, scratch, out);
-    else
-        bc.convertTile(in, c0, c1, scratch, out);
-}
-
-void
-SimdBackend::evkMulAccLimbKernel(const Modulus &m, const u64 *d,
-                                 const u64 *kb, const u64 *ka, u64 *ab,
-                                 u64 *aa, size_t n) const
-{
-    if (kernels_.evk_mac_limb != nullptr) {
-        kernels_.evk_mac_limb(m, d, kb, ka, ab, aa, n);
-        return;
-    }
-    KernelBackend::evkMulAccLimbKernel(m, d, kb, ka, ab, aa, n);
-}
-
-void
-SimdBackend::mulEvalLimbKernel(const Modulus &m, const u64 *a, const u64 *b,
-                               u64 *r, size_t n) const
-{
-    if (kernels_.mul_eval_limb != nullptr)
-        kernels_.mul_eval_limb(m, a, b, r, n);
-    else
-        KernelBackend::mulEvalLimbKernel(m, a, b, r, n);
-}
-
-void
-SimdBackend::limbEmbedKernel(const u64 *src, size_t n, u64 src_q,
-                             const Modulus &m, u64 *dst) const
-{
-    if (kernels_.limb_embed != nullptr)
-        kernels_.limb_embed(src, n, src_q, m, dst);
-    else
-        KernelBackend::limbEmbedKernel(src, n, src_q, m, dst);
-}
-
-void
-SimdBackend::plainMacLimbKernel(const u64 *pt, const u64 *b, const u64 *a,
-                                u64 *acc, size_t n) const
-{
-    if (kernels_.plain_mac_limb != nullptr)
-        kernels_.plain_mac_limb(pt, b, a, acc, n);
-    else
-        KernelBackend::plainMacLimbKernel(pt, b, a, acc, n);
-}
-
-void
-SimdBackend::plainReduceLimbKernel(const Modulus &m, const u64 *acc,
-                                   size_t n, u64 *out_b, u64 *out_a) const
-{
-    if (kernels_.plain_reduce_limb != nullptr)
-        kernels_.plain_reduce_limb(m, acc, n, out_b, out_a);
-    else
-        KernelBackend::plainReduceLimbKernel(m, acc, n, out_b, out_a);
-}
-
-ParallelBackend::ParallelBackend(size_t num_threads)
-    : pool_(std::make_unique<ThreadPool>(num_threads))
+KernelBackend::KernelBackend(SimdTier max_tier)
+    : kernels_(cappedKernels(max_tier)),
+      name_(std::string("serial/") + simdTierName(kernels_.tier))
 {
 }
 
-ParallelBackend::~ParallelBackend() = default;
+KernelBackend::KernelBackend(SimdTier max_tier, size_t pool_threads)
+    : kernels_(cappedKernels(max_tier)),
+      executor_(std::make_unique<ThreadPool>(pool_threads)),
+      name_(std::string("pool/") + simdTierName(kernels_.tier))
+{
+}
+
+KernelBackend::~KernelBackend() = default;
 
 size_t
-ParallelBackend::threads() const
+KernelBackend::threads() const
 {
-    return pool_->threads();
+    return executor_ == nullptr ? 1 : executor_->threads();
 }
 
-void
-ParallelBackend::run(size_t jobs,
-                     const std::function<void(size_t)> &fn) const
+SimdTier
+KernelBackend::tier() const
 {
-    pool_->parallelFor(jobs, fn);
+    return kernels_.tier;
 }
 
 std::unique_ptr<KernelBackend>
@@ -874,11 +687,11 @@ makeKernelBackend(BackendKind kind, size_t num_threads)
 {
     switch (kind) {
       case BackendKind::Scalar:
-        return std::make_unique<ScalarBackend>();
+        return std::make_unique<KernelBackend>(SimdTier::Scalar);
       case BackendKind::Parallel:
-        return std::make_unique<ParallelBackend>(num_threads);
+        return std::make_unique<KernelBackend>(kMaxSimdTier, num_threads);
       case BackendKind::Simd:
-        return std::make_unique<SimdBackend>();
+        return std::make_unique<KernelBackend>();
     }
     ARK_PANIC("unreachable");
 }

@@ -1,30 +1,31 @@
 /**
  * @file
- * Pluggable kernel-backend layer: every limb-level kernel of the
- * library — element-wise limb ops, (I)NTT, BConv, automorphism, the
- * evk MAC, and the fused INTT->BConv->NTT key-switch digit path
- * (Alg. 1) — executes behind this interface.
+ * The kernel engine: every limb-level kernel of the library —
+ * element-wise limb ops, (I)NTT, BConv, automorphism, the evk MAC, and
+ * the fused INTT->BConv->NTT key-switch digit path (Alg. 1) — executes
+ * through one KernelBackend.
  *
  * The scheme layers (ckks/, boot/) never touch kernel loops directly;
  * they dispatch through the KernelBackend owned by their CkksContext.
- * That seam is what lets the same scheme code run on the scalar
- * reference engine, the limb-parallel thread-pool engine, and any
- * future accelerator-style engine, and it is where per-kernel
- * invocation counts and word-traffic tallies (KernelStats) are
- * recorded for core/traffic_analyzer and sim/simulator to consume.
+ * That seam is where per-kernel invocation counts and word-traffic
+ * tallies (KernelStats) are recorded for core/traffic_analyzer and
+ * sim/simulator to consume.
  *
- * Every shipped backend is bit-identical to the scalar reference:
- * ParallelBackend runs the exact same per-limb loop bodies and differs
- * only in the executor that maps limb jobs onto threads; SimdBackend
- * overrides the per-job kernel bodies with hand-vectorized AVX-512 /
- * AVX2 code that applies the same exact integer arithmetic lane-wise
- * (tests/test_backend_parity.cpp enforces both).
+ * The engine has two independent axes, as ARK keeps its
+ * data-distribution policy apart from each functional unit's datapath:
+ *  - the executor maps a kernel's limb (or tile) jobs onto threads:
+ *    serial on the calling thread, or a work-stealing ThreadPool;
+ *  - the kernel table (rns/simd_kernels.h) supplies the per-job bodies:
+ *    scalar, avx2, avx512 or avx512ifma, picked by CPUID.
+ * Every table entry computes the scalar reference arithmetic bit for
+ * bit and the jobs are independent, so every (executor x table) cell
+ * is bit-identical (tests/test_backend_parity*.cpp enforce it).
  */
 
 #pragma once
 
-#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/thread_shards.h"
@@ -61,17 +62,33 @@ struct PlainMulTerm
  */
 size_t plainMacFoldTerms(const Modulus &q);
 
+struct SimdKernels;
+class ThreadPool;
+
 /** Engine executing all limb-level kernels; owned by a CkksContext. */
 class KernelBackend
 {
   public:
-    KernelBackend();
-    virtual ~KernelBackend();
+    /**
+     * Serial executor over the best kernel table the host runs, capped
+     * by @p max_tier and by ARK_SIMD_TIER (tests pass lower tiers to
+     * pin a table).
+     */
+    explicit KernelBackend(SimdTier max_tier = kMaxSimdTier);
+    /** The same table, with jobs spread over a ThreadPool of
+     *  @p pool_threads workers (0 = hardware concurrency). */
+    KernelBackend(SimdTier max_tier, size_t pool_threads);
+    ~KernelBackend();
 
-    virtual const char *name() const = 0;
-    virtual BackendKind kind() const = 0;
-    /** Threads applied to a kernel (1 for the scalar engine). */
-    virtual size_t threads() const = 0;
+    KernelBackend(const KernelBackend &) = delete;
+    KernelBackend &operator=(const KernelBackend &) = delete;
+
+    /** "<executor>/<tier>", e.g. "serial/avx512" or "pool/scalar". */
+    const char *name() const { return name_.c_str(); }
+    /** Pool workers applied to a kernel (1 when serial). */
+    size_t threads() const;
+    /** The kernel table's tier after host/env clamping. */
+    SimdTier tier() const;
 
     /// @name Element-wise limb kernels
     /// @{
@@ -200,161 +217,37 @@ class KernelBackend
      */
     PolyPool &pool() { return pool_; }
 
-  protected:
+  private:
     /**
      * Execute @p jobs independent jobs (one per limb row, or one per
-     * output limb). Scalar and Parallel differ only here.
+     * output tile): a plain loop when serial, else the pool.
      */
-    virtual void run(size_t jobs,
-                     const std::function<void(size_t)> &fn) const = 0;
-
-    /// @name Per-job kernel bodies
-    /// The innermost loop bodies every NTT / BConv / evk-MAC /
-    /// mulEval / limb-embedding / plaintext-MAC job executes.
-    /// Defaults are the reference scalar loops; SimdBackend overrides
-    /// them with hand-vectorized kernels that compute the same
-    /// arithmetic lane-wise (bit-identical by construction). The
-    /// compiler does not vectorize a loop with a 64x64->128-bit
-    /// product or a per-word reduction, so mulEval and limbEmbed get
-    /// bodies here too; the other element-wise kernels stay plain
-    /// scalar loops.
-    /// @{
-    /** One limb of the lazy forward NTT (in place). */
-    virtual void nttForwardLimbKernel(u64 *limb,
-                                      const NttTables &table) const;
-    /** One limb of the lazy inverse NTT (in place). */
-    virtual void nttInverseLimbKernel(u64 *limb,
-                                      const NttTables &table) const;
-    /** One fused BConv scale+MAC tile (convertTile contract;
-     *  @p scratch holds >= BaseConverter::kTileWords words). */
-    virtual void bconvTileKernel(const BaseConverter &bc,
-                                 const RnsPoly &in, size_t c0, size_t c1,
-                                 u64 *scratch, RnsPoly &out) const;
-    /** One limb of the evk MAC: ab += d * kb, aa += d * ka mod m. */
-    virtual void evkMulAccLimbKernel(const Modulus &m, const u64 *d,
-                                     const u64 *kb, const u64 *ka,
-                                     u64 *ab, u64 *aa, size_t n) const;
-    /** One limb of mulEval: r = a * b mod m (r may alias a or b). */
-    virtual void mulEvalLimbKernel(const Modulus &m, const u64 *a,
-                                   const u64 *b, u64 *r, size_t n) const;
-    /** One limb of limbEmbed: dst = (src centered mod src_q) mod m. */
-    virtual void limbEmbedKernel(const u64 *src, size_t n, u64 src_q,
-                                 const Modulus &m, u64 *dst) const;
-    /**
-     * One limb of the plaintext MAC: @p acc holds four rows of n
-     * words, the 128-bit accumulators (lo row, hi row) of b then of
-     * a; they gain pt * b and pt * a (no reduction).
-     */
-    virtual void plainMacLimbKernel(const u64 *pt, const u64 *b,
-                                    const u64 *a, u64 *acc,
-                                    size_t n) const;
-    /** Reduce plainMacLimbKernel's accumulators mod @p m into
-     *  @p out_b / @p out_a, which may alias the two lo rows. */
-    virtual void plainReduceLimbKernel(const Modulus &m, const u64 *acc,
-                                       size_t n, u64 *out_b,
-                                       u64 *out_a) const;
-    /// @}
+    template <typename Fn>
+    void run(size_t jobs, const Fn &fn) const;
 
     /** Tally one kernel call into the calling thread's shard. */
     void recordStats(KernelOp op, u64 limbs, u64 words, u64 mults);
     /** Tally evk operand-stream words (EvkMulAcc). */
     void noteEvkWords(u64 words);
 
-  private:
     struct StatsShard;
     ThreadShards<StatsShard> shards_;
     PolyPool pool_;
+    const SimdKernels &kernels_;
+    std::unique_ptr<ThreadPool> executor_; ///< null = serial
+    std::string name_;
 };
 
-/** The reference engine: serial execution of every job. */
-class ScalarBackend final : public KernelBackend
-{
-  public:
-    const char *name() const override { return "scalar"; }
-    BackendKind kind() const override { return BackendKind::Scalar; }
-    size_t threads() const override { return 1; }
-
-  protected:
-    void run(size_t jobs,
-             const std::function<void(size_t)> &fn) const override;
-};
-
-struct SimdKernels;
+/** The serial x best-table cell, by the name arkbench/src/main.cpp
+ *  constructs to stamp the dispatched tier. */
+using SimdBackend = KernelBackend;
 
 /**
- * Hand-vectorized engine: serial over limb jobs like ScalarBackend,
- * but each NTT / BConv-tile / evk-MAC / mulEval / limb-embedding /
- * plaintext-MAC job body runs the AVX-512 (IFMA52 or plain) or AVX2
- * kernels from rns/simd_kernels.cpp, picked at construction from the
- * host CPU (capped by @p max_tier and by ARK_SIMD_TIER). On hosts
- * with no vector ISA — or for transforms too small to fill a vector —
- * every call falls back to the scalar loop body, never aborts, so
- * ARK_BACKEND=simd is safe everywhere.
+ * Build the engine cell @p kind names: scalar = serial x scalar table,
+ * simd = serial x best table, parallel = pool(@p num_threads; 0 =
+ * hardware) x best table. The table cap of ARK_SIMD_TIER applies to
+ * simd and parallel.
  */
-class SimdBackend final : public KernelBackend
-{
-  public:
-    /** @param max_tier cap on the dispatched ISA tier (the default
-     *  caps nothing; tests pass lower tiers to pin a code path). */
-    explicit SimdBackend(SimdTier max_tier = kMaxSimdTier);
-
-    const char *name() const override { return "simd"; }
-    BackendKind kind() const override { return BackendKind::Simd; }
-    size_t threads() const override { return 1; }
-
-    /** The ISA tier actually dispatched after host/env clamping. */
-    SimdTier tier() const;
-
-  protected:
-    void run(size_t jobs,
-             const std::function<void(size_t)> &fn) const override;
-
-    void nttForwardLimbKernel(u64 *limb,
-                              const NttTables &table) const override;
-    void nttInverseLimbKernel(u64 *limb,
-                              const NttTables &table) const override;
-    void bconvTileKernel(const BaseConverter &bc, const RnsPoly &in,
-                         size_t c0, size_t c1, u64 *scratch,
-                         RnsPoly &out) const override;
-    void evkMulAccLimbKernel(const Modulus &m, const u64 *d,
-                             const u64 *kb, const u64 *ka, u64 *ab,
-                             u64 *aa, size_t n) const override;
-    void mulEvalLimbKernel(const Modulus &m, const u64 *a, const u64 *b,
-                           u64 *r, size_t n) const override;
-    void limbEmbedKernel(const u64 *src, size_t n, u64 src_q,
-                         const Modulus &m, u64 *dst) const override;
-    void plainMacLimbKernel(const u64 *pt, const u64 *b, const u64 *a,
-                            u64 *acc, size_t n) const override;
-    void plainReduceLimbKernel(const Modulus &m, const u64 *acc, size_t n,
-                               u64 *out_b, u64 *out_a) const override;
-
-  private:
-    const SimdKernels &kernels_;
-};
-
-class ThreadPool;
-
-/** Limb-parallel engine over a work-stealing thread pool. */
-class ParallelBackend final : public KernelBackend
-{
-  public:
-    /** @param num_threads pool workers; 0 = hardware concurrency. */
-    explicit ParallelBackend(size_t num_threads = 0);
-    ~ParallelBackend() override;
-
-    const char *name() const override { return "parallel"; }
-    BackendKind kind() const override { return BackendKind::Parallel; }
-    size_t threads() const override;
-
-  protected:
-    void run(size_t jobs,
-             const std::function<void(size_t)> &fn) const override;
-
-  private:
-    std::unique_ptr<ThreadPool> pool_;
-};
-
-/** Build a backend of @p kind (@p num_threads: 0 = hardware). */
 std::unique_ptr<KernelBackend> makeKernelBackend(BackendKind kind,
                                                  size_t num_threads = 0);
 

@@ -11,11 +11,11 @@
 
 namespace ark {
 
-/** Which kernel engine executes limb-level compute. */
+/** Which (executor x kernel table) cell executes limb-level compute. */
 enum class BackendKind {
-    Scalar,   ///< single-threaded reference loops
-    Parallel, ///< limb-parallel over a work-stealing thread pool
-    Simd,     ///< hand-vectorized kernels (AVX-512/AVX2, CPUID dispatch)
+    Scalar,   ///< serial x scalar reference loops
+    Parallel, ///< limb-parallel thread pool x best (capped) table
+    Simd,     ///< serial x best (capped) table: AVX-512/AVX2 by CPUID
 };
 
 inline const char *

@@ -13,8 +13,6 @@ simdTierName(SimdTier tier)
     switch (tier) {
       case SimdTier::Scalar:
         return "scalar";
-      case SimdTier::Neon:
-        return "neon";
       case SimdTier::Avx2:
         return "avx2";
       case SimdTier::Avx512:
@@ -59,11 +57,6 @@ probeSimdTier()
     if (__builtin_cpu_supports("avx2"))
         return SimdTier::Avx2;
     return SimdTier::Scalar;
-#elif defined(__aarch64__)
-    // AdvSIMD is architecturally mandatory on aarch64; the tier exists
-    // so the dispatch seam is in place, but the kernels are a stub
-    // (null entries -> scalar loops) until someone writes them.
-    return SimdTier::Neon;
 #else
     return SimdTier::Scalar;
 #endif

@@ -24,6 +24,96 @@
 
 namespace ark {
 
+namespace {
+
+// ---------------------------------------------------------------------------
+// Scalar table: the reference loop bodies every vector entry must
+// match bit for bit. The vector entries also run them on the words
+// that do not fill a whole vector.
+// ---------------------------------------------------------------------------
+
+void
+nttForwardScalar(u64 *limb, const NttTables &table)
+{
+    table.forward(limb);
+}
+
+void
+nttInverseScalar(u64 *limb, const NttTables &table)
+{
+    table.inverse(limb);
+}
+
+void
+bconvTileScalar(const BaseConverter &bc, const RnsPoly &in, size_t c0,
+                size_t c1, u64 *scratch, RnsPoly &out)
+{
+    bc.convertTile(in, c0, c1, scratch, out);
+}
+
+void
+evkMacLimbScalar(const Modulus &m, const u64 *d, const u64 *kb,
+                 const u64 *ka, u64 *ab, u64 *aa, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        ab[i] = m.add(ab[i], m.mul(d[i], kb[i]));
+        aa[i] = m.add(aa[i], m.mul(d[i], ka[i]));
+    }
+}
+
+void
+mulEvalLimbScalar(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+                  size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        r[i] = m.mul(a[i], b[i]);
+}
+
+void
+limbEmbedScalar(const u64 *src, size_t n, u64 src_q, const Modulus &m,
+                u64 *dst)
+{
+    const u64 half = src_q / 2;
+    const u64 q0_mod = m.reduceWord(src_q);
+    for (size_t i = 0; i < n; ++i) {
+        const u64 v = src[i];
+        const u64 r = m.reduceWord(v);
+        // A value above src_q / 2 is a negative centered residue.
+        dst[i] = v > half ? m.sub(r, q0_mod) : r;
+    }
+}
+
+void
+plainMacLimbScalar(const u64 *pt, const u64 *b, const u64 *a, u64 *acc,
+                   size_t n)
+{
+    u64 *b_lo = acc, *b_hi = acc + n, *a_lo = acc + 2 * n,
+        *a_hi = acc + 3 * n;
+    for (size_t i = 0; i < n; ++i) {
+        const u128 sb = ((static_cast<u128>(b_hi[i]) << 64) | b_lo[i]) +
+                        static_cast<u128>(pt[i]) * b[i];
+        const u128 sa = ((static_cast<u128>(a_hi[i]) << 64) | a_lo[i]) +
+                        static_cast<u128>(pt[i]) * a[i];
+        b_lo[i] = static_cast<u64>(sb);
+        b_hi[i] = static_cast<u64>(sb >> 64);
+        a_lo[i] = static_cast<u64>(sa);
+        a_hi[i] = static_cast<u64>(sa >> 64);
+    }
+}
+
+void
+plainReduceLimbScalar(const Modulus &m, const u64 *acc, size_t n,
+                      u64 *out_b, u64 *out_a)
+{
+    for (size_t i = 0; i < n; ++i) {
+        out_b[i] = m.reduce((static_cast<u128>(acc[n + i]) << 64) | acc[i]);
+        out_a[i] = m.reduce((static_cast<u128>(acc[3 * n + i]) << 64) |
+                            acc[2 * n + i]);
+    }
+}
+
+} // namespace
+
 #ifdef ARK_SIMD_X86
 
 // Function-level target attributes (instead of per-file -mavx* flags)
@@ -242,6 +332,15 @@ smallStageWin512(size_t t, __m512i *idx_x, __m512i *idx_y,
     }
 }
 
+/**
+ * Exclusive modulus bound of the AVX-512 and AVX2 NTT bodies: their
+ * approximate-Shoup butterfly lets lazy values reach 8q, so they need
+ * 8q < 2^63 (the AVX2 variant's unbiased signed compares need the same
+ * headroom). A wider limb runs the scalar transform, which stays exact
+ * for any q < 2^62.
+ */
+constexpr u64 kVecNttMaxQ = 1ULL << 60;
+
 // ---------------------------------------------------------------------------
 // AVX-512 NTT: the Harvey lazy transform of NttTables::forward /
 // inverse, eight butterflies per step. The approximate Shoup quotient
@@ -254,6 +353,10 @@ ARK_T512 void
 nttForwardAvx512(u64 *a, const NttTables &tb)
 {
     const size_t n = tb.degree();
+    if (n < 16 || tb.modulus().value() >= kVecNttMaxQ) {
+        tb.forward(a);
+        return;
+    }
     const Modulus &mod = tb.modulus();
     const u64 *w = tb.rootPowers().data();
     const u64 *ws = tb.rootPowersShoup().data();
@@ -325,7 +428,7 @@ nttForwardAvx512(u64 *a, const NttTables &tb)
     // pass over the data. The masked twiddle loads never read past the
     // table's live block range, and the t = 1 step canonicalizes its
     // outputs in-register, replacing the scalar kernel's separate
-    // reduceLazy4q sweep. min_ntt_degree keeps n >= 16 here.
+    // reduceLazy4q sweep. The entry guard keeps n >= 16 here.
     {
         const size_t t_hi = t; // 8 or 4
         __m512i idx_x[3], idx_y[3], bcast[3], back0[3], back1[3];
@@ -388,6 +491,10 @@ ARK_T512 void
 nttInverseAvx512(u64 *a, const NttTables &tb)
 {
     const size_t n = tb.degree();
+    if (n < 16 || tb.modulus().value() >= kVecNttMaxQ) {
+        tb.inverse(a);
+        return;
+    }
     const Modulus &mod = tb.modulus();
     const u64 *iw = tb.invRootPowers().data();
     const u64 *iws = tb.invRootPowersShoup().data();
@@ -401,7 +508,7 @@ nttInverseAvx512(u64 *a, const NttTables &tb)
     // 16-element windows, a single pass over the data. Values stay in
     // [0,4q): sums fold once from [0,8q), differences feed the
     // approximate Shoup product, whose result is back in [0,4q).
-    // min_ntt_degree keeps n >= 16 here.
+    // The entry guard keeps n >= 16 here.
     {
         __m512i idx_x[3], idx_y[3], bcast[3], back0[3], back1[3];
         for (size_t s = 0, tt = 1; tt <= 4; tt <<= 1, ++s)
@@ -641,10 +748,7 @@ evkMacLimbAvx512(const Modulus &m, const u64 *pd, const u64 *kb,
             store512(aa + i, csub512(acc, md.q));
         }
     }
-    for (; i < n; ++i) {
-        ab[i] = m.add(ab[i], m.mul(pd[i], kb[i]));
-        aa[i] = m.add(aa[i], m.mul(pd[i], ka[i]));
-    }
+    evkMacLimbScalar(m, pd + i, kb + i, ka + i, ab + i, aa + i, n - i);
 }
 
 // ---------------------------------------------------------------------------
@@ -665,8 +769,7 @@ mulEvalLimbAvx512(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
                   &p_lo, &p_hi);
         store512(r + i, barrett512(p_lo, p_hi, md));
     }
-    for (; i < n; ++i)
-        r[i] = m.mul(a[i], b[i]);
+    mulEvalLimbScalar(m, a + i, b + i, r + i, n - i);
 }
 
 // ---------------------------------------------------------------------------
@@ -699,10 +802,7 @@ limbEmbedAvx512(const u64 *src, size_t n, u64 src_q, const Modulus &m,
         t = _mm512_mask_add_epi64(t, borrow, t, md.q);
         store512(dst + i, _mm512_mask_mov_epi64(r, neg, t));
     }
-    for (; i < n; ++i) {
-        const u64 r = m.reduceWord(src[i]);
-        dst[i] = src[i] > half ? m.sub(r, q0_mod) : r;
-    }
+    limbEmbedScalar(src + i, n - i, src_q, m, dst + i);
 }
 
 /** acc_lo:acc_hi += x * y per lane (bconvTileAvx512's carry idiom). */
@@ -859,11 +959,11 @@ ARK_TIFMA void
 nttForwardIfma(u64 *a, const NttTables &tb)
 {
     const Modulus &mod = tb.modulus();
-    if (mod.value() >= kIfmaMaxQ) {
+    const size_t n = tb.degree();
+    if (mod.value() >= kIfmaMaxQ || n < 16) {
         nttForwardAvx512(a, tb);
         return;
     }
-    const size_t n = tb.degree();
     const u64 *w = tb.rootPowers().data();
     const u64 *ws = tb.rootPowersShoup().data();
     const Mod52 md = loadMod52(mod);
@@ -936,11 +1036,11 @@ ARK_TIFMA void
 nttInverseIfma(u64 *a, const NttTables &tb)
 {
     const Modulus &mod = tb.modulus();
-    if (mod.value() >= kIfmaMaxQ) {
+    const size_t n = tb.degree();
+    if (mod.value() >= kIfmaMaxQ || n < 16) {
         nttInverseAvx512(a, tb);
         return;
     }
-    const size_t n = tb.degree();
     const u64 *iw = tb.invRootPowers().data();
     const u64 *iws = tb.invRootPowersShoup().data();
     const Mod52 md = loadMod52(mod);
@@ -1091,10 +1191,7 @@ evkMacLimbIfma(const Modulus &m, const u64 *pd, const u64 *kb,
             load512(aa + i), mulMod52Lazy(d, load512(ka + i), bc));
         store512(aa + i, csub512(csub512(ta, bc.md.two_q), bc.md.q));
     }
-    for (; i < n; ++i) {
-        ab[i] = m.add(ab[i], m.mul(pd[i], kb[i]));
-        aa[i] = m.add(aa[i], m.mul(pd[i], ka[i]));
-    }
+    evkMacLimbScalar(m, pd + i, kb + i, ka + i, ab + i, aa + i, n - i);
 }
 
 ARK_TIFMA void
@@ -1112,8 +1209,7 @@ mulEvalLimbIfma(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
             mulMod52Lazy(load512(a + i), load512(b + i), bc);
         store512(r + i, csub512(csub512(v, bc.md.two_q), bc.md.q));
     }
-    for (; i < n; ++i)
-        r[i] = m.mul(a[i], b[i]);
+    mulEvalLimbScalar(m, a + i, b + i, r + i, n - i);
 }
 
 // ---------------------------------------------------------------------------
@@ -1222,15 +1318,6 @@ mul64_256(__m256i x, __m256i c, __m256i c_hi, __m256i m32, __m256i *lo,
                          _mm256_srli_epi64(mid, 32)));
 }
 
-ARK_T256 inline __m256i
-mulShoupLazy256(__m256i x, __m256i w, __m256i w_hi, __m256i ws,
-                __m256i ws_hi, __m256i q, __m256i q_hi, __m256i m32)
-{
-    const __m256i hi = mulhi64_256(x, ws, ws_hi, m32);
-    return _mm256_sub_epi64(mullo64_256(x, w, w_hi),
-                            mullo64_256(hi, q, q_hi));
-}
-
 /** The approximate-quotient Shoup product (see mulShoupApprox512):
  *  result in [0, 4q) per lane. */
 ARK_T256 inline __m256i
@@ -1334,6 +1421,10 @@ ARK_T256 void
 nttForwardAvx2(u64 *a, const NttTables &tb)
 {
     const size_t n = tb.degree();
+    if (n < 8 || tb.modulus().value() >= kVecNttMaxQ) {
+        tb.forward(a);
+        return;
+    }
     const Modulus &mod = tb.modulus();
     const u64 *w = tb.rootPowers().data();
     const u64 *ws = tb.rootPowersShoup().data();
@@ -1428,6 +1519,10 @@ ARK_T256 void
 nttInverseAvx2(u64 *a, const NttTables &tb)
 {
     const size_t n = tb.degree();
+    if (n < 8 || tb.modulus().value() >= kVecNttMaxQ) {
+        tb.inverse(a);
+        return;
+    }
     const Modulus &mod = tb.modulus();
     const u64 *iw = tb.invRootPowers().data();
     const u64 *iws = tb.invRootPowersShoup().data();
@@ -1520,73 +1615,11 @@ nttInverseAvx2(u64 *a, const NttTables &tb)
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 fused BConv tile and evk MAC: structure identical to the
-// AVX-512 versions, carries tracked with mask subtraction.
+// AVX2 evk MAC and pointwise product: structure identical to the
+// AVX-512 versions, carries tracked with mask subtraction. The AVX2
+// table keeps the scalar BConv tile: a vector tile of 4 lanes measured
+// below the scalar one.
 // ---------------------------------------------------------------------------
-
-ARK_T256 void
-bconvTileAvx2(const BaseConverter &bc, const RnsPoly &in, size_t c0,
-              size_t c1, u64 *scratch, RnsPoly &out)
-{
-    const size_t nb = bc.inBase().size();
-    const size_t nc = bc.outBase().size();
-    const size_t tile = c1 - c0;
-    const __m256i m32 = set1_256(0xffffffffULL);
-    const __m256i bias = set1_256(0x8000000000000000ULL);
-
-    for (size_t j = 0; j < nb; ++j) {
-        const Modulus &pj = bc.inBase()[j];
-        const u64 s = bc.phatInvModP(j);
-        const u64 ss = bc.phatInvModPShoup(j);
-        const u64 *src = in.limb(j) + c0;
-        u64 *dst = scratch + j * tile;
-        const __m256i q = set1_256(pj.value());
-        const __m256i q_hi = set1_256(pj.value() >> 32);
-        const Bound256 bqj = makeBound256(pj.value());
-        const __m256i vs = set1_256(s), vs_hi = set1_256(s >> 32);
-        const __m256i vss = set1_256(ss), vss_hi = set1_256(ss >> 32);
-        size_t c = 0;
-        for (; c + 4 <= tile; c += 4) {
-            const __m256i r = mulShoupLazy256(load256(src + c), vs,
-                                              vs_hi, vss, vss_hi, q,
-                                              q_hi, m32);
-            store256(dst + c, csub256(r, bqj, bias));
-        }
-        for (; c < tile; ++c)
-            dst[c] = pj.mulShoup(src[c], s, ss);
-    }
-
-    for (size_t i = 0; i < nc; ++i) {
-        const Modulus &qi = bc.outBase()[i];
-        const Mod256 md = loadMod256(qi);
-        u64 *dst = out.limb(i) + c0;
-        size_t c = 0;
-        for (; c + 4 <= tile; c += 4) {
-            __m256i acc_lo = _mm256_setzero_si256();
-            __m256i acc_hi = _mm256_setzero_si256();
-            for (size_t j = 0; j < nb; ++j) {
-                const u64 rj = bc.baseTable(i, j);
-                const __m256i r = set1_256(rj);
-                const __m256i r_hi = set1_256(rj >> 32);
-                __m256i p_lo, p_hi;
-                mul64_256(load256(scratch + j * tile + c), r, r_hi, m32,
-                          &p_lo, &p_hi);
-                acc_lo = _mm256_add_epi64(acc_lo, p_lo);
-                const __m256i carry = cmpltu256(acc_lo, p_lo, bias);
-                acc_hi = _mm256_add_epi64(acc_hi, p_hi);
-                acc_hi = _mm256_sub_epi64(acc_hi, carry);
-            }
-            store256(dst + c, barrett256(acc_lo, acc_hi, md));
-        }
-        for (; c < tile; ++c) {
-            u128 acc = 0;
-            for (size_t j = 0; j < nb; ++j)
-                acc += static_cast<u128>(scratch[j * tile + c]) *
-                       bc.baseTable(i, j);
-            dst[c] = qi.reduce(acc);
-        }
-    }
-}
 
 ARK_T256 void
 evkMacLimbAvx2(const Modulus &m, const u64 *pd, const u64 *kb,
@@ -1612,10 +1645,7 @@ evkMacLimbAvx2(const Modulus &m, const u64 *pd, const u64 *kb,
             store256(aa + i, csub256(acc, md.bq, md.bias));
         }
     }
-    for (; i < n; ++i) {
-        ab[i] = m.add(ab[i], m.mul(pd[i], kb[i]));
-        aa[i] = m.add(aa[i], m.mul(pd[i], ka[i]));
-    }
+    evkMacLimbScalar(m, pd + i, kb + i, ka + i, ab + i, aa + i, n - i);
 }
 
 ARK_T256 void
@@ -1631,8 +1661,7 @@ mulEvalLimbAvx2(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
                   &p_lo, &p_hi);
         store256(r + i, barrett256(p_lo, p_hi, md));
     }
-    for (; i < n; ++i)
-        r[i] = m.mul(a[i], b[i]);
+    mulEvalLimbScalar(m, a + i, b + i, r + i, n - i);
 }
 
 // ---------------------------------------------------------------------------
@@ -1661,10 +1690,7 @@ limbEmbedAvx2(const u64 *src, size_t n, u64 src_q, const Modulus &m,
             _mm256_sub_epi64(r, vq0), _mm256_and_si256(borrow, md.q));
         store256(dst + i, _mm256_blendv_epi8(r, t, neg));
     }
-    for (; i < n; ++i) {
-        const u64 r = m.reduceWord(src[i]);
-        dst[i] = src[i] > half ? m.sub(r, q0_mod) : r;
-    }
+    limbEmbedScalar(src + i, n - i, src_q, m, dst + i);
 }
 
 ARK_T256 inline void
@@ -1732,15 +1758,18 @@ plainReduceLimbAvx2(const Modulus &m, const u64 *acc, size_t n,
 const SimdKernels &
 simdKernels(SimdTier tier)
 {
-    static const SimdKernels scalar_kernels{};
+    static const SimdKernels scalar_kernels{
+        SimdTier::Scalar,   &nttForwardScalar,  &nttInverseScalar,
+        &bconvTileScalar,   &evkMacLimbScalar,  &mulEvalLimbScalar,
+        &limbEmbedScalar,   &plainMacLimbScalar, &plainReduceLimbScalar};
 #ifdef ARK_SIMD_X86
+    // Each tier starts from the one below it and replaces the entries
+    // it has bodies for.
     static const SimdKernels avx2_kernels = [] {
-        SimdKernels k;
+        SimdKernels k = scalar_kernels;
         k.tier = SimdTier::Avx2;
-        k.min_ntt_degree = 8;
         k.ntt_forward = &nttForwardAvx2;
         k.ntt_inverse = &nttInverseAvx2;
-        k.bconv_tile = &bconvTileAvx2;
         k.evk_mac_limb = &evkMacLimbAvx2;
         k.mul_eval_limb = &mulEvalLimbAvx2;
         k.limb_embed = &limbEmbedAvx2;
@@ -1749,9 +1778,8 @@ simdKernels(SimdTier tier)
         return k;
     }();
     static const SimdKernels avx512_kernels = [] {
-        SimdKernels k;
+        SimdKernels k = avx2_kernels;
         k.tier = SimdTier::Avx512;
-        k.min_ntt_degree = 16;
         k.ntt_forward = &nttForwardAvx512;
         k.ntt_inverse = &nttInverseAvx512;
         k.bconv_tile = &bconvTileAvx512;
@@ -1762,8 +1790,7 @@ simdKernels(SimdTier tier)
         k.plain_reduce_limb = &plainReduceLimbAvx512;
         return k;
     }();
-    // The IFMA table is the AVX-512 one with 52-bit NTT entries (which
-    // hand q >= 2^50 limbs back to the AVX-512 bodies).
+    // The IFMA entries hand q >= 2^50 limbs back to the AVX-512 bodies.
     static const SimdKernels avx512ifma_kernels = [] {
         SimdKernels k = avx512_kernels;
         k.tier = SimdTier::Avx512Ifma;
@@ -1773,18 +1800,20 @@ simdKernels(SimdTier tier)
         k.mul_eval_limb = &mulEvalLimbIfma;
         return k;
     }();
-    const SimdTier effective = std::min(tier, detectSimdTier());
-    if (effective == SimdTier::Avx512Ifma)
+    switch (std::min(tier, detectSimdTier())) {
+      case SimdTier::Avx512Ifma:
         return avx512ifma_kernels;
-    if (effective == SimdTier::Avx512)
+      case SimdTier::Avx512:
         return avx512_kernels;
-    if (effective == SimdTier::Avx2)
+      case SimdTier::Avx2:
         return avx2_kernels;
-    return scalar_kernels;
+      case SimdTier::Scalar:
+        break;
+    }
 #else
     (void)tier;
-    return scalar_kernels;
 #endif
+    return scalar_kernels;
 }
 
 } // namespace ark

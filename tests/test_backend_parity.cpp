@@ -1,7 +1,7 @@
 /**
  * @file
- * Bit-exactness of the ParallelBackend and the SimdBackend against the
- * ScalarBackend for every kernel, across several (N, L) shapes,
+ * Bit-exactness of the parallel and simd engine cells against the
+ * scalar one for every kernel, across several (N, L) shapes,
  * including the fused nttBconvNtt key-switch digit path — plus sanity
  * checks that the engines record KernelStats for what they executed.
  *
@@ -12,10 +12,11 @@
  * (stale-content) pool buffers must be bit-identical to fresh
  * allocations on both backends.
  *
- * The SimdTierParityTest suite sweeps the vector kernels per ISA tier
- * (skipping tiers the host cannot run), including the sub-vector-degree
- * and wide-modulus fallbacks onto the scalar transforms and the q < 2^50
- * bound of the IFMA tier's 52-bit kernels.
+ * The EngineCellParityTest suite sweeps every (executor x kernel table)
+ * cell — serial and a pool of 4, times each ISA tier (skipping tiers
+ * the host cannot run) — against serial x scalar, including the
+ * sub-vector-degree and wide-modulus fallbacks onto the scalar
+ * transforms and the q < 2^50 bound of the IFMA tier's 52-bit kernels.
  */
 
 #include <gtest/gtest.h>
@@ -548,46 +549,62 @@ TEST(LazyStrictParityTest, PooledVersusFreshBitEquality)
 }
 
 // ---------------------------------------------------------------------------
-// SimdBackend tier sweep
+// (executor x kernel table) cell sweep
 // ---------------------------------------------------------------------------
 
-/**
- * A SimdBackend capped at exactly @p tier, or nullptr when the host
- * cannot run it (the backend clamps the request to what CPUID reports,
- * so a request coming back at a lower tier means "unavailable" — the
- * caller should GTEST_SKIP, keeping the suite green on any machine).
- */
-std::unique_ptr<SimdBackend>
-simdAtTier(SimdTier tier)
+/** One engine cell: a kernel table tier and a pool size (0 = serial). */
+struct Cell
 {
-    auto be = std::make_unique<SimdBackend>(tier);
-    if (be->tier() != tier)
+    SimdTier tier;
+    size_t pool_threads;
+};
+
+void
+PrintTo(const Cell &cell, std::ostream *os)
+{
+    *os << simdTierName(cell.tier) << " x " << cell.pool_threads;
+}
+
+/**
+ * The engine at @p cell, or nullptr when the host cannot run its tier
+ * (the backend clamps the request to what CPUID reports, so a request
+ * coming back at a lower tier means "unavailable" — the caller should
+ * GTEST_SKIP, keeping the suite green on any machine).
+ */
+std::unique_ptr<KernelBackend>
+engineAt(const Cell &cell)
+{
+    auto be = cell.pool_threads == 0
+                  ? std::make_unique<KernelBackend>(cell.tier)
+                  : std::make_unique<KernelBackend>(cell.tier,
+                                                    cell.pool_threads);
+    if (be->tier() != cell.tier)
         return nullptr;
     return be;
 }
 
-class SimdTierParityTest : public ::testing::TestWithParam<SimdTier>
+class EngineCellParityTest : public ::testing::TestWithParam<Cell>
 {
 };
 
-/** Forward NTT, inverse NTT and round trip of @p v on @p simd against
- *  the scalar backend, bit for bit. */
+/** Forward NTT, inverse NTT and round trip of @p v on @p engine against
+ *  serial x scalar, bit for bit. */
 void
-expectNttParity(KernelBackend &simd, const NttTables &tables,
+expectNttParity(KernelBackend &engine, const NttTables &tables,
                 const std::vector<u64> &v)
 {
-    ScalarBackend scalar;
+    KernelBackend scalar(SimdTier::Scalar);
     const size_t degree = tables.degree();
     std::vector<const NttTables *> tp{&tables};
     RnsPoly p(degree, 1, Rep::Coeff);
     std::copy(v.begin(), v.end(), p.limb(0));
     RnsPoly ps = p;
 
-    simd.nttForward(p, tp);
+    engine.nttForward(p, tp);
     scalar.nttForward(ps, tp);
     for (size_t i = 0; i < degree; ++i)
         ASSERT_EQ(p.limb(0)[i], ps.limb(0)[i]) << "forward i=" << i;
-    simd.nttInverse(p, tp);
+    engine.nttInverse(p, tp);
     scalar.nttInverse(ps, tp);
     for (size_t i = 0; i < degree; ++i) {
         ASSERT_EQ(p.limb(0)[i], ps.limb(0)[i]) << "inverse i=" << i;
@@ -596,10 +613,10 @@ expectNttParity(KernelBackend &simd, const NttTables &tables,
 }
 
 /**
- * NTT parity against the scalar backend across every prime width the
+ * NTT parity against serial x scalar across every prime width the
  * shipped parameter sets use plus the widest supported one. Width 61
  * exercises the q >= 2^60 guard, where the vector kernels' widened
- * lazy bounds no longer hold and the backend must fall back to the
+ * lazy bounds no longer hold and the vector entries must run the
  * scalar transforms rather than compute garbage. Widths 42 (testBoot's
  * scale primes) and 49 run the IFMA tier's 52-bit butterflies, and the
  * two primes around 2^50 pin that tier's bound: the largest one below
@@ -609,10 +626,10 @@ expectNttParity(KernelBackend &simd, const NttTables &tables,
  * bound set too high. Each prime sees a random vector and the
  * adversarial all 0, all q - 1 and alternating 0 / q - 1 inputs.
  */
-TEST_P(SimdTierParityTest, NttParityAcrossPrimeWidths)
+TEST_P(EngineCellParityTest, NttParityAcrossPrimeWidths)
 {
-    auto simd = simdAtTier(GetParam());
-    if (!simd)
+    auto engine = engineAt(GetParam());
+    if (!engine)
         GTEST_SKIP() << "tier not available on this host";
 
     const size_t degree = 2048;
@@ -640,17 +657,17 @@ TEST_P(SimdTierParityTest, NttParityAcrossPrimeWidths)
         for (const auto &v :
              {rng.uniformVector(degree, q), std::vector<u64>(degree, 0),
               std::vector<u64>(degree, q - 1), alt})
-            expectNttParity(*simd, tables, v);
+            expectNttParity(*engine, tables, v);
     }
 }
 
-/** Tiny and sub-vector degrees: below min_ntt_degree the backend must
- *  fall back to the scalar transform; at and above it the window
+/** Tiny and sub-vector degrees: below a vector NTT entry's smallest
+ *  degree it must run the scalar transform; at and above it the window
  *  (shuffle) paths and the fused stage pairs all get exercised. */
-TEST_P(SimdTierParityTest, NttParityTinyDegrees)
+TEST_P(EngineCellParityTest, NttParityTinyDegrees)
 {
-    auto simd = simdAtTier(GetParam());
-    if (!simd)
+    auto engine = engineAt(GetParam());
+    if (!engine)
         GTEST_SKIP() << "tier not available on this host";
 
     u64 seed = 300;
@@ -660,17 +677,17 @@ TEST_P(SimdTierParityTest, NttParityTinyDegrees)
         auto qs = generatePrimes(45, 1, degree);
         NttTables tables(degree, Modulus(qs[0]));
         Rng rng(seed++);
-        expectNttParity(*simd, tables, rng.uniformVector(degree, qs[0]));
+        expectNttParity(*engine, tables, rng.uniformVector(degree, qs[0]));
     }
 }
 
 /** Fused BConv tiles across odd base sizes (tile remainders) per tier. */
-TEST_P(SimdTierParityTest, BconvParityOddBases)
+TEST_P(EngineCellParityTest, BconvParityOddBases)
 {
-    auto simd = simdAtTier(GetParam());
-    if (!simd)
+    auto engine = engineAt(GetParam());
+    if (!engine)
         GTEST_SKIP() << "tier not available on this host";
-    ScalarBackend scalar;
+    KernelBackend scalar(SimdTier::Scalar);
 
     const size_t degree = 256;
     u64 seed = 400;
@@ -692,7 +709,7 @@ TEST_P(SimdTierParityTest, BconvParityOddBases)
             std::copy(v.begin(), v.end(), in.limb(l));
         }
         RnsPoly rs = scalar.bconv(bc, in);
-        RnsPoly rv = simd->bconv(bc, in);
+        RnsPoly rv = engine->bconv(bc, in);
         ASSERT_EQ(rs.numLimbs(), rv.numLimbs());
         for (size_t l = 0; l < rs.numLimbs(); ++l) {
             for (size_t c = 0; c < degree; ++c)
@@ -706,12 +723,12 @@ TEST_P(SimdTierParityTest, BconvParityOddBases)
  *  both sides of the IFMA tier's q < 2^50 bound. The first vector of
  *  every limb holds q - 1 in each operand and accumulator (the largest
  *  product plus the largest sum). */
-TEST_P(SimdTierParityTest, EvkMulAccParityPerTier)
+TEST_P(EngineCellParityTest, EvkMulAccParityPerTier)
 {
-    auto simd = simdAtTier(GetParam());
-    if (!simd)
+    auto engine = engineAt(GetParam());
+    if (!engine)
         GTEST_SKIP() << "tier not available on this host";
-    ScalarBackend scalar;
+    KernelBackend scalar(SimdTier::Scalar);
 
     const size_t degree = 256;
     const size_t np = 2, nq = 3, full_nq = nq + 1;
@@ -745,7 +762,7 @@ TEST_P(SimdTierParityTest, EvkMulAccParityPerTier)
         RnsPoly bv = bs, av = as;
         scalar.evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli, bs,
                          as);
-        simd->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli, bv,
+        engine->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli, bv,
                         av);
         for (size_t l = 0; l < nq + np; ++l) {
             for (size_t c = 0; c < degree; ++c) {
@@ -760,12 +777,12 @@ TEST_P(SimdTierParityTest, EvkMulAccParityPerTier)
 
 /** mulEval and limbEmbed per tier, across prime widths (including the
  *  wide-modulus and centered edge values) and sub-vector degrees. */
-TEST_P(SimdTierParityTest, MulEvalAndLimbEmbedPerTier)
+TEST_P(EngineCellParityTest, MulEvalAndLimbEmbedPerTier)
 {
-    auto simd = simdAtTier(GetParam());
-    if (!simd)
+    auto engine = engineAt(GetParam());
+    if (!engine)
         GTEST_SKIP() << "tier not available on this host";
-    ScalarBackend scalar;
+    KernelBackend scalar(SimdTier::Scalar);
 
     u64 seed = 600;
     for (size_t degree : {size_t(4), size_t(256)}) {
@@ -786,7 +803,7 @@ TEST_P(SimdTierParityTest, MulEvalAndLimbEmbedPerTier)
                 std::copy(edges.begin(), edges.end(), src.begin());
                 RnsPoly es(degree, 2, Rep::Coeff), ev(degree, 2, Rep::Coeff);
                 scalar.limbEmbed(src, src_q, moduli, es);
-                simd->limbEmbed(src, src_q, moduli, ev);
+                engine->limbEmbed(src, src_q, moduli, ev);
                 for (size_t l = 0; l < 2; ++l) {
                     for (size_t i = 0; i < degree; ++i)
                         ASSERT_EQ(es.limb(l)[i], ev.limb(l)[i])
@@ -809,7 +826,7 @@ TEST_P(SimdTierParityTest, MulEvalAndLimbEmbedPerTier)
             }
             RnsPoly rs(degree, 2, Rep::Eval), rv(degree, 2, Rep::Eval);
             scalar.mulEval(a, b, moduli, rs);
-            simd->mulEval(a, b, moduli, rv);
+            engine->mulEval(a, b, moduli, rv);
             for (size_t l = 0; l < 2; ++l) {
                 for (size_t i = 0; i < degree; ++i)
                     ASSERT_EQ(rs.limb(l)[i], rv.limb(l)[i])
@@ -819,14 +836,25 @@ TEST_P(SimdTierParityTest, MulEvalAndLimbEmbedPerTier)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Tiers, SimdTierParityTest,
-                         ::testing::Values(SimdTier::Scalar,
-                                           SimdTier::Avx2,
-                                           SimdTier::Avx512,
-                                           SimdTier::Avx512Ifma),
+/** Every tier, serial and on a pool of 4. */
+std::vector<Cell>
+allCells()
+{
+    std::vector<Cell> out;
+    for (SimdTier tier : {SimdTier::Scalar, SimdTier::Avx2,
+                          SimdTier::Avx512, SimdTier::Avx512Ifma})
+        for (size_t pool_threads : {size_t(0), size_t(4)})
+            out.push_back({tier, pool_threads});
+    return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cells, EngineCellParityTest,
+                         ::testing::ValuesIn(allCells()),
                          [](const auto &info) {
-                             return std::string(
-                                 simdTierName(info.param));
+                             return std::string(info.param.pool_threads == 0
+                                                    ? "serial_"
+                                                    : "pool4_") +
+                                    simdTierName(info.param.tier);
                          });
 
 } // namespace

@@ -6,13 +6,13 @@
  * (limbEmbed + NTT, or the stored limbs), mulEval / mulPlain it into
  * the ciphertext, and add the products.
  *
- * Covers every engine (scalar, limb-parallel, and each SIMD tier the
- * host runs), both plaintext modes, strided matrices, zero diagonals
- * and empty giant steps, and sums long enough over 60-bit primes that
- * the 128-bit accumulators must fold. The work the fused kernel
- * records (NTT and MAD mults, embedded words, plaintext stream) must
- * equal what the explicit path records, so measured-stats consumers
- * price it unchanged.
+ * Covers every engine cell (serial and a pool of 4, times each kernel
+ * table tier the host runs), both plaintext modes, strided matrices,
+ * zero diagonals and empty giant steps, and sums long enough over
+ * 60-bit primes that the 128-bit accumulators must fold. The work the
+ * fused kernel records (NTT and MAD mults, embedded words, plaintext
+ * stream) must equal what the explicit path records, so measured-stats
+ * consumers price it unchanged.
  */
 
 #include <gtest/gtest.h>
@@ -41,19 +41,21 @@ struct Engine
     std::unique_ptr<KernelBackend> backend;
 };
 
-/** Scalar, parallel, and the SIMD engine at every tier the host runs. */
+/** Every (executor x kernel table) cell the host runs: each tier,
+ *  serial and on a pool of 4. */
 std::vector<Engine>
 allEngines()
 {
     std::vector<Engine> out;
-    out.push_back({"scalar", makeKernelBackend(BackendKind::Scalar)});
-    out.push_back({"parallel", makeKernelBackend(BackendKind::Parallel, 4)});
     for (SimdTier tier : {SimdTier::Scalar, SimdTier::Avx2,
                           SimdTier::Avx512, SimdTier::Avx512Ifma}) {
-        auto simd = std::make_unique<SimdBackend>(tier);
-        if (simd->tier() == tier)
-            out.push_back({std::string("simd-") + simdTierName(tier),
-                           std::move(simd)});
+        auto serial = std::make_unique<KernelBackend>(tier);
+        if (serial->tier() != tier)
+            continue;
+        out.push_back({std::string("serial-") + simdTierName(tier),
+                       std::move(serial)});
+        out.push_back({std::string("pool4-") + simdTierName(tier),
+                       std::make_unique<KernelBackend>(tier, 4)});
     }
     return out;
 }
@@ -121,7 +123,7 @@ class PlainMulSumKernel : public ::testing::TestWithParam<size_t>
     reference(const std::vector<PlainMulTerm> &terms,
               KernelStats &stats) const
     {
-        ScalarBackend kb;
+        KernelBackend kb(SimdTier::Scalar);
         RnsPoly sum_b(degree_, kLimbs, Rep::Eval);
         RnsPoly sum_a(degree_, kLimbs, Rep::Eval);
         RnsPoly prod(degree_, kLimbs, Rep::Eval);

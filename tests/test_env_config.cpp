@@ -115,8 +115,6 @@ TEST(EnvConfig, ParseSimdTierAcceptsKnownNames)
     SimdTier tier = SimdTier::Avx512;
     EXPECT_TRUE(parseSimdTier("scalar", tier));
     EXPECT_EQ(tier, SimdTier::Scalar);
-    EXPECT_TRUE(parseSimdTier("neon", tier));
-    EXPECT_EQ(tier, SimdTier::Neon);
     EXPECT_TRUE(parseSimdTier("avx2", tier));
     EXPECT_EQ(tier, SimdTier::Avx2);
     EXPECT_TRUE(parseSimdTier("avx512", tier));
@@ -135,6 +133,8 @@ TEST(EnvConfig, ParseSimdTierRejectsJunk)
     EXPECT_FALSE(parseSimdTier("avx-512", tier));
     EXPECT_FALSE(parseSimdTier("sse", tier));
     EXPECT_FALSE(parseSimdTier("avx512ifma52", tier));
+    // There is no NEON tier: aarch64 hosts run the scalar table.
+    EXPECT_FALSE(parseSimdTier("neon", tier));
 }
 
 TEST(EnvConfig, SimdTierEnvReaderUsesValidValues)
@@ -155,7 +155,7 @@ TEST(EnvConfigDeathTest, JunkSimdTierExitsWithClearError)
     EXPECT_EXIT((void)simdTierFromEnv(SimdTier::Avx512),
                 ::testing::ExitedWithCode(1),
                 "invalid ARK_SIMD_TIER 'turbo' \\(expected 'scalar', "
-                "'neon', 'avx2', 'avx512', 'avx512ifma'\\)");
+                "'avx2', 'avx512', 'avx512ifma'\\)");
     unsetenv("ARK_SIMD_TIER");
 }
 
@@ -168,7 +168,7 @@ TEST(EnvConfigDeathTest, JunkSimdTierExitsWithClearError)
  * below both the cap and the detected tier, and match the scalar
  * backend bit for bit.
  */
-TEST(EnvConfig, SimdBackendClampsToHostAndStaysCorrect)
+TEST(EnvConfig, KernelTableClampsToHostAndStaysCorrect)
 {
     const size_t degree = 512;
     auto qs = generatePrimes(45, 1, degree);
@@ -178,14 +178,14 @@ TEST(EnvConfig, SimdBackendClampsToHostAndStaysCorrect)
     RnsPoly ref(degree, 1, Rep::Coeff);
     auto v = rng.uniformVector(degree, qs[0]);
     std::copy(v.begin(), v.end(), ref.limb(0));
-    ScalarBackend scalar;
+    KernelBackend scalar(SimdTier::Scalar);
     RnsPoly want = ref;
     scalar.nttForward(want, tp);
 
-    for (SimdTier cap : {SimdTier::Scalar, SimdTier::Neon, SimdTier::Avx2,
-                         SimdTier::Avx512, SimdTier::Avx512Ifma}) {
+    for (SimdTier cap : {SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512,
+                         SimdTier::Avx512Ifma}) {
         SCOPED_TRACE(simdTierName(cap));
-        SimdBackend be(cap);
+        KernelBackend be(cap);
         EXPECT_LE(static_cast<int>(be.tier()), static_cast<int>(cap));
         EXPECT_LE(static_cast<int>(be.tier()),
                   static_cast<int>(detectSimdTier()));
@@ -198,13 +198,40 @@ TEST(EnvConfig, SimdBackendClampsToHostAndStaysCorrect)
     // The forced-fallback path spelled the way a user would: the env
     // caps the tier below what the backend asks for.
     setenv("ARK_SIMD_TIER", "scalar", 1);
-    SimdBackend forced(SimdTier::Avx512);
+    KernelBackend forced(SimdTier::Avx512);
     EXPECT_EQ(forced.tier(), SimdTier::Scalar);
     unsetenv("ARK_SIMD_TIER");
     RnsPoly got = ref;
     forced.nttForward(got, tp);
     for (size_t i = 0; i < degree; ++i)
         ASSERT_EQ(got.limb(0)[i], want.limb(0)[i]) << "i=" << i;
+}
+
+/** ARK_BACKEND picks the executor and ARK_SIMD_TIER caps the table,
+ *  independently: parallel honours both the cap and ARK_THREADS. */
+TEST(EnvConfig, ParallelCellTakesTierCapAndThreads)
+{
+    setenv("ARK_BACKEND", "parallel", 1);
+    setenv("ARK_THREADS", "3", 1);
+    setenv("ARK_SIMD_TIER", "avx2", 1);
+    auto be = makeKernelBackend(backendKindFromEnv(BackendKind::Scalar),
+                                backendThreadsFromEnv(0));
+    unsetenv("ARK_BACKEND");
+    unsetenv("ARK_THREADS");
+    unsetenv("ARK_SIMD_TIER");
+    EXPECT_LE(static_cast<int>(be->tier()),
+              static_cast<int>(SimdTier::Avx2));
+    EXPECT_EQ(be->threads(), 3u);
+}
+
+/** The cap never raises a table: scalar stays on the scalar table. */
+TEST(EnvConfig, ScalarCellIgnoresHigherTierCap)
+{
+    setenv("ARK_SIMD_TIER", "avx512", 1);
+    auto be = makeKernelBackend(BackendKind::Scalar);
+    unsetenv("ARK_SIMD_TIER");
+    EXPECT_EQ(be->tier(), SimdTier::Scalar);
+    EXPECT_EQ(be->threads(), 1u);
 }
 
 // Serving front-end knobs (docs/configuration.md): same discipline as
