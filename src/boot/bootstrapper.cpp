@@ -92,8 +92,8 @@ Bootstrapper::bootstrap(const CkksEvaluator &eval, const Ciphertext &ct,
     Ciphertext v = eval.mulByI(eval.sub(t_conj, t_half));
 
     // --- EvalMod on the real and imaginary coefficient parts -----------
-    // The q0/Delta0 message ratio rides in the sine's angle constant;
-    // every EvalMod intermediate stays at scale ~Delta. The ratio also
+    // The q0/Delta0 message ratio rides in the angle constant; every
+    // EvalMod intermediate stays at scale ~Delta. The ratio also
     // bounds the precision amplification of the final relabel, so
     // bootstrap inputs should be encoded with Delta0 close to q0
     // (q0/Delta0 = 2^8 in the test parameters).
@@ -101,19 +101,23 @@ Bootstrapper::bootstrap(const CkksEvaluator &eval, const Ciphertext &ct,
     const EvalKey &evk_mult = keys.multiplication();
     Ciphertext mu = evalMod(eval, u, evk_mult, cfg_.evalmod, ratio_inv);
     Ciphertext mv = evalMod(eval, v, evk_mult, cfg_.evalmod, ratio_inv);
-    if (stats) {
-        // Per evalMod: basis (5) + per-group products (2) + 2 per
-        // double-angle iteration.
+    if (stats)
         stats->evalmod_mults =
-            2 * (7 + 2 * static_cast<size_t>(cfg_.evalmod.log_double_angle));
-    }
+            2 * static_cast<size_t>(evalModMults(cfg_.evalmod));
 
     // EvalMod returned values on the /q0 scale; relabel to /Delta0.
     mu.scale *= ratio_inv;
     mv.scale *= ratio_inv;
 
-    // Recombine t = u + i*v.
-    Ciphertext t = eval.add(mu, eval.mulByI(mv));
+    // Recombine t = Im(mu) + i*Im(mv): EvalMod's results are complex
+    // exponentials whose imaginary parts carry the coefficient parts.
+    // With a = mv - i*mu and b = -(mv + i*mu), a + conj(b) = 2*t, so
+    // one conjugation serves both parts; the /2 is a scale relabel.
+    Ciphertext i_mu = eval.mulByI(mu);
+    Ciphertext t = eval.sub(
+        eval.sub(mv, i_mu),
+        eval.conjugate(eval.add(mv, i_mu), keys.conjugation()));
+    t.scale *= 2.0;
 
     // --- Homomorphic DFT (SlotToCoeff) ----------------------------------
     Ciphertext out = slot_to_coeff_->apply(

@@ -18,10 +18,18 @@ int
 evalModDepth(const EvalModConfig &cfg, double arg_factor)
 {
     // angle scaling (1 or 2) + power basis up to degree d (BSGS:
-    // babies 2 levels, giants up to y^12 two more) + giant product with
-    // resolution headroom (2 rescales) + r doublings.
+    // babies 2 levels, giants up to w^12 two more) + giant product with
+    // resolution headroom (2 rescales) + r squarings.
     const int angle_levels = evalModSplitsAngle(cfg, arg_factor) ? 2 : 1;
     return angle_levels + 4 + 2 + cfg.log_double_angle;
+}
+
+int
+evalModMults(const EvalModConfig &cfg)
+{
+    // basis w^2, w^3, w^4, w^8, w^12 + one product per group j >= 1
+    // with a baby term (4j + 1 <= d) + one squaring per double angle.
+    return 5 + (cfg.taylor_degree - 1) / 4 + cfg.log_double_angle;
 }
 
 Ciphertext
@@ -49,18 +57,78 @@ linearCombination(const CkksEvaluator &eval,
 
 namespace {
 
-/** Taylor coefficient of sin (odd) / cos (even) at index k. */
 double
-taylorCoeff(int k, bool sine)
+invFactorial(int k)
 {
-    if (sine != (k % 2 == 1))
-        return 0.0;
     double c = 1.0;
     for (int i = 2; i <= k; ++i)
         c /= i;
-    // sign: sin: +,-,+ for k=1,3,5; cos: +,-,+ for k=0,2,4.
-    int quarter = sine ? (k - 1) / 2 : k / 2;
-    return (quarter % 2 == 0) ? c : -c;
+    return c;
+}
+
+/**
+ * sum_{k<=d} w^k / k! at scale Delta, two levels below the BSGS basis.
+ * Babies w, w^2, w^3; giants w^4, w^8, w^12 (real when w = i*y, since
+ * i^4 = 1). p(w) = sum_j (sum_{i=1..3} w^i / (4j+i)!) * w^{4j}
+ *                + sum_{j>=1} w^{4j} / (4j)! + 1.
+ */
+Ciphertext
+expTaylor(const CkksEvaluator &eval, const Ciphertext &w,
+          const EvalKey &evk_mult, int d)
+{
+    const double delta = eval.context().params().scale();
+    std::vector<Ciphertext> babies, giants;
+    {
+        Ciphertext w2 = eval.rescale(eval.square(w, evk_mult));
+        Ciphertext w3 = eval.rescale(
+            eval.mul(w2, eval.modDownTo(w, w2.level()), evk_mult));
+        Ciphertext w4 = eval.rescale(eval.square(w2, evk_mult));
+        Ciphertext w8 = eval.rescale(eval.square(w4, evk_mult));
+        Ciphertext w12 = eval.rescale(
+            eval.mul(w8, eval.modDownTo(w4, w8.level()), evk_mult));
+        const int base_level = w12.level();
+        auto at = [&](const Ciphertext &c) {
+            return eval.modDownTo(c, base_level);
+        };
+        babies = {at(w), at(w2), at(w3)};
+        giants = {at(w4), at(w8), std::move(w12)};
+    }
+
+    // Per-group inner targets are chosen as T/g_j so the giant products
+    // all land on scale T. T carries one extra Delta of headroom so the
+    // scalar multipliers round(c * T / (g_j * s_i)) ~ c * Delta keep
+    // full resolution even for the tiny high-order coefficients; the
+    // headroom is paid back with a second rescale below.
+    const double t_prod = delta * delta * delta;
+    Ciphertext acc;
+    bool acc_set = false;
+    auto accumulate = [&](Ciphertext term) {
+        acc = acc_set ? eval.add(acc, term) : std::move(term);
+        acc_set = true;
+    };
+    for (int j = 0; j * 4 <= d; ++j) {
+        const Ciphertext *giant = j == 0 ? nullptr : &giants[j - 1];
+        // The i = 0 term w^{4j} / (4j)! is linear in the giant.
+        if (giant)
+            accumulate(linearCombination(eval, {giant},
+                                         {invFactorial(4 * j)}, t_prod));
+        std::vector<const Ciphertext *> terms;
+        std::vector<double> cs;
+        for (int i = 1; i < 4 && 4 * j + i <= d; ++i) {
+            terms.push_back(&babies[i - 1]);
+            cs.push_back(invFactorial(4 * j + i));
+        }
+        if (terms.empty())
+            continue;
+        Ciphertext inner = linearCombination(
+            eval, terms, cs, giant ? t_prod / giant->scale : t_prod);
+        if (giant) {
+            inner = eval.mul(inner, *giant, evk_mult);
+            inner.scale = t_prod;
+        }
+        accumulate(std::move(inner));
+    }
+    return eval.addScalar(eval.rescale(eval.rescale(acc)), 1.0);
 }
 
 } // namespace
@@ -78,7 +146,7 @@ evalMod(const CkksEvaluator &eval, const Ciphertext &ct,
 
     // Scalar multiply pinning the post-rescale scale to @p tgt exactly.
     // Keeping every intermediate at scale ~Delta is what makes the
-    // double-angle iteration a stable fixed point (scale evolves as
+    // squaring iteration a stable fixed point (scale evolves as
     // s -> s^2 / q, which diverges unless s ~ q).
     auto mul_to_scale = [&](const Ciphertext &in, double value,
                             double tgt) {
@@ -94,127 +162,34 @@ evalMod(const CkksEvaluator &eval, const Ciphertext &ct,
     // too small for single-multiplier resolution (arg_factor carries
     // the q0/Delta0 message ratio of bootstrapping), split it over two
     // scalar multiplications so each multiplier stays large.
-    const double combined =
-        2.0 * M_PI * arg_factor / std::pow(2.0, r);
-    Ciphertext y;
-    if (combined >= 1.0 / (1 << 10)) {
-        y = mul_to_scale(ct, combined, delta);
-    } else {
+    auto scaled_angle = [&] {
+        const double combined =
+            2.0 * M_PI * arg_factor / std::pow(2.0, r);
+        if (combined >= 1.0 / (1 << 10))
+            return mul_to_scale(ct, combined, delta);
         int k = 0;
         double c1 = combined;
         while (c1 < 0.25) {
             c1 *= 2.0;
             ++k;
         }
-        y = mul_to_scale(ct, c1, delta);
-        y = mul_to_scale(y, std::pow(2.0, -k), delta);
-    }
-
-    // (2) BSGS power basis: babies y, y^2, y^3; giants y^4, y^8, y^12.
-    Ciphertext y2 = eval.rescale(eval.square(y, evk_mult));
-    Ciphertext y3 = eval.rescale(
-        eval.mul(y2, eval.modDownTo(y, y2.level()), evk_mult));
-    Ciphertext y4 = eval.rescale(eval.square(y2, evk_mult));
-    Ciphertext y8 = eval.rescale(eval.square(y4, evk_mult));
-    Ciphertext y12 = eval.rescale(
-        eval.mul(y8, eval.modDownTo(y4, y8.level()), evk_mult));
-
-    const int base_level = y12.level();
-    auto at = [&](const Ciphertext &c) {
-        return eval.modDownTo(c, base_level);
-    };
-    Ciphertext one = at(ct); // placeholder for the i = 0 basis slot
-    std::vector<Ciphertext> babies = {at(y), at(y2), at(y3)};
-    std::vector<Ciphertext> giants = {at(y4), at(y8), at(y12)};
-
-    // (2b) Evaluate p(y) = sum_j (sum_i c_{4j+i} y^i) * y^{4j} for both
-    // sin and cos with a shared basis. Per-group inner targets are
-    // chosen as T/g_j so the giant products all land on scale T.
-    // T carries one extra Delta of headroom so the scalar multipliers
-    // round(c * T / (g_j * s_i)) ~ c * Delta keep full resolution even
-    // for the tiny high-order Taylor coefficients; the headroom is
-    // paid back with a second rescale below.
-    const double t_prod = delta * delta * delta;
-    auto eval_poly = [&](bool sine) {
-        Ciphertext acc;
-        bool acc_set = false;
-        for (int j = 0; j * 4 <= d; ++j) {
-            std::vector<const Ciphertext *> terms;
-            std::vector<double> cs;
-            for (int i = (j == 0 ? 1 : 0); i < 4 && 4 * j + i <= d; ++i) {
-                double c = taylorCoeff(4 * j + i, sine);
-                if (c == 0.0)
-                    continue;
-                terms.push_back(i == 0 ? &giants[j - 1] : &babies[i - 1]);
-                // For i = 0 the term is c * y^{4j} itself; fold it in
-                // as a linear term on the giant.
-                cs.push_back(c);
-            }
-            if (terms.empty())
-                continue;
-            Ciphertext group;
-            if (j == 0) {
-                group = linearCombination(eval, terms, cs, t_prod);
-            } else {
-                // Split the pure-giant linear term (i == 0) from the
-                // inner * giant product.
-                std::vector<const Ciphertext *> inner_terms;
-                std::vector<double> inner_cs;
-                bool has_linear = false;
-                double linear_c = 0;
-                for (size_t k = 0; k < terms.size(); ++k) {
-                    if (terms[k] == &giants[j - 1]) {
-                        has_linear = true;
-                        linear_c = cs[k];
-                    } else {
-                        inner_terms.push_back(terms[k]);
-                        inner_cs.push_back(cs[k]);
-                    }
-                }
-                bool group_set = false;
-                if (!inner_terms.empty()) {
-                    Ciphertext inner = linearCombination(
-                        eval, inner_terms, inner_cs,
-                        t_prod / giants[j - 1].scale);
-                    group = eval.mul(inner, giants[j - 1], evk_mult);
-                    group.scale = t_prod;
-                    group_set = true;
-                }
-                if (has_linear) {
-                    Ciphertext lin = linearCombination(
-                        eval, {&giants[j - 1]}, {linear_c}, t_prod);
-                    group = group_set ? eval.add(group, lin)
-                                      : std::move(lin);
-                }
-            }
-            acc = acc_set ? eval.add(acc, group) : std::move(group);
-            acc_set = true;
-        }
-        ARK_ASSERT(acc_set, "empty Taylor polynomial");
-        Ciphertext out = eval.rescale(eval.rescale(acc));
-        if (!sine) // cos has the constant term 1
-            out = eval.addScalar(out, 1.0);
-        return out;
+        return mul_to_scale(mul_to_scale(ct, c1, delta), std::pow(2.0, -k),
+                            delta);
     };
 
-    Ciphertext s = eval_poly(true);
-    Ciphertext c = eval_poly(false);
-    (void)one;
+    // (2) exp(i*y) as the Taylor sum of exp(w), w = i*y (mulByI is a
+    // free monomial shift).
+    Ciphertext z =
+        expTaylor(eval, eval.mulByI(scaled_angle()), evk_mult, d);
 
-    // (3) r double-angle steps; one level each.
-    for (int step = 0; step < r; ++step) {
-        Ciphertext s2 = eval.rescale(eval.mul(s, c, evk_mult));
-        s2 = eval.mulScalar(s2, 2.0, 1.0); // exact small-integer scalar
-        // cos 2a = 2 cos^2 a - 1.
-        Ciphertext c2 = eval.rescale(eval.square(c, evk_mult));
-        c2 = eval.addScalar(eval.mulScalar(c2, 2.0, 1.0), -1.0);
-        s = std::move(s2);
-        c = std::move(c2);
-    }
+    // (3) r squarings, exp(i*2a) = exp(i*a)^2; one level each.
+    for (int step = 0; step < r; ++step)
+        z = eval.rescale(eval.square(z, evk_mult));
 
-    // Fold the 1/(2*pi) into the scale: message' = sin(2*pi*x)/(2*pi).
-    s.scale *= 2.0 * M_PI;
-    return s;
+    // Fold the 1/(2*pi) into the scale: message' = exp(2*pi*i*x)/(2*pi),
+    // whose imaginary part sin(2*pi*x)/(2*pi) is ~ x mod 1.
+    z.scale *= 2.0 * M_PI;
+    return z;
 }
 
 } // namespace ark

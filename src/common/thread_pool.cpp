@@ -84,7 +84,7 @@ ThreadPool::tryRunOne(size_t self)
     pending_.fetch_sub(1, std::memory_order_acquire);
     std::exception_ptr err;
     try {
-        (*t.batch->fn)(t.index);
+        t.batch->fn(t.index);
     } catch (...) {
         // Jobs may throw (a serving request validates mid-kernel);
         // capture the first error for the batch owner instead of
@@ -122,7 +122,7 @@ ThreadPool::workerLoop(size_t self)
 }
 
 void
-ThreadPool::parallelFor(size_t count, const std::function<void(size_t)> &fn)
+ThreadPool::parallelFor(size_t count, JobRef fn)
 {
     if (count == 0)
         return;
@@ -131,9 +131,7 @@ ThreadPool::parallelFor(size_t count, const std::function<void(size_t)> &fn)
         return;
     }
 
-    Batch batch;
-    batch.fn = &fn;
-    batch.count = count;
+    Batch batch(fn, count);
     for (size_t i = 0; i < count; ++i)
         submit(Task{&batch, i}, i);
 

@@ -19,13 +19,37 @@
 #include <cstddef>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace ark {
+
+/**
+ * Non-owning reference to a job body `void(size_t)`: an object pointer
+ * plus a trampoline, so submitting a batch never allocates (a
+ * `std::function` heap-allocates closures above its small buffer).
+ * The referenced callable must outlive every call through the
+ * reference; parallelFor's argument lives until the batch drains.
+ */
+class JobRef
+{
+  public:
+    template <typename Fn>
+    JobRef(const Fn &fn) // implicit: callers pass lambdas
+        : obj_(&fn), call_([](const void *obj, size_t i) {
+              (*static_cast<const Fn *>(obj))(i);
+          })
+    {
+    }
+
+    void operator()(size_t i) const { call_(obj_, i); }
+
+  private:
+    const void *obj_;
+    void (*call_)(const void *, size_t);
+};
 
 /**
  * Fixed-size work-stealing pool. parallelFor may be called from many
@@ -53,7 +77,7 @@ class ThreadPool
      * completion and the first exception captured is rethrown in the
      * caller (the pool itself stays usable).
      */
-    void parallelFor(size_t count, const std::function<void(size_t)> &fn);
+    void parallelFor(size_t count, JobRef fn);
 
     /** Default worker count: hardware concurrency (at least 1). */
     static size_t defaultThreads();
@@ -61,8 +85,10 @@ class ThreadPool
   private:
     struct Batch
     {
-        const std::function<void(size_t)> *fn = nullptr;
-        size_t count = 0;
+        Batch(JobRef f, size_t n) : fn(f), count(n) {}
+
+        JobRef fn;
+        size_t count;
         /** Guarded by m (not atomic): completion must be observed
          *  under the mutex so a finishing worker can never touch the
          *  stack-allocated Batch after the owner saw it complete. */

@@ -65,11 +65,13 @@ int
 appendEvalMod(SimProgram &prog, EvkIds &ids, int top_level,
               const char *tag)
 {
-    // Mirrors src/boot/evalmod.cpp: angle scaling, BSGS power basis
-    // (5 mults), 3 group products, and 8 double-angle steps with two
-    // mults each, on the u and v branches; the single evk_mult is
+    // Models the paper's sin/cos EvalMod: angle scaling, BSGS power
+    // basis (5 mults), 3 group products, and 8 double-angle steps with
+    // two mults each, on the u and v branches; the single evk_mult is
     // shared by every multiplication (inter-operation key reuse that
-    // exists even before Min-KS).
+    // exists even before Min-KS). The host's src/boot/evalmod.cpp
+    // differs: it evaluates exp(i*y) with one squaring per step. The
+    // simulator and the lowered serve trace keep the paper's sequence.
     int lv = top_level;
     for (int branch = 0; branch < 2; ++branch) {
         int b = top_level;

@@ -54,14 +54,16 @@ class BootTest : public ::testing::Test
         return m;
     }
 
-    Ciphertext encryptAtLevel0(const std::vector<Complex> &m)
+    Ciphertext encryptAtLevel0(const std::vector<Complex> &m,
+                               CkksEncryptor *encryptor = nullptr)
     {
         // Encode at Delta0 = q0 / msg_ratio: the message ratio bounds
         // the precision amplification of bootstrapping.
         const double delta0 =
             static_cast<double>(ctx_->qModuli()[0].value()) / 256.0;
         auto pt = enc_->encode(m, 0, delta0);
-        auto ct = encryptor_->encryptSymmetric(pt, *sk_);
+        auto ct = (encryptor ? encryptor : encryptor_)
+                      ->encryptSymmetric(pt, *sk_);
         ct.slots = params_->num_slots;
         return ct;
     }
@@ -103,8 +105,9 @@ CkksEvaluator *BootTest::eval_ = nullptr;
 
 TEST_F(BootTest, EvalModRecoversFractionalPart)
 {
-    // Feed x = f + I with integer I and small fraction f; EvalMod must
-    // return f (x mod 1, centered).
+    // Feed x = f + I with integer I and small fraction f; EvalMod
+    // returns exp(2*pi*i*x)/(2*pi), whose imaginary part must be f
+    // (x mod 1, centered) and whose real part is cos(2*pi*f)/(2*pi).
     Rng rng(31);
     std::vector<Complex> x(params_->num_slots);
     std::vector<double> frac(params_->num_slots);
@@ -121,8 +124,37 @@ TEST_F(BootTest, EvalModRecoversFractionalPart)
     KeyCache keys(*keygen_, *sk_, ctx_->degree());
     EvalModConfig cfg{15, 8};
     auto out = decrypt(evalMod(*eval_, ct, keys.multiplication(), cfg));
-    for (size_t i = 0; i < out.size(); ++i)
-        EXPECT_NEAR(out[i].real(), frac[i], 2e-4) << "slot " << i;
+    for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_NEAR(out[i].imag(), frac[i], 2e-4) << "slot " << i;
+        EXPECT_NEAR(out[i].real(),
+                    std::cos(2 * M_PI * frac[i]) / (2 * M_PI), 2e-4)
+            << "slot " << i;
+    }
+}
+
+TEST_F(BootTest, BootstrapPrecisionFloor)
+{
+    // -log2(max slot error) of a Min-KS + OF-Limb bootstrap, on three
+    // messages. The floor is the minimum measured over these seeds
+    // with the sin/cos double-angle EvalMod (16.25 bits, seed 42),
+    // minus one bit.
+    constexpr double kFloorBits = 15.2;
+    BootConfig cfg;
+    cfg.schedule = KeySchedule::MinKS;
+    cfg.pt_mode = PlaintextMode::OFLimb;
+    Bootstrapper boot(*ctx_, *enc_, cfg);
+    KeyCache keys(*keygen_, *sk_, ctx_->degree());
+    for (u64 seed : {41, 42, 43}) {
+        // A per-seed encryptor keeps the noise independent of which
+        // tests ran before this one.
+        Rng rng(seed);
+        CkksEncryptor encryptor(*ctx_, rng);
+        auto m = randomMessage(seed);
+        auto out = decrypt(
+            boot.bootstrap(*eval_, encryptAtLevel0(m, &encryptor), keys));
+        EXPECT_GE(-std::log2(maxErr(m, out)), kFloorBits)
+            << "seed " << seed;
+    }
 }
 
 TEST_F(BootTest, BootstrapRefreshesLevelZeroCiphertext)
@@ -143,6 +175,11 @@ TEST_F(BootTest, BootstrapRefreshesLevelZeroCiphertext)
     EXPECT_LT(maxErr(m, decrypt(refreshed)), 5e-2);
     EXPECT_GT(stats.hidft.rotations, 0u);
     EXPECT_GT(stats.hdft.pmults, 0u);
+    // Two EvalMods of 5 basis products, 3 group products and one
+    // squaring per double angle (r = 8).
+    EXPECT_EQ(stats.evalmod_mults,
+              2u * static_cast<size_t>(evalModMults(cfg.evalmod)));
+    EXPECT_EQ(stats.evalmod_mults, 32u);
 }
 
 TEST_F(BootTest, BootstrappedCiphertextSupportsFurtherMults)

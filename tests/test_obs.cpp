@@ -34,11 +34,16 @@
 // Global allocation counter for the disabled-path gate: every
 // operator-new in this binary bumps it, so a scope that must not
 // allocate can diff the count across itself.
+//
+// The replacements are noinline so every call site keeps the
+// operator new / operator delete pair the compiler matches: an inlined
+// delete would show an optimizing build a bare free() of a pointer
+// from operator new (-Wmismatched-new-delete).
 namespace {
 std::atomic<size_t> g_allocs{0};
 } // namespace
 
-void *
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -47,7 +52,7 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t n)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -58,24 +63,40 @@ operator new[](std::size_t n)
 
 // The nothrow forms (std::stable_sort's temporary buffer) must come
 // from the same malloc the replaced deletes free into.
-void *
+[[gnu::noinline]] void *
 operator new(std::size_t n, const std::nothrow_t &) noexcept
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(n);
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t n, const std::nothrow_t &) noexcept
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(n);
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
 }
