@@ -82,7 +82,7 @@ main(int argc, char **argv)
     std::string json_path;
     int exit_code = 0;
     if (!parseBenchArgs(argc, argv, "bench_scheduler", kUsage, smoke,
-                        json_path, exit_code))
+                        json_path, nullptr, exit_code))
         return exit_code;
 
     const CkksParams p = CkksParams::ark();

@@ -442,7 +442,7 @@ main(int argc, char **argv)
     size_t requests = 0;
     int exit_code = 0;
     if (!parseBenchArgs(argc, argv, "bench_serving", kUsage, smoke,
-                        json_path, requests, exit_code))
+                        json_path, &requests, exit_code))
         return exit_code;
 
     // This binary sweeps backends explicitly; drop any env override so

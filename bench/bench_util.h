@@ -10,12 +10,13 @@
 
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/table_printer.h"
 #include "rns/backend.h"
 #include "rns/cpu_features.h"
@@ -25,46 +26,26 @@
 namespace ark {
 
 /**
- * Parse the standard bench flags shared by the gated benches:
- * --smoke sets @p smoke, --help/-h prints @p usage and requests exit
- * 0, anything else prints the usage to stderr and requests exit 2.
- * Returns true to continue into the bench; false means main should
- * return @p exit_code immediately.
- */
-inline bool
-parseBenchArgs(int argc, char **argv, const char *name,
-               const char *usage, bool &smoke, int &exit_code)
-{
-    smoke = false;
-    exit_code = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--help") == 0 ||
-                   std::strcmp(argv[i], "-h") == 0) {
-            std::fputs(usage, stdout);
-            return false;
-        } else {
-            std::fprintf(stderr, "%s: unknown flag '%s'\n\n%s", name,
-                         argv[i], usage);
-            exit_code = 2;
-            return false;
-        }
-    }
-    return true;
-}
-
-/**
- * Variant of parseBenchArgs for benches that also take `--json PATH`
- * (machine-readable rows for scripts/check_bench_regression.py).
+ * Parse the flags shared by the gated benches: --smoke sets @p smoke,
+ * --json PATH sets @p json_path (machine-readable rows for
+ * scripts/check_bench_regression.py), and --requests N (N >= 1) sets
+ * *@p requests for benches whose request-batch size is tunable (pass
+ * nullptr to refuse the flag). *@p requests is left at 0 when the flag
+ * is absent — "use the mode default", which each bench's --help
+ * documents next to its smoke value. --help/-h prints @p usage and
+ * requests exit 0; anything else prints the usage to stderr and
+ * requests exit 2. Returns true to continue into the bench; false
+ * means main should return @p exit_code immediately.
  */
 inline bool
 parseBenchArgs(int argc, char **argv, const char *name,
                const char *usage, bool &smoke, std::string &json_path,
-               int &exit_code)
+               size_t *requests, int &exit_code)
 {
     smoke = false;
     json_path.clear();
+    if (requests != nullptr)
+        *requests = 0;
     exit_code = 0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -72,46 +53,11 @@ parseBenchArgs(int argc, char **argv, const char *name,
         } else if (std::strcmp(argv[i], "--json") == 0 &&
                    i + 1 < argc) {
             json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--help") == 0 ||
-                   std::strcmp(argv[i], "-h") == 0) {
-            std::fputs(usage, stdout);
-            return false;
-        } else {
-            std::fprintf(stderr, "%s: unknown flag '%s'\n\n%s", name,
-                         argv[i], usage);
-            exit_code = 2;
-            return false;
-        }
-    }
-    return true;
-}
-
-/**
- * Variant of parseBenchArgs for benches whose request-batch size is
- * tunable via `--requests N` (N >= 1). @p requests is left at 0 when
- * the flag is absent — "use the mode default", which each bench's
- * --help documents next to its smoke value.
- */
-inline bool
-parseBenchArgs(int argc, char **argv, const char *name,
-               const char *usage, bool &smoke, std::string &json_path,
-               size_t &requests, int &exit_code)
-{
-    smoke = false;
-    json_path.clear();
-    requests = 0;
-    exit_code = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 &&
+        } else if (requests != nullptr &&
+                   std::strcmp(argv[i], "--requests") == 0 &&
                    i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--requests") == 0 &&
-                   i + 1 < argc) {
-            char *end = nullptr;
-            const unsigned long v = std::strtoul(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0' || v == 0) {
+            u64 v = 0;
+            if (!parseU64(argv[++i], 1, SIZE_MAX, v)) {
                 std::fprintf(stderr,
                              "%s: --requests wants a positive "
                              "integer, got '%s'\n\n%s",
@@ -119,7 +65,7 @@ parseBenchArgs(int argc, char **argv, const char *name,
                 exit_code = 2;
                 return false;
             }
-            requests = static_cast<size_t>(v);
+            *requests = static_cast<size_t>(v);
         } else if (std::strcmp(argv[i], "--help") == 0 ||
                    std::strcmp(argv[i], "-h") == 0) {
             std::fputs(usage, stdout);

@@ -21,6 +21,7 @@
  */
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,6 +31,7 @@
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
 #include "ckks/keygen.h"
+#include "common/env.h"
 #include "fault/fault.h"
 #include "net/wire_client.h"
 #include "net/wire_server.h"
@@ -41,16 +43,15 @@ using namespace ark;
 ark::u64
 pickSeed(int argc, char **argv)
 {
-    const char *src = argc > 1 ? argv[1] : std::getenv("ARK_CHAOS_SEED");
+    const char *src = argc > 1 ? argv[1] : envValue("ARK_CHAOS_SEED");
     if (src == nullptr || *src == '\0')
         return 20250809;
     ark::u64 v = 0;
-    for (const char *p = src; *p; ++p) {
-        if (*p < '0' || *p > '9') {
-            std::fprintf(stderr, "seed must be digits, got '%s'\n", src);
-            std::exit(2);
-        }
-        v = v * 10 + static_cast<ark::u64>(*p - '0');
+    if (!parseU64(src, 0, UINT64_MAX, v)) {
+        std::fprintf(stderr,
+                     "seed must be an unsigned 64-bit integer, got '%s'\n",
+                     src);
+        std::exit(2);
     }
     return v;
 }

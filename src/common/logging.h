@@ -22,6 +22,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.h"
+
 namespace ark {
 
 [[noreturn]] inline void
@@ -88,19 +90,10 @@ inline LogLevel
 logThreshold()
 {
     static const LogLevel threshold = [] {
-        const char *env = std::getenv("ARK_LOG_LEVEL");
-        if (env == nullptr || *env == '\0')
-            return LogLevel::Warn;
         LogLevel lvl = LogLevel::Warn;
-        if (!parseLogLevel(env, lvl)) {
-            char msg[128];
-            std::snprintf(
-                msg, sizeof msg,
-                "invalid ARK_LOG_LEVEL '%s' (expected "
-                "error|warn|info|debug)",
-                env);
-            fatalImpl(__FILE__, __LINE__, msg);
-        }
+        const char *env = envValue("ARK_LOG_LEVEL");
+        if (env != nullptr && !parseLogLevel(env, lvl))
+            fatalEnv("ARK_LOG_LEVEL", env, "error|warn|info|debug");
         return lvl;
     }();
     return threshold;

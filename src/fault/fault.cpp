@@ -1,11 +1,9 @@
 #include "fault/fault.h"
 
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 
@@ -57,35 +55,6 @@ std::atomic<int> armed_state{-1};
 
 namespace {
 
-/** Strict unsigned env parse: digits only, range-checked (the
- *  ARK_LISTEN_PORT discipline; junk is fatal at the caller). */
-bool
-parseU64(const char *s, u64 lo, u64 hi, u64 &out)
-{
-    if (*s == '\0')
-        return false;
-    for (const char *p = s; *p; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (errno == ERANGE || v < lo || v > hi)
-        return false;
-    out = static_cast<u64>(v);
-    return true;
-}
-
-[[noreturn]] void
-fatalEnv(const char *var, const char *val, const char *expected)
-{
-    char msg[192];
-    std::snprintf(msg, sizeof msg, "invalid %s '%s' (expected %s)",
-                  var, val, expected);
-    ARK_FATAL(msg);
-}
-
 /**
  * Parse the ARK_FAULT_* family once. ARK_FAULT_SEED present (and
  * nonempty) arms the plane; the other variables refine the plan:
@@ -97,36 +66,25 @@ fatalEnv(const char *var, const char *val, const char *expected)
 bool
 envArm()
 {
-    const char *seed_env = std::getenv("ARK_FAULT_SEED");
-    if (seed_env == nullptr || *seed_env == '\0')
+    const auto seed = envU64("ARK_FAULT_SEED", 1, ~u64{0},
+                             "a positive integer seed");
+    if (!seed)
         return false;
-    u64 seed = 0;
-    if (!parseU64(seed_env, 1, ~u64{0}, seed))
-        fatalEnv("ARK_FAULT_SEED", seed_env,
-                 "a positive integer seed");
 
     FaultPlan plan;
-    plan.seed = seed;
+    plan.seed = *seed;
 
-    u64 permille = 10;
-    if (const char *env = std::getenv("ARK_FAULT_PERMILLE")) {
-        if (*env != '\0' && !parseU64(env, 0, 1000, permille))
-            fatalEnv("ARK_FAULT_PERMILLE", env,
-                     "an integer in [0, 1000]");
-    }
-    if (const char *env = std::getenv("ARK_FAULT_DELAY_US")) {
-        if (*env != '\0' && !parseU64(env, 0, 1000000, plan.delay_us))
-            fatalEnv("ARK_FAULT_DELAY_US", env,
-                     "an integer in [0, 1000000]");
-    }
-    if (const char *env = std::getenv("ARK_FAULT_STALL_MS")) {
-        if (*env != '\0' && !parseU64(env, 0, 60000, plan.stall_ms))
-            fatalEnv("ARK_FAULT_STALL_MS", env,
-                     "an integer in [0, 60000]");
-    }
+    const u64 permille = envU64("ARK_FAULT_PERMILLE", 0, 1000,
+                                "an integer in [0, 1000]")
+                             .value_or(10);
+    plan.delay_us = envU64("ARK_FAULT_DELAY_US", 0, 1000000,
+                           "an integer in [0, 1000000]")
+                        .value_or(plan.delay_us);
+    plan.stall_ms = envU64("ARK_FAULT_STALL_MS", 0, 60000,
+                           "an integer in [0, 60000]")
+                        .value_or(plan.stall_ms);
 
-    const char *sites_env = std::getenv("ARK_FAULT_SITES");
-    if (sites_env != nullptr && *sites_env != '\0') {
+    if (const char *sites_env = envValue("ARK_FAULT_SITES")) {
         // Comma-separated site names, each validated.
         const char *p = sites_env;
         while (*p) {
@@ -160,7 +118,7 @@ envArm()
     ARK_LOG(Info,
             "fault plane armed from environment (seed %llu, "
             "%llu permille)",
-            static_cast<unsigned long long>(seed),
+            static_cast<unsigned long long>(*seed),
             static_cast<unsigned long long>(permille));
     return true;
 }

@@ -1,9 +1,6 @@
 #include "net/wire_server.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -65,31 +62,9 @@ struct FatalWireError
 u64
 statsIntervalMsFromEnv()
 {
-    const char *env = std::getenv("ARK_STATS_INTERVAL_MS");
-    if (env == nullptr || *env == '\0')
-        return 0;
-    for (const char *p = env; *p; ++p) {
-        if (*p < '0' || *p > '9') {
-            char msg[160];
-            std::snprintf(msg, sizeof msg,
-                          "invalid ARK_STATS_INTERVAL_MS '%s' "
-                          "(expected an integer in [1, 3600000])",
-                          env);
-            ARK_FATAL(msg);
-        }
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (errno == ERANGE || v < 1 || v > 3600000ull) {
-        char msg[160];
-        std::snprintf(msg, sizeof msg,
-                      "invalid ARK_STATS_INTERVAL_MS '%s' (expected "
-                      "an integer in [1, 3600000])",
-                      env);
-        ARK_FATAL(msg);
-    }
-    return static_cast<u64>(v);
+    return envU64("ARK_STATS_INTERVAL_MS", 1, 3600000,
+                  "an integer in [1, 3600000]")
+        .value_or(0);
 }
 
 } // namespace

@@ -1,10 +1,8 @@
 #include "obs/obs.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
-#include "common/logging.h"
+#include "common/env.h"
 
 namespace ark {
 namespace obs {
@@ -32,22 +30,15 @@ std::atomic<int> metrics_override{-1};
 
 namespace {
 
-/** Parse one switch variable once; junk is fatal, naming the value —
- *  the ARK_BACKEND discipline. Empty counts as unset (off). */
+/** Parse one switch variable once (common/env discipline). Empty
+ *  counts as unset (off). */
 bool
 envSwitch(const char *var)
 {
-    const char *env = std::getenv(var);
-    if (env == nullptr || *env == '\0')
-        return false;
     bool on = false;
-    if (!parseOnOff(env, on)) {
-        char msg[128];
-        std::snprintf(msg, sizeof msg,
-                      "invalid %s '%s' (expected on|off|1|0)", var,
-                      env);
-        ARK_FATAL(msg);
-    }
+    const char *env = envValue(var);
+    if (env != nullptr && !parseOnOff(env, on))
+        fatalEnv(var, env, "on|off|1|0");
     return on;
 }
 

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
@@ -449,14 +447,6 @@ KernelBackend::nttInverse(RnsPoly &p, const std::vector<NttTables> &tables)
 }
 
 void
-KernelBackend::nttForwardLimb(u64 *limb, const NttTables &table)
-{
-    const size_t n = table.degree();
-    recordStats(KernelOp::NttForward, 1, 2 * n, nttMults(n));
-    kernels_.ntt_forward(limb, table);
-}
-
-void
 KernelBackend::nttInverseLimb(u64 *limb, const NttTables &table)
 {
     const size_t n = table.degree();
@@ -717,18 +707,8 @@ parseBackendKind(const char *name, BackendKind &out)
 bool
 parseBackendThreads(const char *s, size_t &out)
 {
-    if (s == nullptr || *s == '\0')
-        return false;
-    // Digits only: strtoul would silently accept "-1" (wrapping to a
-    // huge count), leading signs, and whitespace — all junk here.
-    for (const char *p = s; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(s, &end, 10);
-    if (errno == ERANGE || v > kMaxBackendThreads)
+    u64 v = 0;
+    if (!parseU64(s, 0, kMaxBackendThreads, v))
         return false;
     out = static_cast<size_t>(v);
     return true;
@@ -737,46 +717,23 @@ parseBackendThreads(const char *s, size_t &out)
 BackendKind
 backendKindFromEnv(BackendKind fallback)
 {
-    const char *env = std::getenv("ARK_BACKEND");
-    if (env == nullptr || *env == '\0')
-        return fallback;
-    BackendKind kind;
-    if (!parseBackendKind(env, kind)) {
-        char msg[160];
-        std::snprintf(msg, sizeof msg,
-                      "invalid ARK_BACKEND '%s' (expected 'scalar', "
-                      "'parallel', or 'simd')",
-                      env);
-        ARK_FATAL(msg);
-    }
+    BackendKind kind = fallback;
+    const char *env = envValue("ARK_BACKEND");
+    if (env != nullptr && !parseBackendKind(env, kind))
+        fatalEnv("ARK_BACKEND", env,
+                 "'scalar', 'parallel', or 'simd'");
     return kind;
 }
 
 size_t
 backendThreadsFromEnv(size_t fallback)
 {
-    const char *env = std::getenv("ARK_THREADS");
-    if (env == nullptr || *env == '\0')
-        return fallback;
-    size_t threads = 0;
-    if (!parseBackendThreads(env, threads)) {
-        char msg[160];
-        std::snprintf(msg, sizeof msg,
-                      "invalid ARK_THREADS '%s' (expected an integer in "
-                      "[0, %zu]; 0 = hardware concurrency)",
-                      env, kMaxBackendThreads);
-        ARK_FATAL(msg);
-    }
-    return threads;
-}
-
-KernelBackend &
-processBackend()
-{
-    static std::unique_ptr<KernelBackend> backend = makeKernelBackend(
-        backendKindFromEnv(BackendKind::Scalar),
-        backendThreadsFromEnv(0));
-    return *backend;
+    static_assert(kMaxBackendThreads == 4096,
+                  "keep the ARK_THREADS message in step");
+    return static_cast<size_t>(
+        envU64("ARK_THREADS", 0, kMaxBackendThreads,
+               "an integer in [0, 4096]; 0 = hardware concurrency")
+            .value_or(fallback));
 }
 
 } // namespace ark

@@ -98,13 +98,23 @@ class KernelBackend
              const std::vector<Modulus> &moduli, RnsPoly &r);
     void neg(const RnsPoly &a, const std::vector<Modulus> &moduli,
              RnsPoly &r);
+    /** r = a * b pointwise; both must be in Eval representation. */
     void mulEval(const RnsPoly &a, const RnsPoly &b,
                  const std::vector<Modulus> &moduli, RnsPoly &r);
+    /** r += a * b pointwise (Eval rep). */
     void mulAccEval(const RnsPoly &a, const RnsPoly &b,
                     const std::vector<Modulus> &moduli, RnsPoly &r);
     void mulScalar(const RnsPoly &a,
                    const std::vector<u64> &scalar_per_limb,
                    const std::vector<Modulus> &moduli, RnsPoly &r);
+    /**
+     * r[l][i] = a[l][i] + scalar_per_limb[l] for every word i of every
+     * limb l — the scalar is added to ALL N positions of its limb, not
+     * just coefficient 0. CAdd relies on this: a constant polynomial
+     * is constant across the evaluation domain, so adding the
+     * per-limb residue of a scalar to every Eval-rep word adds that
+     * scalar to every message slot.
+     */
     void addScalar(const RnsPoly &a,
                    const std::vector<u64> &scalar_per_limb,
                    const std::vector<Modulus> &moduli, RnsPoly &r);
@@ -168,7 +178,6 @@ class KernelBackend
     void nttInverse(RnsPoly &p,
                     const std::vector<const NttTables *> &tables);
     /** Single detached limb (rescale / ModRaise bookkeeping). */
-    void nttForwardLimb(u64 *limb, const NttTables &table);
     void nttInverseLimb(u64 *limb, const NttTables &table);
     /// @}
 
@@ -250,12 +259,5 @@ using SimdBackend = KernelBackend;
  */
 std::unique_ptr<KernelBackend> makeKernelBackend(BackendKind kind,
                                                  size_t num_threads = 0);
-
-/**
- * Process-wide backend used by the RnsPoly free-function wrappers
- * (callers without a CkksContext). Selected by ARK_BACKEND /
- * ARK_THREADS at first use; defaults to the scalar engine.
- */
-KernelBackend &processBackend();
 
 } // namespace ark

@@ -1,9 +1,8 @@
 #include "rns/cpu_features.h"
 
-#include <cstdlib>
 #include <cstring>
 
-#include "common/logging.h"
+#include "common/env.h"
 
 namespace ark {
 
@@ -74,20 +73,16 @@ detectSimdTier()
 SimdTier
 simdTierFromEnv(SimdTier fallback)
 {
-    const char *env = std::getenv("ARK_SIMD_TIER");
-    if (env == nullptr || *env == '\0')
-        return fallback;
-    SimdTier tier;
-    if (!parseSimdTier(env, tier)) {
-        std::string msg =
-            std::string("invalid ARK_SIMD_TIER '") + env + "' (expected";
+    SimdTier tier = fallback;
+    const char *env = envValue("ARK_SIMD_TIER");
+    if (env != nullptr && !parseSimdTier(env, tier)) {
+        std::string expected;
         for (int i = 0; i <= static_cast<int>(kMaxSimdTier); ++i) {
-            msg += i == 0 ? " '" : ", '";
-            msg += simdTierName(static_cast<SimdTier>(i));
-            msg += "'";
+            expected += i == 0 ? "'" : ", '";
+            expected += simdTierName(static_cast<SimdTier>(i));
+            expected += "'";
         }
-        msg += ")";
-        ARK_FATAL(msg.c_str());
+        fatalEnv("ARK_SIMD_TIER", env, expected.c_str());
     }
     return tier;
 }

@@ -1,7 +1,6 @@
 #include "rns/poly.h"
 
 #include "common/logging.h"
-#include "rns/backend.h"
 
 namespace ark {
 
@@ -45,69 +44,6 @@ RnsPoly::extendLimbs(size_t extra)
 {
     num_limbs_ += extra;
     data_.resize(num_limbs_ * degree_, 0);
-}
-
-// The limb-level loops behind these wrappers live in rns/backend.cpp;
-// the process-wide backend honours ARK_BACKEND / ARK_THREADS.
-
-void
-polyAdd(const RnsPoly &a, const RnsPoly &b,
-        const std::vector<Modulus> &moduli, RnsPoly &r)
-{
-    processBackend().add(a, b, moduli, r);
-}
-
-void
-polySub(const RnsPoly &a, const RnsPoly &b,
-        const std::vector<Modulus> &moduli, RnsPoly &r)
-{
-    processBackend().sub(a, b, moduli, r);
-}
-
-void
-polyNeg(const RnsPoly &a, const std::vector<Modulus> &moduli, RnsPoly &r)
-{
-    processBackend().neg(a, moduli, r);
-}
-
-void
-polyMulEval(const RnsPoly &a, const RnsPoly &b,
-            const std::vector<Modulus> &moduli, RnsPoly &r)
-{
-    processBackend().mulEval(a, b, moduli, r);
-}
-
-void
-polyMulAccEval(const RnsPoly &a, const RnsPoly &b,
-               const std::vector<Modulus> &moduli, RnsPoly &r)
-{
-    processBackend().mulAccEval(a, b, moduli, r);
-}
-
-void
-polyMulScalar(const RnsPoly &a, const std::vector<u64> &scalar_per_limb,
-              const std::vector<Modulus> &moduli, RnsPoly &r)
-{
-    processBackend().mulScalar(a, scalar_per_limb, moduli, r);
-}
-
-void
-polyAddScalar(const RnsPoly &a, const std::vector<u64> &scalar_per_limb,
-              const std::vector<Modulus> &moduli, RnsPoly &r)
-{
-    processBackend().addScalar(a, scalar_per_limb, moduli, r);
-}
-
-void
-polyNttForward(RnsPoly &p, const std::vector<NttTables> &tables)
-{
-    processBackend().nttForward(p, tables);
-}
-
-void
-polyNttInverse(RnsPoly &p, const std::vector<NttTables> &tables)
-{
-    processBackend().nttInverse(p, tables);
 }
 
 RnsPoly

@@ -5,14 +5,9 @@
  * A polynomial in R_Q = Z_Q[X]/(X^N + 1) is stored as one row ("limb",
  * paper Table I) per RNS prime, each row holding N words. A
  * representation flag tracks whether rows hold coefficients or NTT
- * evaluations; the arithmetic free functions check it so that, e.g., a
- * pointwise multiply on coefficient-representation data is caught
- * immediately instead of producing silent garbage.
- *
- * The free functions below are convenience wrappers over the
- * process-wide KernelBackend (rns/backend.h) for callers that do not
- * hold a CkksContext; scheme code dispatches through the context's own
- * backend instead.
+ * evaluations; the limb-level kernels (rns/backend.h) check it so
+ * that, e.g., a pointwise multiply on coefficient-representation data
+ * is caught immediately instead of producing silent garbage.
  */
 
 #pragma once
@@ -22,7 +17,6 @@
 #include <vector>
 
 #include "rns/modulus.h"
-#include "rns/ntt.h"
 
 namespace ark {
 
@@ -82,47 +76,6 @@ class RnsPoly
     Rep rep_ = Rep::Coeff;
     std::vector<u64> data_;
 };
-
-/** r = a + b limb-wise; shapes and reps must match. */
-void polyAdd(const RnsPoly &a, const RnsPoly &b,
-             const std::vector<Modulus> &moduli, RnsPoly &r);
-
-/** r = a - b limb-wise. */
-void polySub(const RnsPoly &a, const RnsPoly &b,
-             const std::vector<Modulus> &moduli, RnsPoly &r);
-
-/** r = -a limb-wise. */
-void polyNeg(const RnsPoly &a, const std::vector<Modulus> &moduli,
-             RnsPoly &r);
-
-/** r = a * b pointwise; both must be in Eval representation. */
-void polyMulEval(const RnsPoly &a, const RnsPoly &b,
-                 const std::vector<Modulus> &moduli, RnsPoly &r);
-
-/** r += a * b pointwise (Eval rep). */
-void polyMulAccEval(const RnsPoly &a, const RnsPoly &b,
-                    const std::vector<Modulus> &moduli, RnsPoly &r);
-
-/** r = a * c where c gives one scalar per limb. */
-void polyMulScalar(const RnsPoly &a, const std::vector<u64> &scalar_per_limb,
-                   const std::vector<Modulus> &moduli, RnsPoly &r);
-
-/**
- * r[l][i] = a[l][i] + scalar_per_limb[l] for every word i of every
- * limb l — the scalar is added to ALL N positions of its limb, not
- * just coefficient 0. CAdd relies on this: a constant polynomial is
- * constant across the evaluation domain, so adding the per-limb
- * residue of a scalar to every Eval-rep word adds that scalar to
- * every message slot.
- */
-void polyAddScalar(const RnsPoly &a, const std::vector<u64> &scalar_per_limb,
-                   const std::vector<Modulus> &moduli, RnsPoly &r);
-
-/** In-place forward NTT of every limb; poly must be in Coeff rep. */
-void polyNttForward(RnsPoly &p, const std::vector<NttTables> &tables);
-
-/** In-place inverse NTT of every limb; poly must be in Eval rep. */
-void polyNttInverse(RnsPoly &p, const std::vector<NttTables> &tables);
 
 /**
  * Lift a vector of signed coefficients into RNS form (Coeff rep):

@@ -1,49 +1,15 @@
 #include "serve/arrival.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "common/random.h"
 
 namespace ark {
-
-namespace {
-
-/** Strict unsigned env parse: digits only, range-checked. */
-bool
-parseArrivalU64(const char *s, u64 lo, u64 hi, u64 &out)
-{
-    if (*s == '\0')
-        return false;
-    for (const char *p = s; *p; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (errno == ERANGE || v < lo || v > hi)
-        return false;
-    out = static_cast<u64>(v);
-    return true;
-}
-
-[[noreturn]] void
-fatalEnv(const char *name, const char *value, const char *expected)
-{
-    char msg[192];
-    std::snprintf(msg, sizeof msg, "invalid %s '%s' (expected %s)",
-                  name, value, expected);
-    ARK_FATAL(msg);
-}
-
-} // namespace
 
 double
 arrivalRateAt(const ArrivalConfig &cfg, double t_s)
@@ -115,33 +81,16 @@ generateArrivals(const ArrivalConfig &cfg, size_t workload_count)
 ArrivalConfig
 arrivalConfigFromEnv(ArrivalConfig cfg)
 {
-    // An empty value counts as unset, matching ARK_BACKEND et al.
-    const char *rate_env = std::getenv("ARK_ARRIVAL_RATE");
-    if (rate_env != nullptr && *rate_env != '\0') {
-        u64 v = 0;
-        if (!parseArrivalU64(rate_env, 1, 1000000, v))
-            fatalEnv("ARK_ARRIVAL_RATE", rate_env,
-                     "an integer in [1, 1000000] arrivals/sec");
-        cfg.rate_per_sec = static_cast<double>(v);
-    }
-    const char *ms_env = std::getenv("ARK_ARRIVAL_MS");
-    if (ms_env != nullptr && *ms_env != '\0') {
-        u64 v = 0;
-        if (!parseArrivalU64(ms_env, 1, 3600000, v))
-            fatalEnv("ARK_ARRIVAL_MS", ms_env,
-                     "an integer in [1, 3600000] milliseconds");
-        cfg.duration_s = static_cast<double>(v) / 1000.0;
-    }
-    const char *seed_env = std::getenv("ARK_ARRIVAL_SEED");
-    if (seed_env != nullptr && *seed_env != '\0') {
-        u64 v = 0;
-        if (!parseArrivalU64(seed_env, 0, ~u64{0}, v))
-            fatalEnv("ARK_ARRIVAL_SEED", seed_env,
-                     "an unsigned 64-bit integer");
-        cfg.seed = v;
-    }
-    const char *burst_env = std::getenv("ARK_ARRIVAL_BURST");
-    if (burst_env != nullptr && *burst_env != '\0') {
+    if (const auto v = envU64("ARK_ARRIVAL_RATE", 1, 1000000,
+                              "an integer in [1, 1000000] arrivals/sec"))
+        cfg.rate_per_sec = static_cast<double>(*v);
+    if (const auto v = envU64("ARK_ARRIVAL_MS", 1, 3600000,
+                              "an integer in [1, 3600000] milliseconds"))
+        cfg.duration_s = static_cast<double>(*v) / 1000.0;
+    if (const auto v = envU64("ARK_ARRIVAL_SEED", 0, ~u64{0},
+                              "an unsigned 64-bit integer"))
+        cfg.seed = *v;
+    if (const char *burst_env = envValue("ARK_ARRIVAL_BURST")) {
         u64 start_ms = 0, dur_ms = 0, mult = 0;
         const char *p1 = std::strchr(burst_env, ':');
         const char *p2 = p1 ? std::strchr(p1 + 1, ':') : nullptr;
@@ -149,9 +98,9 @@ arrivalConfigFromEnv(ArrivalConfig cfg)
         if (ok) {
             const std::string a(burst_env, p1);
             const std::string b(p1 + 1, p2);
-            ok = parseArrivalU64(a.c_str(), 0, 3600000, start_ms) &&
-                 parseArrivalU64(b.c_str(), 1, 3600000, dur_ms) &&
-                 parseArrivalU64(p2 + 1, 1, 1000, mult);
+            ok = parseU64(a.c_str(), 0, 3600000, start_ms) &&
+                 parseU64(b.c_str(), 1, 3600000, dur_ms) &&
+                 parseU64(p2 + 1, 1, 1000, mult);
         }
         if (!ok)
             fatalEnv("ARK_ARRIVAL_BURST", burst_env,

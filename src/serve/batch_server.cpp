@@ -1,12 +1,9 @@
 #include "serve/batch_server.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -15,25 +12,6 @@
 namespace ark {
 
 namespace {
-
-/** Strict unsigned env parse: digits only, range-checked. */
-bool
-parseEnvU64(const char *s, u64 lo, u64 hi, u64 &out)
-{
-    if (*s == '\0')
-        return false;
-    for (const char *p = s; *p; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (errno == ERANGE || v < lo || v > hi)
-        return false;
-    out = static_cast<u64>(v);
-    return true;
-}
 
 /** Apply the config's intra-request schedule to every workload.
  *  Dependence-safe: reordering follows the bit-exact commutation
@@ -107,53 +85,17 @@ apportion(size_t total, const std::vector<size_t> &weights)
 BatchServerConfig
 serveConfigFromEnv(BatchServerConfig cfg)
 {
-    // An empty value counts as unset, matching ARK_BACKEND et al.
-    if (const char *env = std::getenv("ARK_LISTEN_ADDR")) {
-        if (*env != '\0')
-            cfg.listen_addr = env;
-    }
-    const char *port_env = std::getenv("ARK_LISTEN_PORT");
-    if (port_env != nullptr && *port_env != '\0') {
-        const char *env = port_env;
-        u64 v = 0;
-        if (!parseEnvU64(env, 0, 65535, v)) {
-            char msg[160];
-            std::snprintf(msg, sizeof msg,
-                          "invalid ARK_LISTEN_PORT '%s' (expected an "
-                          "integer in [0, 65535]; 0 = ephemeral)",
-                          env);
-            ARK_FATAL(msg);
-        }
-        cfg.listen_port = static_cast<u16>(v);
-    }
-    const char *sess_env = std::getenv("ARK_MAX_SESSIONS");
-    if (sess_env != nullptr && *sess_env != '\0') {
-        const char *env = sess_env;
-        u64 v = 0;
-        if (!parseEnvU64(env, 1, 4096, v)) {
-            char msg[160];
-            std::snprintf(msg, sizeof msg,
-                          "invalid ARK_MAX_SESSIONS '%s' (expected an "
-                          "integer in [1, 4096])",
-                          env);
-            ARK_FATAL(msg);
-        }
-        cfg.max_sessions = static_cast<size_t>(v);
-    }
-    const char *frame_env = std::getenv("ARK_MAX_FRAME_MIB");
-    if (frame_env != nullptr && *frame_env != '\0') {
-        const char *env = frame_env;
-        u64 v = 0;
-        if (!parseEnvU64(env, 1, 16384, v)) {
-            char msg[160];
-            std::snprintf(msg, sizeof msg,
-                          "invalid ARK_MAX_FRAME_MIB '%s' (expected an "
-                          "integer in [1, 16384])",
-                          env);
-            ARK_FATAL(msg);
-        }
-        cfg.max_frame_bytes = v * 1024 * 1024;
-    }
+    if (const char *env = envValue("ARK_LISTEN_ADDR"))
+        cfg.listen_addr = env;
+    if (const auto v = envU64("ARK_LISTEN_PORT", 0, 65535,
+                              "an integer in [0, 65535]; 0 = ephemeral"))
+        cfg.listen_port = static_cast<u16>(*v);
+    if (const auto v = envU64("ARK_MAX_SESSIONS", 1, 4096,
+                              "an integer in [1, 4096]"))
+        cfg.max_sessions = static_cast<size_t>(*v);
+    if (const auto v = envU64("ARK_MAX_FRAME_MIB", 1, 16384,
+                              "an integer in [1, 16384]"))
+        cfg.max_frame_bytes = *v * 1024 * 1024;
     struct MsKnob
     {
         const char *var;
@@ -167,38 +109,20 @@ serveConfigFromEnv(BatchServerConfig cfg)
         {"ARK_IO_TIMEOUT_MS", 0, &cfg.io_timeout_ms},
     };
     for (const MsKnob &k : ms_knobs) {
-        const char *env = std::getenv(k.var);
-        if (env == nullptr || *env == '\0')
-            continue;
-        u64 v = 0;
-        if (!parseEnvU64(env, k.lo, 3600000, v)) {
-            char msg[160];
-            std::snprintf(msg, sizeof msg,
-                          "invalid %s '%s' (expected an integer in "
-                          "[%llu, 3600000] milliseconds)",
-                          k.var, env,
-                          static_cast<unsigned long long>(k.lo));
-            ARK_FATAL(msg);
-        }
-        *k.field = v;
+        const char *expected =
+            k.lo == 0 ? "an integer in [0, 3600000] milliseconds"
+                      : "an integer in [1, 3600000] milliseconds";
+        if (const auto v = envU64(k.var, k.lo, 3600000, expected))
+            *k.field = *v;
     }
-    const char *slo_env = std::getenv("ARK_SLO_P99_MS");
-    if (slo_env != nullptr && *slo_env != '\0') {
-        u64 v = 0;
-        if (!parseEnvU64(slo_env, 1, 3600000, v)) {
-            char msg[160];
-            std::snprintf(msg, sizeof msg,
-                          "invalid ARK_SLO_P99_MS '%s' (expected an "
-                          "integer in [1, 3600000] milliseconds)",
-                          slo_env);
-            ARK_FATAL(msg);
-        }
+    if (const auto v = envU64("ARK_SLO_P99_MS", 1, 3600000,
+                              "an integer in [1, 3600000] milliseconds")) {
         cfg.admission.enabled = true;
         if (cfg.admission.classes.empty())
             cfg.admission.classes.push_back(SloClass{});
         for (SloClass &cls : cfg.admission.classes) {
             if (cls.p99_ms <= 0)
-                cls.p99_ms = static_cast<double>(v);
+                cls.p99_ms = static_cast<double>(*v);
         }
     }
     return cfg;

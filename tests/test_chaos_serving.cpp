@@ -21,6 +21,7 @@
  * logs the seed on failure so any break replays exactly.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
@@ -33,6 +34,7 @@
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
 #include "ckks/keygen.h"
+#include "common/env.h"
 #include "fault/fault.h"
 #include "net/wire_client.h"
 #include "net/wire_server.h"
@@ -42,21 +44,19 @@ namespace ark {
 namespace {
 
 /** The seeded schedule under test: fixed default, ARK_CHAOS_SEED
- *  (digits) overrides — the randomized CI job sets it and echoes it. */
+ *  (a u64) overrides — the randomized CI job sets it and echoes it. */
 u64
 chaosSeed()
 {
-    const char *env = std::getenv("ARK_CHAOS_SEED");
-    if (env == nullptr || *env == '\0')
+    const char *env = envValue("ARK_CHAOS_SEED");
+    if (env == nullptr)
         return 20250809;
     u64 v = 0;
-    for (const char *p = env; *p; ++p) {
-        if (*p < '0' || *p > '9') {
-            ADD_FAILURE() << "ARK_CHAOS_SEED must be digits, got '"
-                          << env << "'";
-            return 20250809;
-        }
-        v = v * 10 + static_cast<u64>(*p - '0');
+    if (!parseU64(env, 0, UINT64_MAX, v)) {
+        ADD_FAILURE() << "ARK_CHAOS_SEED must be an unsigned 64-bit "
+                         "integer, got '"
+                      << env << "'";
+        return 20250809;
     }
     return v;
 }

@@ -272,8 +272,8 @@ TEST_F(CkksTest, ModRaisePreservesValueModQ0)
 
     auto pt0 = decryptor_->decrypt(ct0);
     auto ptL = decryptor_->decrypt(raised);
-    polyNttInverse(pt0.poly, ctx_->qTables());
-    polyNttInverse(ptL.poly, ctx_->qTables());
+    ctx_->backend().nttInverse(pt0.poly, ctx_->qTables());
+    ctx_->backend().nttInverse(ptL.poly, ctx_->qTables());
     size_t mismatches = 0;
     for (size_t i = 0; i < ctx_->degree(); ++i) {
         if (pt0.poly.limb(0)[i] != ptL.poly.limb(0)[i])

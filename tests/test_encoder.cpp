@@ -93,7 +93,7 @@ TEST_F(EncoderTest, AdditionHomomorphism)
     auto p2 = enc_->encode(m2, ctx_->maxLevel());
     const auto moduli = ctx_->levelModuli(ctx_->maxLevel());
     Plaintext sum = p1;
-    polyAdd(p1.poly, p2.poly, moduli, sum.poly);
+    ctx_->backend().add(p1.poly, p2.poly, moduli, sum.poly);
     auto back = enc_->decode(sum, m1.size());
     for (size_t i = 0; i < m1.size(); ++i)
         EXPECT_LT(std::abs(back[i] - (m1[i] + m2[i])), 1e-5);
@@ -107,7 +107,7 @@ TEST_F(EncoderTest, MultiplicationHomomorphism)
     auto p2 = enc_->encode(m2, ctx_->maxLevel());
     const auto moduli = ctx_->levelModuli(ctx_->maxLevel());
     Plaintext prod = p1;
-    polyMulEval(p1.poly, p2.poly, moduli, prod.poly);
+    ctx_->backend().mulEval(p1.poly, p2.poly, moduli, prod.poly);
     prod.scale = p1.scale * p2.scale;
     auto back = enc_->decode(prod, m1.size());
     for (size_t i = 0; i < m1.size(); ++i)

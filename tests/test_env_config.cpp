@@ -1,17 +1,20 @@
 /**
  * @file
- * ARK_BACKEND / ARK_THREADS / ARK_SIMD_TIER environment-knob
- * validation: junk values must be rejected with a clear error (process
- * exit naming the offending value), never silently fall back or wrap —
+ * ARK_* environment-knob validation (common/env.h and its callers):
+ * junk values must be rejected with a clear error (process exit
+ * naming the offending value), never silently fall back or wrap —
  * while a VALID tier request the host cannot satisfy (ARK_BACKEND=simd
  * on a machine without that ISA) must clamp to what the CPU supports
  * and keep computing correctly, never abort.
  */
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/env.h"
 #include "common/random.h"
 #include "rns/backend.h"
 #include "rns/backend_kind.h"
@@ -21,6 +24,41 @@
 
 namespace ark {
 namespace {
+
+TEST(EnvConfig, ParseU64IsStrictDigitsOnly)
+{
+    u64 v = 99;
+    EXPECT_FALSE(parseU64(nullptr, 0, 10, v));
+    EXPECT_FALSE(parseU64("", 0, 10, v));
+    EXPECT_FALSE(parseU64("+5", 0, 10, v));
+    EXPECT_FALSE(parseU64(" 5", 0, 10, v));
+    EXPECT_FALSE(parseU64("5 ", 0, 10, v));
+    EXPECT_FALSE(parseU64("5x", 0, 10, v));
+    EXPECT_FALSE(parseU64("-1", 0, 10, v));
+    // 2^64: one past the largest u64 must not wrap to 0.
+    EXPECT_FALSE(parseU64("18446744073709551616", 0, ~u64{0}, v));
+    EXPECT_EQ(v, 99u); // a rejected parse leaves the output alone
+
+    EXPECT_TRUE(parseU64("18446744073709551615", 0, ~u64{0}, v));
+    EXPECT_EQ(v, ~u64{0});
+    EXPECT_TRUE(parseU64("007", 0, 10, v));
+    EXPECT_EQ(v, 7u);
+    EXPECT_TRUE(parseU64("0000", 0, 10, v));
+    EXPECT_EQ(v, 0u);
+}
+
+TEST(EnvConfig, ParseU64BoundsAreInclusive)
+{
+    u64 v = 0;
+    EXPECT_TRUE(parseU64("3", 3, 9, v));
+    EXPECT_EQ(v, 3u);
+    EXPECT_TRUE(parseU64("9", 3, 9, v));
+    EXPECT_EQ(v, 9u);
+    EXPECT_FALSE(parseU64("2", 3, 9, v));
+    EXPECT_FALSE(parseU64("10", 3, 9, v));
+    EXPECT_TRUE(parseU64("5", 5, 5, v));
+    EXPECT_EQ(v, 5u);
+}
 
 TEST(EnvConfig, ParseBackendKindAcceptsKnownNames)
 {
@@ -299,6 +337,55 @@ TEST(EnvConfigDeathTest, JunkMaxFrameMibExitsWithClearError)
                 ::testing::ExitedWithCode(1),
                 "invalid ARK_MAX_FRAME_MIB '1.5'");
     unsetenv("ARK_MAX_FRAME_MIB");
+}
+
+/** Every numeric knob serveConfigFromEnv reads, with its range. */
+struct ServeKnob
+{
+    const char *var;
+    u64 lo;
+    u64 hi;
+};
+
+const ServeKnob kServeKnobs[] = {
+    {"ARK_LISTEN_PORT", 0, 65535},
+    {"ARK_MAX_SESSIONS", 1, 4096},
+    {"ARK_MAX_FRAME_MIB", 1, 16384},
+    {"ARK_WATCHDOG_MS", 0, 3600000},
+    {"ARK_WORKER_STUCK_MS", 1, 3600000},
+    {"ARK_IDLE_TIMEOUT_MS", 0, 3600000},
+    {"ARK_IO_TIMEOUT_MS", 0, 3600000},
+    {"ARK_SLO_P99_MS", 1, 3600000},
+};
+
+TEST(EnvConfig, ServeKnobsAcceptBothBounds)
+{
+    for (const ServeKnob &k : kServeKnobs) {
+        SCOPED_TRACE(k.var);
+        for (const u64 v : {k.lo, k.hi}) {
+            setenv(k.var, std::to_string(v).c_str(), 1);
+            (void)serveConfigFromEnv();
+        }
+        unsetenv(k.var);
+    }
+}
+
+TEST(EnvConfigDeathTest, ServeKnobsRejectOutOfRangeAndJunk)
+{
+    for (const ServeKnob &k : kServeKnobs) {
+        SCOPED_TRACE(k.var);
+        std::vector<std::string> bad = {std::to_string(k.hi + 1), "-1"};
+        if (k.lo > 0)
+            bad.push_back(std::to_string(k.lo - 1));
+        for (const std::string &value : bad) {
+            setenv(k.var, value.c_str(), 1);
+            EXPECT_EXIT((void)serveConfigFromEnv(),
+                        ::testing::ExitedWithCode(1),
+                        std::string("invalid ") + k.var + " '" + value +
+                            "'");
+        }
+        unsetenv(k.var);
+    }
 }
 
 TEST(EnvConfig, EmptyServeEnvValuesCountAsUnset)

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "rns/poly.h"
+#include "rns/backend.h"
 #include "rns/primes.h"
 
 namespace ark {
@@ -39,6 +39,9 @@ class PolyTest : public ::testing::Test
     size_t degree_;
     std::vector<Modulus> moduli_;
     std::vector<NttTables> tables_;
+    /** The engine ARK_BACKEND / ARK_THREADS select (scalar default). */
+    std::unique_ptr<KernelBackend> be_ = makeKernelBackend(
+        backendKindFromEnv(BackendKind::Scalar), backendThreadsFromEnv(0));
 };
 
 TEST_F(PolyTest, AddSubInverse)
@@ -47,8 +50,8 @@ TEST_F(PolyTest, AddSubInverse)
     auto b = randomPoly(Rep::Coeff, 2);
     RnsPoly s(degree_, moduli_.size(), Rep::Coeff);
     RnsPoly back(degree_, moduli_.size(), Rep::Coeff);
-    polyAdd(a, b, moduli_, s);
-    polySub(s, b, moduli_, back);
+    be_->add(a, b, moduli_, s);
+    be_->sub(s, b, moduli_, back);
     for (size_t l = 0; l < moduli_.size(); ++l) {
         for (size_t i = 0; i < degree_; ++i)
             EXPECT_EQ(back.limb(l)[i], a.limb(l)[i]);
@@ -61,8 +64,8 @@ TEST_F(PolyTest, NegIsSubFromZero)
     RnsPoly z(degree_, moduli_.size(), Rep::Coeff);
     RnsPoly n1(degree_, moduli_.size(), Rep::Coeff);
     RnsPoly n2(degree_, moduli_.size(), Rep::Coeff);
-    polyNeg(a, moduli_, n1);
-    polySub(z, a, moduli_, n2);
+    be_->neg(a, moduli_, n1);
+    be_->sub(z, a, moduli_, n2);
     for (size_t l = 0; l < moduli_.size(); ++l) {
         for (size_t i = 0; i < degree_; ++i)
             EXPECT_EQ(n1.limb(l)[i], n2.limb(l)[i]);
@@ -73,9 +76,9 @@ TEST_F(PolyTest, NttRoundTripAllLimbs)
 {
     auto a = randomPoly(Rep::Coeff, 4);
     auto original = a;
-    polyNttForward(a, tables_);
+    be_->nttForward(a, tables_);
     EXPECT_EQ(a.rep(), Rep::Eval);
-    polyNttInverse(a, tables_);
+    be_->nttInverse(a, tables_);
     EXPECT_EQ(a.rep(), Rep::Coeff);
     for (size_t l = 0; l < moduli_.size(); ++l) {
         for (size_t i = 0; i < degree_; ++i)
@@ -92,11 +95,11 @@ TEST_F(PolyTest, MulEvalDistributesOverAdd)
     RnsPoly bc(degree_, k, Rep::Eval), ab(degree_, k, Rep::Eval);
     RnsPoly ac(degree_, k, Rep::Eval), lhs(degree_, k, Rep::Eval);
     RnsPoly rhs(degree_, k, Rep::Eval);
-    polyAdd(b, c, moduli_, bc);
-    polyMulEval(a, bc, moduli_, lhs);
-    polyMulEval(a, b, moduli_, ab);
-    polyMulEval(a, c, moduli_, ac);
-    polyAdd(ab, ac, moduli_, rhs);
+    be_->add(b, c, moduli_, bc);
+    be_->mulEval(a, bc, moduli_, lhs);
+    be_->mulEval(a, b, moduli_, ab);
+    be_->mulEval(a, c, moduli_, ac);
+    be_->add(ab, ac, moduli_, rhs);
     for (size_t l = 0; l < k; ++l) {
         for (size_t i = 0; i < degree_; ++i)
             EXPECT_EQ(lhs.limb(l)[i], rhs.limb(l)[i]);
@@ -110,10 +113,10 @@ TEST_F(PolyTest, MulAccEqualsMulPlusAdd)
     auto acc0 = randomPoly(Rep::Eval, 10);
     const size_t k = moduli_.size();
     RnsPoly prod(degree_, k, Rep::Eval), expect(degree_, k, Rep::Eval);
-    polyMulEval(a, b, moduli_, prod);
-    polyAdd(acc0, prod, moduli_, expect);
+    be_->mulEval(a, b, moduli_, prod);
+    be_->add(acc0, prod, moduli_, expect);
     auto acc = acc0;
-    polyMulAccEval(a, b, moduli_, acc);
+    be_->mulAccEval(a, b, moduli_, acc);
     for (size_t l = 0; l < k; ++l) {
         for (size_t i = 0; i < degree_; ++i)
             EXPECT_EQ(acc.limb(l)[i], expect.limb(l)[i]);
@@ -127,7 +130,7 @@ TEST_F(PolyTest, ScalarMulMatchesElementwise)
     for (auto &m : moduli_)
         scalars.push_back(m.value() / 3);
     RnsPoly r(degree_, moduli_.size(), Rep::Coeff);
-    polyMulScalar(a, scalars, moduli_, r);
+    be_->mulScalar(a, scalars, moduli_, r);
     for (size_t l = 0; l < moduli_.size(); ++l) {
         for (size_t i = 0; i < degree_; ++i)
             EXPECT_EQ(r.limb(l)[i],
@@ -137,7 +140,7 @@ TEST_F(PolyTest, ScalarMulMatchesElementwise)
 
 TEST_F(PolyTest, AddScalarAddsToEveryWordOfEachLimb)
 {
-    // polyAddScalar adds scalar_per_limb[l] to ALL N words of limb l,
+    // addScalar adds scalar_per_limb[l] to ALL N words of limb l,
     // not just coefficient 0 (the documented CAdd semantics: constant
     // polys are constant across the evaluation domain).
     auto a = randomPoly(Rep::Eval, 20);
@@ -145,7 +148,7 @@ TEST_F(PolyTest, AddScalarAddsToEveryWordOfEachLimb)
     for (auto &m : moduli_)
         scalars.push_back(m.value() / 7 + 3);
     RnsPoly r(degree_, moduli_.size(), Rep::Eval);
-    polyAddScalar(a, scalars, moduli_, r);
+    be_->addScalar(a, scalars, moduli_, r);
     for (size_t l = 0; l < moduli_.size(); ++l) {
         const u64 q = moduli_[l].value();
         for (size_t i = 0; i < degree_; ++i)
@@ -188,7 +191,7 @@ TEST_F(PolyTest, MulOnCoeffRepDies)
     auto a = randomPoly(Rep::Coeff, 13);
     auto b = randomPoly(Rep::Coeff, 14);
     RnsPoly r(degree_, moduli_.size(), Rep::Coeff);
-    EXPECT_DEATH(polyMulEval(a, b, moduli_, r), "");
+    EXPECT_DEATH(be_->mulEval(a, b, moduli_, r), "");
 }
 
 } // namespace
