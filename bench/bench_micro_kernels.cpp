@@ -184,7 +184,8 @@ runSimdComparison(bool smoke)
     KernelBackend scalar(SimdTier::Scalar);
     g_simd_tier = simdTierName(simd.tier());
     std::printf("Vector (simd backend, tier %s) vs scalar lazy "
-                "kernels, 60-bit limbs (_q42: 42-bit)\n",
+                "kernels, 60-bit limbs (_q42: 42-bit, _q60: below "
+                "2^60)\n",
                 g_simd_tier.c_str());
     if (simd.tier() == SimdTier::Scalar)
         std::printf("  (no vector ISA on this host or tier capped; "
@@ -336,6 +337,74 @@ runSimdComparison(bool smoke)
                 simd.evkMulAcc(a, b, c, limbs, limbs, mods, bv, av);
         }) / iters;
         add_row(re);
+    }
+
+    // The element-wise entries over four limbs: 42-bit limbs take the
+    // IFMA bodies where the tier has them, limbs just below 2^60 the
+    // AVX-512 ones. mulByI runs the constant product on half limbs.
+    for (const int width : {42, 60}) {
+        const size_t n = 4096, limbs = 4;
+        const std::string suffix = "_q" + std::to_string(width);
+        std::vector<Modulus> mods;
+        std::vector<NttTables> tables;
+        std::vector<u64> scalars;
+        Rng rng(14);
+        for (u64 q : generatePrimesBelow(width, limbs, n)) {
+            mods.emplace_back(q);
+            tables.emplace_back(n, Modulus(q));
+            scalars.push_back(rng.uniformVector(1, q)[0]);
+        }
+        const auto random_poly = [&] {
+            RnsPoly p(n, limbs, Rep::Eval);
+            for (size_t l = 0; l < limbs; ++l) {
+                auto v = rng.uniformVector(n, mods[l].value());
+                std::copy(v.begin(), v.end(), p.limb(l));
+            }
+            return p;
+        };
+        const RnsPoly a = random_poly(), b = random_poly();
+        // One parity-gated row per kernel; the MAC's accumulator stays
+        // canonical however often it runs.
+        const auto kernel_row = [&](const char *name, const auto &op) {
+            RnsPoly rs = random_poly(), rv = rs;
+            op(scalar, rs);
+            op(simd, rv);
+            bool same = true;
+            for (size_t l = 0; same && l < limbs; ++l)
+                same = std::memcmp(rs.limb(l), rv.limb(l),
+                                   n * sizeof(u64)) == 0;
+            checkParity(same, (std::string("simd ") + name +
+                               " != scalar")
+                                  .c_str());
+            Result r{std::string("simd_") + name + suffix, n, limbs, 0, 0};
+            r.baseline_ms = timeMs(reps, [&] {
+                for (int i = 0; i < iters; ++i)
+                    op(scalar, rs);
+            }) / iters;
+            r.optimized_ms = timeMs(reps, [&] {
+                for (int i = 0; i < iters; ++i)
+                    op(simd, rv);
+            }) / iters;
+            add_row(r);
+        };
+        kernel_row("add", [&](KernelBackend &kb, RnsPoly &r) {
+            kb.add(a, b, mods, r);
+        });
+        kernel_row("sub", [&](KernelBackend &kb, RnsPoly &r) {
+            kb.sub(a, b, mods, r);
+        });
+        kernel_row("mul_acc_eval", [&](KernelBackend &kb, RnsPoly &r) {
+            kb.mulAccEval(a, b, mods, r);
+        });
+        kernel_row("mul_scalar", [&](KernelBackend &kb, RnsPoly &r) {
+            kb.mulScalar(a, scalars, mods, r);
+        });
+        kernel_row("sub_mul_scalar", [&](KernelBackend &kb, RnsPoly &r) {
+            kb.subMulScalar(a, b, scalars, mods, r);
+        });
+        kernel_row("mul_by_i", [&](KernelBackend &kb, RnsPoly &r) {
+            kb.mulByI(a, tables, r);
+        });
     }
 
     // The fused BConv tile with the vector MAC inner loop.

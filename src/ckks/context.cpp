@@ -8,6 +8,26 @@
 
 namespace ark {
 
+PrimeChains
+primeChains(const CkksParams &params)
+{
+    // q0 is generated at log_q0 bits and q1..qL balanced around the
+    // scale, since rescale divides by them. The special primes are the
+    // largest below 2^log_special: only their product P matters, and at
+    // log_special = 60 every one of them stays below the vector NTT
+    // bodies' 2^60 bound.
+    const size_t n = params.degree;
+    PrimeChains chains;
+    chains.q.push_back(generateFirstPrime(params.log_q0, n));
+    const auto scale_primes =
+        generatePrimes(params.log_scale, params.max_level, n, chains.q);
+    chains.q.insert(chains.q.end(), scale_primes.begin(),
+                    scale_primes.end());
+    chains.p = generatePrimesBelow(params.log_special, params.alpha(), n,
+                                   chains.q);
+    return chains;
+}
+
 CkksContext::CkksContext(CkksParams params)
     : params_(std::move(params)),
       backend_(makeKernelBackend(
@@ -20,20 +40,12 @@ CkksContext::CkksContext(CkksParams params)
     ARK_ASSERT((L + 1) % params_.dnum == 0,
                "dnum must divide L + 1 (paper Table I)");
 
-    // q0 is generated at log_q0 bits; q1..qL near the scale; specials at
-    // log_special bits for error headroom.
-    std::vector<u64> qs;
-    qs.push_back(generateFirstPrime(params_.log_q0, n));
-    auto scale_primes =
-        generatePrimes(params_.log_scale, L, n, qs);
-    qs.insert(qs.end(), scale_primes.begin(), scale_primes.end());
-    auto special_primes = generatePrimes(params_.log_special, a, n, qs);
-
-    for (u64 q : qs) {
+    const PrimeChains chains = primeChains(params_);
+    for (u64 q : chains.q) {
         q_moduli_.emplace_back(q);
         q_tables_.emplace_back(n, Modulus(q));
     }
-    for (u64 p : special_primes) {
+    for (u64 p : chains.p) {
         p_moduli_.emplace_back(p);
         p_tables_.emplace_back(n, Modulus(p));
     }

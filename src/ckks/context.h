@@ -26,6 +26,16 @@
 
 namespace ark {
 
+/** The RNS prime chains of one parameter set. */
+struct PrimeChains
+{
+    std::vector<u64> q; ///< q_0..q_L (C in the paper)
+    std::vector<u64> p; ///< the special primes (B in the paper)
+};
+
+/** The prime chains a CkksContext for @p params uses. */
+PrimeChains primeChains(const CkksParams &params);
+
 /** Shared precomputation for a CKKS instance. */
 class CkksContext
 {

@@ -133,25 +133,18 @@ CkksEvaluator::mulScalar(const Ciphertext &c, double value,
 Ciphertext
 CkksEvaluator::mulByI(const Ciphertext &c) const
 {
-    // i is the monomial X^{N/2}; multiplying by it is an exact,
-    // noise-free index shift, executed in the coefficient
-    // representation as a negacyclic monomial multiply.
-    const auto moduli = ctx_.levelModuli(c.level());
-    const size_t half = ctx_.degree() / 2;
+    // i is the monomial X^{N/2}; multiplying by it is exact and
+    // noise-free, one constant product per half-limb in Eval rep.
+    // Pooled: mulByI writes every word of r.b / r.a.
     KernelBackend &kb = ctx_.backend();
-    PolyPool &pool = kb.pool();
-    auto shift = [&](const RnsPoly &src) {
-        RnsPoly p = src;
-        kb.nttInverse(p, ctx_.qTables());
-        // Pooled: monomialMul writes every output position.
-        RnsPoly out = pool.acquire(p.degree(), p.numLimbs(), Rep::Coeff);
-        kb.monomialMul(p, half, moduli, out);
-        kb.nttForward(out, ctx_.qTables());
-        return out;
-    };
-    Ciphertext r = c;
-    r.b = shift(c.b);
-    r.a = shift(c.a);
+    const size_t limbs = c.b.numLimbs();
+    Ciphertext r;
+    r.scale = c.scale;
+    r.slots = c.slots;
+    r.b = kb.pool().acquire(ctx_.degree(), limbs, Rep::Eval);
+    r.a = kb.pool().acquire(ctx_.degree(), limbs, Rep::Eval);
+    kb.mulByI(c.b, ctx_.qTables(), r.b);
+    kb.mulByI(c.a, ctx_.qTables(), r.a);
     return r;
 }
 

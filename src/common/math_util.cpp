@@ -93,7 +93,10 @@ primitiveRoot(u64 p)
 {
     ARK_ASSERT(isPrime(p), "primitiveRoot requires a prime modulus");
     u64 phi = p - 1;
-    // Factor phi (trial division is fine: called once per prime at setup).
+    // Factor phi by trial division, called once per prime at setup. NTT
+    // primes have phi = 2^k * m, and m is often a large prime, so the
+    // division stops as soon as the cofactor left is prime: it is then
+    // the last distinct factor, found without dividing up to its root.
     std::vector<u64> factors;
     u64 n = phi;
     for (u64 f = 2; f * f <= n; ++f) {
@@ -101,6 +104,8 @@ primitiveRoot(u64 p)
             factors.push_back(f);
             while (n % f == 0)
                 n /= f;
+            if (isPrime(n))
+                break;
         }
     }
     if (n > 1)

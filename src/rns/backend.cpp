@@ -70,9 +70,10 @@ KernelBackend::run(size_t jobs, const Fn &fn) const
 }
 
 // ---------------------------------------------------------------------------
-// Element-wise limb kernels. The loop bodies are the same on every
-// engine; the executor (run) only decides how limb jobs map onto
-// threads, hence bit-exact parity across executors.
+// Element-wise limb kernels. Each job runs one limb through the kernel
+// table's entry (or a plain loop for neg and addScalar); the executor
+// (run) only decides how limb jobs map onto threads, hence bit-exact
+// parity across executors.
 // ---------------------------------------------------------------------------
 
 void
@@ -83,11 +84,7 @@ KernelBackend::add(const RnsPoly &a, const RnsPoly &b,
     const size_t n = a.degree();
     recordStats(KernelOp::Add, a.numLimbs(), 3 * a.numLimbs() * n, 0);
     run(a.numLimbs(), [&](size_t l) {
-        const u64 q = moduli[l].value();
-        const u64 *pa = a.limb(l), *pb = b.limb(l);
-        u64 *pr = r.limb(l);
-        for (size_t i = 0; i < n; ++i)
-            pr[i] = addMod(pa[i], pb[i], q);
+        kernels_.add_limb(moduli[l], a.limb(l), b.limb(l), r.limb(l), n);
     });
     r.setRep(a.rep());
 }
@@ -100,11 +97,7 @@ KernelBackend::sub(const RnsPoly &a, const RnsPoly &b,
     const size_t n = a.degree();
     recordStats(KernelOp::Sub, a.numLimbs(), 3 * a.numLimbs() * n, 0);
     run(a.numLimbs(), [&](size_t l) {
-        const u64 q = moduli[l].value();
-        const u64 *pa = a.limb(l), *pb = b.limb(l);
-        u64 *pr = r.limb(l);
-        for (size_t i = 0; i < n; ++i)
-            pr[i] = subMod(pa[i], pb[i], q);
+        kernels_.sub_limb(moduli[l], a.limb(l), b.limb(l), r.limb(l), n);
     });
     r.setRep(a.rep());
 }
@@ -154,11 +147,8 @@ KernelBackend::mulAccEval(const RnsPoly &a, const RnsPoly &b,
     recordStats(KernelOp::MulAccEval, a.numLimbs(),
                   4 * a.numLimbs() * n, a.numLimbs() * n);
     run(a.numLimbs(), [&](size_t l) {
-        const Modulus &q = moduli[l];
-        const u64 *pa = a.limb(l), *pb = b.limb(l);
-        u64 *pr = r.limb(l);
-        for (size_t i = 0; i < n; ++i)
-            pr[i] = q.add(pr[i], q.mul(pa[i], pb[i]));
+        kernels_.mul_acc_limb(moduli[l], a.limb(l), b.limb(l), r.limb(l),
+                              n);
     });
 }
 
@@ -173,13 +163,8 @@ KernelBackend::mulScalar(const RnsPoly &a,
     recordStats(KernelOp::MulScalar, a.numLimbs(),
                   2 * a.numLimbs() * n, a.numLimbs() * n);
     run(a.numLimbs(), [&](size_t l) {
-        const Modulus &q = moduli[l];
-        const u64 s = scalar_per_limb[l];
-        const u64 ss = q.shoupPrecompute(s);
-        const u64 *pa = a.limb(l);
-        u64 *pr = r.limb(l);
-        for (size_t i = 0; i < n; ++i)
-            pr[i] = q.mulShoup(pa[i], s, ss);
+        kernels_.mul_scalar_limb(moduli[l], a.limb(l), nullptr,
+                                 scalar_per_limb[l], r.limb(l), n);
     });
     r.setRep(a.rep());
 }
@@ -221,39 +206,33 @@ KernelBackend::subMulScalar(const RnsPoly &a, const RnsPoly &b,
     recordStats(KernelOp::SubMulScalar, limbs, 3 * limbs * n,
                   limbs * n);
     run(limbs, [&](size_t l) {
-        const Modulus &q = moduli[l];
-        const u64 s = scalar_per_limb[l];
-        const u64 ss = q.shoupPrecompute(s);
-        const u64 *pa = a.limb(l), *pb = b.limb(l);
-        u64 *pr = r.limb(l);
-        for (size_t i = 0; i < n; ++i)
-            pr[i] = q.mulShoup(q.sub(pa[i], pb[i]), s, ss);
+        kernels_.mul_scalar_limb(moduli[l], a.limb(l), b.limb(l),
+                                 scalar_per_limb[l], r.limb(l), n);
     });
     r.setRep(a.rep());
 }
 
 void
-KernelBackend::monomialMul(const RnsPoly &a, size_t shift,
-                           const std::vector<Modulus> &moduli, RnsPoly &r)
+KernelBackend::mulByI(const RnsPoly &a, const std::vector<NttTables> &tables,
+                      RnsPoly &r)
 {
     ARK_ASSERT(a.sameShape(r), "operand shape mismatch");
-    ARK_ASSERT(a.rep() == Rep::Coeff,
-               "monomial multiply needs the coefficient representation");
+    ARK_ASSERT(a.rep() == Rep::Eval, "mulByI needs the Eval rep");
+    ARK_ASSERT(tables.size() >= a.numLimbs(), "not enough NTT tables");
     const size_t n = a.degree();
-    ARK_ASSERT(shift < n, "shift must be < N");
+    const size_t half = n / 2;
     recordStats(KernelOp::MonomialMul, a.numLimbs(),
-                  2 * a.numLimbs() * n, 0);
+                2 * a.numLimbs() * n, a.numLimbs() * n);
     run(a.numLimbs(), [&](size_t l) {
-        const u64 q = moduli[l].value();
-        const u64 *pa = a.limb(l);
-        u64 *pr = r.limb(l);
-        // X^shift * X^k = X^(k+shift), negated when it wraps past N.
-        for (size_t k = 0; k + shift < n; ++k)
-            pr[k + shift] = pa[k];
-        for (size_t k = n - shift; k < n; ++k)
-            pr[k + shift - n] = pa[k] == 0 ? 0 : q - pa[k];
+        // rootPowers()[1] = psi^{bitrev(1)} = psi^{N/2}.
+        const Modulus &q = tables[l].modulus();
+        const u64 i_l = tables[l].rootPowers()[1];
+        kernels_.mul_scalar_limb(q, a.limb(l), nullptr, i_l, r.limb(l),
+                                 half);
+        kernels_.mul_scalar_limb(q, a.limb(l) + half, nullptr, q.neg(i_l),
+                                 r.limb(l) + half, half);
     });
-    r.setRep(Rep::Coeff);
+    r.setRep(Rep::Eval);
 }
 
 void

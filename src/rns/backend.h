@@ -125,9 +125,16 @@ class KernelBackend
     void subMulScalar(const RnsPoly &a, const RnsPoly &b,
                       const std::vector<u64> &scalar_per_limb,
                       const std::vector<Modulus> &moduli, RnsPoly &r);
-    /** Negacyclic multiply by X^shift (Coeff rep; mulByI uses N/2). */
-    void monomialMul(const RnsPoly &a, size_t shift,
-                     const std::vector<Modulus> &moduli, RnsPoly &r);
+    /**
+     * r = a * X^{N/2}, i.e. every slot times i, in Eval rep over
+     * @p tables' moduli. The NTT of X^{N/2} is psi^{N/2} on words
+     * [0, N/2) of every limb and -psi^{N/2} on words [N/2, N) (the
+     * evaluation point of word j is psi^{2 bitrev(j) + 1}, and the top
+     * bit of j is the low bit of bitrev(j)), so this is one Shoup pass
+     * with one constant per half-limb.
+     */
+    void mulByI(const RnsPoly &a, const std::vector<NttTables> &tables,
+                RnsPoly &r);
     /**
      * Extend one limb of centered residues mod @p src_q into every
      * limb of @p out (Coeff rep): values above src_q/2 embed as

@@ -34,7 +34,7 @@ enum class KernelOp : size_t {
     MulScalar,
     AddScalar,
     SubMulScalar, ///< fused (a - b) * s (ModDown / rescale tail)
-    MonomialMul,  ///< negacyclic multiply by X^k (mulByI)
+    MonomialMul,  ///< multiply by X^{N/2} in Eval rep (mulByI)
     LimbEmbed,    ///< centered residue extension (ModRaise / OF-Limb)
     EvkMulAcc,    ///< digit x evk MAC (the paper's MADU inner loop)
     NttForward,

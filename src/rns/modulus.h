@@ -17,7 +17,12 @@
 
 namespace ark {
 
-/** A prime modulus q < 2^60 plus reduction precomputation. */
+/**
+ * A prime modulus q < 2^62 plus reduction precomputation (4q must fit
+ * a word for the lazy butterfly domain). The vector NTT bodies take
+ * q < 2^60 and the IFMA kernels q < 2^50; wider limbs run the scalar
+ * or AVX-512 code (rns/simd_kernels.h).
+ */
 class Modulus
 {
   public:

@@ -22,17 +22,23 @@ NttTables::NttTables(size_t degree, Modulus modulus)
     // root_powers_[i] = psi^{bitrev(i)}; the Cooley-Tukey stages index
     // this table as roots[m + i], which yields the negacyclic transform
     // with natural-order input (Longa-Naehrig / Harvey formulation).
-    u64 power = 1;
-    std::vector<u64> psi_powers(n_);
+    // inv_root_powers_[i] = (psi^{bitrev(i)})^{-1} = (psi^{-1})^{bitrev(i)},
+    // so both tables come from running powers, with one inversion.
+    const u64 psi_inv = q_.inv(psi_);
+    std::vector<u64> psi_powers(n_), psi_inv_powers(n_);
+    u64 power = 1, inv_power = 1;
     for (size_t i = 0; i < n_; ++i) {
         psi_powers[i] = power;
+        psi_inv_powers[i] = inv_power;
         power = q_.mul(power, psi_);
+        inv_power = q_.mul(inv_power, psi_inv);
     }
     for (size_t i = 0; i < n_; ++i) {
-        u64 w = psi_powers[bitReverse(i, log_n_)];
+        const size_t r = bitReverse(i, log_n_);
+        const u64 w = psi_powers[r];
         root_powers_[i] = w;
         root_powers_shoup_[i] = q_.shoupPrecompute(w);
-        u64 wi = q_.inv(w);
+        const u64 wi = psi_inv_powers[r];
         inv_root_powers_[i] = wi;
         inv_root_powers_shoup_[i] = q_.shoupPrecompute(wi);
     }

@@ -70,6 +70,44 @@ mulEvalLimbScalar(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
 }
 
 void
+mulAccLimbScalar(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+                 size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        r[i] = m.add(r[i], m.mul(a[i], b[i]));
+}
+
+void
+addLimbScalar(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+              size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        r[i] = m.add(a[i], b[i]);
+}
+
+void
+subLimbScalar(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+              size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        r[i] = m.sub(a[i], b[i]);
+}
+
+void
+mulScalarLimbScalar(const Modulus &m, const u64 *a, const u64 *b, u64 s,
+                    u64 *r, size_t n)
+{
+    const u64 ss = m.shoupPrecompute(s);
+    if (b == nullptr) {
+        for (size_t i = 0; i < n; ++i)
+            r[i] = m.mulShoup(a[i], s, ss);
+        return;
+    }
+    for (size_t i = 0; i < n; ++i)
+        r[i] = m.mulShoup(m.sub(a[i], b[i]), s, ss);
+}
+
+void
 limbEmbedScalar(const u64 *src, size_t n, u64 src_q, const Modulus &m,
                 u64 *dst)
 {
@@ -722,6 +760,18 @@ bconvTileAvx512(const BaseConverter &bc, const RnsPoly &in, size_t c0,
 // reduction, mirroring the KernelBackend::evkMulAcc inner loop.
 // ---------------------------------------------------------------------------
 
+/** m.add(acc, m.mul(x, y)) lane-wise, for canonical operands
+ *  (@p y_hi = y >> 32). */
+ARK_T512 inline __m512i
+mulAddMod512(__m512i x, __m512i y, __m512i y_hi, __m512i acc,
+             const Mod512 &md)
+{
+    __m512i p_lo, p_hi;
+    mul64_512(x, y, y_hi, md.m32, &p_lo, &p_hi);
+    return csub512(_mm512_add_epi64(acc, barrett512(p_lo, p_hi, md)),
+                   md.q);
+}
+
 ARK_T512 void
 evkMacLimbAvx512(const Modulus &m, const u64 *pd, const u64 *kb,
                  const u64 *ka, u64 *ab, u64 *aa, size_t n)
@@ -731,22 +781,10 @@ evkMacLimbAvx512(const Modulus &m, const u64 *pd, const u64 *kb,
     for (; i + 8 <= n; i += 8) {
         const __m512i d = load512(pd + i);
         const __m512i d_hi = _mm512_srli_epi64(d, 32);
-        {
-            __m512i p_lo, p_hi;
-            mul64_512(load512(kb + i), d, d_hi, md.m32, &p_lo, &p_hi);
-            const __m512i t = barrett512(p_lo, p_hi, md);
-            const __m512i acc =
-                _mm512_add_epi64(load512(ab + i), t);
-            store512(ab + i, csub512(acc, md.q));
-        }
-        {
-            __m512i p_lo, p_hi;
-            mul64_512(load512(ka + i), d, d_hi, md.m32, &p_lo, &p_hi);
-            const __m512i t = barrett512(p_lo, p_hi, md);
-            const __m512i acc =
-                _mm512_add_epi64(load512(aa + i), t);
-            store512(aa + i, csub512(acc, md.q));
-        }
+        store512(ab + i,
+                 mulAddMod512(load512(kb + i), d, d_hi, load512(ab + i), md));
+        store512(aa + i,
+                 mulAddMod512(load512(ka + i), d, d_hi, load512(aa + i), md));
     }
     evkMacLimbScalar(m, pd + i, kb + i, ka + i, ab + i, aa + i, n - i);
 }
@@ -770,6 +808,96 @@ mulEvalLimbAvx512(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
         store512(r + i, barrett512(p_lo, p_hi, md));
     }
     mulEvalLimbScalar(m, a + i, b + i, r + i, n - i);
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512 element-wise kernels: the MAC is the evk MAC's step; add
+// and sub are addMod / subMod lane-wise. The
+// constant product drops mulShoupLazy512's low partials
+// (mulShoupApprox512), so its lanes land in [0, 4q) (4q < 2^64 for
+// q < 2^62); two folds then give the canonical residue, the one value
+// Modulus::mulShoup returns too.
+// ---------------------------------------------------------------------------
+
+ARK_T512 void
+mulAccLimbAvx512(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+                 size_t n)
+{
+    const Mod512 md = loadMod512(m);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m512i y = load512(b + i);
+        store512(r + i, mulAddMod512(load512(a + i), y,
+                                     _mm512_srli_epi64(y, 32),
+                                     load512(r + i), md));
+    }
+    mulAccLimbScalar(m, a + i, b + i, r + i, n - i);
+}
+
+ARK_T512 void
+addLimbAvx512(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+              size_t n)
+{
+    const __m512i q = set1_512(m.value());
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        store512(r + i, csub512(_mm512_add_epi64(load512(a + i),
+                                                 load512(b + i)),
+                                q));
+    addLimbScalar(m, a + i, b + i, r + i, n - i);
+}
+
+/** subMod lane-wise: a - b, plus q where a < b. */
+ARK_T512 inline __m512i
+subMod512(__m512i a, __m512i b, __m512i q)
+{
+    const __m512i d = _mm512_sub_epi64(a, b);
+    return _mm512_mask_add_epi64(d, _mm512_cmplt_epu64_mask(a, b), d, q);
+}
+
+ARK_T512 void
+subLimbAvx512(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+              size_t n)
+{
+    const __m512i q = set1_512(m.value());
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        store512(r + i, subMod512(load512(a + i), load512(b + i), q));
+    subLimbScalar(m, a + i, b + i, r + i, n - i);
+}
+
+/** x * s mod q, canonical, via the approximate Shoup quotient. */
+ARK_T512 inline __m512i
+mulShoupConst512(__m512i x, __m512i s, __m512i ss, __m512i ss_hi,
+                 __m512i q, __m512i two_q)
+{
+    return csub512(csub512(mulShoupApprox512(x, s, ss, ss_hi, q), two_q),
+                   q);
+}
+
+ARK_T512 void
+mulScalarLimbAvx512(const Modulus &m, const u64 *a, const u64 *b, u64 s,
+                    u64 *r, size_t n)
+{
+    const u64 ss = m.shoupPrecompute(s);
+    const __m512i q = set1_512(m.value());
+    const __m512i two_q = set1_512(m.twoQ());
+    const __m512i vs = set1_512(s);
+    const __m512i vss = set1_512(ss), vss_hi = set1_512(ss >> 32);
+    size_t i = 0;
+    if (b == nullptr) {
+        for (; i + 8 <= n; i += 8)
+            store512(r + i, mulShoupConst512(load512(a + i), vs, vss,
+                                             vss_hi, q, two_q));
+    } else {
+        for (; i + 8 <= n; i += 8)
+            store512(r + i,
+                     mulShoupConst512(
+                         subMod512(load512(a + i), load512(b + i), q), vs,
+                         vss, vss_hi, q, two_q));
+    }
+    mulScalarLimbScalar(m, a + i, b == nullptr ? nullptr : b + i, s, r + i,
+                        n - i);
 }
 
 // ---------------------------------------------------------------------------
@@ -1125,11 +1253,13 @@ nttInverseIfma(u64 *a, const NttTables &tb)
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512 IFMA52 evk MAC and pointwise product (q < 2^50). Both
-// operands are canonical (< q), so the product ab < q^2 fits 100 bits
-// and comes out of vpmadd52lo/hi as 52-bit halves (hi:lo). A Barrett
-// quotient over 52-bit pieces then replaces barrett512's 128-bit one.
-// Results are canonical, hence identical to Modulus::mul's.
+// AVX-512 IFMA52 evk MAC, pointwise product, MAC and constant product
+// (q < 2^50). Both operands are canonical (< q), so the product
+// ab < q^2 fits 100 bits and comes out of vpmadd52lo/hi as 52-bit
+// halves (hi:lo). A Barrett quotient over 52-bit pieces then replaces
+// barrett512's 128-bit one. The constant product is the IFMA NTT's
+// exact 52-bit Shoup product (mulShoup52). Results are canonical,
+// hence identical to Modulus::mul's and Modulus::mulShoup's.
 // ---------------------------------------------------------------------------
 
 /** mulMod52's constants: with L = bits(q), c1 = floor(ab / 2^(L-2)) is
@@ -1171,6 +1301,15 @@ mulMod52Lazy(__m512i a, __m512i b, const Barrett52 &bc)
                             bc.md.mask);
 }
 
+/** m.add(acc, m.mul(a, b)) for canonical operands: acc + [0, 3q) <
+ *  4q, so two folds reach the canonical residue. */
+ARK_TIFMA inline __m512i
+mulAddMod52(__m512i a, __m512i b, __m512i acc, const Barrett52 &bc)
+{
+    const __m512i t = _mm512_add_epi64(acc, mulMod52Lazy(a, b, bc));
+    return csub512(csub512(t, bc.md.two_q), bc.md.q);
+}
+
 ARK_TIFMA void
 evkMacLimbIfma(const Modulus &m, const u64 *pd, const u64 *kb,
                const u64 *ka, u64 *ab, u64 *aa, size_t n)
@@ -1183,13 +1322,8 @@ evkMacLimbIfma(const Modulus &m, const u64 *pd, const u64 *kb,
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         const __m512i d = load512(pd + i);
-        // acc + [0, 3q) < 4q: two folds to canonical.
-        const __m512i tb = _mm512_add_epi64(
-            load512(ab + i), mulMod52Lazy(d, load512(kb + i), bc));
-        store512(ab + i, csub512(csub512(tb, bc.md.two_q), bc.md.q));
-        const __m512i ta = _mm512_add_epi64(
-            load512(aa + i), mulMod52Lazy(d, load512(ka + i), bc));
-        store512(aa + i, csub512(csub512(ta, bc.md.two_q), bc.md.q));
+        store512(ab + i, mulAddMod52(d, load512(kb + i), load512(ab + i), bc));
+        store512(aa + i, mulAddMod52(d, load512(ka + i), load512(aa + i), bc));
     }
     evkMacLimbScalar(m, pd + i, kb + i, ka + i, ab + i, aa + i, n - i);
 }
@@ -1210,6 +1344,49 @@ mulEvalLimbIfma(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
         store512(r + i, csub512(csub512(v, bc.md.two_q), bc.md.q));
     }
     mulEvalLimbScalar(m, a + i, b + i, r + i, n - i);
+}
+
+ARK_TIFMA void
+mulAccLimbIfma(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+               size_t n)
+{
+    if (m.value() >= kIfmaMaxQ) {
+        mulAccLimbAvx512(m, a, b, r, n);
+        return;
+    }
+    const Barrett52 bc = loadBarrett52(m);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        store512(r + i, mulAddMod52(load512(a + i), load512(b + i),
+                                    load512(r + i), bc));
+    mulAccLimbScalar(m, a + i, b + i, r + i, n - i);
+}
+
+ARK_TIFMA void
+mulScalarLimbIfma(const Modulus &m, const u64 *a, const u64 *b, u64 s,
+                  u64 *r, size_t n)
+{
+    if (m.value() >= kIfmaMaxQ) {
+        mulScalarLimbAvx512(m, a, b, s, r, n);
+        return;
+    }
+    const Mod52 md = loadMod52(m);
+    const __m512i w = set1_512(s);
+    const __m512i w52 = set1_512(m.shoupPrecompute(s) >> 12);
+    size_t i = 0;
+    if (b == nullptr) {
+        for (; i + 8 <= n; i += 8)
+            store512(r + i, csub512(mulShoup52(load512(a + i), w, w52, md),
+                                    md.q));
+    } else {
+        for (; i + 8 <= n; i += 8) {
+            const __m512i x =
+                subMod512(load512(a + i), load512(b + i), md.q);
+            store512(r + i, csub512(mulShoup52(x, w, w52, md), md.q));
+        }
+    }
+    mulScalarLimbScalar(m, a + i, b == nullptr ? nullptr : b + i, s, r + i,
+                        n - i);
 }
 
 // ---------------------------------------------------------------------------
@@ -1759,9 +1936,11 @@ const SimdKernels &
 simdKernels(SimdTier tier)
 {
     static const SimdKernels scalar_kernels{
-        SimdTier::Scalar,   &nttForwardScalar,  &nttInverseScalar,
-        &bconvTileScalar,   &evkMacLimbScalar,  &mulEvalLimbScalar,
-        &limbEmbedScalar,   &plainMacLimbScalar, &plainReduceLimbScalar};
+        SimdTier::Scalar,   &nttForwardScalar,    &nttInverseScalar,
+        &bconvTileScalar,   &evkMacLimbScalar,    &mulEvalLimbScalar,
+        &mulAccLimbScalar,  &addLimbScalar,       &subLimbScalar,
+        &mulScalarLimbScalar, &limbEmbedScalar,   &plainMacLimbScalar,
+        &plainReduceLimbScalar};
 #ifdef ARK_SIMD_X86
     // Each tier starts from the one below it and replaces the entries
     // it has bodies for.
@@ -1785,6 +1964,10 @@ simdKernels(SimdTier tier)
         k.bconv_tile = &bconvTileAvx512;
         k.evk_mac_limb = &evkMacLimbAvx512;
         k.mul_eval_limb = &mulEvalLimbAvx512;
+        k.mul_acc_limb = &mulAccLimbAvx512;
+        k.add_limb = &addLimbAvx512;
+        k.sub_limb = &subLimbAvx512;
+        k.mul_scalar_limb = &mulScalarLimbAvx512;
         k.limb_embed = &limbEmbedAvx512;
         k.plain_mac_limb = &plainMacLimbAvx512;
         k.plain_reduce_limb = &plainReduceLimbAvx512;
@@ -1798,6 +1981,8 @@ simdKernels(SimdTier tier)
         k.ntt_inverse = &nttInverseIfma;
         k.evk_mac_limb = &evkMacLimbIfma;
         k.mul_eval_limb = &mulEvalLimbIfma;
+        k.mul_acc_limb = &mulAccLimbIfma;
+        k.mul_scalar_limb = &mulScalarLimbIfma;
         return k;
     }();
     switch (std::min(tier, detectSimdTier())) {

@@ -14,15 +14,21 @@
  * vector pair with explicit carries, the evk MAC, mulEval and the
  * plaintext MAC's final reduce mirror Modulus::reduce's Barrett
  * formula word for word, and the limb embedding mirrors
- * Modulus::reduceWord. All operations are exact arithmetic mod 2^64
+ * Modulus::reduceWord. The vector constant products take a cheaper
+ * Shoup quotient and fold the wider lazy result to the canonical
+ * residue, the one value the scalar loop returns. All operations are
+ * exact arithmetic mod 2^64
  * applied in the same per-element order as the scalar loops, so
  * results are bit-identical by construction
  * (tests/test_backend_parity.cpp enforces it on every kernel).
  *
- * The compiler does not vectorize a loop with a 64x64->128-bit product
- * or a per-word reduction, so mulEval and the limb embedding have
- * entries here; the other element-wise kernels stay plain loops in
- * KernelBackend.
+ * The compiler does not vectorize a loop with a 64x64->128-bit product,
+ * a per-word reduction or an unsigned 64-bit compare, so the
+ * element-wise kernels of the key-switch and rescale paths (add, sub,
+ * the Shoup product with a per-limb constant, mulEval, the MAC and the
+ * limb embedding) have entries here. neg and addScalar stay plain
+ * loops in KernelBackend. The IFMA tier has bodies only where a
+ * product is taken; add and sub carry the AVX-512 bodies.
  *
  * Every entry of every table is non-null and accepts every input: a
  * tier without a body for a kernel carries the entry of the tier
@@ -67,6 +73,20 @@ struct SimdKernels
      *  a or b). */
     void (*mul_eval_limb)(const Modulus &m, const u64 *a, const u64 *b,
                           u64 *r, size_t n);
+    /** One limb of r += a * b mod m. */
+    void (*mul_acc_limb)(const Modulus &m, const u64 *a, const u64 *b,
+                         u64 *r, size_t n);
+    /** One limb of r = a + b mod m (r may alias a or b). */
+    void (*add_limb)(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+                     size_t n);
+    /** One limb of r = a - b mod m (r may alias a or b). */
+    void (*sub_limb)(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
+                     size_t n);
+    /** One limb of the Shoup product with a constant s < q:
+     *  r = (a - b) * s mod m, or r = a * s when @p b is null (r may
+     *  alias a or b). */
+    void (*mul_scalar_limb)(const Modulus &m, const u64 *a, const u64 *b,
+                            u64 s, u64 *r, size_t n);
     /** One limb of the centered embedding: dst = (src centered mod
      *  src_q) mod m. */
     void (*limb_embed)(const u64 *src, size_t n, u64 src_q,

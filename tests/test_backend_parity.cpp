@@ -16,7 +16,8 @@
  * cell — serial and a pool of 4, times each ISA tier (skipping tiers
  * the host cannot run) — against serial x scalar, including the
  * sub-vector-degree and wide-modulus fallbacks onto the scalar
- * transforms and the q < 2^50 bound of the IFMA tier's 52-bit kernels.
+ * transforms, the q < 2^50 bound of the IFMA tier's 52-bit kernels, and
+ * the element-wise entries (add, sub, MAC, constant product, mulByI).
  */
 
 #include <gtest/gtest.h>
@@ -143,20 +144,36 @@ TEST_P(BackendParityTest, ElementwiseKernels)
     expectIdentical(acc_s, acc_v);
 }
 
-TEST_P(BackendParityTest, MonomialMulAndLimbEmbed)
+/** mulByI against the coefficient-domain path it replaces (INTT, the
+ *  negacyclic shift by N/2, NTT) on the scalar engine, and every engine
+ *  against the scalar one; then the limb embedding across engines. */
+TEST_P(BackendParityTest, MulByIAndLimbEmbed)
 {
-    auto a = randomPoly(Rep::Coeff, 4);
-    for (size_t shift : {size_t(0), size_t(1), degree_ / 2,
-                         degree_ - 1}) {
-        RnsPoly rs(degree_, limbs_, Rep::Coeff);
-        RnsPoly rp(degree_, limbs_, Rep::Coeff);
-        RnsPoly rv(degree_, limbs_, Rep::Coeff);
-        scalar_->monomialMul(a, shift, moduli_, rs);
-        parallel_->monomialMul(a, shift, moduli_, rp);
-        simd_->monomialMul(a, shift, moduli_, rv);
-        expectIdentical(rs, rp);
-        expectIdentical(rs, rv);
+    auto a = randomPoly(Rep::Eval, 4);
+    RnsPoly ref = a;
+    scalar_->nttInverse(ref, tables_);
+    RnsPoly shifted(degree_, limbs_, Rep::Coeff);
+    const size_t half = degree_ / 2;
+    for (size_t l = 0; l < limbs_; ++l) {
+        const u64 q = moduli_[l].value();
+        const u64 *src = ref.limb(l);
+        u64 *dst = shifted.limb(l);
+        for (size_t k = 0; k < half; ++k) {
+            dst[k + half] = src[k];
+            dst[k] = src[k + half] == 0 ? 0 : q - src[k + half];
+        }
     }
+    scalar_->nttForward(shifted, tables_);
+
+    RnsPoly rs(degree_, limbs_, Rep::Eval);
+    RnsPoly rp(degree_, limbs_, Rep::Eval);
+    RnsPoly rv(degree_, limbs_, Rep::Eval);
+    scalar_->mulByI(a, tables_, rs);
+    parallel_->mulByI(a, tables_, rp);
+    simd_->mulByI(a, tables_, rv);
+    expectIdentical(rs, shifted);
+    expectIdentical(rs, rp);
+    expectIdentical(rs, rv);
 
     Rng rng(5);
     auto src = rng.uniformVector(degree_, moduli_[0].value());
@@ -833,6 +850,102 @@ TEST_P(EngineCellParityTest, MulEvalAndLimbEmbedPerTier)
                         << "mulEval limb " << l << " i=" << i;
             }
         }
+    }
+}
+
+/**
+ * The element-wise table entries (add, sub, the MAC, and the Shoup
+ * product with a per-limb constant with and without a subtrahend) per
+ * cell against serial x scalar. Widths 42 and 49 and the largest
+ * prime below 2^50 take the IFMA bodies, a prime just below 2^60 and a
+ * 61-bit one the AVX-512 bodies; degree 4 (and mulByI's 2-word half
+ * limbs there) runs the scalar tails. Operands are random, all 0 and all
+ * q - 1, with the per-limb constants 0, 1, q - 1 and a random one.
+ */
+TEST_P(EngineCellParityTest, ElementwiseEntriesPerTier)
+{
+    auto engine = engineAt(GetParam());
+    if (!engine)
+        GTEST_SKIP() << "tier not available on this host";
+    KernelBackend scalar(SimdTier::Scalar);
+
+    const auto largest_below = [](int bits, size_t degree) {
+        return generatePrimesBelow(bits, 1, degree).front();
+    };
+    u64 seed = 700;
+    for (size_t degree : {size_t(4), size_t(256)}) {
+        const std::vector<u64> primes = {
+            generatePrimes(42, 1, degree)[0], generatePrimes(49, 1, degree)[0],
+            largest_below(50, degree), largest_below(60, degree),
+            generatePrimes(61, 1, degree)[0]};
+        const size_t limbs = primes.size();
+        std::vector<Modulus> moduli(primes.begin(), primes.end());
+        Rng rng(seed++);
+        const auto make = [&](int kind) {
+            RnsPoly p(degree, limbs, Rep::Eval);
+            for (size_t l = 0; l < limbs; ++l) {
+                const u64 q = primes[l];
+                const auto v = kind == 0   ? rng.uniformVector(degree, q)
+                               : kind == 1 ? std::vector<u64>(degree, 0)
+                                           : std::vector<u64>(degree, q - 1);
+                std::copy(v.begin(), v.end(), p.limb(l));
+            }
+            return p;
+        };
+        for (int ka = 0; ka < 3; ++ka) {
+            for (int kb = 0; kb < 3; ++kb) {
+                SCOPED_TRACE("degree " + std::to_string(degree) +
+                             " operands " + std::to_string(ka) + "/" +
+                             std::to_string(kb));
+                const RnsPoly a = make(ka), b = make(kb), acc = make(0);
+                const auto same = [&](const auto &op, const char *what) {
+                    RnsPoly rs = acc, rv = acc;
+                    op(scalar, rs);
+                    op(*engine, rv);
+                    for (size_t l = 0; l < limbs; ++l)
+                        for (size_t i = 0; i < degree; ++i)
+                            ASSERT_EQ(rs.limb(l)[i], rv.limb(l)[i])
+                                << what << " limb " << l << " i=" << i;
+                };
+                same([&](KernelBackend &e, RnsPoly &r) {
+                    e.add(a, b, moduli, r);
+                }, "add");
+                same([&](KernelBackend &e, RnsPoly &r) {
+                    e.sub(a, b, moduli, r);
+                }, "sub");
+                same([&](KernelBackend &e, RnsPoly &r) {
+                    e.mulAccEval(a, b, moduli, r);
+                }, "mulAccEval");
+                for (int ks = 0; ks < 4; ++ks) {
+                    std::vector<u64> s(limbs);
+                    for (size_t l = 0; l < limbs; ++l) {
+                        const u64 q = primes[l];
+                        s[l] = ks == 0   ? 0
+                               : ks == 1 ? 1
+                               : ks == 2 ? q - 1
+                                         : rng.uniformVector(1, q)[0];
+                    }
+                    same([&](KernelBackend &e, RnsPoly &r) {
+                        e.mulScalar(a, s, moduli, r);
+                    }, "mulScalar");
+                    same([&](KernelBackend &e, RnsPoly &r) {
+                        e.subMulScalar(a, b, s, moduli, r);
+                    }, "subMulScalar");
+                }
+            }
+        }
+        // mulByI runs the constant product on half limbs.
+        std::vector<NttTables> tables;
+        for (u64 q : primes)
+            tables.emplace_back(degree, Modulus(q));
+        const RnsPoly a = make(0);
+        RnsPoly rs(degree, limbs, Rep::Eval), rv(degree, limbs, Rep::Eval);
+        scalar.mulByI(a, tables, rs);
+        engine->mulByI(a, tables, rv);
+        for (size_t l = 0; l < limbs; ++l)
+            for (size_t i = 0; i < degree; ++i)
+                ASSERT_EQ(rs.limb(l)[i], rv.limb(l)[i])
+                    << "mulByI limb " << l << " i=" << i;
     }
 }
 

@@ -147,6 +147,44 @@ TEST_F(CkksTest, MulByImaginaryUnit)
         EXPECT_LT(std::abs(out[i] - m[i] * Complex(0, 1)), 1e-5);
 }
 
+/** mulByI's one constant pass equals the coefficient-domain path it
+ *  replaced (INTT, negacyclic shift by N/2, NTT) bit for bit, at every
+ *  level. */
+TEST_F(CkksTest, MulByIMatchesCoefficientShiftBitForBit)
+{
+    const size_t n = ctx_->degree(), half = n / 2;
+    KernelBackend &kb = ctx_->backend();
+    for (int level = 0; level <= ctx_->maxLevel(); ++level) {
+        SCOPED_TRACE("level " + std::to_string(level));
+        const Ciphertext ct = encrypt(randomMessage(20 + level), level);
+        const Ciphertext out = eval_->mulByI(ct);
+        EXPECT_EQ(out.level(), level);
+        EXPECT_EQ(out.scale, ct.scale);
+        const auto moduli = ctx_->levelModuli(level);
+        for (const auto &[in, got] :
+             {std::make_pair(&ct.b, &out.b), std::make_pair(&ct.a, &out.a)}) {
+            RnsPoly coeff = *in;
+            kb.nttInverse(coeff, ctx_->qTables());
+            RnsPoly want(n, coeff.numLimbs(), Rep::Coeff);
+            for (size_t l = 0; l < coeff.numLimbs(); ++l) {
+                const u64 q = moduli[l].value();
+                const u64 *c = coeff.limb(l);
+                u64 *w = want.limb(l);
+                for (size_t k = 0; k < half; ++k) {
+                    w[k + half] = c[k];
+                    w[k] = c[k + half] == 0 ? 0 : q - c[k + half];
+                }
+            }
+            kb.nttForward(want, ctx_->qTables());
+            ASSERT_EQ(got->rep(), Rep::Eval);
+            for (size_t l = 0; l < want.numLimbs(); ++l)
+                for (size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(got->limb(l)[i], want.limb(l)[i])
+                        << "limb " << l << " word " << i;
+        }
+    }
+}
+
 TEST_F(CkksTest, PMultPlaintext)
 {
     auto m1 = randomMessage(8), m2 = randomMessage(9);

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 
 #include "ckks/context.h"
+#include "common/math_util.h"
 
 namespace ark {
 namespace {
@@ -117,6 +120,60 @@ TEST_F(ContextTest, AutomorphismCacheReturnsSameObject)
     EXPECT_EQ(&a1, &a2);
     const Automorphism &b = ctx_->automorphism(25);
     EXPECT_NE(&a1, &b);
+}
+
+/** FNV-1a over the little-endian bytes of @p words. */
+u64
+fnv1a(const std::vector<u64> &words)
+{
+    u64 h = 1469598103934665603ULL;
+    for (u64 w : words) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (w >> (8 * i)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    }
+    return h;
+}
+
+/**
+ * Every preset's special primes are the largest NTT-friendly primes
+ * below 2^log_special (so all of them stay below 2^60, on the vector
+ * NTT bodies), while q0 and the scale primes keep the values of the
+ * balanced scan: the hashes pin each q chain as it was before the
+ * special primes moved.
+ */
+TEST(PrimeChains, SpecialPrimesBelowTwoToLogSpecialQChainsUnchanged)
+{
+    const std::pair<CkksParams, u64> presets[] = {
+        {CkksParams::ark(), 0xdb43f647befa3847ull},
+        {CkksParams::lattigo(), 0x1e1a562958e3acdfull},
+        {CkksParams::hundredX(), 0x92faece4e6ada24cull},
+        {CkksParams::f1(), 0x54e77aee2afc7986ull},
+        {CkksParams::testTiny(), 0x1c6cb237f2bfb1faull},
+        {CkksParams::testSmall(), 0x139938e49e85b408ull},
+        {CkksParams::testBoot(), 0xbd916d77ab767653ull},
+    };
+    for (const auto &[params, q_hash] : presets) {
+        SCOPED_TRACE(params.name);
+        const PrimeChains chains = primeChains(params);
+        ASSERT_EQ(chains.q.size(), static_cast<size_t>(params.max_level) + 1);
+        EXPECT_EQ(fnv1a(chains.q), q_hash);
+        ASSERT_EQ(chains.p.size(), static_cast<size_t>(params.alpha()));
+        const u64 top = 1ULL << params.log_special;
+        for (size_t i = 0; i < chains.p.size(); ++i) {
+            const u64 p = chains.p[i];
+            EXPECT_LT(p, top);
+            EXPECT_LT(p, 1ULL << 60);
+            EXPECT_GE(p, top / 2);
+            EXPECT_TRUE(isPrime(p));
+            EXPECT_EQ((p - 1) % (2 * params.degree), 0u);
+            EXPECT_EQ(std::count(chains.q.begin(), chains.q.end(), p), 0);
+            if (i > 0) {
+                EXPECT_LT(p, chains.p[i - 1]);
+            }
+        }
+    }
 }
 
 TEST(ContextDeath, RejectsIndivisibleDnum)

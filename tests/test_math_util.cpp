@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/math_util.h"
 
 namespace ark {
@@ -96,6 +98,47 @@ TEST(MathUtil, PrimitiveRootOrder)
     EXPECT_NE(powMod(g, 48, p), 1u); // (p-1)/2
     EXPECT_NE(powMod(g, 32, p), 1u); // (p-1)/3
     EXPECT_EQ(powMod(g, 96, p), 1u);
+}
+
+/** The primitive root by full trial division of p - 1, the reference
+ *  primitiveRoot's early stop must agree with. */
+u64
+primitiveRootByFullTrialDivision(u64 p)
+{
+    const u64 phi = p - 1;
+    std::vector<u64> factors;
+    u64 n = phi;
+    for (u64 f = 2; f * f <= n; ++f) {
+        if (n % f == 0) {
+            factors.push_back(f);
+            while (n % f == 0)
+                n /= f;
+        }
+    }
+    if (n > 1)
+        factors.push_back(n);
+    for (u64 g = 2;; ++g) {
+        bool ok = true;
+        for (u64 f : factors)
+            ok = ok && powMod(g, phi / f, p) != 1;
+        if (ok)
+            return g;
+    }
+}
+
+TEST(MathUtil, PrimitiveRootMatchesFullTrialDivision)
+{
+    // 0xffffffffff1c001 - 1 = 2^14 * a 46-bit prime: the early stop
+    // skips dividing up to 2^23. 0x3ffffffa001 - 1 = 2^13 * a 30-bit
+    // prime; 0x3ffffffffc001 and 0x100000000000e001 (above 2^60) have
+    // p - 1 with many small factors, so the cofactor turns prime late.
+    for (u64 p : {97ull, 65537ull, 0xffffffff00000001ull,
+                  0xffffffffff1c001ull, 0x3ffffffa001ull,
+                  0x3ffffffffc001ull, 0x100000000000e001ull}) {
+        ASSERT_TRUE(isPrime(p)) << p;
+        EXPECT_EQ(primitiveRoot(p), primitiveRootByFullTrialDivision(p))
+            << p;
+    }
 }
 
 TEST(MathUtil, RootOfUnity)

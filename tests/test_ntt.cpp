@@ -121,6 +121,31 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<size_t>(8, 64, 256, 1024, 4096),
                        ::testing::Values(30, 45, 60)));
 
+/**
+ * The inverse twiddles come from powers of one psi^-1; they must equal
+ * the per-entry inverses of the forward twiddles, with their Shoup
+ * words, and 1/N must be the inverse of N. 0xffffffffff1c001 is a
+ * 60-bit special prime the downward scan picks.
+ */
+TEST(NttTables, InverseTwiddlesMatchPerEntryInverses)
+{
+    for (u64 q : std::vector<u64>{generatePrimes(42, 1, 4096).front(),
+                                  generatePrimesBelow(60, 1, 4096).front(),
+                                  0xffffffffff1c001ull,
+                                  generatePrimes(61, 1, 4096).front()}) {
+        SCOPED_TRACE("q " + std::to_string(q));
+        const Modulus m(q);
+        const NttTables t(4096, m);
+        for (size_t i = 0; i < t.degree(); ++i) {
+            const u64 wi = m.inv(t.rootPowers()[i]);
+            ASSERT_EQ(t.invRootPowers()[i], wi) << "i=" << i;
+            ASSERT_EQ(t.invRootPowersShoup()[i], m.shoupPrecompute(wi))
+                << "i=" << i;
+        }
+        EXPECT_EQ(m.mul(t.nInv(), 4096 % q), 1u);
+    }
+}
+
 TEST(NttTables, RejectsNonNttFriendlyPrime)
 {
     // 1000003 is prime but 1000002 is not divisible by 2*64.
