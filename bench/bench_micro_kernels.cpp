@@ -14,12 +14,8 @@
  * a baseline recorded on one ISA is never compared against a run on
  * another; `--smoke` shrinks sizes/reps for CI.
  * Bit-parity between the lazy and strict kernels — and between the
- * vector and scalar kernels — is always checked and is the only hard
- * gate; timing thresholds stay warn-only because shared CI runners
- * are noisy.
- *
- * When google-benchmark is available the classic BM_* suite is still
- * compiled in and runs with `--gbench [benchmark args...]`.
+ * vector and scalar kernels — is always checked and is the binary's
+ * own gate; timings are gated by the regression checker.
  */
 
 #include <chrono>
@@ -28,23 +24,12 @@
 #include <string>
 #include <vector>
 
-#include "ckks/encoder.h"
-#include "ckks/encryptor.h"
-#include "ckks/evaluator.h"
-#include "ckks/keygen.h"
+#include "bench_util.h"
 #include "common/random.h"
-#include "common/table_printer.h"
 #include "common/thread_pool.h"
-#include "rns/backend.h"
 #include "rns/bconv.h"
-#include "rns/cpu_features.h"
-#include "rns/four_step_ntt.h"
 #include "rns/poly_pool.h"
 #include "rns/primes.h"
-
-#ifdef ARK_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#endif
 
 namespace ark {
 namespace {
@@ -67,25 +52,28 @@ timeMs(int reps, Fn &&fn)
     return best;
 }
 
-/** One before/after comparison row, also emitted to --json. */
-struct Result
-{
-    std::string name; ///< kernel identifier (stable across runs)
-    size_t n = 0;
-    size_t limbs = 0;
-    double baseline_ms = 0; ///< strict / unfused / fresh-alloc path
-    double optimized_ms = 0;
-    double speedup() const
-    {
-        return optimized_ms > 0 ? baseline_ms / optimized_ms : 0;
-    }
-};
+using Params = std::vector<std::pair<std::string, size_t>>;
 
-std::vector<Result> g_results;
+std::vector<BenchRow> g_rows;
 bool g_parity_ok = true;
-/// Tier the simd engine actually dispatched ("scalar" on plain hosts);
-/// recorded in the JSON so baselines from different ISAs never mix.
-std::string g_simd_tier = "scalar";
+
+/**
+ * Record one before/after row for --json: the reference and the
+ * optimized timing under their own names, and the speedup between
+ * them, which is the metric the committed baseline gates. Returns the
+ * speedup for the printed table.
+ */
+double
+addComparison(std::string name, Params params, const char *ref_key,
+              double ref_ms, const char *opt_key, double opt_ms)
+{
+    const double speedup = opt_ms > 0 ? ref_ms / opt_ms : 0;
+    g_rows.push_back({std::move(name), std::move(params),
+                      {{ref_key, ref_ms, "ms", Better::Lower},
+                       {opt_key, opt_ms, "ms", Better::Lower},
+                       {"speedup", speedup, "x", Better::Higher}}});
+    return speedup;
+}
 
 void
 checkParity(bool ok, const char *what)
@@ -133,41 +121,38 @@ runNttComparison(bool smoke)
         // Repeated in-place transforms: any canonical vector is a
         // valid input, so timing loops reuse the buffer.
         const int iters = smoke ? 10 : 40;
+        const auto row = [&](const char *name, double strict_ms,
+                             double lazy_ms) {
+            const double speedup =
+                addComparison(name, {{"n", n}, {"limbs", 1}},
+                              "strict_ms", strict_ms, "lazy_ms",
+                              lazy_ms);
+            t.addRow({name, std::to_string(n),
+                      TablePrinter::fmt(strict_ms, 3),
+                      TablePrinter::fmt(lazy_ms, 3),
+                      TablePrinter::fmt(speedup, 2)});
+        };
         auto fwd = v;
-        Result rf{"ntt_forward", n, 1, 0, 0};
-        rf.baseline_ms = timeMs(reps, [&] {
-                             for (int i = 0; i < iters; ++i)
-                                 tables.forwardStrict(fwd.data());
-                         }) /
-                         iters;
-        rf.optimized_ms = timeMs(reps, [&] {
-                              for (int i = 0; i < iters; ++i)
-                                  tables.forward(fwd.data());
-                          }) /
-                          iters;
-        g_results.push_back(rf);
-        t.addRow({"ntt_forward", std::to_string(n),
-                  TablePrinter::fmt(rf.baseline_ms, 3),
-                  TablePrinter::fmt(rf.optimized_ms, 3),
-                  TablePrinter::fmt(rf.speedup(), 2)});
+        const double fwd_strict = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i)
+                tables.forwardStrict(fwd.data());
+        }) / iters;
+        const double fwd_lazy = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i)
+                tables.forward(fwd.data());
+        }) / iters;
+        row("ntt_forward", fwd_strict, fwd_lazy);
 
         auto inv = v;
-        Result ri{"ntt_inverse", n, 1, 0, 0};
-        ri.baseline_ms = timeMs(reps, [&] {
-                             for (int i = 0; i < iters; ++i)
-                                 tables.inverseStrict(inv.data());
-                         }) /
-                         iters;
-        ri.optimized_ms = timeMs(reps, [&] {
-                              for (int i = 0; i < iters; ++i)
-                                  tables.inverse(inv.data());
-                          }) /
-                          iters;
-        g_results.push_back(ri);
-        t.addRow({"ntt_inverse", std::to_string(n),
-                  TablePrinter::fmt(ri.baseline_ms, 3),
-                  TablePrinter::fmt(ri.optimized_ms, 3),
-                  TablePrinter::fmt(ri.speedup(), 2)});
+        const double inv_strict = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i)
+                tables.inverseStrict(inv.data());
+        }) / iters;
+        const double inv_lazy = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i)
+                tables.inverse(inv.data());
+        }) / iters;
+        row("ntt_inverse", inv_strict, inv_lazy);
     }
     t.print();
     std::printf("\n");
@@ -182,11 +167,10 @@ runSimdComparison(bool smoke)
 {
     KernelBackend simd;
     KernelBackend scalar(SimdTier::Scalar);
-    g_simd_tier = simdTierName(simd.tier());
     std::printf("Vector (simd backend, tier %s) vs scalar lazy "
                 "kernels, 60-bit limbs (_q42: 42-bit, _q60: below "
                 "2^60)\n",
-                g_simd_tier.c_str());
+                simdTierName(simd.tier()));
     if (simd.tier() == SimdTier::Scalar)
         std::printf("  (no vector ISA on this host or tier capped; "
                     "rows measure the scalar fallback)\n");
@@ -197,12 +181,16 @@ runSimdComparison(bool smoke)
     // simd_ntt_forward N=2^16 row is what docs/benchmarks.md records.
     const int reps = smoke ? 5 : 25;
     const int iters = smoke ? 5 : 10;
-    const auto add_row = [&](const Result &r) {
-        g_results.push_back(r);
-        t.addRow({r.name, std::to_string(r.n),
-                  TablePrinter::fmt(r.baseline_ms, 3),
-                  TablePrinter::fmt(r.optimized_ms, 3),
-                  TablePrinter::fmt(r.speedup(), 2)});
+    const auto add_row = [&](const std::string &name, Params params,
+                             double scalar_ms, double simd_ms) {
+        // Every row's params lead with n, the table's N column.
+        const std::string n = std::to_string(params.front().second);
+        const double speedup =
+            addComparison(name, std::move(params), "scalar_ms",
+                          scalar_ms, "simd_ms", simd_ms);
+        t.addRow({name, n, TablePrinter::fmt(scalar_ms, 3),
+                  TablePrinter::fmt(simd_ms, 3),
+                  TablePrinter::fmt(speedup, 2)});
     };
     // Forward and inverse rows for one N-point transform mod @p prime,
     // named simd_ntt_{forward,inverse}<suffix>.
@@ -237,39 +225,35 @@ runSimdComparison(bool smoke)
         // Any canonical vector is valid input, so the timing loops
         // transform the same buffer repeatedly (setRep is a flag).
         RnsPoly w = p;
-        Result rf{"simd_ntt_forward" + suffix, n, 1, 0, 0};
-        rf.baseline_ms = timeMs(reps, [&] {
-                             for (int i = 0; i < iters; ++i) {
-                                 w.setRep(Rep::Coeff);
-                                 scalar.nttForward(w, tp);
-                             }
-                         }) /
-                         iters;
-        rf.optimized_ms = timeMs(reps, [&] {
-                              for (int i = 0; i < iters; ++i) {
-                                  w.setRep(Rep::Coeff);
-                                  simd.nttForward(w, tp);
-                              }
-                          }) /
-                          iters;
-        add_row(rf);
+        const double fwd_scalar = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i) {
+                w.setRep(Rep::Coeff);
+                scalar.nttForward(w, tp);
+            }
+        }) / iters;
+        const double fwd_simd = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i) {
+                w.setRep(Rep::Coeff);
+                simd.nttForward(w, tp);
+            }
+        }) / iters;
+        add_row("simd_ntt_forward" + suffix, {{"n", n}, {"limbs", 1}},
+                fwd_scalar, fwd_simd);
 
-        Result ri{"simd_ntt_inverse" + suffix, n, 1, 0, 0};
-        ri.baseline_ms = timeMs(reps, [&] {
-                             for (int i = 0; i < iters; ++i) {
-                                 w.setRep(Rep::Eval);
-                                 scalar.nttInverse(w, tp);
-                             }
-                         }) /
-                         iters;
-        ri.optimized_ms = timeMs(reps, [&] {
-                              for (int i = 0; i < iters; ++i) {
-                                  w.setRep(Rep::Eval);
-                                  simd.nttInverse(w, tp);
-                              }
-                          }) /
-                          iters;
-        add_row(ri);
+        const double inv_scalar = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i) {
+                w.setRep(Rep::Eval);
+                scalar.nttInverse(w, tp);
+            }
+        }) / iters;
+        const double inv_simd = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i) {
+                w.setRep(Rep::Eval);
+                simd.nttInverse(w, tp);
+            }
+        }) / iters;
+        add_row("simd_ntt_inverse" + suffix, {{"n", n}, {"limbs", 1}},
+                inv_scalar, inv_simd);
     };
     std::vector<size_t> log_ns = smoke
                                      ? std::vector<size_t>{12, 16}
@@ -310,16 +294,16 @@ runSimdComparison(bool smoke)
         scalar.mulEval(a, b, mods, rs);
         simd.mulEval(a, b, mods, rv);
         checkParity(same(rs, rv), "simd mulEval != scalar");
-        Result rm{"simd_mul_eval_q42", n, limbs, 0, 0};
-        rm.baseline_ms = timeMs(reps, [&] {
+        const double mul_scalar = timeMs(reps, [&] {
             for (int i = 0; i < iters; ++i)
                 scalar.mulEval(a, b, mods, rs);
         }) / iters;
-        rm.optimized_ms = timeMs(reps, [&] {
+        const double mul_simd = timeMs(reps, [&] {
             for (int i = 0; i < iters; ++i)
                 simd.mulEval(a, b, mods, rv);
         }) / iters;
-        add_row(rm);
+        add_row("simd_mul_eval_q42", {{"n", n}, {"limbs", limbs}},
+                mul_scalar, mul_simd);
 
         // Accumulators stay canonical however often the MAC runs.
         RnsPoly bs = c, as = c, bv = c, av = c;
@@ -327,16 +311,16 @@ runSimdComparison(bool smoke)
         simd.evkMulAcc(a, b, c, limbs, limbs, mods, bv, av);
         checkParity(same(bs, bv) && same(as, av),
                     "simd evkMulAcc != scalar");
-        Result re{"simd_evk_mac_q42", n, limbs, 0, 0};
-        re.baseline_ms = timeMs(reps, [&] {
+        const double mac_scalar = timeMs(reps, [&] {
             for (int i = 0; i < iters; ++i)
                 scalar.evkMulAcc(a, b, c, limbs, limbs, mods, bs, as);
         }) / iters;
-        re.optimized_ms = timeMs(reps, [&] {
+        const double mac_simd = timeMs(reps, [&] {
             for (int i = 0; i < iters; ++i)
                 simd.evkMulAcc(a, b, c, limbs, limbs, mods, bv, av);
         }) / iters;
-        add_row(re);
+        add_row("simd_evk_mac_q42", {{"n", n}, {"limbs", limbs}},
+                mac_scalar, mac_simd);
     }
 
     // The element-wise entries over four limbs: 42-bit limbs take the
@@ -376,16 +360,16 @@ runSimdComparison(bool smoke)
             checkParity(same, (std::string("simd ") + name +
                                " != scalar")
                                   .c_str());
-            Result r{std::string("simd_") + name + suffix, n, limbs, 0, 0};
-            r.baseline_ms = timeMs(reps, [&] {
+            const double scalar_ms = timeMs(reps, [&] {
                 for (int i = 0; i < iters; ++i)
                     op(scalar, rs);
             }) / iters;
-            r.optimized_ms = timeMs(reps, [&] {
+            const double simd_ms = timeMs(reps, [&] {
                 for (int i = 0; i < iters; ++i)
                     op(simd, rv);
             }) / iters;
-            add_row(r);
+            add_row(std::string("simd_") + name + suffix,
+                    {{"n", n}, {"limbs", limbs}}, scalar_ms, simd_ms);
         };
         kernel_row("add", [&](KernelBackend &kb, RnsPoly &r) {
             kb.add(a, b, mods, r);
@@ -434,16 +418,17 @@ runSimdComparison(bool smoke)
                                    n * sizeof(u64)) == 0;
             checkParity(same, "simd BConv != scalar BConv");
         }
-        Result r{"simd_bconv", n, nb, 0, 0};
-        r.baseline_ms = timeMs(reps, [&] {
+        const double scalar_ms = timeMs(reps, [&] {
             RnsPoly out = scalar.bconv(bc, in);
             scalar.pool().release(std::move(out));
         });
-        r.optimized_ms = timeMs(reps, [&] {
+        const double simd_ms = timeMs(reps, [&] {
             RnsPoly out = simd.bconv(bc, in);
             simd.pool().release(std::move(out));
         });
-        add_row(r);
+        add_row("simd_bconv",
+                {{"n", n}, {"in_limbs", nb}, {"out_limbs", nc}},
+                scalar_ms, simd_ms);
     }
     t.print();
     std::printf("\n");
@@ -457,9 +442,8 @@ void
 runBconvComparison(bool smoke)
 {
     // Baseline = the pre-PR hot path: materialized scale stage, then
-    // the limb-strided MAC, with freshly allocated (zero-filled)
-    // result polys — the process pool stays empty in that loop, so
-    // every acquire degenerates to exactly the pre-PR allocation.
+    // the limb-strided MAC, each into a freshly allocated
+    // (zero-filled) poly, as that pipeline allocated.
     // Optimized = the production call path: the scalar backend's
     // fused cache-blocked tile kernel with its pool in steady state
     // (results released back each op, as the evaluator does).
@@ -498,44 +482,35 @@ runBconvComparison(bool smoke)
             std::copy(v.begin(), v.end(), in.limb(l));
         }
 
-        // Parity: fused tile path (standalone and backend) == the
-        // materialized two-stage pipeline.
+        // Parity: the backend's fused tile path == the materialized
+        // two-stage pipeline.
         {
-            RnsPoly fused = bc.convert(in);
             RnsPoly fused_kb = kb->bconv(bc, in);
             RnsPoly two = bc.matmulStage(bc.scaleStage(in));
-            bool same = fused.numLimbs() == two.numLimbs();
-            for (size_t l = 0; same && l < fused.numLimbs(); ++l)
-                same = std::memcmp(fused.limb(l), two.limb(l),
-                                   n * sizeof(u64)) == 0;
-            checkParity(same, "fused BConv != two-stage BConv");
-            same = fused_kb.numLimbs() == two.numLimbs();
+            bool same = fused_kb.numLimbs() == two.numLimbs();
             for (size_t l = 0; same && l < two.numLimbs(); ++l)
                 same = std::memcmp(fused_kb.limb(l), two.limb(l),
                                    n * sizeof(u64)) == 0;
             checkParity(same, "backend BConv != two-stage BConv");
         }
 
-        Result r{"bconv", n, cfg.nb, 0, 0};
-        // Pin the baseline to pre-PR allocation semantics: with the
-        // process pool empty and nothing released inside the loop,
-        // every acquire is a fresh zero-filled allocation, exactly
-        // what the pre-PR two-stage pipeline paid.
-        PolyPool::process().trim();
-        r.baseline_ms = timeMs(reps, [&] {
+        const double two_stage_ms = timeMs(reps, [&] {
             RnsPoly out = bc.matmulStage(bc.scaleStage(in));
             (void)out;
         });
-        r.optimized_ms = timeMs(reps, [&] {
+        const double fused_ms = timeMs(reps, [&] {
             RnsPoly out = kb->bconv(bc, in);
             kb->pool().release(std::move(out));
         });
-        g_results.push_back(r);
+        const double speedup = addComparison(
+            "bconv",
+            {{"n", n}, {"in_limbs", cfg.nb}, {"out_limbs", cfg.nc}},
+            "two_stage_ms", two_stage_ms, "fused_ms", fused_ms);
         t.addRow({"bconv", std::to_string(n),
                   std::to_string(cfg.nb) + "->" + std::to_string(cfg.nc),
-                  TablePrinter::fmt(r.baseline_ms, 3),
-                  TablePrinter::fmt(r.optimized_ms, 3),
-                  TablePrinter::fmt(r.speedup(), 2)});
+                  TablePrinter::fmt(two_stage_ms, 3),
+                  TablePrinter::fmt(fused_ms, 3),
+                  TablePrinter::fmt(speedup, 2)});
     }
     t.print();
     std::printf("\n");
@@ -565,28 +540,26 @@ runPoolComparison(bool smoke)
         pool.release(pool.acquire(n, cfg.limbs, Rep::Eval));
 
         volatile u64 sink = 0;
-        Result r{"poly_alloc", n, cfg.limbs, 0, 0};
-        r.baseline_ms = timeMs(reps, [&] {
-                            for (int i = 0; i < iters; ++i) {
-                                RnsPoly p(n, cfg.limbs, Rep::Eval);
-                                sink += p.limb(0)[0];
-                            }
-                        }) /
-                        iters;
-        r.optimized_ms = timeMs(reps, [&] {
-                             for (int i = 0; i < iters; ++i) {
-                                 RnsPoly p = pool.acquire(
-                                     n, cfg.limbs, Rep::Eval);
-                                 sink += p.limb(0)[0];
-                                 pool.release(std::move(p));
-                             }
-                         }) /
-                         iters;
-        g_results.push_back(r);
+        const double fresh_ms = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i) {
+                RnsPoly p(n, cfg.limbs, Rep::Eval);
+                sink += p.limb(0)[0];
+            }
+        }) / iters;
+        const double pooled_ms = timeMs(reps, [&] {
+            for (int i = 0; i < iters; ++i) {
+                RnsPoly p = pool.acquire(n, cfg.limbs, Rep::Eval);
+                sink += p.limb(0)[0];
+                pool.release(std::move(p));
+            }
+        }) / iters;
+        const double speedup = addComparison(
+            "poly_alloc", {{"n", n}, {"limbs", cfg.limbs}}, "fresh_ms",
+            fresh_ms, "pooled_ms", pooled_ms);
         t.addRow({std::to_string(n) + " x " + std::to_string(cfg.limbs),
-                  TablePrinter::fmt(r.baseline_ms * 1000, 2),
-                  TablePrinter::fmt(r.optimized_ms * 1000, 2),
-                  TablePrinter::fmt(r.speedup(), 2)});
+                  TablePrinter::fmt(fresh_ms * 1000, 2),
+                  TablePrinter::fmt(pooled_ms * 1000, 2),
+                  TablePrinter::fmt(speedup, 2)});
     }
     t.print();
     std::printf("\n");
@@ -689,200 +662,19 @@ printBackendComparison()
     std::printf("\n");
 }
 
-// ---------------------------------------------------------------------------
-// JSON emission (consumed by scripts/check_bench_regression.py)
-// ---------------------------------------------------------------------------
-
-bool
-writeJson(const std::string &path, bool smoke)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"bench_micro_kernels\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-    // Provenance of the vector rows: the regression checker refuses to
-    // compare simd_* entries across differing tiers, and the feature
-    // list pins down which host recorded a committed baseline.
-    std::fprintf(f, "  \"simd_tier\": \"%s\",\n", g_simd_tier.c_str());
-    std::fprintf(f, "  \"cpu_features\": \"%s\",\n",
-                 cpuFeatureString().c_str());
-    std::fprintf(f, "  \"parity_ok\": %s,\n",
-                 g_parity_ok ? "true" : "false");
-    std::fprintf(f, "  \"results\": [\n");
-    for (size_t i = 0; i < g_results.size(); ++i) {
-        const Result &r = g_results[i];
-        std::fprintf(f,
-                     "    {\"name\": \"%s\", \"n\": %zu, \"limbs\": "
-                     "%zu, \"baseline_ms\": %.6f, \"optimized_ms\": "
-                     "%.6f, \"speedup\": %.3f}%s\n",
-                     r.name.c_str(), r.n, r.limbs, r.baseline_ms,
-                     r.optimized_ms, r.speedup(),
-                     i + 1 < g_results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-}
-
-#ifdef ARK_HAVE_GBENCH
-
-// ---------------------------------------------------------------------------
-// google-benchmark suite (optional; run with --gbench)
-// ---------------------------------------------------------------------------
-
-void
-BM_NttForward(benchmark::State &state)
-{
-    const size_t n = static_cast<size_t>(state.range(0));
-    u64 prime = generatePrimes(50, 1, n).front();
-    NttTables tables(n, Modulus(prime));
-    Rng rng(1);
-    auto v = rng.uniformVector(n, prime);
-    for (auto _ : state) {
-        tables.forward(v.data());
-        benchmark::DoNotOptimize(v.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_NttForward)->Arg(1 << 12)->Arg(1 << 14)->Arg(1 << 16);
-
-void
-BM_FourStepNtt(benchmark::State &state)
-{
-    const size_t n = static_cast<size_t>(state.range(0));
-    u64 prime = generatePrimes(50, 1, n).front();
-    FourStepNtt ntt(n, Modulus(prime));
-    Rng rng(2);
-    auto v = rng.uniformVector(n, prime);
-    for (auto _ : state) {
-        auto out = ntt.forward(v);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_FourStepNtt)->Arg(1 << 12)->Arg(1 << 16);
-
-void
-BM_BConv(benchmark::State &state)
-{
-    const size_t n = 1 << 13;
-    const size_t in_limbs = static_cast<size_t>(state.range(0));
-    auto pb = generatePrimes(45, in_limbs, n);
-    auto pc = generatePrimes(50, 8, n, pb);
-    std::vector<Modulus> mb, mc;
-    for (u64 p : pb)
-        mb.emplace_back(p);
-    for (u64 p : pc)
-        mc.emplace_back(p);
-    BaseConverter bc(mb, mc);
-    Rng rng(3);
-    RnsPoly in(n, in_limbs, Rep::Coeff);
-    for (size_t l = 0; l < in_limbs; ++l) {
-        auto v = rng.uniformVector(n, pb[l]);
-        std::copy(v.begin(), v.end(), in.limb(l));
-    }
-    for (auto _ : state) {
-        auto out = bc.convert(in);
-        benchmark::DoNotOptimize(out.limb(0));
-    }
-    state.SetItemsProcessed(state.iterations() * n * in_limbs * 8);
-}
-BENCHMARK(BM_BConv)->Arg(2)->Arg(6)->Arg(12);
-
-void
-BM_Automorphism(benchmark::State &state)
-{
-    const size_t n = 1 << 14;
-    u64 prime = generatePrimes(50, 1, n).front();
-    Automorphism am(galoisElt(5, n), n);
-    Rng rng(4);
-    auto in = rng.uniformVector(n, prime);
-    std::vector<u64> out(n);
-    for (auto _ : state) {
-        am.applyEval(in.data(), out.data());
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_Automorphism);
-
-void
-BM_KeySwitch(benchmark::State &state)
-{
-    static CkksContext ctx(CkksParams::testSmall());
-    static Rng rng(5);
-    static KeyGenerator keygen(ctx, rng);
-    static SecretKey sk = keygen.secretKey();
-    static EvalKey evk = keygen.evkMult(sk);
-    CkksEvaluator eval(ctx);
-    const int level = static_cast<int>(state.range(0));
-    RnsPoly d(ctx.degree(), level + 1, Rep::Eval);
-    for (int l = 0; l <= level; ++l) {
-        auto v = rng.uniformVector(ctx.degree(),
-                                   ctx.qModuli()[l].value());
-        std::copy(v.begin(), v.end(), d.limb(l));
-    }
-    for (auto _ : state) {
-        auto [b, a] = eval.keySwitch(d, evk, level);
-        benchmark::DoNotOptimize(b.limb(0));
-        benchmark::DoNotOptimize(a.limb(0));
-    }
-}
-BENCHMARK(BM_KeySwitch)->Arg(3)->Arg(7);
-
-void
-BM_HMult(benchmark::State &state)
-{
-    static CkksContext ctx(CkksParams::testSmall());
-    static Rng rng(6);
-    static CkksEncoder enc(ctx);
-    static KeyGenerator keygen(ctx, rng);
-    static SecretKey sk = keygen.secretKey();
-    static EvalKey evk = keygen.evkMult(sk);
-    CkksEncryptor encryptor(ctx, rng);
-    CkksEvaluator eval(ctx);
-    std::vector<Complex> m(64, Complex(0.5, -0.25));
-    auto ct1 = encryptor.encryptSymmetric(
-        enc.encode(m, ctx.maxLevel()), sk);
-    auto ct2 = ct1;
-    ct1.slots = ct2.slots = 64;
-    for (auto _ : state) {
-        auto prod = eval.rescale(eval.mul(ct1, ct2, evk));
-        benchmark::DoNotOptimize(prod.b.limb(0));
-    }
-}
-BENCHMARK(BM_HMult);
-
-#endif // ARK_HAVE_GBENCH
-
-void
-printUsage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [--smoke] [--json PATH] [--gbench [args...]]\n"
-        "  (no args)     self-timed suite: lazy-vs-strict NTT, simd-\n"
-        "                vs-scalar kernels (best host ISA), fused-\n"
-        "                vs-two-stage BConv, pooled-vs-fresh alloc,\n"
-        "                serial-vs-pool executor table\n"
-        "  --smoke       reduced sizes/reps for CI; parity checks\n"
-        "                still gate (nonzero exit on mismatch)\n"
-        "  --json PATH   also write results as JSON (for\n"
-        "                scripts/check_bench_regression.py)\n"
-        "  --gbench ...  run the google-benchmark suite instead,\n"
-        "                forwarding the remaining arguments%s\n",
-        argv0,
-#ifdef ARK_HAVE_GBENCH
-        ""
-#else
-        " (UNAVAILABLE in this build: google-benchmark not found)"
-#endif
-    );
-}
+const char *kUsage =
+    "bench_micro_kernels — self-timed kernel before/after tables\n"
+    "\n"
+    "Usage: bench_micro_kernels [--smoke] [--json PATH] [--help]\n"
+    "  (no flags)  lazy-vs-strict NTT, simd-vs-scalar kernels (best\n"
+    "            host ISA), fused-vs-two-stage BConv, pooled-vs-fresh\n"
+    "            alloc, serial-vs-pool executor table\n"
+    "  --smoke   reduced sizes/reps for CI; parity checks still gate\n"
+    "            (nonzero exit on mismatch)\n"
+    "  --json PATH  also write the rows as JSON for\n"
+    "            scripts/check_bench_regression.py (committed\n"
+    "            baseline: bench/baselines/bench_micro_kernels.json).\n"
+    "  --help    this text.\n";
 
 } // namespace
 } // namespace ark
@@ -892,35 +684,11 @@ main(int argc, char **argv)
 {
     bool smoke = false;
     std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 &&
-                   i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--gbench") == 0) {
-#ifdef ARK_HAVE_GBENCH
-            // Hand the remaining args to google-benchmark verbatim.
-            int gargc = argc - i;
-            benchmark::Initialize(&gargc, argv + i);
-            benchmark::RunSpecifiedBenchmarks();
-            benchmark::Shutdown();
-            return 0;
-#else
-            std::fprintf(stderr,
-                         "--gbench: built without google-benchmark; "
-                         "the self-timed mode needs no flags\n");
-            return 2;
-#endif
-        } else if (std::strcmp(argv[i], "--help") == 0) {
-            ark::printUsage(argv[0]);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
-            ark::printUsage(argv[0]);
-            return 2;
-        }
-    }
+    int exit_code = 0;
+    if (!ark::parseBenchArgs(argc, argv, "bench_micro_kernels",
+                             ark::kUsage, smoke, json_path, nullptr,
+                             exit_code))
+        return exit_code;
 
     ark::runNttComparison(smoke);
     ark::runSimdComparison(smoke);
@@ -929,7 +697,9 @@ main(int argc, char **argv)
     if (!smoke)
         ark::printBackendComparison();
 
-    if (!json_path.empty() && !ark::writeJson(json_path, smoke))
+    if (!json_path.empty() &&
+        !ark::writeBenchJson(json_path, "bench_micro_kernels", smoke,
+                             ark::g_parity_ok, ark::g_rows))
         return 1;
 
     if (!ark::g_parity_ok) {

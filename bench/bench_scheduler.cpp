@@ -105,11 +105,8 @@ main(int argc, char **argv)
         smoke ? std::vector<double>{384}
               : std::vector<double>{384, 512, 768};
 
-    // --json rows: one per trace x policy x scratchpad. n = scratchpad
-    // MiB, limbs = evk slots, baseline_ms = scheduled sim ms,
-    // optimized_ms = evk GB streamed, speedup = source-order seconds /
-    // scheduled seconds (the compared metric).
-    std::vector<BenchJsonRow> json_rows;
+    // --json rows: one per trace x policy x scratchpad.
+    std::vector<BenchRow> json_rows;
 
     bool gate_ok = true;
     for (double spad : spads) {
@@ -152,9 +149,14 @@ main(int argc, char **argv)
                 json_rows.push_back(
                     {std::string("sched_") + tr.label + "_" +
                          schedulePolicyName(pol),
-                     static_cast<size_t>(spad), slots,
-                     r.scheduled.seconds * 1e3,
-                     r.scheduled.evk_bytes / 1e9, r.speedup});
+                     {{"scratchpad_mib", static_cast<size_t>(spad)},
+                      {"evk_slots", slots}},
+                     {{"speedup_vs_source_order", r.speedup, "x",
+                       Better::Higher},
+                      {"sim_ms", r.scheduled.seconds * 1e3, "ms",
+                       Better::Lower},
+                      {"evk_gb", r.scheduled.evk_bytes / 1e9, "GB",
+                       Better::Lower}}});
 
                 // The acceptance gate: under pressure, schedule-time
                 // key clustering must beat the emission order on the

@@ -61,23 +61,9 @@ struct SweepPoint
     size_t workers;
 };
 
-/** One sweep row, also emitted to --json. Schema matches
- *  bench_micro_kernels so check_bench_regression.py can diff it:
- *  n = batch size, limbs = server workers, speedup = req/s (the
- *  compared metric), baseline_ms/optimized_ms = p50/p99 latency.
- *  simd-backend rows are named simd_* so the checker tier-gates
- *  them. */
-struct Row
-{
-    std::string name;
-    size_t n = 0;
-    size_t limbs = 0;
-    double p50_ms = 0;
-    double p99_ms = 0;
-    double req_per_sec = 0;
-};
-
-std::vector<Row> g_rows;
+/// --json rows; simd-backend rows are named simd_* so the checker
+/// compares them only between runs of the same kernel-table tier.
+std::vector<BenchRow> g_rows;
 bool g_all_ok = true;
 
 std::string
@@ -93,16 +79,13 @@ rowName(const SweepPoint &pt)
     }
 }
 
-bool
-writeJson(const std::string &path, bool smoke)
+/** The sweep and loopback rows' metrics: throughput and latency. */
+std::vector<BenchMetric>
+serveMetrics(double req_per_s, double p50_ms, double p99_ms)
 {
-    std::vector<BenchJsonRow> rows;
-    rows.reserve(g_rows.size());
-    for (const Row &r : g_rows)
-        rows.push_back({r.name, r.n, r.limbs, r.p50_ms, r.p99_ms,
-                        r.req_per_sec});
-    return writeBenchJson(path, "bench_serving", smoke, g_all_ok,
-                          rows);
+    return {{"req_per_s", req_per_s, "1/s", Better::Higher},
+            {"p50_ms", p50_ms, "ms", Better::Lower},
+            {"p99_ms", p99_ms, "ms", Better::Lower}};
 }
 
 /** Build the full serving stack for one config and run one batch. */
@@ -255,7 +238,9 @@ runRemoteLoopback(const CkksParams &base, size_t requests)
     t.print();
     std::printf("(synchronous round trips incl. serialization + "
                 "framing; compare the in-process rows above)\n");
-    g_rows.push_back({"remote_loopback", requests, 1, p50, p99, rps});
+    g_rows.push_back({"remote_loopback",
+                      {{"requests", requests}, {"clients", 1}},
+                      serveMetrics(rps, p50, p99)});
 }
 
 /**
@@ -370,13 +355,15 @@ openLoopTable(const CkksParams &base, bool smoke)
                   std::to_string(s.ok), TablePrinter::fmt(good, 1),
                   TablePrinter::fmt(hit, 1),
                   TablePrinter::fmt(s.report.e2e.p99_ms, 2)});
-        // --json row: n = the over-saturation factor (fixed so the
-        // key matches across machines), limbs = workers, baseline_ms
-        // / optimized_ms = e2e p50/p99, speedup = goodput (compared).
-        g_rows.push_back({adaptive ? "openloop_adaptive"
-                                   : "openloop_baseline",
-                          3, workers, s.report.e2e.p50_ms,
-                          s.report.e2e.p99_ms, good});
+        // The offered load is fixed at 3x capacity so the row key
+        // matches across machines.
+        g_rows.push_back(
+            {adaptive ? "openloop_adaptive" : "openloop_baseline",
+             {{"overload", 3}, {"workers", workers}},
+             {{"goodput_per_s", good, "1/s", Better::Higher},
+              {"e2e_p50_ms", s.report.e2e.p50_ms, "ms", Better::Lower},
+              {"e2e_p99_ms", s.report.e2e.p99_ms, "ms",
+               Better::Lower}}});
         (adaptive != 0 ? adaptive_good : baseline_good) = good;
     }
     t.print();
@@ -490,9 +477,11 @@ main(int argc, char **argv)
     for (const auto &pt : sweep) {
         ServeReport rep = runConfig(base, pt, batch, max_ops, all_ok);
         const std::string label = backendKindName(pt.kind);
-        g_rows.push_back({rowName(pt), batch, pt.workers,
-                          rep.latency.p50_ms, rep.latency.p99_ms,
-                          rep.requests_per_sec});
+        g_rows.push_back({rowName(pt),
+                          {{"requests", batch}, {"workers", pt.workers}},
+                          serveMetrics(rep.requests_per_sec,
+                                       rep.latency.p50_ms,
+                                       rep.latency.p99_ms)});
         t.addRow({label,
                   pt.kind == BackendKind::Parallel
                       ? std::to_string(pt.kernel_threads)
@@ -555,7 +544,9 @@ main(int argc, char **argv)
     const bool open_loop_ok = openLoopTable(base, smoke);
 
     g_all_ok = g_all_ok && all_ok && open_loop_ok;
-    if (!json_path.empty() && !writeJson(json_path, smoke))
+    if (!json_path.empty() &&
+        !writeBenchJson(json_path, "bench_serving", smoke, g_all_ok,
+                        g_rows))
         return 1;
 
     if (!g_all_ok) {

@@ -115,7 +115,7 @@ assignRequests(const std::vector<double> &service_s, size_t chips)
 }
 
 bool
-dagShardingTable(bool smoke, std::vector<BenchJsonRow> &json_rows)
+dagShardingTable(bool smoke, std::vector<BenchRow> &json_rows)
 {
     const CkksParams p = CkksParams::ark();
     struct Entry
@@ -173,13 +173,14 @@ dagShardingTable(bool smoke, std::vector<BenchJsonRow> &json_rows)
                       TablePrinter::fmt(r.link_bytes / 1e9, 2),
                       fmtMs(r.seconds, 1),
                       TablePrinter::fmt(r.speedup, 2)});
-            // --json row: n = shards, limbs = evk slots, baseline_ms
-            // = makespan ms, optimized_ms = max per-shard evk GB,
-            // speedup = single-chip seconds / makespan (compared).
-            json_rows.push_back({std::string("shard_") + tr.label, n,
-                                 slots, r.seconds * 1e3,
-                                 r.max_shard_evk_bytes / 1e9,
-                                 r.speedup});
+            json_rows.push_back(
+                {std::string("shard_") + tr.label,
+                 {{"shards", n}, {"evk_slots", slots}},
+                 {{"speedup_vs_single_chip", r.speedup, "x",
+                   Better::Higher},
+                  {"makespan_ms", r.seconds * 1e3, "ms", Better::Lower},
+                  {"max_shard_evk_gb", r.max_shard_evk_bytes / 1e9, "GB",
+                   Better::Lower}}});
             if (tr.gated && n == 2 &&
                 !(r.max_shard_evk_bytes < single.evk_bytes)) {
                 std::fprintf(stderr,
@@ -252,7 +253,7 @@ fleetServingTable(bool smoke)
 
 bool
 hostServingTable(bool smoke, size_t requests,
-                 std::vector<BenchJsonRow> &json_rows)
+                 std::vector<BenchRow> &json_rows)
 {
     header("host BatchServer: sharded mode vs single queue");
     unsetenv("ARK_BACKEND");
@@ -321,12 +322,12 @@ hostServingTable(bool smoke, size_t requests,
                   TablePrinter::fmt(rep.requests_per_sec, 1),
                   TablePrinter::fmt(rep.latency.p99_ms, 2), split,
                   peaks});
-        // --json row: n = request batch, limbs = workers, baseline_ms
-        // = p50, optimized_ms = p99, speedup = req/s (compared).
         json_rows.push_back(
-            {"host_serve_s" + std::to_string(shards), batch,
-             cfg.workers, rep.latency.p50_ms, rep.latency.p99_ms,
-             rep.requests_per_sec});
+            {"host_serve_s" + std::to_string(shards),
+             {{"requests", batch}, {"workers", cfg.workers}},
+             {{"req_per_s", rep.requests_per_sec, "1/s", Better::Higher},
+              {"p50_ms", rep.latency.p50_ms, "ms", Better::Lower},
+              {"p99_ms", rep.latency.p99_ms, "ms", Better::Lower}}});
     }
     t.print();
     return all_ok;
@@ -441,7 +442,7 @@ tenantPressureTable(bool smoke)
  * the table is about where the work ran, not what it computed.
  */
 bool
-openLoopShardedTable(bool smoke, std::vector<BenchJsonRow> &json_rows)
+openLoopShardedTable(bool smoke, std::vector<BenchRow> &json_rows)
 {
     header("open-loop sharded serving: online rebalance off vs on");
     unsetenv("ARK_BACKEND");
@@ -549,13 +550,13 @@ openLoopShardedTable(bool smoke, std::vector<BenchJsonRow> &json_rows)
                   TablePrinter::fmt(s.report.requests_per_sec, 1),
                   TablePrinter::fmt(s.report.e2e.p99_ms, 2),
                   std::to_string(server.rebalances()), split});
-        // --json row: n = shards, limbs = workers, baseline_ms /
-        // optimized_ms = e2e p50/p99, speedup = req/s (compared).
-        json_rows.push_back({rebal != 0 ? "openloop_shard_rebal"
-                                        : "openloop_shard_norebal",
-                             shards, workers, s.report.e2e.p50_ms,
-                             s.report.e2e.p99_ms,
-                             s.report.requests_per_sec});
+        json_rows.push_back(
+            {rebal != 0 ? "openloop_shard_rebal" : "openloop_shard_norebal",
+             {{"shards", shards}, {"workers", workers}},
+             {{"req_per_s", s.report.requests_per_sec, "1/s",
+               Better::Higher},
+              {"e2e_p50_ms", s.report.e2e.p50_ms, "ms", Better::Lower},
+              {"e2e_p99_ms", s.report.e2e.p99_ms, "ms", Better::Lower}}});
     }
     t.print();
     std::printf("(identical 8x-skewed trace both runs; swaps move "
@@ -577,7 +578,7 @@ main(int argc, char **argv)
                         json_path, &requests, exit_code))
         return exit_code;
 
-    std::vector<BenchJsonRow> json_rows;
+    std::vector<BenchRow> json_rows;
     const bool gate_ok = dagShardingTable(smoke, json_rows);
     fleetServingTable(smoke);
     const bool serve_ok = hostServingTable(smoke, requests, json_rows);

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/env.h"
@@ -80,38 +81,46 @@ parseBenchArgs(int argc, char **argv, const char *name,
     return true;
 }
 
-/**
- * One machine-readable row of a --json emission. The field names
- * deliberately match bench_micro_kernels' schema so one
- * check_bench_regression.py diffs every bench: `speedup` is always
- * the compared metric (higher = better); what n / limbs /
- * baseline_ms / optimized_ms mean is per-bench and documented where
- * the rows are filled.
- */
-struct BenchJsonRow
+/** Which way a metric improves; written as "higher" / "lower". */
+enum class Better
 {
-    std::string name;
-    size_t n = 0;
-    size_t limbs = 0;
-    double baseline_ms = 0;
-    double optimized_ms = 0;
-    double speedup = 0;
+    Higher,
+    Lower
+};
+
+/** One named measurement of a row: value, unit and direction. */
+struct BenchMetric
+{
+    std::string key;
+    double value = 0;
+    const char *unit = "";
+    Better better = Better::Higher;
 };
 
 /**
- * Write @p rows in the shared bench JSON schema:
- * {"bench","mode","machine_class","simd_tier","cpu_features",
- *  "parity_ok","results"}.
- * `machine_class` is the host's dispatched vector-ISA tier — the
- * label check_bench_regression.py uses to pick a like-for-like
- * baseline from bench/baselines/<class>/ (timings from an AVX-512
- * box say nothing about an AVX2 one; comparing across classes is the
- * regression tracker's main noise source). Returns false (with a
+ * One machine-readable row of a --json emission:
+ * {"name", "params": {key: integer}, "metrics": {key: {"value",
+ * "unit", "better"}}}. `name` plus `params` identify the row across
+ * runs; scripts/check_bench_regression.py compares every metric the
+ * committed baseline row lists, in its own direction.
+ */
+struct BenchRow
+{
+    std::string name;
+    std::vector<std::pair<std::string, size_t>> params;
+    std::vector<BenchMetric> metrics;
+};
+
+/**
+ * Write @p rows as {"bench", "mode", "simd_tier", "cpu_features",
+ * "parity_ok", "results"}. `simd_tier` is the kernel table the
+ * default engine dispatches on this host: the checker compares simd_*
+ * rows only between runs of the same tier. Returns false (with a
  * message on stderr) if the file can't be written.
  */
 inline bool
 writeBenchJson(const std::string &path, const char *bench, bool smoke,
-               bool parity_ok, const std::vector<BenchJsonRow> &rows)
+               bool parity_ok, const std::vector<BenchRow> &rows)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -121,8 +130,6 @@ writeBenchJson(const std::string &path, const char *bench, bool smoke,
     }
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench);
     std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-    std::fprintf(f, "  \"machine_class\": \"%s\",\n",
-                 simdTierName(KernelBackend().tier()));
     std::fprintf(f, "  \"simd_tier\": \"%s\",\n",
                  simdTierName(KernelBackend().tier()));
     std::fprintf(f, "  \"cpu_features\": \"%s\",\n",
@@ -131,14 +138,23 @@ writeBenchJson(const std::string &path, const char *bench, bool smoke,
                  parity_ok ? "true" : "false");
     std::fprintf(f, "  \"results\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
-        const BenchJsonRow &r = rows[i];
-        std::fprintf(f,
-                     "    {\"name\": \"%s\", \"n\": %zu, \"limbs\": "
-                     "%zu, \"baseline_ms\": %.6f, \"optimized_ms\": "
-                     "%.6f, \"speedup\": %.3f}%s\n",
-                     r.name.c_str(), r.n, r.limbs, r.baseline_ms,
-                     r.optimized_ms, r.speedup,
-                     i + 1 < rows.size() ? "," : "");
+        const BenchRow &r = rows[i];
+        std::fprintf(f, "    {\"name\": \"%s\", \"params\": {",
+                     r.name.c_str());
+        for (size_t k = 0; k < r.params.size(); ++k)
+            std::fprintf(f, "%s\"%s\": %zu", k ? ", " : "",
+                         r.params[k].first.c_str(), r.params[k].second);
+        std::fprintf(f, "}, \"metrics\": {");
+        for (size_t k = 0; k < r.metrics.size(); ++k) {
+            const BenchMetric &m = r.metrics[k];
+            std::fprintf(f,
+                         "%s\"%s\": {\"value\": %.6g, \"unit\": "
+                         "\"%s\", \"better\": \"%s\"}",
+                         k ? ", " : "", m.key.c_str(), m.value, m.unit,
+                         m.better == Better::Higher ? "higher"
+                                                    : "lower");
+        }
+        std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -1,10 +1,8 @@
 #include "rns/bconv.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.h"
-#include "rns/poly_pool.h"
 
 namespace ark {
 
@@ -59,10 +57,7 @@ BaseConverter::scaleStage(const RnsPoly &in) const
     ARK_ASSERT(in.numLimbs() == in_base_.size(),
                "input limb count must match input base");
     const size_t n = in.degree();
-    // Pooled: every word is written below, so the stale contents of a
-    // recycled buffer are never observable.
-    RnsPoly scaled =
-        PolyPool::process().acquire(n, in_base_.size(), Rep::Coeff);
+    RnsPoly scaled(n, in_base_.size(), Rep::Coeff);
     for (size_t j = 0; j < in_base_.size(); ++j) {
         const Modulus &pj = in_base_[j];
         const u64 s = phat_inv_mod_pj_[j];
@@ -86,7 +81,7 @@ BaseConverter::matmulStage(const RnsPoly &scaled) const
     const size_t nc = out_base_.size();
     const size_t n = scaled.degree();
 
-    RnsPoly out = PolyPool::process().acquire(n, nc, Rep::Coeff);
+    RnsPoly out(n, nc, Rep::Coeff);
     for (size_t i = 0; i < nc; ++i) {
         const Modulus &qi = out_base_[i];
         u64 *dst = out.limb(i);
@@ -101,22 +96,6 @@ BaseConverter::matmulStage(const RnsPoly &scaled) const
             dst[c] = qi.reduceReference(acc);
         }
     }
-    return out;
-}
-
-RnsPoly
-BaseConverter::convert(const RnsPoly &in) const
-{
-    ARK_ASSERT(in.rep() == Rep::Coeff, "BConv needs Coeff rep");
-    ARK_ASSERT(in.numLimbs() == in_base_.size(),
-               "input limb count must match input base");
-    const size_t n = in.degree();
-    RnsPoly out =
-        PolyPool::process().acquire(n, out_base_.size(), Rep::Coeff);
-    alignas(64) u64 scratch[kTileWords];
-    const size_t tile = tile_coeffs_;
-    for (size_t c0 = 0; c0 < n; c0 += tile)
-        convertTile(in, c0, std::min(c0 + tile, n), scratch, out);
     return out;
 }
 

@@ -34,14 +34,6 @@ class BaseConverter
     const std::vector<Modulus> &outBase() const { return out_base_; }
 
     /**
-     * Convert @p in (Coeff rep, limbs over inBase) to a new polynomial
-     * with limbs over outBase (Coeff rep). Routed through the fused,
-     * cache-blocked tile pass (convertTile); bit-identical to
-     * matmulStage(scaleStage(in)).
-     */
-    RnsPoly convert(const RnsPoly &in) const;
-
-    /**
      * Scratch words a convertTile caller must provide: one tile worth
      * of transposed scaled values, (tileCoeffs() x |B|) <= kTileWords.
      */
@@ -74,20 +66,15 @@ class BaseConverter
      * First BConv stage only: multiply limb j by phat_j^-1 mod p_j.
      * ARK fuses this stage into the NTTU's BConv-mult unit on the INTT
      * path (Fig. 5); exposed separately so tests and the simulator can
-     * account for it there. Compatibility/reference path: convert()
-     * no longer materializes this intermediate.
-     *
-     * The two-stage results draw their buffers from
-     * PolyPool::process(); callers that churn conversions should
-     * hand spent polys back to that pool (release()) so repeated
-     * stages stop re-allocating — nothing releases on their behalf.
-     * (The kernel backends use their own per-backend pools and
-     * release internally; this only concerns direct two-stage users.)
+     * account for it there. Reference path: KernelBackend::bconv runs
+     * the fused tile (convertTile) and never materializes this
+     * intermediate. Both stages return freshly allocated polys.
      */
     RnsPoly scaleStage(const RnsPoly &in) const;
 
-    /** Second BConv stage: the base-table matrix multiply
-     *  (compatibility/reference path). */
+    /** Second BConv stage: the base-table matrix multiply (reference
+     *  path; matmulStage(scaleStage(in)) is bit-identical to the
+     *  fused tile pass). */
     RnsPoly matmulStage(const RnsPoly &scaled) const;
 
     /** Base-table entry (phat_j mod q_i). */

@@ -120,11 +120,4 @@ PolyPool::trim()
     }
 }
 
-PolyPool &
-PolyPool::process()
-{
-    static PolyPool pool;
-    return pool;
-}
-
 } // namespace ark

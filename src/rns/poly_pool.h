@@ -84,13 +84,6 @@ class PolyPool
     /** Drop every cached buffer (memory back to the heap). */
     void trim();
 
-    /**
-     * Process-wide pool used by callers without a backend of their own
-     * (the BaseConverter compatibility stages, standalone tools).
-     * Backends own private pools so contexts do not contend.
-     */
-    static PolyPool &process();
-
   private:
     /** Free-list stripes; a power of two so the thread ticket maps on
      *  with a mask. Eight comfortably spreads the serving runtime's

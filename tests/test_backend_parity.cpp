@@ -223,8 +223,8 @@ TEST_P(BackendParityTest, BConvMatchesScalarAndReference)
     RnsPoly rv = simd_->bconv(bc, in);
     expectIdentical(rs, rp);
     expectIdentical(rs, rv);
-    // Cross-check against the standalone reference implementation.
-    RnsPoly ref = bc.convert(in);
+    // Cross-check against the two-stage reference pipeline.
+    RnsPoly ref = bc.matmulStage(bc.scaleStage(in));
     expectIdentical(rs, ref);
 }
 
@@ -270,7 +270,7 @@ TEST_P(BackendParityTest, FusedNttBconvNttMatchesUnfusedPipeline)
     // pipeline bit for bit.
     RnsPoly unfused = digit;
     scalar_->nttInverse(unfused, table_ptrs_);
-    RnsPoly conv = bc.convert(unfused);
+    RnsPoly conv = bc.matmulStage(bc.scaleStage(unfused));
     scalar_->nttForward(conv, out_ptrs);
     expectIdentical(fused_s, conv);
 }
@@ -429,8 +429,9 @@ TEST(LazyStrictParityTest, NttSmallDegrees)
     }
 }
 
-/** Fused cache-blocked convert == materialized two-stage pipeline on
- *  randomized bases, including non-multiple-of-tile degrees. */
+/** Fused cache-blocked BConv (the scalar KernelBackend::bconv) ==
+ *  the materialized two-stage pipeline on randomized bases, including
+ *  non-multiple-of-tile degrees. */
 TEST(LazyStrictParityTest, FusedBconvMatchesTwoStage)
 {
     u64 seed = 80;
@@ -455,7 +456,7 @@ TEST(LazyStrictParityTest, FusedBconvMatchesTwoStage)
                 std::copy(v.begin(), v.end(), in.limb(l));
             }
 
-            RnsPoly fused = bc.convert(in);
+            RnsPoly fused = KernelBackend(SimdTier::Scalar).bconv(bc, in);
             RnsPoly two = bc.matmulStage(bc.scaleStage(in));
             ASSERT_EQ(fused.numLimbs(), two.numLimbs());
             for (size_t l = 0; l < fused.numLimbs(); ++l) {

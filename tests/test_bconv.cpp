@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "rns/backend.h"
 #include "rns/bconv.h"
 #include "rns/primes.h"
 
@@ -22,6 +23,13 @@ makeModuli(const std::vector<u64> &primes)
     return v;
 }
 
+/** The production BConv: the scalar table's fused tile pass. */
+RnsPoly
+convert(const BaseConverter &bc, const RnsPoly &in)
+{
+    return KernelBackend(SimdTier::Scalar).bconv(bc, in);
+}
+
 TEST(BConv, SinglePrimeInputIsPlainModReduction)
 {
     // With |B| = 1, phat = 1, so BConv is just x mod q_i.
@@ -35,7 +43,7 @@ TEST(BConv, SinglePrimeInputIsPlainModReduction)
     auto vals = rng.uniformVector(n, pb[0]);
     std::copy(vals.begin(), vals.end(), in.limb(0));
 
-    auto out = bc.convert(in);
+    auto out = convert(bc, in);
     ASSERT_EQ(out.numLimbs(), 3u);
     for (size_t i = 0; i < 3; ++i) {
         for (size_t c = 0; c < n; ++c)
@@ -61,7 +69,7 @@ TEST(BConv, MatchesExactSumReference)
     std::copy(v0.begin(), v0.end(), in.limb(0));
     std::copy(v1.begin(), v1.end(), in.limb(1));
 
-    auto out = bc.convert(in);
+    auto out = convert(bc, in);
 
     const u64 phat0 = pb[1]; // prod of others
     const u64 phat1 = pb[0];
@@ -100,7 +108,7 @@ TEST(BConv, ReconstructsValueUpToMultipleOfP)
             for (size_t c = 0; c < n; ++c)
                 in.limb(j)[c] = static_cast<u64>(x % pb[j]);
         }
-        auto out = bc.convert(in);
+        auto out = convert(bc, in);
         bool some_u_works = false;
         for (u64 u = 0; u < 3 && !some_u_works; ++u) {
             bool ok = true;
@@ -128,7 +136,7 @@ TEST(BConv, StagesComposeToConvert)
         auto v = rng.uniformVector(n, pb[j]);
         std::copy(v.begin(), v.end(), in.limb(j));
     }
-    auto direct = bc.convert(in);
+    auto direct = convert(bc, in);
     auto staged = bc.matmulStage(bc.scaleStage(in));
     for (size_t i = 0; i < 2; ++i) {
         for (size_t c = 0; c < n; ++c)
@@ -156,7 +164,8 @@ TEST(BConv, RequiresCoeffRep)
     auto pc = generatePrimes(40, 2, n);
     BaseConverter bc(makeModuli(pb), makeModuli(pc));
     RnsPoly in(n, 2, Rep::Eval);
-    EXPECT_DEATH(bc.convert(in), "");
+    KernelBackend kb(SimdTier::Scalar);
+    EXPECT_DEATH(kb.bconv(bc, in), "");
 }
 
 } // namespace
