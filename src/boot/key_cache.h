@@ -73,26 +73,6 @@ class KeyCache
      *  MissingKeyError. Used per tenant by the network front-end. */
     explicit KeyCache(size_t degree) : degree_(degree) {}
 
-    /**
-     * Per-thread lookup tallies, accumulated across every KeyCache
-     * the calling thread touches. The serving workers snapshot the
-     * delta around each request execution to attribute evk misses to
-     * their own shard (the rebalancer's second congestion signal,
-     * shard/serve_shard.h) — thread-local, so attribution is exact
-     * and the hot path stays contention-free. The process-wide
-     * obs::EvkHit/EvkMiss counters are unchanged.
-     */
-    struct ThreadStats
-    {
-        u64 hits = 0;
-        u64 misses = 0;
-    };
-    static ThreadStats &threadStats()
-    {
-        static thread_local ThreadStats stats;
-        return stats;
-    }
-
     /** Rotation key for amount r (generated on first use). */
     const EvalKey &rotation(i64 r)
     {
@@ -128,14 +108,12 @@ class KeyCache
         std::lock_guard<std::mutex> lk(m_);
         if (!mult_) {
             obs::count(obs::Counter::EvkMiss);
-            threadStats().misses += 1;
             if (keygen_ == nullptr)
                 throw MissingKeyError(
                     "no multiplication evk uploaded");
             mult_ = std::make_unique<EvalKey>(keygen_->evkMult(*sk_));
         } else {
             obs::count(obs::Counter::EvkHit);
-            threadStats().hits += 1;
         }
         return *mult_;
     }
@@ -189,7 +167,6 @@ class KeyCache
         auto it = keys_.find(galois_elt);
         if (it == keys_.end()) {
             obs::count(obs::Counter::EvkMiss);
-            threadStats().misses += 1;
             if (keygen_ == nullptr)
                 throw MissingKeyError(
                     "no evk uploaded for galois element " +
@@ -199,7 +176,6 @@ class KeyCache
                      .first;
         } else {
             obs::count(obs::Counter::EvkHit);
-            threadStats().hits += 1;
         }
         return it->second;
     }

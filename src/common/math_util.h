@@ -54,11 +54,16 @@ addMod(u64 a, u64 b, u64 m)
     return s >= m ? s - m : s;
 }
 
-/** (a - b) mod m, assuming a, b < m. */
+/**
+ * (a - b) mod m, assuming a, b < m < 2^63. Branchless: the sign of
+ * a - b masks m back in. (A mask from the borrow, -(a < b), compiles to
+ * sbb, whose false dependency on its register serializes loops.)
+ */
 inline u64
 subMod(u64 a, u64 b, u64 m)
 {
-    return a >= b ? a - b : a + m - b;
+    const u64 d = a - b;
+    return d + (m & static_cast<u64>(static_cast<i64>(d) >> 63));
 }
 
 /** (a * b) mod m via a 128-bit product. */

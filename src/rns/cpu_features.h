@@ -25,7 +25,8 @@ enum class SimdTier {
     Scalar, ///< no vector kernels; scalar lazy loops
     Avx2,   ///< 256-bit kernels, 4 lanes of u64
     Avx512, ///< 512-bit kernels (AVX-512F + DQ), 8 lanes of u64
-    /** Avx512 plus 52-bit IFMA NTTs on limbs with q < 2^50. */
+    /** Avx512's kernels with the 52-bit IFMA multiplier on limbs
+     *  with q < 2^50. */
     Avx512Ifma,
 };
 

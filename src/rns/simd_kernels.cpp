@@ -380,173 +380,362 @@ smallStageWin512(size_t t, __m512i *idx_x, __m512i *idx_y,
 constexpr u64 kVecNttMaxQ = 1ULL << 60;
 
 // ---------------------------------------------------------------------------
-// AVX-512 NTT: the Harvey lazy transform of NttTables::forward /
-// inverse, eight butterflies per step. The approximate Shoup quotient
-// widens the lazy domains vs the scalar kernel (forward values stay
-// in [0,8q), inverse in [0,4q)); the closing canonicalization brings
-// every lane back to [0,q), so outputs are still bit-identical.
+// Lane arithmetic of the 8-lane kernels. Each AVX-512 schedule below is
+// written once, as a template over a multiplier policy, the way ARK's
+// NTTU runs one stage schedule whatever its modular multiplier does:
+//
+//   Shoup64  the AVX-512F datapath: the approximate 64-bit Shoup
+//            product and barrett512. The lazy fold bound B is 4q, so
+//            forward NTT values stay in [0, 8q) and inverse ones in
+//            [0, 4q); the NTT needs q < 2^60 (kVecNttMaxQ) and runs
+//            the scalar transform for anything wider.
+//   Ifma52   exact 52-bit products in vpmadd52 ops (Boemer et al.,
+//            "Intel HEXL: Accelerating Homomorphic Encryption with
+//            Intel AVX512-IFMA52", 2021). Every multiplier input has to
+//            stay below 2^52, so B is 2q (forward values in [0, 4q),
+//            inverse ones in [0, 2q)) and q < 2^50; IfmaEntry hands
+//            wider limbs to the Shoup64 instantiation.
+//
+// A policy supplies its broadcast constants (Mod, holding q and B),
+// its twiddle form (Tw), the lazy Shoup product mulShoup (any input
+// the schedules feed it, result in [0, B)), canon ([0, B) -> [0, q))
+// and the canonical mulMod / mulAddMod of canonical operands. Every
+// step is exact, and the closing canonicalization lands on the one
+// value the scalar kernels return, so both policies are bit-identical
+// to them.
+//
+// A function template carries one target attribute, so the schedules
+// are compiled for avx512ifma and the Shoup64 instantiations are built
+// with IFMA enabled too. They call only AVX-512F/DQ helpers;
+// scripts/check_simd_isa.py fails if a vpmadd52 shows up in a function
+// not named for the IFMA tier.
 // ---------------------------------------------------------------------------
 
-ARK_T512 void
+struct Shoup64
+{
+    struct Mod : Mod512
+    {
+        __m512i bound; ///< the lazy fold bound B = 4q
+    };
+    /** Twiddle w, its Shoup word ws = floor(w * 2^64 / q) and ws >> 32. */
+    struct Tw
+    {
+        __m512i w, ws, ws_hi;
+    };
+
+    ARK_T512 static Mod
+    load(const Modulus &m)
+    {
+        return {loadMod512(m), set1_512(m.twoQ() * 2)};
+    }
+
+    ARK_T512 static Tw
+    twiddle(u64 w, u64 ws)
+    {
+        return {set1_512(w), set1_512(ws), set1_512(ws >> 32)};
+    }
+
+    /** Per-lane twiddles from already broadcast w / ws vectors. */
+    ARK_T512 static Tw
+    twiddleLanes(__m512i w, __m512i ws)
+    {
+        return {w, ws, _mm512_srli_epi64(ws, 32)};
+    }
+
+    /** x * w mod q in [0, 4q) for any 64-bit x. */
+    ARK_T512 static __m512i
+    mulShoup(__m512i x, const Tw &tw, const Mod &md)
+    {
+        return mulShoupApprox512(x, tw.w, tw.ws, tw.ws_hi, md.q);
+    }
+
+    ARK_T512 static __m512i
+    canon(__m512i v, const Mod &md)
+    {
+        return csub512(csub512(v, md.two_q), md.q);
+    }
+
+    /** Modulus::mul lane-wise: full 128-bit product, then barrett512. */
+    ARK_T512 static __m512i
+    mulMod(__m512i a, __m512i b, const Mod &md)
+    {
+        __m512i lo, hi;
+        mul64_512(a, b, _mm512_srli_epi64(b, 32), md.m32, &lo, &hi);
+        return barrett512(lo, hi, md);
+    }
+
+    /** m.add(acc, m.mul(a, b)) lane-wise, for canonical operands. */
+    ARK_T512 static __m512i
+    mulAddMod(__m512i a, __m512i b, __m512i acc, const Mod &md)
+    {
+        return csub512(_mm512_add_epi64(acc, mulMod(a, b, md)), md.q);
+    }
+};
+
+struct Ifma52
+{
+    /** Exclusive modulus bound: 4q < 2^52. */
+    static constexpr u64 kMaxQ = 1ULL << 50;
+
+    /** mulMod's Barrett constants ride along: with L = bits(q),
+     *  c1 = floor(ab / 2^(L-2)) is below 2^(L+2) <= 2^52 and
+     *  k = floor(2^(L+50) / q) below 2^51. */
+    struct Mod
+    {
+        __m512i q, two_q;
+        __m512i bound; ///< the lazy fold bound B = 2q
+        __m512i neg_q; ///< 2^52 - q
+        __m512i mask;  ///< 2^52 - 1
+        __m128i shift_lo, shift_hi; ///< L - 2 and 52 - (L - 2)
+        __m512i k;
+    };
+    /** Twiddle w and its 52-bit Shoup word floor(w * 2^52 / q), which is
+     *  the stored 64-bit one >> 12, so no twiddle table is added. */
+    struct Tw
+    {
+        __m512i w, w52;
+    };
+
+    ARK_TIFMA static Mod
+    load(const Modulus &m)
+    {
+        const int bits = m.bits();
+        const __m512i two_q = set1_512(m.twoQ());
+        return {set1_512(m.value()),
+                two_q,
+                two_q,
+                set1_512((1ULL << 52) - m.value()),
+                set1_512((1ULL << 52) - 1),
+                _mm_cvtsi64_si128(bits - 2),
+                _mm_cvtsi64_si128(54 - bits),
+                set1_512(static_cast<u64>(
+                    (static_cast<u128>(1) << (bits + 50)) / m.value()))};
+    }
+
+    ARK_TIFMA static Tw
+    twiddle(u64 w, u64 ws)
+    {
+        return {set1_512(w), set1_512(ws >> 12)};
+    }
+
+    ARK_TIFMA static Tw
+    twiddleLanes(__m512i w, __m512i ws)
+    {
+        return {w, _mm512_srli_epi64(ws, 12)};
+    }
+
+    /**
+     * Shoup product x * w mod q in [0, 2q) for x < 2^52: the quotient
+     * Q = floor(x * w52 / 2^52) undershoots floor(x * w / q) by at most
+     * one, so x * w - Q * q lies in [0, 2q) < 2^52 and its low 52 bits,
+     * x * w + Q * (2^52 - q) mod 2^52, are the whole value.
+     */
+    ARK_TIFMA static __m512i
+    mulShoup(__m512i x, const Tw &tw, const Mod &md)
+    {
+        const __m512i zero = _mm512_setzero_si512();
+        const __m512i quot = _mm512_madd52hi_epu64(zero, x, tw.w52);
+        const __m512i xw = _mm512_madd52lo_epu64(zero, x, tw.w);
+        return _mm512_and_si512(_mm512_madd52lo_epu64(xw, quot, md.neg_q),
+                                md.mask);
+    }
+
+    ARK_TIFMA static __m512i
+    canon(__m512i v, const Mod &md)
+    {
+        return csub512(v, md.q);
+    }
+
+    /**
+     * a * b mod q in [0, 3q) for a, b < q < 2^50. The quotient
+     * floor(c1 * k / 2^52) never overshoots ab / q and undershoots it
+     * by less than 2.5 (c1 and k each lose under one unit; the losses
+     * weigh ab / 2^(L+50) < 1 and 2^(L-2) / q <= 1/2), so the remainder
+     * lies in [0, 3q) < 2^52 and its low 52 bits are the whole value.
+     */
+    ARK_TIFMA static __m512i
+    mulModLazy(__m512i a, __m512i b, const Mod &md)
+    {
+        const __m512i zero = _mm512_setzero_si512();
+        const __m512i lo = _mm512_madd52lo_epu64(zero, a, b);
+        const __m512i hi = _mm512_madd52hi_epu64(zero, a, b);
+        const __m512i c1 =
+            _mm512_or_si512(_mm512_srl_epi64(lo, md.shift_lo),
+                            _mm512_sll_epi64(hi, md.shift_hi));
+        const __m512i quot = _mm512_madd52hi_epu64(zero, c1, md.k);
+        return _mm512_and_si512(_mm512_madd52lo_epu64(lo, quot, md.neg_q),
+                                md.mask);
+    }
+
+    ARK_TIFMA static __m512i
+    mulMod(__m512i a, __m512i b, const Mod &md)
+    {
+        return csub512(csub512(mulModLazy(a, b, md), md.two_q), md.q);
+    }
+
+    /** acc + [0, 3q) < 4q, so two folds reach the canonical residue. */
+    ARK_TIFMA static __m512i
+    mulAddMod(__m512i a, __m512i b, __m512i acc, const Mod &md)
+    {
+        const __m512i t = _mm512_add_epi64(acc, mulModLazy(a, b, md));
+        return csub512(csub512(t, md.two_q), md.q);
+    }
+};
+
+/** Harvey forward butterfly on [0, 2B): x folded below B, plus and
+ *  minus (+ B) the Shoup product w * y. */
+template <class P>
+ARK_TIFMA inline void
+fwdBfly(__m512i *x, __m512i *y, const typename P::Tw &tw,
+        const typename P::Mod &md)
+{
+    const __m512i u = csub512(*x, md.bound);
+    const __m512i v = P::mulShoup(*y, tw, md);
+    *x = _mm512_add_epi64(u, v);
+    *y = _mm512_sub_epi64(_mm512_add_epi64(u, md.bound), v);
+}
+
+/** Gentleman-Sande butterfly on [0, B): x + y folded below B, and the
+ *  Shoup product of w with x - y + B (below 2B). */
+template <class P>
+ARK_TIFMA inline void
+invBfly(__m512i *x, __m512i *y, const typename P::Tw &tw,
+        const typename P::Mod &md)
+{
+    const __m512i d = _mm512_sub_epi64(_mm512_add_epi64(*x, md.bound), *y);
+    *x = csub512(_mm512_add_epi64(*x, *y), md.bound);
+    *y = P::mulShoup(d, tw, md);
+}
+
+/** Twiddles of one register-window stage: @p blocks table entries from
+ *  @p off, each broadcast to its butterfly lanes by @p bcast. The
+ *  masked loads never read past the table's live block range. */
+template <class P>
+ARK_TIFMA inline typename P::Tw
+windowTwiddles(const u64 *w, const u64 *ws, size_t off, size_t blocks,
+               __m512i bcast)
+{
+    const __mmask8 lmask = static_cast<__mmask8>((1u << blocks) - 1);
+    return P::twiddleLanes(
+        _mm512_permutexvar_epi64(bcast,
+                                 _mm512_maskz_loadu_epi64(lmask, w + off)),
+        _mm512_permutexvar_epi64(bcast,
+                                 _mm512_maskz_loadu_epi64(lmask, ws + off)));
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512 NTT: the Harvey lazy transform of NttTables::forward /
+// inverse, eight butterflies per step, on the policy's lazy domain.
+// The closing canonicalization brings every lane back to [0, q), so
+// outputs are bit-identical to the scalar transforms.
+// ---------------------------------------------------------------------------
+
+template <class P>
+ARK_TIFMA void
 nttForwardAvx512(u64 *a, const NttTables &tb)
 {
+    using Tw = typename P::Tw;
     const size_t n = tb.degree();
     if (n < 16 || tb.modulus().value() >= kVecNttMaxQ) {
         tb.forward(a);
         return;
     }
-    const Modulus &mod = tb.modulus();
     const u64 *w = tb.rootPowers().data();
     const u64 *ws = tb.rootPowersShoup().data();
-    const __m512i q = set1_512(mod.value());
-    const __m512i two_q = set1_512(mod.twoQ());
-    const __m512i four_q = set1_512(mod.twoQ() * 2);
+    const typename P::Mod md = P::load(tb.modulus());
 
     size_t t = n >> 1;
     size_t m = 1;
     // Fused stage pairs: two butterfly levels per pass over the data,
     // which halves the memory traffic of the big stages and doubles
     // the independent work in flight (the Shoup product chain is long,
-    // so the extra ILP matters as much as the bandwidth). The [0,8q)
-    // invariant needs only a single fold on the additive side — the
-    // approximate product accepts any 64-bit input — so level-1
-    // outputs (u in [0,4q) plus v in [0,4q)) land back below 8q and
-    // level 2 repeats the identical step. Block i of the first level
-    // splits into blocks 2i / 2i+1 of the second, hence the three
-    // twiddle broadcasts.
+    // so the extra ILP matters as much as the bandwidth). The [0, 2B)
+    // invariant needs only a single fold on the additive side, so
+    // level-1 outputs land back below 2B and level 2 repeats the
+    // identical step. Block i of the first level splits into blocks
+    // 2i / 2i+1 of the second, hence the three twiddles.
     for (; t >= 16; m <<= 2, t >>= 2) {
         const size_t ht = t >> 1;
         for (size_t i = 0; i < m; ++i) {
-            const u64 w1 = w[m + i], ws1 = ws[m + i];
-            const u64 w2a = w[2 * m + 2 * i], ws2a = ws[2 * m + 2 * i];
-            const u64 w2b = w[2 * m + 2 * i + 1];
-            const u64 ws2b = ws[2 * m + 2 * i + 1];
-            const __m512i vw1 = set1_512(w1), vws1 = set1_512(ws1);
-            const __m512i vws1_hi = set1_512(ws1 >> 32);
-            const __m512i vw2a = set1_512(w2a), vws2a = set1_512(ws2a);
-            const __m512i vws2a_hi = set1_512(ws2a >> 32);
-            const __m512i vw2b = set1_512(w2b), vws2b = set1_512(ws2b);
-            const __m512i vws2b_hi = set1_512(ws2b >> 32);
+            const Tw t1 = P::twiddle(w[m + i], ws[m + i]);
+            const Tw t2a = P::twiddle(w[2 * m + 2 * i], ws[2 * m + 2 * i]);
+            const Tw t2b =
+                P::twiddle(w[2 * m + 2 * i + 1], ws[2 * m + 2 * i + 1]);
             u64 *x = a + 2 * i * t;
             u64 *y = x + t;
             for (size_t j = 0; j < ht; j += 8) {
-                const __m512i u0 = csub512(load512(x + j), four_q);
-                const __m512i v0 = mulShoupApprox512(
-                    load512(y + j), vw1, vws1, vws1_hi, q);
-                const __m512i u1 =
-                    csub512(load512(x + ht + j), four_q);
-                const __m512i v1 = mulShoupApprox512(
-                    load512(y + ht + j), vw1, vws1, vws1_hi, q);
-                const __m512i a0 = _mm512_add_epi64(u0, v0);
-                const __m512i b0 = _mm512_sub_epi64(
-                    _mm512_add_epi64(u0, four_q), v0);
-                const __m512i a1 = _mm512_add_epi64(u1, v1);
-                const __m512i b1 = _mm512_sub_epi64(
-                    _mm512_add_epi64(u1, four_q), v1);
-                const __m512i ua = csub512(a0, four_q);
-                const __m512i va =
-                    mulShoupApprox512(a1, vw2a, vws2a, vws2a_hi, q);
-                store512(x + j, _mm512_add_epi64(ua, va));
-                store512(x + ht + j,
-                         _mm512_sub_epi64(_mm512_add_epi64(ua, four_q),
-                                          va));
-                const __m512i ub = csub512(b0, four_q);
-                const __m512i vb =
-                    mulShoupApprox512(b1, vw2b, vws2b, vws2b_hi, q);
-                store512(y + j, _mm512_add_epi64(ub, vb));
-                store512(y + ht + j,
-                         _mm512_sub_epi64(_mm512_add_epi64(ub, four_q),
-                                          vb));
+                __m512i x0 = load512(x + j), x1 = load512(x + ht + j);
+                __m512i y0 = load512(y + j), y1 = load512(y + ht + j);
+                fwdBfly<P>(&x0, &y0, t1, md);
+                fwdBfly<P>(&x1, &y1, t1, md);
+                fwdBfly<P>(&x0, &x1, t2a, md);
+                fwdBfly<P>(&y0, &y1, t2b, md);
+                store512(x + j, x0);
+                store512(x + ht + j, x1);
+                store512(y + j, y0);
+                store512(y + ht + j, y1);
             }
         }
     }
     // Epilogue: every remaining stage (t = 8 when the pair loop left
     // an odd one, then t = 4, 2, 1) runs on a 16-element window that
     // stays in registers, so the tail of the transform costs a single
-    // pass over the data. The masked twiddle loads never read past the
-    // table's live block range, and the t = 1 step canonicalizes its
-    // outputs in-register, replacing the scalar kernel's separate
-    // reduceLazy4q sweep. The entry guard keeps n >= 16 here.
-    {
-        const size_t t_hi = t; // 8 or 4
-        __m512i idx_x[3], idx_y[3], bcast[3], back0[3], back1[3];
-        for (size_t s = 0, tt = 4; tt >= 1; tt >>= 1, ++s)
-            smallStageWin512(tt, &idx_x[s], &idx_y[s], &bcast[s],
-                             &back0[s], &back1[s]);
-        for (size_t base = 0, win = 0; base < n; base += 16, ++win) {
-            __m512i v0 = load512(a + base);
-            __m512i v1 = load512(a + base + 8);
-            size_t mm = m;
-            if (t_hi == 8) {
-                const u64 wi = w[mm + win], wsi = ws[mm + win];
-                const __m512i vw = set1_512(wi);
-                const __m512i vws = set1_512(wsi);
-                const __m512i u = csub512(v0, four_q);
-                const __m512i v = mulShoupApprox512(
-                    v1, vw, vws, set1_512(wsi >> 32), q);
-                v0 = _mm512_add_epi64(u, v);
-                v1 = _mm512_sub_epi64(_mm512_add_epi64(u, four_q), v);
-                mm <<= 1;
-            }
-            for (size_t s = 0, tt = 4; tt >= 1; tt >>= 1, ++s, mm <<= 1) {
-                const size_t blocks = 8 / tt;
-                const __mmask8 lmask =
-                    static_cast<__mmask8>((1u << blocks) - 1);
-                const __m512i x =
-                    _mm512_permutex2var_epi64(v0, idx_x[s], v1);
-                const __m512i y =
-                    _mm512_permutex2var_epi64(v0, idx_y[s], v1);
-                const __m512i vw = _mm512_permutexvar_epi64(
-                    bcast[s],
-                    _mm512_maskz_loadu_epi64(lmask,
-                                             w + mm + win * blocks));
-                const __m512i vws = _mm512_permutexvar_epi64(
-                    bcast[s],
-                    _mm512_maskz_loadu_epi64(lmask,
-                                             ws + mm + win * blocks));
-                const __m512i u = csub512(x, four_q);
-                const __m512i v = mulShoupApprox512(
-                    y, vw, vws, _mm512_srli_epi64(vws, 32), q);
-                __m512i nx = _mm512_add_epi64(u, v);
-                __m512i ny =
-                    _mm512_sub_epi64(_mm512_add_epi64(u, four_q), v);
-                if (tt == 1) {
-                    nx = csub512(csub512(csub512(nx, four_q), two_q),
-                                 q);
-                    ny = csub512(csub512(csub512(ny, four_q), two_q),
-                                 q);
-                }
-                v0 = _mm512_permutex2var_epi64(nx, back0[s], ny);
-                v1 = _mm512_permutex2var_epi64(nx, back1[s], ny);
-            }
-            store512(a + base, v0);
-            store512(a + base + 8, v1);
+    // pass over the data. The t = 1 step canonicalizes its outputs
+    // in-register, replacing the scalar kernel's separate reduceLazy4q
+    // sweep. The entry guard keeps n >= 16 here.
+    const size_t t_hi = t; // 8 or 4
+    __m512i idx_x[3], idx_y[3], bcast[3], back0[3], back1[3];
+    for (size_t s = 0, tt = 4; tt >= 1; tt >>= 1, ++s)
+        smallStageWin512(tt, &idx_x[s], &idx_y[s], &bcast[s], &back0[s],
+                         &back1[s]);
+    for (size_t base = 0, win = 0; base < n; base += 16, ++win) {
+        __m512i v0 = load512(a + base);
+        __m512i v1 = load512(a + base + 8);
+        size_t mm = m;
+        if (t_hi == 8) {
+            fwdBfly<P>(&v0, &v1, P::twiddle(w[mm + win], ws[mm + win]), md);
+            mm <<= 1;
         }
+        for (size_t s = 0, tt = 4; tt >= 1; tt >>= 1, ++s, mm <<= 1) {
+            const size_t blocks = 8 / tt;
+            __m512i x = _mm512_permutex2var_epi64(v0, idx_x[s], v1);
+            __m512i y = _mm512_permutex2var_epi64(v0, idx_y[s], v1);
+            fwdBfly<P>(&x, &y,
+                       windowTwiddles<P>(w, ws, mm + win * blocks, blocks,
+                                         bcast[s]),
+                       md);
+            if (tt == 1) {
+                x = P::canon(csub512(x, md.bound), md);
+                y = P::canon(csub512(y, md.bound), md);
+            }
+            v0 = _mm512_permutex2var_epi64(x, back0[s], y);
+            v1 = _mm512_permutex2var_epi64(x, back1[s], y);
+        }
+        store512(a + base, v0);
+        store512(a + base + 8, v1);
     }
 }
 
-ARK_T512 void
+template <class P>
+ARK_TIFMA void
 nttInverseAvx512(u64 *a, const NttTables &tb)
 {
+    using Tw = typename P::Tw;
     const size_t n = tb.degree();
     if (n < 16 || tb.modulus().value() >= kVecNttMaxQ) {
         tb.inverse(a);
         return;
     }
-    const Modulus &mod = tb.modulus();
     const u64 *iw = tb.invRootPowers().data();
     const u64 *iws = tb.invRootPowersShoup().data();
-    const __m512i q = set1_512(mod.value());
-    const __m512i two_q = set1_512(mod.twoQ());
-    const __m512i four_q = set1_512(mod.twoQ() * 2);
+    const typename P::Mod md = P::load(tb.modulus());
 
-    size_t t = 1;
     // Prologue: the sub-vector stages (Gentleman-Sande runs t upward)
     // plus the first whole-vector stage (t = 8) run fused on
     // 16-element windows, a single pass over the data. Values stay in
-    // [0,4q): sums fold once from [0,8q), differences feed the
-    // approximate Shoup product, whose result is back in [0,4q).
-    // The entry guard keeps n >= 16 here.
+    // [0, B): sums fold once from [0, 2B), differences feed the Shoup
+    // product, whose result is back in [0, B). The entry guard keeps
+    // n >= 16 here.
     {
         __m512i idx_x[3], idx_y[3], bcast[3], back0[3], back1[3];
         for (size_t s = 0, tt = 1; tt <= 4; tt <<= 1, ++s)
@@ -559,90 +748,47 @@ nttInverseAvx512(u64 *a, const NttTables &tb)
             size_t hh = n >> 1;
             for (size_t s = 0, tt = 1; tt <= 4; tt <<= 1, ++s, hh >>= 1) {
                 const size_t blocks = 8 / tt;
-                const __mmask8 lmask =
-                    static_cast<__mmask8>((1u << blocks) - 1);
-                const __m512i x =
-                    _mm512_permutex2var_epi64(v0, idx_x[s], v1);
-                const __m512i y =
-                    _mm512_permutex2var_epi64(v0, idx_y[s], v1);
-                const __m512i vw = _mm512_permutexvar_epi64(
-                    bcast[s],
-                    _mm512_maskz_loadu_epi64(lmask,
-                                             iw + hh + win * blocks));
-                const __m512i vws = _mm512_permutexvar_epi64(
-                    bcast[s],
-                    _mm512_maskz_loadu_epi64(lmask,
-                                             iws + hh + win * blocks));
-                const __m512i sv =
-                    csub512(_mm512_add_epi64(x, y), four_q);
-                const __m512i d =
-                    _mm512_sub_epi64(_mm512_add_epi64(x, four_q), y);
-                const __m512i ny = mulShoupApprox512(
-                    d, vw, vws, _mm512_srli_epi64(vws, 32), q);
-                v0 = _mm512_permutex2var_epi64(sv, back0[s], ny);
-                v1 = _mm512_permutex2var_epi64(sv, back1[s], ny);
+                __m512i x = _mm512_permutex2var_epi64(v0, idx_x[s], v1);
+                __m512i y = _mm512_permutex2var_epi64(v0, idx_y[s], v1);
+                invBfly<P>(&x, &y,
+                           windowTwiddles<P>(iw, iws, hh + win * blocks,
+                                             blocks, bcast[s]),
+                           md);
+                v0 = _mm512_permutex2var_epi64(x, back0[s], y);
+                v1 = _mm512_permutex2var_epi64(x, back1[s], y);
             }
             // t = 8: one butterfly across the two window vectors.
-            const u64 wi = iw[h8 + win], wsi = iws[h8 + win];
-            const __m512i vw = set1_512(wi);
-            const __m512i vws = set1_512(wsi);
-            const __m512i sv = csub512(_mm512_add_epi64(v0, v1), four_q);
-            const __m512i d =
-                _mm512_sub_epi64(_mm512_add_epi64(v0, four_q), v1);
-            store512(a + base, sv);
-            store512(a + base + 8,
-                     mulShoupApprox512(d, vw, vws, set1_512(wsi >> 32),
-                                       q));
+            invBfly<P>(&v0, &v1, P::twiddle(iw[h8 + win], iws[h8 + win]),
+                       md);
+            store512(a + base, v0);
+            store512(a + base + 8, v1);
         }
-        t = 16;
     }
+    size_t t = 16;
     // Fused stage pairs (t, 2t): stage-t blocks 2i / 2i+1 feed stage-2t
     // block i, so a radix-4 group of four vectors turns over in
     // registers and the pass count over the array halves. Every value
-    // stays in [0,4q) exactly as in the unfused stages.
+    // stays in [0, B) exactly as in the unfused stages.
     for (; t <= n >> 2; t <<= 2) {
         const size_t h = n / (2 * t);
         const size_t h2 = h >> 1;
         for (size_t i = 0; i < h2; ++i) {
-            const u64 wa = iw[h + 2 * i], wsa = iws[h + 2 * i];
-            const u64 wb = iw[h + 2 * i + 1], wsb = iws[h + 2 * i + 1];
-            const u64 wc = iw[h2 + i], wsc = iws[h2 + i];
-            const __m512i vwa = set1_512(wa), vwsa = set1_512(wsa);
-            const __m512i vwsa_hi = set1_512(wsa >> 32);
-            const __m512i vwb = set1_512(wb), vwsb = set1_512(wsb);
-            const __m512i vwsb_hi = set1_512(wsb >> 32);
-            const __m512i vwc = set1_512(wc), vwsc = set1_512(wsc);
-            const __m512i vwsc_hi = set1_512(wsc >> 32);
+            const Tw ta = P::twiddle(iw[h + 2 * i], iws[h + 2 * i]);
+            const Tw tb2 = P::twiddle(iw[h + 2 * i + 1], iws[h + 2 * i + 1]);
+            const Tw tc = P::twiddle(iw[h2 + i], iws[h2 + i]);
             u64 *p = a + 4 * i * t;
             for (size_t j = 0; j < t; j += 8) {
-                const __m512i p0 = load512(p + j);
-                const __m512i p1 = load512(p + t + j);
-                const __m512i p2 = load512(p + 2 * t + j);
-                const __m512i p3 = load512(p + 3 * t + j);
-                const __m512i s01 =
-                    csub512(_mm512_add_epi64(p0, p1), four_q);
-                const __m512i d01 = mulShoupApprox512(
-                    _mm512_sub_epi64(_mm512_add_epi64(p0, four_q), p1),
-                    vwa, vwsa, vwsa_hi, q);
-                const __m512i s23 =
-                    csub512(_mm512_add_epi64(p2, p3), four_q);
-                const __m512i d23 = mulShoupApprox512(
-                    _mm512_sub_epi64(_mm512_add_epi64(p2, four_q), p3),
-                    vwb, vwsb, vwsb_hi, q);
-                store512(p + j,
-                         csub512(_mm512_add_epi64(s01, s23), four_q));
-                store512(p + 2 * t + j,
-                         mulShoupApprox512(
-                             _mm512_sub_epi64(
-                                 _mm512_add_epi64(s01, four_q), s23),
-                             vwc, vwsc, vwsc_hi, q));
-                store512(p + t + j,
-                         csub512(_mm512_add_epi64(d01, d23), four_q));
-                store512(p + 3 * t + j,
-                         mulShoupApprox512(
-                             _mm512_sub_epi64(
-                                 _mm512_add_epi64(d01, four_q), d23),
-                             vwc, vwsc, vwsc_hi, q));
+                __m512i p0 = load512(p + j), p1 = load512(p + t + j);
+                __m512i p2 = load512(p + 2 * t + j);
+                __m512i p3 = load512(p + 3 * t + j);
+                invBfly<P>(&p0, &p1, ta, md);
+                invBfly<P>(&p2, &p3, tb2, md);
+                invBfly<P>(&p0, &p2, tc, md);
+                invBfly<P>(&p1, &p3, tc, md);
+                store512(p + j, p0);
+                store512(p + t + j, p1);
+                store512(p + 2 * t + j, p2);
+                store512(p + 3 * t + j, p3);
             }
         }
     }
@@ -651,33 +797,21 @@ nttInverseAvx512(u64 *a, const NttTables &tb)
     for (; t <= n >> 1; t <<= 1) {
         const size_t h = n / (2 * t);
         for (size_t i = 0; i < h; ++i) {
-            const u64 wi = iw[h + i], wsi = iws[h + i];
-            const __m512i vw = set1_512(wi);
-            const __m512i vws = set1_512(wsi);
-            const __m512i vws_hi = set1_512(wsi >> 32);
+            const Tw tw = P::twiddle(iw[h + i], iws[h + i]);
             u64 *x = a + 2 * i * t;
             u64 *y = x + t;
             for (size_t j = 0; j < t; j += 8) {
-                const __m512i xv = load512(x + j);
-                const __m512i yv = load512(y + j);
-                store512(x + j,
-                         csub512(_mm512_add_epi64(xv, yv), four_q));
-                const __m512i d =
-                    _mm512_sub_epi64(_mm512_add_epi64(xv, four_q), yv);
-                store512(y + j,
-                         mulShoupApprox512(d, vw, vws, vws_hi, q));
+                __m512i xv = load512(x + j), yv = load512(y + j);
+                invBfly<P>(&xv, &yv, tw, md);
+                store512(x + j, xv);
+                store512(y + j, yv);
             }
         }
     }
-    // 1/N Shoup scaling pass canonicalizes [0, 4q) -> [0, q).
-    const u64 ni = tb.nInv(), nis = tb.nInvShoup();
-    const __m512i vni = set1_512(ni);
-    const __m512i vnis = set1_512(nis), vnis_hi = set1_512(nis >> 32);
-    for (size_t j = 0; j < n; j += 8) {
-        const __m512i v =
-            mulShoupApprox512(load512(a + j), vni, vnis, vnis_hi, q);
-        store512(a + j, csub512(csub512(v, two_q), q));
-    }
+    // 1/N Shoup scaling pass canonicalizes [0, B) -> [0, q).
+    const Tw ni = P::twiddle(tb.nInv(), tb.nInvShoup());
+    for (size_t j = 0; j < n; j += 8)
+        store512(a + j, P::canon(P::mulShoup(load512(a + j), ni, md), md));
 }
 
 // ---------------------------------------------------------------------------
@@ -756,81 +890,54 @@ bconvTileAvx512(const BaseConverter &bc, const RnsPoly &in, size_t c0,
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512 evk MAC limb: ab += d * kb, aa += d * ka with Barrett
-// reduction, mirroring the KernelBackend::evkMulAcc inner loop.
+// 8-lane element-wise kernels over a policy: the evk MAC (the
+// KernelBackend::evkMulAcc inner loop), the pointwise product, the MAC
+// and the Shoup product with a per-limb constant, whose lazy result the
+// policy folds to the canonical residue, the one value
+// Modulus::mulShoup returns too. add and sub are addMod / subMod
+// lane-wise and take no product, so they have one AVX-512 body each.
+// Words that do not fill a vector run the scalar loop.
 // ---------------------------------------------------------------------------
 
-/** m.add(acc, m.mul(x, y)) lane-wise, for canonical operands
- *  (@p y_hi = y >> 32). */
-ARK_T512 inline __m512i
-mulAddMod512(__m512i x, __m512i y, __m512i y_hi, __m512i acc,
-             const Mod512 &md)
-{
-    __m512i p_lo, p_hi;
-    mul64_512(x, y, y_hi, md.m32, &p_lo, &p_hi);
-    return csub512(_mm512_add_epi64(acc, barrett512(p_lo, p_hi, md)),
-                   md.q);
-}
-
-ARK_T512 void
+template <class P>
+ARK_TIFMA void
 evkMacLimbAvx512(const Modulus &m, const u64 *pd, const u64 *kb,
                  const u64 *ka, u64 *ab, u64 *aa, size_t n)
 {
-    const Mod512 md = loadMod512(m);
+    const typename P::Mod md = P::load(m);
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         const __m512i d = load512(pd + i);
-        const __m512i d_hi = _mm512_srli_epi64(d, 32);
         store512(ab + i,
-                 mulAddMod512(load512(kb + i), d, d_hi, load512(ab + i), md));
+                 P::mulAddMod(d, load512(kb + i), load512(ab + i), md));
         store512(aa + i,
-                 mulAddMod512(load512(ka + i), d, d_hi, load512(aa + i), md));
+                 P::mulAddMod(d, load512(ka + i), load512(aa + i), md));
     }
     evkMacLimbScalar(m, pd + i, kb + i, ka + i, ab + i, aa + i, n - i);
 }
 
-// ---------------------------------------------------------------------------
-// AVX-512 pointwise product: full 128-bit product, then barrett512,
-// i.e. Modulus::mul lane-wise.
-// ---------------------------------------------------------------------------
-
-ARK_T512 void
+template <class P>
+ARK_TIFMA void
 mulEvalLimbAvx512(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
                   size_t n)
 {
-    const Mod512 md = loadMod512(m);
+    const typename P::Mod md = P::load(m);
     size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i y = load512(b + i);
-        __m512i p_lo, p_hi;
-        mul64_512(load512(a + i), y, _mm512_srli_epi64(y, 32), md.m32,
-                  &p_lo, &p_hi);
-        store512(r + i, barrett512(p_lo, p_hi, md));
-    }
+    for (; i + 8 <= n; i += 8)
+        store512(r + i, P::mulMod(load512(a + i), load512(b + i), md));
     mulEvalLimbScalar(m, a + i, b + i, r + i, n - i);
 }
 
-// ---------------------------------------------------------------------------
-// AVX-512 element-wise kernels: the MAC is the evk MAC's step; add
-// and sub are addMod / subMod lane-wise. The
-// constant product drops mulShoupLazy512's low partials
-// (mulShoupApprox512), so its lanes land in [0, 4q) (4q < 2^64 for
-// q < 2^62); two folds then give the canonical residue, the one value
-// Modulus::mulShoup returns too.
-// ---------------------------------------------------------------------------
-
-ARK_T512 void
+template <class P>
+ARK_TIFMA void
 mulAccLimbAvx512(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
                  size_t n)
 {
-    const Mod512 md = loadMod512(m);
+    const typename P::Mod md = P::load(m);
     size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i y = load512(b + i);
-        store512(r + i, mulAddMod512(load512(a + i), y,
-                                     _mm512_srli_epi64(y, 32),
+    for (; i + 8 <= n; i += 8)
+        store512(r + i, P::mulAddMod(load512(a + i), load512(b + i),
                                      load512(r + i), md));
-    }
     mulAccLimbScalar(m, a + i, b + i, r + i, n - i);
 }
 
@@ -866,35 +973,23 @@ subLimbAvx512(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
     subLimbScalar(m, a + i, b + i, r + i, n - i);
 }
 
-/** x * s mod q, canonical, via the approximate Shoup quotient. */
-ARK_T512 inline __m512i
-mulShoupConst512(__m512i x, __m512i s, __m512i ss, __m512i ss_hi,
-                 __m512i q, __m512i two_q)
-{
-    return csub512(csub512(mulShoupApprox512(x, s, ss, ss_hi, q), two_q),
-                   q);
-}
-
-ARK_T512 void
+template <class P>
+ARK_TIFMA void
 mulScalarLimbAvx512(const Modulus &m, const u64 *a, const u64 *b, u64 s,
                     u64 *r, size_t n)
 {
-    const u64 ss = m.shoupPrecompute(s);
-    const __m512i q = set1_512(m.value());
-    const __m512i two_q = set1_512(m.twoQ());
-    const __m512i vs = set1_512(s);
-    const __m512i vss = set1_512(ss), vss_hi = set1_512(ss >> 32);
+    const typename P::Mod md = P::load(m);
+    const typename P::Tw tw = P::twiddle(s, m.shoupPrecompute(s));
     size_t i = 0;
     if (b == nullptr) {
         for (; i + 8 <= n; i += 8)
-            store512(r + i, mulShoupConst512(load512(a + i), vs, vss,
-                                             vss_hi, q, two_q));
-    } else {
-        for (; i + 8 <= n; i += 8)
             store512(r + i,
-                     mulShoupConst512(
-                         subMod512(load512(a + i), load512(b + i), q), vs,
-                         vss, vss_hi, q, two_q));
+                     P::canon(P::mulShoup(load512(a + i), tw, md), md));
+    } else {
+        for (; i + 8 <= n; i += 8) {
+            const __m512i x = subMod512(load512(a + i), load512(b + i), md.q);
+            store512(r + i, P::canon(P::mulShoup(x, tw, md), md));
+        }
     }
     mulScalarLimbScalar(m, a + i, b == nullptr ? nullptr : b + i, s, r + i,
                         n - i);
@@ -992,402 +1087,44 @@ plainReduceLimbAvx512(const Modulus &m, const u64 *acc, size_t n,
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512 IFMA52 NTT: the Harvey lazy transform with an exact 52-bit
-// Shoup product in three vpmadd52 ops (Boemer et al., "Intel HEXL:
-// Accelerating Homomorphic Encryption with Intel AVX512-IFMA52",
-// 2021). vpmadd52lo/hi multiply the low 52 bits of each lane, so every
-// multiplier input has to stay below 2^52: forward values live in the
-// Harvey domain [0, 4q) and inverse values in [0, 2q) (their
-// differences reach 4q), which needs 4q < 2^52, i.e. q < 2^50. Wider
-// limbs run the AVX-512 bodies above. The 52-bit Shoup companion
-// floor(w * 2^52 / q) is the stored 64-bit one shifted right by 12,
-// so no twiddle table is added.
+// The IFMA table's entries: Ifma52's products are exact only for
+// q < 2^50, so a wider limb runs the Shoup64 instantiation of the same
+// kernel. This is the tier's one hand-off.
 // ---------------------------------------------------------------------------
 
-/** Exclusive modulus bound of the IFMA kernels (4q < 2^52). */
-constexpr u64 kIfmaMaxQ = 1ULL << 50;
-
-/** Low-52-bit mask and 2^52 - q, broadcast. */
-struct Mod52
+/** The modulus a kernel call works in: the NTT table's, or the first
+ *  argument of an element-wise kernel. */
+inline const Modulus &
+limbModulus(u64 *, const NttTables &tb)
 {
-    __m512i q, two_q, neg_q, mask;
-};
-
-ARK_TIFMA inline Mod52
-loadMod52(const Modulus &m)
-{
-    return {set1_512(m.value()), set1_512(m.twoQ()),
-            set1_512((1ULL << 52) - m.value()),
-            set1_512((1ULL << 52) - 1)};
+    return tb.modulus();
 }
 
-/**
- * Shoup product x * w mod q in [0, 2q) for x < 2^52, w < q and
- * w52 = floor(w * 2^52 / q): the quotient Q = floor(x * w52 / 2^52)
- * undershoots floor(x * w / q) by at most one, so x * w - Q * q lies in
- * [0, 2q) < 2^52 and its low 52 bits, x * w + Q * (2^52 - q) mod 2^52,
- * are the whole value.
- */
-ARK_TIFMA inline __m512i
-mulShoup52(__m512i x, __m512i w, __m512i w52, const Mod52 &md)
+template <class... A>
+inline const Modulus &
+limbModulus(const Modulus &m, const A &...)
 {
-    const __m512i zero = _mm512_setzero_si512();
-    const __m512i quot = _mm512_madd52hi_epu64(zero, x, w52);
-    const __m512i xw = _mm512_madd52lo_epu64(zero, x, w);
-    return _mm512_and_si512(_mm512_madd52lo_epu64(xw, quot, md.neg_q),
-                            md.mask);
+    return m;
 }
 
-/** A broadcast twiddle and its 52-bit Shoup companion. */
-struct Tw52
-{
-    __m512i w, w52;
-};
+/** run() calls @p Ifma on a limb with q < 2^50 and @p Wide on any
+ *  other; both are instantiations of one kernel, so they share its
+ *  signature A. */
+template <auto Ifma, auto Wide>
+struct IfmaEntry;
 
-/** Twiddle i of a table pair (the companion is the stored 64-bit
- *  Shoup word >> 12). */
-ARK_TIFMA inline Tw52
-tw52(const u64 *w, const u64 *ws, size_t i)
+template <class... A, void (*Ifma)(A...), void (*Wide)(A...)>
+struct IfmaEntry<Ifma, Wide>
 {
-    return {set1_512(w[i]), set1_512(ws[i] >> 12)};
-}
-
-/** Per-lane twiddles: lanes of @p w / @p ws picked by @p idx. */
-ARK_TIFMA inline Tw52
-tw52Lanes(__m512i idx, __m512i w, __m512i ws)
-{
-    return {_mm512_permutexvar_epi64(idx, w),
-            _mm512_srli_epi64(_mm512_permutexvar_epi64(idx, ws), 12)};
-}
-
-/** Harvey forward butterfly on [0, 4q): x folded below 2q, plus and
- *  minus (+ 2q) the Shoup product w * y. */
-ARK_TIFMA inline void
-fwdBfly52(__m512i *x, __m512i *y, const Tw52 &tw, const Mod52 &md)
-{
-    const __m512i u = csub512(*x, md.two_q);
-    const __m512i v = mulShoup52(*y, tw.w, tw.w52, md);
-    *x = _mm512_add_epi64(u, v);
-    *y = _mm512_sub_epi64(_mm512_add_epi64(u, md.two_q), v);
-}
-
-/** Gentleman-Sande butterfly on [0, 2q): x + y folded below 2q, and
- *  the Shoup product of w with x - y + 2q (below 4q). */
-ARK_TIFMA inline void
-invBfly52(__m512i *x, __m512i *y, const Tw52 &tw, const Mod52 &md)
-{
-    const __m512i d = _mm512_sub_epi64(_mm512_add_epi64(*x, md.two_q), *y);
-    *x = csub512(_mm512_add_epi64(*x, *y), md.two_q);
-    *y = mulShoup52(d, tw.w, tw.w52, md);
-}
-
-/** nttForwardAvx512's schedule (fused stage pairs, then a 16-element
- *  register window for the tail stages) on the [0, 4q) domain. */
-ARK_TIFMA void
-nttForwardIfma(u64 *a, const NttTables &tb)
-{
-    const Modulus &mod = tb.modulus();
-    const size_t n = tb.degree();
-    if (mod.value() >= kIfmaMaxQ || n < 16) {
-        nttForwardAvx512(a, tb);
-        return;
-    }
-    const u64 *w = tb.rootPowers().data();
-    const u64 *ws = tb.rootPowersShoup().data();
-    const Mod52 md = loadMod52(mod);
-
-    size_t t = n >> 1;
-    size_t m = 1;
-    for (; t >= 16; m <<= 2, t >>= 2) {
-        const size_t ht = t >> 1;
-        for (size_t i = 0; i < m; ++i) {
-            const Tw52 t1 = tw52(w, ws, m + i);
-            const Tw52 t2a = tw52(w, ws, 2 * m + 2 * i);
-            const Tw52 t2b = tw52(w, ws, 2 * m + 2 * i + 1);
-            u64 *x = a + 2 * i * t;
-            u64 *y = x + t;
-            for (size_t j = 0; j < ht; j += 8) {
-                __m512i x0 = load512(x + j), x1 = load512(x + ht + j);
-                __m512i y0 = load512(y + j), y1 = load512(y + ht + j);
-                fwdBfly52(&x0, &y0, t1, md);
-                fwdBfly52(&x1, &y1, t1, md);
-                fwdBfly52(&x0, &x1, t2a, md);
-                fwdBfly52(&y0, &y1, t2b, md);
-                store512(x + j, x0);
-                store512(x + ht + j, x1);
-                store512(y + j, y0);
-                store512(y + ht + j, y1);
-            }
-        }
-    }
+    ARK_TIFMA static void
+    run(A... a)
     {
-        const size_t t_hi = t; // 8 or 4
-        __m512i idx_x[3], idx_y[3], bcast[3], back0[3], back1[3];
-        for (size_t s = 0, tt = 4; tt >= 1; tt >>= 1, ++s)
-            smallStageWin512(tt, &idx_x[s], &idx_y[s], &bcast[s],
-                             &back0[s], &back1[s]);
-        for (size_t base = 0, win = 0; base < n; base += 16, ++win) {
-            __m512i v0 = load512(a + base);
-            __m512i v1 = load512(a + base + 8);
-            size_t mm = m;
-            if (t_hi == 8) {
-                fwdBfly52(&v0, &v1, tw52(w, ws, mm + win), md);
-                mm <<= 1;
-            }
-            for (size_t s = 0, tt = 4; tt >= 1; tt >>= 1, ++s, mm <<= 1) {
-                const size_t blocks = 8 / tt;
-                const __mmask8 lmask =
-                    static_cast<__mmask8>((1u << blocks) - 1);
-                const size_t off = mm + win * blocks;
-                __m512i x = _mm512_permutex2var_epi64(v0, idx_x[s], v1);
-                __m512i y = _mm512_permutex2var_epi64(v0, idx_y[s], v1);
-                fwdBfly52(&x, &y,
-                          tw52Lanes(bcast[s],
-                                    _mm512_maskz_loadu_epi64(lmask, w + off),
-                                    _mm512_maskz_loadu_epi64(lmask, ws + off)),
-                          md);
-                if (tt == 1) {
-                    x = csub512(csub512(x, md.two_q), md.q);
-                    y = csub512(csub512(y, md.two_q), md.q);
-                }
-                v0 = _mm512_permutex2var_epi64(x, back0[s], y);
-                v1 = _mm512_permutex2var_epi64(x, back1[s], y);
-            }
-            store512(a + base, v0);
-            store512(a + base + 8, v1);
-        }
+        if (limbModulus(a...).value() < Ifma52::kMaxQ)
+            Ifma(a...);
+        else
+            Wide(a...);
     }
-}
-
-/** nttInverseAvx512's schedule on the [0, 2q) domain. */
-ARK_TIFMA void
-nttInverseIfma(u64 *a, const NttTables &tb)
-{
-    const Modulus &mod = tb.modulus();
-    const size_t n = tb.degree();
-    if (mod.value() >= kIfmaMaxQ || n < 16) {
-        nttInverseAvx512(a, tb);
-        return;
-    }
-    const u64 *iw = tb.invRootPowers().data();
-    const u64 *iws = tb.invRootPowersShoup().data();
-    const Mod52 md = loadMod52(mod);
-
-    size_t t = 1;
-    {
-        __m512i idx_x[3], idx_y[3], bcast[3], back0[3], back1[3];
-        for (size_t s = 0, tt = 1; tt <= 4; tt <<= 1, ++s)
-            smallStageWin512(tt, &idx_x[s], &idx_y[s], &bcast[s],
-                             &back0[s], &back1[s]);
-        const size_t h8 = n >> 4;
-        for (size_t base = 0, win = 0; base < n; base += 16, ++win) {
-            __m512i v0 = load512(a + base);
-            __m512i v1 = load512(a + base + 8);
-            size_t hh = n >> 1;
-            for (size_t s = 0, tt = 1; tt <= 4; tt <<= 1, ++s, hh >>= 1) {
-                const size_t blocks = 8 / tt;
-                const __mmask8 lmask =
-                    static_cast<__mmask8>((1u << blocks) - 1);
-                const size_t off = hh + win * blocks;
-                __m512i x = _mm512_permutex2var_epi64(v0, idx_x[s], v1);
-                __m512i y = _mm512_permutex2var_epi64(v0, idx_y[s], v1);
-                invBfly52(&x, &y,
-                          tw52Lanes(bcast[s],
-                                    _mm512_maskz_loadu_epi64(lmask, iw + off),
-                                    _mm512_maskz_loadu_epi64(lmask,
-                                                             iws + off)),
-                          md);
-                v0 = _mm512_permutex2var_epi64(x, back0[s], y);
-                v1 = _mm512_permutex2var_epi64(x, back1[s], y);
-            }
-            invBfly52(&v0, &v1, tw52(iw, iws, h8 + win), md);
-            store512(a + base, v0);
-            store512(a + base + 8, v1);
-        }
-        t = 16;
-    }
-    for (; t <= n >> 2; t <<= 2) {
-        const size_t h = n / (2 * t);
-        const size_t h2 = h >> 1;
-        for (size_t i = 0; i < h2; ++i) {
-            const Tw52 ta = tw52(iw, iws, h + 2 * i);
-            const Tw52 tb2 = tw52(iw, iws, h + 2 * i + 1);
-            const Tw52 tc = tw52(iw, iws, h2 + i);
-            u64 *p = a + 4 * i * t;
-            for (size_t j = 0; j < t; j += 8) {
-                __m512i p0 = load512(p + j), p1 = load512(p + t + j);
-                __m512i p2 = load512(p + 2 * t + j);
-                __m512i p3 = load512(p + 3 * t + j);
-                invBfly52(&p0, &p1, ta, md);
-                invBfly52(&p2, &p3, tb2, md);
-                invBfly52(&p0, &p2, tc, md);
-                invBfly52(&p1, &p3, tc, md);
-                store512(p + j, p0);
-                store512(p + t + j, p1);
-                store512(p + 2 * t + j, p2);
-                store512(p + 3 * t + j, p3);
-            }
-        }
-    }
-    for (; t <= n >> 1; t <<= 1) {
-        const size_t h = n / (2 * t);
-        for (size_t i = 0; i < h; ++i) {
-            const Tw52 tw = tw52(iw, iws, h + i);
-            u64 *x = a + 2 * i * t;
-            u64 *y = x + t;
-            for (size_t j = 0; j < t; j += 8) {
-                __m512i xv = load512(x + j), yv = load512(y + j);
-                invBfly52(&xv, &yv, tw, md);
-                store512(x + j, xv);
-                store512(y + j, yv);
-            }
-        }
-    }
-    // 1/N scaling: the Shoup product lands in [0, 2q), one fold to
-    // canonical.
-    const __m512i vni = set1_512(tb.nInv());
-    const __m512i vnis = set1_512(tb.nInvShoup() >> 12);
-    for (size_t j = 0; j < n; j += 8)
-        store512(a + j,
-                 csub512(mulShoup52(load512(a + j), vni, vnis, md), md.q));
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512 IFMA52 evk MAC, pointwise product, MAC and constant product
-// (q < 2^50). Both operands are canonical (< q), so the product
-// ab < q^2 fits 100 bits and comes out of vpmadd52lo/hi as 52-bit
-// halves (hi:lo). A Barrett quotient over 52-bit pieces then replaces
-// barrett512's 128-bit one. The constant product is the IFMA NTT's
-// exact 52-bit Shoup product (mulShoup52). Results are canonical,
-// hence identical to Modulus::mul's and Modulus::mulShoup's.
-// ---------------------------------------------------------------------------
-
-/** mulMod52's constants: with L = bits(q), c1 = floor(ab / 2^(L-2)) is
- *  below 2^(L+2) <= 2^52 and k = floor(2^(L+50) / q) below 2^51. */
-struct Barrett52
-{
-    Mod52 md;
-    __m128i shift_lo, shift_hi; ///< L - 2 and 52 - (L - 2)
-    __m512i k;
 };
-
-ARK_TIFMA inline Barrett52
-loadBarrett52(const Modulus &m)
-{
-    const int bits = m.bits();
-    return {loadMod52(m), _mm_cvtsi64_si128(bits - 2),
-            _mm_cvtsi64_si128(54 - bits),
-            set1_512(static_cast<u64>((static_cast<u128>(1) << (bits + 50)) /
-                                      m.value()))};
-}
-
-/**
- * a * b mod q in [0, 3q) for a, b < q < 2^50. The quotient
- * floor(c1 * k / 2^52) never overshoots ab / q and undershoots it by
- * less than 2.5 (c1 and k each lose under one unit; the losses weigh
- * ab / 2^(L+50) < 1 and 2^(L-2) / q <= 1/2), so the remainder lies in
- * [0, 3q) < 2^52 and its low 52 bits are the whole value.
- */
-ARK_TIFMA inline __m512i
-mulMod52Lazy(__m512i a, __m512i b, const Barrett52 &bc)
-{
-    const __m512i zero = _mm512_setzero_si512();
-    const __m512i lo = _mm512_madd52lo_epu64(zero, a, b);
-    const __m512i hi = _mm512_madd52hi_epu64(zero, a, b);
-    const __m512i c1 = _mm512_or_si512(_mm512_srl_epi64(lo, bc.shift_lo),
-                                       _mm512_sll_epi64(hi, bc.shift_hi));
-    const __m512i quot = _mm512_madd52hi_epu64(zero, c1, bc.k);
-    return _mm512_and_si512(_mm512_madd52lo_epu64(lo, quot, bc.md.neg_q),
-                            bc.md.mask);
-}
-
-/** m.add(acc, m.mul(a, b)) for canonical operands: acc + [0, 3q) <
- *  4q, so two folds reach the canonical residue. */
-ARK_TIFMA inline __m512i
-mulAddMod52(__m512i a, __m512i b, __m512i acc, const Barrett52 &bc)
-{
-    const __m512i t = _mm512_add_epi64(acc, mulMod52Lazy(a, b, bc));
-    return csub512(csub512(t, bc.md.two_q), bc.md.q);
-}
-
-ARK_TIFMA void
-evkMacLimbIfma(const Modulus &m, const u64 *pd, const u64 *kb,
-               const u64 *ka, u64 *ab, u64 *aa, size_t n)
-{
-    if (m.value() >= kIfmaMaxQ) {
-        evkMacLimbAvx512(m, pd, kb, ka, ab, aa, n);
-        return;
-    }
-    const Barrett52 bc = loadBarrett52(m);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i d = load512(pd + i);
-        store512(ab + i, mulAddMod52(d, load512(kb + i), load512(ab + i), bc));
-        store512(aa + i, mulAddMod52(d, load512(ka + i), load512(aa + i), bc));
-    }
-    evkMacLimbScalar(m, pd + i, kb + i, ka + i, ab + i, aa + i, n - i);
-}
-
-ARK_TIFMA void
-mulEvalLimbIfma(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
-                size_t n)
-{
-    if (m.value() >= kIfmaMaxQ) {
-        mulEvalLimbAvx512(m, a, b, r, n);
-        return;
-    }
-    const Barrett52 bc = loadBarrett52(m);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i v =
-            mulMod52Lazy(load512(a + i), load512(b + i), bc);
-        store512(r + i, csub512(csub512(v, bc.md.two_q), bc.md.q));
-    }
-    mulEvalLimbScalar(m, a + i, b + i, r + i, n - i);
-}
-
-ARK_TIFMA void
-mulAccLimbIfma(const Modulus &m, const u64 *a, const u64 *b, u64 *r,
-               size_t n)
-{
-    if (m.value() >= kIfmaMaxQ) {
-        mulAccLimbAvx512(m, a, b, r, n);
-        return;
-    }
-    const Barrett52 bc = loadBarrett52(m);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        store512(r + i, mulAddMod52(load512(a + i), load512(b + i),
-                                    load512(r + i), bc));
-    mulAccLimbScalar(m, a + i, b + i, r + i, n - i);
-}
-
-ARK_TIFMA void
-mulScalarLimbIfma(const Modulus &m, const u64 *a, const u64 *b, u64 s,
-                  u64 *r, size_t n)
-{
-    if (m.value() >= kIfmaMaxQ) {
-        mulScalarLimbAvx512(m, a, b, s, r, n);
-        return;
-    }
-    const Mod52 md = loadMod52(m);
-    const __m512i w = set1_512(s);
-    const __m512i w52 = set1_512(m.shoupPrecompute(s) >> 12);
-    size_t i = 0;
-    if (b == nullptr) {
-        for (; i + 8 <= n; i += 8)
-            store512(r + i, csub512(mulShoup52(load512(a + i), w, w52, md),
-                                    md.q));
-    } else {
-        for (; i + 8 <= n; i += 8) {
-            const __m512i x =
-                subMod512(load512(a + i), load512(b + i), md.q);
-            store512(r + i, csub512(mulShoup52(x, w, w52, md), md.q));
-        }
-    }
-    mulScalarLimbScalar(m, a + i, b == nullptr ? nullptr : b + i, s, r + i,
-                        n - i);
-}
 
 // ---------------------------------------------------------------------------
 // AVX2 helpers: 4 lanes of u64. No unsigned 64-bit compare below
@@ -1959,30 +1696,37 @@ simdKernels(SimdTier tier)
     static const SimdKernels avx512_kernels = [] {
         SimdKernels k = avx2_kernels;
         k.tier = SimdTier::Avx512;
-        k.ntt_forward = &nttForwardAvx512;
-        k.ntt_inverse = &nttInverseAvx512;
+        k.ntt_forward = &nttForwardAvx512<Shoup64>;
+        k.ntt_inverse = &nttInverseAvx512<Shoup64>;
         k.bconv_tile = &bconvTileAvx512;
-        k.evk_mac_limb = &evkMacLimbAvx512;
-        k.mul_eval_limb = &mulEvalLimbAvx512;
-        k.mul_acc_limb = &mulAccLimbAvx512;
+        k.evk_mac_limb = &evkMacLimbAvx512<Shoup64>;
+        k.mul_eval_limb = &mulEvalLimbAvx512<Shoup64>;
+        k.mul_acc_limb = &mulAccLimbAvx512<Shoup64>;
         k.add_limb = &addLimbAvx512;
         k.sub_limb = &subLimbAvx512;
-        k.mul_scalar_limb = &mulScalarLimbAvx512;
+        k.mul_scalar_limb = &mulScalarLimbAvx512<Shoup64>;
         k.limb_embed = &limbEmbedAvx512;
         k.plain_mac_limb = &plainMacLimbAvx512;
         k.plain_reduce_limb = &plainReduceLimbAvx512;
         return k;
     }();
-    // The IFMA entries hand q >= 2^50 limbs back to the AVX-512 bodies.
+    // The same schedules with the Ifma52 multiplier (IfmaEntry hands
+    // q >= 2^50 limbs to the Shoup64 ones).
     static const SimdKernels avx512ifma_kernels = [] {
         SimdKernels k = avx512_kernels;
         k.tier = SimdTier::Avx512Ifma;
-        k.ntt_forward = &nttForwardIfma;
-        k.ntt_inverse = &nttInverseIfma;
-        k.evk_mac_limb = &evkMacLimbIfma;
-        k.mul_eval_limb = &mulEvalLimbIfma;
-        k.mul_acc_limb = &mulAccLimbIfma;
-        k.mul_scalar_limb = &mulScalarLimbIfma;
+        k.ntt_forward = &IfmaEntry<&nttForwardAvx512<Ifma52>,
+                                   &nttForwardAvx512<Shoup64>>::run;
+        k.ntt_inverse = &IfmaEntry<&nttInverseAvx512<Ifma52>,
+                                   &nttInverseAvx512<Shoup64>>::run;
+        k.evk_mac_limb = &IfmaEntry<&evkMacLimbAvx512<Ifma52>,
+                                    &evkMacLimbAvx512<Shoup64>>::run;
+        k.mul_eval_limb = &IfmaEntry<&mulEvalLimbAvx512<Ifma52>,
+                                     &mulEvalLimbAvx512<Shoup64>>::run;
+        k.mul_acc_limb = &IfmaEntry<&mulAccLimbAvx512<Ifma52>,
+                                    &mulAccLimbAvx512<Shoup64>>::run;
+        k.mul_scalar_limb = &IfmaEntry<&mulScalarLimbAvx512<Ifma52>,
+                                       &mulScalarLimbAvx512<Shoup64>>::run;
         return k;
     }();
     switch (std::min(tier, detectSimdTier())) {

@@ -6,35 +6,40 @@
  *
  * The scalar table holds the reference loop bodies. Each vector entry
  * runs the exact same integer arithmetic lane-wise: the Harvey lazy
- * NTT keeps a lazy butterfly domain per lane (vector Shoup mul-hi
- * built from 32x32->64 partial products, since x86 has no packed
- * 64x64->128 multiply; the IFMA tier instead runs an exact 52-bit
- * Shoup product in three vpmadd52 ops on limbs with q < 2^50), the
- * fused BConv tile accumulates the full 128-bit MAC as a (lo, hi)
- * vector pair with explicit carries, the evk MAC, mulEval and the
- * plaintext MAC's final reduce mirror Modulus::reduce's Barrett
- * formula word for word, and the limb embedding mirrors
- * Modulus::reduceWord. The vector constant products take a cheaper
- * Shoup quotient and fold the wider lazy result to the canonical
- * residue, the one value the scalar loop returns. All operations are
- * exact arithmetic mod 2^64
- * applied in the same per-element order as the scalar loops, so
- * results are bit-identical by construction
- * (tests/test_backend_parity.cpp enforces it on every kernel).
+ * NTT keeps a lazy butterfly domain per lane, the fused BConv tile
+ * accumulates the full 128-bit MAC as a (lo, hi) vector pair with
+ * explicit carries, the evk MAC, mulEval and the plaintext MAC's final
+ * reduce mirror Modulus::reduce's Barrett formula, and the limb
+ * embedding mirrors Modulus::reduceWord. The vector constant products
+ * take a cheaper Shoup quotient and fold the wider lazy result to the
+ * canonical residue, the one value the scalar loop returns. All
+ * operations are exact arithmetic applied in the same per-element
+ * order as the scalar loops, so results are bit-identical by
+ * construction (tests/test_backend_parity.cpp enforces it on every
+ * kernel).
+ *
+ * The two 8-lane tiers share one schedule per kernel, with two
+ * multiplier policies: the AVX-512 NTT, evk MAC, mulEval, MAC and
+ * constant product are each written once, as a template over its lane
+ * arithmetic. Shoup64 builds the 64-bit products from 32x32->64
+ * partials (x86 has no packed 64x64->128 multiply); Ifma52 runs exact
+ * 52-bit products in vpmadd52 ops on limbs with q < 2^50. The avx512
+ * table lists the Shoup64 instantiations, the avx512ifma table the
+ * Ifma52 ones, and the other AVX-512 entries have one body each.
  *
  * The compiler does not vectorize a loop with a 64x64->128-bit product,
  * a per-word reduction or an unsigned 64-bit compare, so the
  * element-wise kernels of the key-switch and rescale paths (add, sub,
  * the Shoup product with a per-limb constant, mulEval, the MAC and the
  * limb embedding) have entries here. neg and addScalar stay plain
- * loops in KernelBackend. The IFMA tier has bodies only where a
- * product is taken; add and sub carry the AVX-512 bodies.
+ * loops in KernelBackend.
  *
  * Every entry of every table is non-null and accepts every input: a
  * tier without a body for a kernel carries the entry of the tier
  * below, and the vector NTT entries run the scalar transform
  * themselves for degrees too small to fill their vectors and for
- * q >= 2^60 (the IFMA ones hand q >= 2^50 to the AVX-512 bodies).
+ * q >= 2^60 (the IFMA ones hand q >= 2^50 to the Shoup64
+ * instantiation).
  */
 
 #pragma once

@@ -146,8 +146,7 @@ BatchServer::BatchServer(const CkksContext &ctx, KeyCache &keys,
       shard_plan_(planServeShards(workloads_, cfg.shards)),
       shard_done_base_(cfg.shards, 0),
       shard_inflight_(cfg.shards),
-      shard_total_done_(cfg.shards),
-      shard_evk_miss_(cfg.shards)
+      shard_total_done_(cfg.shards)
 {
     ARK_ASSERT(!workloads_.empty(), "server needs at least one workload");
     ARK_ASSERT(!inputs_.empty(), "server needs at least one input");
@@ -771,16 +770,7 @@ BatchServer::workerLoop(WorkerSlot *slot)
                          .count());
             }
             obs::ScopedSpan execute_span("execute", rid);
-            // Snapshot this thread's KeyCache tallies around the
-            // execution: the delta is EXACTLY this request's misses,
-            // attributed to this worker's group — the rebalancer's
-            // second congestion signal.
-            const u64 miss0 = KeyCache::threadStats().misses;
             r = execute(job.request);
-            const u64 miss_delta =
-                KeyCache::threadStats().misses - miss0;
-            if (miss_delta > 0)
-                shard_evk_miss_[group].fetch_add(miss_delta);
         }
         shard_inflight_[group].fetch_sub(1);
         complete(std::move(job), std::move(r), group, /*executed=*/true);
@@ -825,8 +815,6 @@ BatchServer::rebalanceNow()
     signal.peak_depth.reserve(queues_.size());
     for (const auto &q : queues_)
         signal.peak_depth.push_back(q->peakDepth());
-    for (const auto &m : shard_evk_miss_)
-        signal.evk_miss.push_back(m.load());
     return rebalanceNow(signal);
 }
 
@@ -849,8 +837,6 @@ BatchServer::rebalanceNow(const ServeShardSignal &signal)
     // observation window clean.
     for (const auto &q : queues_)
         q->resetPeak();
-    for (auto &m : shard_evk_miss_)
-        m.store(0);
     return true;
 }
 

@@ -279,7 +279,7 @@ class BatchServer
     /**
      * Online shard rebalance (shard/serve_shard.h): measure the load
      * signal accumulated since the last rebalance (per-shard queue
-     * peak depth + per-shard evk misses) and, on a clear imbalance,
+     * peak depth) and, on a clear imbalance,
      * migrate one evk-signature group to the coldest shard. Only the
      * routing table swaps — queued and in-flight requests finish
      * where they are, so nothing is dropped and results stay
@@ -448,10 +448,6 @@ class BatchServer
      *  drain(). */
     std::vector<std::atomic<u64>> shard_inflight_;
     std::vector<std::atomic<u64>> shard_total_done_;
-    /** Evk misses attributed to each group's workers since the last
-     *  rebalance (KeyCache::threadStats deltas) — the rebalancer's
-     *  second signal. */
-    std::vector<std::atomic<u64>> shard_evk_miss_;
 };
 
 } // namespace ark

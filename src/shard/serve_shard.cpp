@@ -131,19 +131,15 @@ replanServeShards(const std::vector<ServeWorkload> &workloads,
     const size_t shards = current.shards;
     ARK_ASSERT(current.shard_of_workload.size() == workloads.size(),
                "plan does not match the workload set");
-    ARK_ASSERT(signal.peak_depth.size() == shards &&
-                   signal.evk_miss.size() == shards,
+    ARK_ASSERT(signal.peak_depth.size() == shards,
                "signal does not match the shard count");
     if (shards < 2)
         return current;
 
-    // Hottest / coldest by queue peak depth, evk misses breaking
-    // ties (a shard churning its key working set is the costlier of
-    // two equally deep queues), then lower index for determinism.
+    // Hottest / coldest by queue peak depth, lower index breaking
+    // ties for determinism.
     auto hotter = [&](size_t a, size_t b) {
-        if (signal.peak_depth[a] != signal.peak_depth[b])
-            return signal.peak_depth[a] > signal.peak_depth[b];
-        return signal.evk_miss[a] > signal.evk_miss[b];
+        return signal.peak_depth[a] > signal.peak_depth[b];
     };
     size_t hot = 0, cold = 0;
     for (size_t s = 1; s < shards; ++s) {

@@ -59,23 +59,20 @@ planServeShards(const std::vector<ServeWorkload> &workloads,
                 size_t shards);
 
 /**
- * Observed per-shard load since the last replan — the two congestion
- * signals the serving runtime already collects: queue peak depth
- * (RequestQueue::peakDepth) and evaluation-key cache misses
- * attributed to the shard's workers (KeyCache thread stats). Both
- * vectors are indexed by shard and must have plan.shards entries.
+ * Observed per-shard load since the last replan: the queue peak depth
+ * (RequestQueue::peakDepth), indexed by shard, with plan.shards
+ * entries.
  */
 struct ServeShardSignal
 {
     std::vector<size_t> peak_depth;
-    std::vector<u64> evk_miss;
 };
 
 /**
  * Online re-plan: migrate evk-signature groups between shards when
  * the observed load says the static plan got the traffic mix wrong.
  * Conservative and deterministic: only when the hottest shard's
- * pressure (peak depth, evk misses breaking ties) is at least double
+ * peak depth (lower index breaking ties) is at least double
  * the coldest's does ONE group move — the lightest group on the
  * hottest shard, provided that shard keeps at least one group (no
  * shard that serves traffic is ever stranded without workloads, and

@@ -639,10 +639,11 @@ expectNttParity(KernelBackend &engine, const NttTables &tables,
  * scale primes) and 49 run the IFMA tier's 52-bit butterflies, and the
  * two primes around 2^50 pin that tier's bound: the largest one below
  * takes the IFMA path with 4q just under 2^52, the smallest one above
- * falls back to the AVX-512 body. Lazy values past 2^52 are rare that
+ * falls back to the Shoup64 instantiation. Lazy values past 2^52 are rare that
  * close to the bound, so width 51 (4q near 2^53) is what catches a
  * bound set too high. Each prime sees a random vector and the
- * adversarial all 0, all q - 1 and alternating 0 / q - 1 inputs.
+ * adversarial all 0, all q - 1 and alternating 0 / q - 1 inputs, at
+ * both parities of log N.
  */
 TEST_P(EngineCellParityTest, NttParityAcrossPrimeWidths)
 {
@@ -650,32 +651,36 @@ TEST_P(EngineCellParityTest, NttParityAcrossPrimeWidths)
     if (!engine)
         GTEST_SKIP() << "tier not available on this host";
 
-    const size_t degree = 2048;
-    const u64 step = 2 * degree;
-    const u64 two50 = 1ULL << 50;
-    u64 below = (two50 - 1) / step * step + 1;
-    while (!isPrime(below))
-        below -= step;
-    u64 above = below + step;
-    while (above < two50 || !isPrime(above))
-        above += step;
-    ASSERT_LT(4 * below, 1ULL << 52);
-    std::vector<u64> primes = {below, above};
-    for (int width : {30, 40, 42, 49, 50, 51, 55, 59, 60, 61})
-        for (u64 q : generatePrimes(width, 2, degree))
-            primes.push_back(q);
-
+    // log N odd (2048) and even (4096): the forward epilogue starts
+    // at t = 4 for the one and at t = 8 for the other.
     Rng rng(200);
-    for (u64 q : primes) {
-        SCOPED_TRACE("q " + std::to_string(q));
-        NttTables tables(degree, Modulus(q));
-        std::vector<u64> alt(degree);
-        for (size_t i = 0; i < degree; ++i)
-            alt[i] = i % 2 == 0 ? 0 : q - 1;
-        for (const auto &v :
-             {rng.uniformVector(degree, q), std::vector<u64>(degree, 0),
-              std::vector<u64>(degree, q - 1), alt})
-            expectNttParity(*engine, tables, v);
+    for (size_t degree : {size_t(2048), size_t(4096)}) {
+        SCOPED_TRACE("degree " + std::to_string(degree));
+        const u64 step = 2 * degree;
+        const u64 two50 = 1ULL << 50;
+        u64 below = (two50 - 1) / step * step + 1;
+        while (!isPrime(below))
+            below -= step;
+        u64 above = below + step;
+        while (above < two50 || !isPrime(above))
+            above += step;
+        ASSERT_LT(4 * below, 1ULL << 52);
+        std::vector<u64> primes = {below, above};
+        for (int width : {30, 40, 42, 49, 50, 51, 55, 59, 60, 61})
+            for (u64 q : generatePrimes(width, 2, degree))
+                primes.push_back(q);
+
+        for (u64 q : primes) {
+            SCOPED_TRACE("q " + std::to_string(q));
+            NttTables tables(degree, Modulus(q));
+            std::vector<u64> alt(degree);
+            for (size_t i = 0; i < degree; ++i)
+                alt[i] = i % 2 == 0 ? 0 : q - 1;
+            for (const auto &v : {rng.uniformVector(degree, q),
+                                  std::vector<u64>(degree, 0),
+                                  std::vector<u64>(degree, q - 1), alt})
+                expectNttParity(*engine, tables, v);
+        }
     }
 }
 
@@ -858,8 +863,8 @@ TEST_P(EngineCellParityTest, MulEvalAndLimbEmbedPerTier)
  * The element-wise table entries (add, sub, the MAC, and the Shoup
  * product with a per-limb constant with and without a subtrahend) per
  * cell against serial x scalar. Widths 42 and 49 and the largest
- * prime below 2^50 take the IFMA bodies, a prime just below 2^60 and a
- * 61-bit one the AVX-512 bodies; degree 4 (and mulByI's 2-word half
+ * prime below 2^50 take the Ifma52 instantiations, a prime just below
+ * 2^60 and a 61-bit one the Shoup64 ones; degree 4 (and mulByI's 2-word half
  * limbs there) runs the scalar tails. Operands are random, all 0 and all
  * q - 1, with the per-limb constants 0, 1, q - 1 and a random one.
  */

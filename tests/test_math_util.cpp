@@ -45,6 +45,16 @@ TEST(MathUtil, AddSubMod)
     EXPECT_EQ(subMod(20, 20, m), 0u);
 }
 
+TEST(MathUtil, SubModEdges)
+{
+    for (const u64 m : {u64{97}, (u64{1} << 61) - 1}) {
+        EXPECT_EQ(subMod(m - 1, m - 1, m), 0u);
+        EXPECT_EQ(subMod(0, 0, m), 0u);
+        EXPECT_EQ(subMod(0, m - 1, m), 1u);
+        EXPECT_EQ(subMod(m - 1, 0, m), m - 1);
+    }
+}
+
 TEST(MathUtil, MulModLarge)
 {
     const u64 m = (1ULL << 61) - 1;

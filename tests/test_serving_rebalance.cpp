@@ -91,7 +91,6 @@ TEST(Rebalance, MovesLightestGroupOffTheHotShard)
 
     ServeShardSignal sig;
     sig.peak_depth = {10, 1};
-    sig.evk_miss = {0, 0};
     const ServeShardPlan next = replanServeShards(wls, current, sig);
 
     expectWellFormed(next, wls);
@@ -115,7 +114,6 @@ TEST(Rebalance, NoMoveWithoutClearImbalance)
     // 4 vs 2 is below the 2x+1 trigger (4 < 5): hold the plan.
     ServeShardSignal sig;
     sig.peak_depth = {4, 2};
-    sig.evk_miss = {100, 0};
     EXPECT_EQ(replanServeShards(wls, current, sig).shard_of_workload,
               current.shard_of_workload);
 
@@ -128,7 +126,6 @@ TEST(Rebalance, NoMoveWithoutClearImbalance)
     const ServeShardPlan solo = planOf(wls, 1, {0, 0, 0, 0});
     ServeShardSignal solo_sig;
     solo_sig.peak_depth = {50};
-    solo_sig.evk_miss = {50};
     EXPECT_EQ(replanServeShards(wls, solo, solo_sig).shard_of_workload,
               solo.shard_of_workload);
 }
@@ -145,7 +142,6 @@ TEST(Rebalance, NeverStrandsTheHotShard)
 
     ServeShardSignal sig;
     sig.peak_depth = {1000, 0};
-    sig.evk_miss = {1000, 0};
     EXPECT_EQ(replanServeShards(wls, current, sig).shard_of_workload,
               current.shard_of_workload);
 }
@@ -161,34 +157,12 @@ TEST(Rebalance, SameSignatureWorkloadsMoveAsOneGroup)
 
     ServeShardSignal sig;
     sig.peak_depth = {7, 1};
-    sig.evk_miss = {0, 0};
     const ServeShardPlan next = replanServeShards(wls, current, sig);
     expectWellFormed(next, wls);
     // The {1} group (total weight 4) is the lightest on shard 0.
     EXPECT_EQ(next.shard_of_workload[0], next.shard_of_workload[1]);
     EXPECT_EQ(next.shard_of_workload[0], 1u);
     EXPECT_EQ(next.shard_of_workload[2], 0u);
-}
-
-TEST(Rebalance, EvkMissesBreakPeakDepthTies)
-{
-    // Shards 0 and 1 peaked equally deep; shard 1 churned its key
-    // working set harder, so it is the hotter donor.
-    std::vector<ServeWorkload> wls = {
-        syntheticWorkload("a", 1, 4), syntheticWorkload("b", 2, 3),
-        syntheticWorkload("c", 3, 4), syntheticWorkload("d", 4, 3),
-        syntheticWorkload("e", 5, 4)};
-    const ServeShardPlan current = planOf(wls, 3, {0, 0, 1, 1, 2});
-
-    ServeShardSignal sig;
-    sig.peak_depth = {9, 9, 0};
-    sig.evk_miss = {5, 7, 0};
-    const ServeShardPlan next = replanServeShards(wls, current, sig);
-    expectWellFormed(next, wls);
-    // Shard 1's lighter group (workload d, weight 3) moved to the
-    // cold shard 2; shard 0 is untouched.
-    EXPECT_EQ(next.shard_of_workload,
-              (std::vector<size_t>{0, 0, 1, 2, 2}));
 }
 
 TEST(Rebalance, ReplanIsDeterministic)
@@ -199,7 +173,6 @@ TEST(Rebalance, ReplanIsDeterministic)
     const ServeShardPlan current = planOf(wls, 2, {0, 0, 1, 1});
     ServeShardSignal sig;
     sig.peak_depth = {10, 1};
-    sig.evk_miss = {3, 0};
     const ServeShardPlan once = replanServeShards(wls, current, sig);
     const ServeShardPlan twice = replanServeShards(wls, current, sig);
     EXPECT_EQ(once.shard_of_workload, twice.shard_of_workload);
@@ -298,7 +271,6 @@ TEST(Rebalance, ServerSwapsRoutingOnExplicitSignal)
 
     ServeShardSignal sig;
     sig.peak_depth.assign(2, 0);
-    sig.evk_miss.assign(2, 0);
     sig.peak_depth[hot] = 10;
 
     EXPECT_TRUE(server.rebalanceNow(sig));
@@ -327,7 +299,6 @@ TEST(Rebalance, BalancedSignalLeavesServerPlanAlone)
                        s.inputs, cfg);
     ServeShardSignal sig;
     sig.peak_depth = {1, 1};
-    sig.evk_miss = {0, 0};
     EXPECT_FALSE(server.rebalanceNow(sig));
     EXPECT_EQ(server.rebalances(), 0u);
 }
@@ -362,7 +333,6 @@ TEST(Rebalance, MidStreamRebalancePreservesBitParity)
                 if (hot < 2) {
                     ServeShardSignal sig;
                     sig.peak_depth.assign(2, 0);
-                    sig.evk_miss.assign(2, 0);
                     sig.peak_depth[hot] = 10;
                     EXPECT_TRUE(server.rebalanceNow(sig));
                 }
