@@ -1,22 +1,29 @@
 #!/usr/bin/env python3
-"""Check that IFMA instructions stay inside the IFMA-tier kernels.
+"""Check that each SIMD tier's kernels use only their own ISA.
 
-The 8-lane kernels of src/rns/simd_kernels.cpp are templates over a
-multiplier policy (Shoup64 or Ifma52). A function template carries one
-target attribute, so both instantiations are compiled with avx512ifma
-enabled, yet only the Ifma52 ones may run on a host that has it: the
-AVX-512 table dispatches the Shoup64 instantiations on hosts without
-IFMA. This check disassembles the built library and fails when a
-vpmadd52luq / vpmadd52huq appears in a function whose demangled name
-does not mark it as IFMA-tier (it names the Ifma52 policy, or the
-function's own name ends in "Ifma").
+The vector kernels of src/rns/simd_kernels.cpp are written once, in
+src/rns/simd_schedules.inc, and compiled once per lane width: the
+8-lane copy (namespace avx512) for avx512ifma, so that its templates
+can take the Ifma52 multiplier policy, the 4-lane copy (namespace avx2)
+for avx2. Runtime dispatch then runs each copy only on a host that has
+its tier's ISA, so an instruction from a wider ISA inside it would fault
+on exactly the hosts the tier exists for. This check disassembles the
+built library and fails on
+
+  - a vpmadd52luq / vpmadd52huq in a function not named for the IFMA
+    tier (its demangled name names the Ifma52 policy): the AVX-512
+    table runs the Shoup64 instantiations on hosts without IFMA;
+  - a zmm register, an EVEX-only xmm16-31 / ymm16-31 register, a %k
+    mask operand or an IFMA instruction in a function named for the
+    4-lane tier (the avx2 namespace or the Vec4 lane policy): the AVX2
+    table runs on hosts without AVX-512.
 
 Usage:
     scripts/check_simd_isa.py build/libark_core.a
 
-Exit status: 0 clean, 1 a stray IFMA instruction (each offending
-function is listed), 2 usage or objdump error, 77 objdump missing
-(CTest's SKIP_RETURN_CODE).
+Exit status: 0 clean, 1 an instruction outside its tier's ISA (each
+offending function is listed), 2 usage or objdump error, 77 objdump
+missing (CTest's SKIP_RETURN_CODE).
 """
 
 import re
@@ -26,15 +33,23 @@ import sys
 
 FUNC_HEADER = re.compile(r"^[0-9a-f]+ <(.*)>:$")
 IFMA_INSN = re.compile(r"\bvpmadd52[lh]uq\b")
-IFMA_TIER_NAME = re.compile(r"Ifma52|Ifma\(")
+AVX512_OPERAND = re.compile(
+    r"%zmm\d+|%[xy]mm(?:1[6-9]|2\d|3[01])\b|%k[0-7]\b")
+IFMA_TIER_NAME = re.compile(r"Ifma52")
+LANE4_TIER_NAME = re.compile(r"\bavx2::|\bVec4::")
 
 
 def is_ifma_tier(name):
     return IFMA_TIER_NAME.search(name) is not None
 
 
+def is_lane4_tier(name):
+    return LANE4_TIER_NAME.search(name) is not None
+
+
 def scan(lines):
-    """Return ({function: stray IFMA count}, total IFMA instructions)."""
+    """Return ({function: stray instruction count}, total IFMA
+    instructions) over objdump -d -C lines."""
     stray = {}
     total = 0
     func = None
@@ -43,10 +58,16 @@ def scan(lines):
         if header:
             func = header.group(1)
             continue
-        if func is None or not IFMA_INSN.search(line):
+        if func is None:
             continue
-        total += 1
-        if not is_ifma_tier(func):
+        ifma = IFMA_INSN.search(line) is not None
+        if ifma:
+            total += 1
+        if is_lane4_tier(func):
+            bad = ifma or AVX512_OPERAND.search(line) is not None
+        else:
+            bad = ifma and not is_ifma_tier(func)
+        if bad:
             stray[func] = stray.get(func, 0) + 1
     return stray, total
 
@@ -68,12 +89,12 @@ def main(argv):
               file=sys.stderr)
         return 2
     if stray:
-        print("check_simd_isa: IFMA instructions outside the IFMA tier:")
+        print("check_simd_isa: instructions outside their tier's ISA:")
         for func, count in sorted(stray.items()):
             print(f"  {count:4d}  {func}")
         return 1
     print(f"check_simd_isa: {total} IFMA instructions, all in IFMA-tier "
-          "functions")
+          "functions; no AVX-512 in 4-lane-tier functions")
     return 0
 
 

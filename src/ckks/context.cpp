@@ -127,15 +127,6 @@ CkksContext::CkksContext(CkksParams params)
                 qi.inv(q_moduli_[lv].value() % qi.value());
         }
     }
-
-    // q_j mod q_i matrix (ModRaise and misc.).
-    const size_t nq = q_moduli_.size();
-    q_mod_q_.resize(nq * nq);
-    for (size_t j = 0; j < nq; ++j) {
-        for (size_t i = 0; i < nq; ++i)
-            q_mod_q_[j * nq + i] = q_moduli_[j].value() %
-                                   q_moduli_[i].value();
-    }
 }
 
 std::vector<Modulus>
@@ -261,12 +252,6 @@ void
 CkksContext::keyNttForward(RnsPoly &p, int level) const
 {
     backend().nttForward(p, keyTablePtrs(level));
-}
-
-void
-CkksContext::keyNttInverse(RnsPoly &p, int level) const
-{
-    backend().nttInverse(p, keyTablePtrs(level));
 }
 
 } // namespace ark

@@ -92,12 +92,6 @@ class CkksContext
         return q_last_inv_[level][i];
     }
 
-    /** q_j mod q_i for ModRaise (j > i not required; full matrix). */
-    u64 qModQ(size_t j, size_t i) const
-    {
-        return q_mod_q_[j * q_moduli_.size() + i];
-    }
-
     /** Cached automorphism for a Galois element. */
     const Automorphism &automorphism(u64 galois_elt) const;
 
@@ -138,7 +132,6 @@ class CkksContext
      * (limbs ordered q first, then specials).
      */
     void keyNttForward(RnsPoly &p, int level) const;
-    void keyNttInverse(RnsPoly &p, int level) const;
 
   private:
     CkksParams params_;
@@ -151,7 +144,6 @@ class CkksContext
     std::vector<u64> p_mod_q_;
     std::vector<u64> p_inv_mod_q_;
     std::vector<std::vector<u64>> q_last_inv_;
-    std::vector<u64> q_mod_q_;
     /**
      * Guards every lazily filled cache below so concurrent evaluator
      * callers (the serving runtime) can share one context. Returned

@@ -74,6 +74,9 @@ Ciphertext
 CkksEvaluator::subPlain(const Ciphertext &c, const Plaintext &p) const
 {
     ARK_ASSERT(c.level() == p.level, "plaintext level mismatch");
+    const double ratio = c.scale / p.scale;
+    ARK_ASSERT(ratio > 1.0 - 1e-6 && ratio < 1.0 + 1e-6,
+               "plaintext scale mismatch");
     const auto moduli = ctx_.levelModuli(c.level());
     Ciphertext r = c;
     ctx_.backend().sub(c.b, p.poly, moduli, r.b);

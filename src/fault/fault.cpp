@@ -47,8 +47,6 @@ parseSite(const char *name, Site &out)
     return false;
 }
 
-#if ARK_FAULT_ENABLED
-
 namespace detail {
 
 std::atomic<int> armed_state{-1};
@@ -266,8 +264,6 @@ FaultInjector::injected(Site s) const
     return injected_[static_cast<size_t>(s)].load(
         std::memory_order_relaxed);
 }
-
-#endif // ARK_FAULT_ENABLED
 
 } // namespace fault
 } // namespace ark

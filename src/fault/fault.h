@@ -15,19 +15,13 @@
  * seed — the schedule is deterministic, the interleaving is the test's
  * to control (docs/robustness.md §2).
  *
- * Gating mirrors the obs plane (src/obs/obs.h) exactly:
- *
- *  - **Compile-time**: -DARK_FAULT_ENABLED=0 (CMake option
- *    ARK_FAULT=OFF) turns faultsEnabled() into constant false and
- *    every injection site into dead code the compiler deletes.
- *  - **Runtime**: the plane is DISARMED by default. It arms either
- *    programmatically (FaultInjector::global().arm(plan) — what the
- *    chaos tests do) or from the environment on first query:
- *    ARK_FAULT_SEED (presence arms the plane), ARK_FAULT_PERMILLE,
- *    ARK_FAULT_SITES, ARK_FAULT_DELAY_US, ARK_FAULT_STALL_MS
- *    (docs/configuration.md). Junk values are fatal, naming the value
- *    — the ARK_BACKEND discipline. The disarmed hot path is one
- *    relaxed atomic load.
+ * The plane is DISARMED by default. It arms either programmatically
+ * (FaultInjector::global().arm(plan) — what the chaos tests do) or
+ * from the environment on first query: ARK_FAULT_SEED (presence arms
+ * the plane), ARK_FAULT_PERMILLE, ARK_FAULT_SITES, ARK_FAULT_DELAY_US,
+ * ARK_FAULT_STALL_MS (docs/configuration.md). Junk values are fatal,
+ * naming the value — the ARK_BACKEND discipline. The disarmed hot path
+ * is one relaxed atomic load, as in the obs plane (src/obs/obs.h).
  */
 
 #pragma once
@@ -39,10 +33,6 @@
 #include <mutex>
 
 #include "common/types.h"
-
-#ifndef ARK_FAULT_ENABLED
-#define ARK_FAULT_ENABLED 1
-#endif
 
 namespace ark {
 namespace fault {
@@ -82,8 +72,6 @@ struct FaultPlan
      *  use — the test clock advances, the wall clock does not). */
     u64 stall_ms = 0;
 };
-
-#if ARK_FAULT_ENABLED
 
 namespace detail {
 /** -1 = environment not yet consulted; 0 = disarmed; 1 = armed. */
@@ -164,34 +152,6 @@ class FaultInjector
     u64 stall_epoch_ = 0;
     size_t stalled_ = 0;
 };
-
-#else // !ARK_FAULT_ENABLED — compiled out: constant-false, no state.
-
-constexpr bool faultsEnabled() { return false; }
-
-/** Inert stand-in so injection sites compile untouched; every path is
- *  behind `if (faultsEnabled())`, which is constant false. */
-class FaultInjector
-{
-  public:
-    static FaultInjector &global()
-    {
-        static FaultInjector fi;
-        return fi;
-    }
-    void arm(const FaultPlan &) {}
-    void disarm() {}
-    bool shouldInject(Site) { return false; }
-    u64 delayMicros() const { return 0; }
-    u64 stallMillis() const { return 0; }
-    void enterStall(const std::function<bool()> & = {}) {}
-    void releaseStalls() {}
-    size_t stalledCount() const { return 0; }
-    u64 calls(Site) const { return 0; }
-    u64 injected(Site) const { return 0; }
-};
-
-#endif // ARK_FAULT_ENABLED
 
 } // namespace fault
 } // namespace ark

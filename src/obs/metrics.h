@@ -19,7 +19,7 @@
  * The process registry, global(), is what the STATS frame and the
  * periodic emitter read; every record into it is gated on
  * obs::metricsEnabled() — use the count()/observe()/gauge*() wrappers
- * below, which compile to nothing when ARK_OBS_ENABLED=0. A
+ * below. A
  * BatchServer also owns a private registry it records into
  * unconditionally: its drain windows (serve/metrics.h).
  */

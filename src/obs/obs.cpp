@@ -21,8 +21,6 @@ parseOnOff(const char *s, bool &out)
     return false;
 }
 
-#if ARK_OBS_ENABLED
-
 namespace detail {
 
 std::atomic<int> trace_override{-1};
@@ -80,8 +78,6 @@ resetObsOverrides()
     detail::trace_override.store(-1, std::memory_order_relaxed);
     detail::metrics_override.store(-1, std::memory_order_relaxed);
 }
-
-#endif // ARK_OBS_ENABLED
 
 } // namespace obs
 } // namespace ark

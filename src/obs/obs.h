@@ -3,26 +3,18 @@
  * Observability runtime switches (ARK_TRACE / ARK_METRICS).
  *
  * The tracer (obs/trace.h) and the metrics registry (obs/metrics.h)
- * sit on every serving hot path, so both are double-gated:
- *
- *  - **Compile-time**: building with -DARK_OBS_ENABLED=0 (CMake
- *    option ARK_OBS=OFF) turns every instrumentation call into a
- *    constant-false branch the compiler deletes outright.
- *  - **Runtime**: the ARK_TRACE / ARK_METRICS environment variables
- *    (`on`/`off`/`1`/`0`; empty counts as unset, junk is fatal — the
- *    ARK_BACKEND discipline, docs/configuration.md) or the set*()
- *    overrides (what `remote_client --trace` and the tests use).
- *    Both default OFF: the disabled path is one relaxed atomic load,
- *    no clock read, no allocation (tests/test_obs.cpp pins this).
+ * sit on every serving hot path, so both are gated at runtime by the
+ * ARK_TRACE / ARK_METRICS environment variables (`on`/`off`/`1`/`0`;
+ * empty counts as unset, junk is fatal — the ARK_BACKEND discipline,
+ * docs/configuration.md) or the set*() overrides (what
+ * `remote_client --trace` and the tests use). Both default OFF: the
+ * disabled path is one relaxed atomic load, no clock read, no
+ * allocation (tests/test_obs.cpp pins this).
  */
 
 #pragma once
 
 #include <atomic>
-
-#ifndef ARK_OBS_ENABLED
-#define ARK_OBS_ENABLED 1
-#endif
 
 namespace ark {
 namespace obs {
@@ -30,8 +22,6 @@ namespace obs {
 /** Parse one on/off switch value: accepts "on", "off", "1", "0".
  *  Returns false on anything else (the caller makes junk fatal). */
 bool parseOnOff(const char *s, bool &out);
-
-#if ARK_OBS_ENABLED
 
 namespace detail {
 /** -1 = follow the environment (parsed once); 0/1 = forced. */
@@ -69,16 +59,6 @@ void setTraceEnabled(bool on);
 void setMetricsEnabled(bool on);
 /** Drop any set*() override; follow the environment again. */
 void resetObsOverrides();
-
-#else // !ARK_OBS_ENABLED — compiled out: constant-false, no state.
-
-constexpr bool traceEnabled() { return false; }
-constexpr bool metricsEnabled() { return false; }
-inline void setTraceEnabled(bool) {}
-inline void setMetricsEnabled(bool) {}
-inline void resetObsOverrides() {}
-
-#endif // ARK_OBS_ENABLED
 
 } // namespace obs
 } // namespace ark

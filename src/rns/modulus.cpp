@@ -22,6 +22,8 @@ Modulus::Modulus(u64 q) : q_(q)
     u128 lo = (rem << 64) / q;
     barrett_hi_ = quot_hi;
     barrett_lo_ = static_cast<u64>(lo);
+    barrett52_ =
+        static_cast<u64>((static_cast<u128>(1) << (bits_ + 50)) / q);
 }
 
 u64

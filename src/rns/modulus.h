@@ -148,6 +148,9 @@ class Modulus
     /// @{
     u64 barrettHi() const { return barrett_hi_; }
     u64 barrettLo() const { return barrett_lo_; }
+    /** floor(2^(bits() + 50) / q), the quotient constant of the IFMA
+     *  kernels' 52-bit Barrett product (below 2^52 for any q). */
+    u64 barrett52() const { return barrett52_; }
     /// @}
 
     bool operator==(const Modulus &o) const { return q_ == o.q_; }
@@ -158,6 +161,7 @@ class Modulus
     /** Barrett constant: floor(2^128 / q), stored as hi/lo words. */
     u64 barrett_hi_ = 0;
     u64 barrett_lo_ = 0;
+    u64 barrett52_ = 0;
 };
 
 } // namespace ark

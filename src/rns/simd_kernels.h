@@ -18,14 +18,20 @@
  * construction (tests/test_backend_parity.cpp enforces it on every
  * kernel).
  *
- * The two 8-lane tiers share one schedule per kernel, with two
- * multiplier policies: the AVX-512 NTT, evk MAC, mulEval, MAC and
- * constant product are each written once, as a template over its lane
- * arithmetic. Shoup64 builds the 64-bit products from 32x32->64
- * partials (x86 has no packed 64x64->128 multiply); Ifma52 runs exact
- * 52-bit products in vpmadd52 ops on limbs with q < 2^50. The avx512
- * table lists the Shoup64 instantiations, the avx512ifma table the
- * Ifma52 ones, and the other AVX-512 entries have one body each.
+ * Each vector kernel is written once (rns/simd_schedules.inc), over
+ * a lane-width policy and a multiplier policy, the way ARK's NTTU runs
+ * one stage schedule whatever its modular multiplier does. The lane
+ * width is Vec8 (AVX-512F/DQ, 8 lanes of u64) or Vec4 (AVX2, 4 lanes):
+ * the ISA steps such as the 64-bit low product, the conditional
+ * subtract, the carries and the NTT's window shuffles. The multiplier
+ * is Shoup64, which builds the 64-bit products from 32x32->64 partials
+ * (x86 has no packed 64x64->128 multiply), or Ifma52, exact 52-bit
+ * products in vpmadd52 ops on 8 lanes for limbs with q < 2^50. The
+ * avx2 table lists 4-lane Shoup64 instantiations, the avx512 table
+ * 8-lane Shoup64 ones, the avx512ifma table the Ifma52 ones; kernels
+ * without a modular product the policies differ in (add, sub, the
+ * BConv tile, the limb embedding, the plaintext MAC) take the lane
+ * width only.
  *
  * The compiler does not vectorize a loop with a 64x64->128-bit product,
  * a per-word reduction or an unsigned 64-bit compare, so the
@@ -37,9 +43,9 @@
  * Every entry of every table is non-null and accepts every input: a
  * tier without a body for a kernel carries the entry of the tier
  * below, and the vector NTT entries run the scalar transform
- * themselves for degrees too small to fill their vectors and for
- * q >= 2^60 (the IFMA ones hand q >= 2^50 to the Shoup64
- * instantiation).
+ * themselves for degrees too small to fill their register windows
+ * (N < 16) and for q >= 2^60 (the IFMA ones hand q >= 2^50 to the
+ * Shoup64 instantiation).
  */
 
 #pragma once

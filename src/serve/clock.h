@@ -37,12 +37,6 @@ class ServeClock
     /** Microseconds since an arbitrary fixed epoch, monotone
      *  non-decreasing across calls (per thread and across threads). */
     virtual u64 nowMicros() const = 0;
-
-    /** Convenience: now in milliseconds (double, for SLO math). */
-    double nowMs() const
-    {
-        return static_cast<double>(nowMicros()) / 1000.0;
-    }
 };
 
 /** Production clock: std::chrono::steady_clock. */
