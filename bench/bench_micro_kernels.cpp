@@ -18,6 +18,7 @@
  * own gate; timings are gated by the regression checker.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +26,8 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "boot/bootstrapper.h"
+#include "ckks/encryptor.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "rns/bconv.h"
@@ -569,6 +572,71 @@ runPoolComparison(bool smoke)
 // Serial vs pool executor at the same kernel table (full mode only)
 // ---------------------------------------------------------------------------
 
+/** One engine's warm testBoot bootstrap: its median time and output. */
+struct BootRun
+{
+    std::string engine;
+    double median_ms = 0;
+    Ciphertext out;
+};
+
+/**
+ * Bootstrap one fixed level-0 testBoot ciphertext on a context whose
+ * engine is @p kind: one untimed warm-up (it generates the evks the
+ * key cache serves and fills the buffer pool), then the median of
+ * @p reps timed runs. The same seeds on every engine, so the outputs
+ * must agree bit for bit.
+ */
+BootRun
+runBootstrap(BackendKind kind, size_t threads, int reps)
+{
+    CkksParams params = CkksParams::testBoot();
+    params.backend = kind;
+    params.backend_threads = threads;
+    CkksContext ctx(params);
+    Rng rng(7);
+    CkksEncoder encoder(ctx);
+    KeyGenerator keygen(ctx, rng);
+    const SecretKey sk = keygen.secretKey();
+    CkksEncryptor encryptor(ctx, rng);
+    CkksEvaluator eval(ctx);
+    KeyCache keys(keygen, sk, ctx.degree());
+    const BootConfig cfg;
+    Bootstrapper boot(ctx, encoder, cfg);
+
+    std::vector<Complex> m(params.num_slots);
+    Rng mrng(99);
+    for (auto &v : m)
+        v = Complex(mrng.uniformReal() - 0.5, mrng.uniformReal() - 0.5);
+    const double delta0 =
+        static_cast<double>(ctx.qModuli()[0].value()) / cfg.msg_ratio;
+    Ciphertext ct =
+        encryptor.encryptSymmetric(encoder.encode(m, 0, delta0), sk);
+    ct.slots = params.num_slots;
+
+    BootRun run;
+    run.engine = ctx.backend().name();
+    run.out = boot.bootstrap(eval, ct, keys);
+    std::vector<double> ms;
+    for (int r = 0; r < reps; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        run.out = boot.bootstrap(eval, ct, keys);
+        ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+    }
+    std::sort(ms.begin(), ms.end());
+    run.median_ms = ms[ms.size() / 2];
+    return run;
+}
+
+bool
+samePoly(const RnsPoly &x, const RnsPoly &y)
+{
+    return x.sameShape(y) && x.rep() == y.rep() &&
+           std::memcmp(x.limb(0), y.limb(0), x.byteSize()) == 0;
+}
+
 void
 printBackendComparison()
 {
@@ -658,8 +726,32 @@ printBackendComparison()
             (void)out;
         });
     }
+
+    // The workload the pool exists for: a whole bootstrap, whose
+    // kernels the executor splits limb by limb.
+    const int boot_reps = 3;
+    const BootRun boot_s = runBootstrap(BackendKind::Simd, 0, boot_reps);
+    const BootRun boot_p =
+        runBootstrap(BackendKind::Parallel, threads, boot_reps);
+    checkParity(samePoly(boot_s.out.b, boot_p.out.b) &&
+                    samePoly(boot_s.out.a, boot_p.out.a),
+                "pooled bootstrap differs from the serial one");
+    const CkksParams boot_params = CkksParams::testBoot();
+    const size_t boot_n = boot_params.degree;
+    const size_t boot_limbs = static_cast<size_t>(boot_params.max_level) + 1;
+    const double boot_speedup = addComparison(
+        "executor_bootstrap",
+        {{"n", boot_n}, {"limbs", boot_limbs}, {"threads", threads}},
+        "serial_ms", boot_s.median_ms, "pool_ms", boot_p.median_ms);
+    t.addRow({"bootstrap", std::to_string(boot_n),
+              std::to_string(boot_limbs),
+              TablePrinter::fmt(boot_s.median_ms, 1),
+              TablePrinter::fmt(boot_p.median_ms, 1),
+              TablePrinter::fmt(boot_speedup, 2)});
     t.print();
-    std::printf("\n");
+    std::printf("bootstrap: warm testBoot bootstrap, median of %d runs "
+                "after one warm-up (%s vs %s)\n\n",
+                boot_reps, boot_s.engine.c_str(), boot_p.engine.c_str());
 }
 
 const char *kUsage =
@@ -668,7 +760,8 @@ const char *kUsage =
     "Usage: bench_micro_kernels [--smoke] [--json PATH] [--help]\n"
     "  (no flags)  lazy-vs-strict NTT, simd-vs-scalar kernels (best\n"
     "            host ISA), fused-vs-two-stage BConv, pooled-vs-fresh\n"
-    "            alloc, serial-vs-pool executor table\n"
+    "            alloc, serial-vs-pool executor table (kernels and\n"
+    "            a warm testBoot bootstrap)\n"
     "  --smoke   reduced sizes/reps for CI; parity checks still gate\n"
     "            (nonzero exit on mismatch)\n"
     "  --json PATH  also write the rows as JSON for\n"

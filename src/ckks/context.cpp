@@ -127,6 +127,39 @@ CkksContext::CkksContext(CkksParams params)
                 qi.inv(q_moduli_[lv].value() % qi.value());
         }
     }
+
+    // Per-level key-switch tables, built here so the hot path reads
+    // them without a lock.
+    for (size_t count = 0; count <= q_tables_.size(); ++count) {
+        auto &ptrs = q_table_ptrs_.emplace_back(count);
+        for (size_t l = 0; l < count; ++l)
+            ptrs[l] = &q_tables_[l];
+    }
+    for (int lv = 0; lv <= L; ++lv) {
+        const size_t nq = static_cast<size_t>(lv) + 1;
+        auto &ptrs = key_table_ptrs_.emplace_back(nq + p_tables_.size());
+        for (size_t l = 0; l < ptrs.size(); ++l)
+            ptrs[l] = &keyTable(l, lv);
+
+        // Digit d converts its primes q_[lo, hi) to every other prime
+        // of the extended basis.
+        auto &digits = digit_bconv_.emplace_back();
+        for (int d = 0; d < numDigits(lv); ++d) {
+            const size_t lo = static_cast<size_t>(d * a);
+            const size_t hi = std::min(lo + static_cast<size_t>(a), nq);
+            std::vector<Modulus> out_base(q_moduli_.begin(),
+                                          q_moduli_.begin() + lo);
+            out_base.insert(out_base.end(), q_moduli_.begin() + hi,
+                            q_moduli_.begin() + nq);
+            out_base.insert(out_base.end(), p_moduli_.begin(),
+                            p_moduli_.end());
+            digits.emplace_back(
+                std::vector<Modulus>(q_moduli_.begin() + lo,
+                                     q_moduli_.begin() + hi),
+                std::move(out_base));
+        }
+        moddown_bconv_.emplace_back(p_moduli_, levelModuli(lv));
+    }
 }
 
 std::vector<Modulus>
@@ -176,76 +209,32 @@ CkksContext::automorphism(u64 galois_elt) const
 const std::vector<const NttTables *> &
 CkksContext::qTablePtrs(size_t count) const
 {
-    ARK_ASSERT(count <= q_tables_.size(), "not enough q tables");
-    std::lock_guard<std::mutex> lk(cache_m_);
-    auto it = q_table_ptrs_cache_.find(count);
-    if (it == q_table_ptrs_cache_.end()) {
-        std::vector<const NttTables *> ptrs(count);
-        for (size_t l = 0; l < count; ++l)
-            ptrs[l] = &q_tables_[l];
-        it = q_table_ptrs_cache_.emplace(count, std::move(ptrs)).first;
-    }
-    return it->second;
+    ARK_ASSERT(count < q_table_ptrs_.size(), "not enough q tables");
+    return q_table_ptrs_[count];
 }
 
 const std::vector<const NttTables *> &
 CkksContext::keyTablePtrs(int level) const
 {
-    std::lock_guard<std::mutex> lk(cache_m_);
-    auto it = key_table_ptrs_cache_.find(level);
-    if (it == key_table_ptrs_cache_.end()) {
-        const size_t nq = static_cast<size_t>(level) + 1;
-        std::vector<const NttTables *> ptrs(nq + p_tables_.size());
-        for (size_t l = 0; l < ptrs.size(); ++l)
-            ptrs[l] = &keyTable(l, level);
-        it = key_table_ptrs_cache_.emplace(level, std::move(ptrs)).first;
-    }
-    return it->second;
+    ARK_ASSERT(level >= 0 && level <= maxLevel(), "bad level");
+    return key_table_ptrs_[static_cast<size_t>(level)];
 }
 
 const BaseConverter &
 CkksContext::digitConverter(int level, int digit) const
 {
-    const auto key = std::make_pair(level, digit);
-    std::lock_guard<std::mutex> lk(cache_m_);
-    auto it = digit_bconv_cache_.find(key);
-    if (it != digit_bconv_cache_.end())
-        return *it->second;
-
-    const size_t nq = static_cast<size_t>(level) + 1;
-    const size_t a = static_cast<size_t>(alpha());
-    const size_t lo = static_cast<size_t>(digit) * a;
-    const size_t hi = std::min(lo + a, nq);
-    ARK_ASSERT(lo < nq, "digit out of range for this level");
-
-    std::vector<Modulus> in_base(q_moduli_.begin() + lo,
-                                 q_moduli_.begin() + hi);
-    std::vector<Modulus> out_base;
-    for (size_t l = 0; l < nq; ++l) {
-        if (l < lo || l >= hi)
-            out_base.push_back(q_moduli_[l]);
-    }
-    out_base.insert(out_base.end(), p_moduli_.begin(), p_moduli_.end());
-
-    it = digit_bconv_cache_
-             .emplace(key, std::make_unique<BaseConverter>(
-                               std::move(in_base), std::move(out_base)))
-             .first;
-    return *it->second;
+    ARK_ASSERT(level >= 0 && level <= maxLevel(), "bad level");
+    ARK_ASSERT(digit >= 0 && digit < numDigits(level),
+               "digit out of range for this level");
+    return digit_bconv_[static_cast<size_t>(level)]
+                       [static_cast<size_t>(digit)];
 }
 
 const BaseConverter &
 CkksContext::modDownConverter(int level) const
 {
-    std::lock_guard<std::mutex> lk(cache_m_);
-    auto it = moddown_bconv_cache_.find(level);
-    if (it == moddown_bconv_cache_.end()) {
-        it = moddown_bconv_cache_
-                 .emplace(level, std::make_unique<BaseConverter>(
-                                     p_moduli_, levelModuli(level)))
-                 .first;
-    }
-    return *it->second;
+    ARK_ASSERT(level >= 0 && level <= maxLevel(), "bad level");
+    return moddown_bconv_[static_cast<size_t>(level)];
 }
 
 void

@@ -112,19 +112,21 @@ class CkksContext
      */
     PolyPool &pool() const { return backend_->pool(); }
 
-    /** NTT-table pointers for the first @p count q limbs (cached —
-     *  built once per count; key-switch paths call this per op). */
+    /** NTT-table pointers for the first @p count q limbs (built once
+     *  per count in the constructor; key-switch paths call this per
+     *  op). */
     const std::vector<const NttTables *> &qTablePtrs(size_t count) const;
     /** Per-limb tables of an extended level-@p level poly
-     *  (q_0..q_level then the specials); cached per level. */
+     *  (q_0..q_level then the specials); built once per level. */
     const std::vector<const NttTables *> &keyTablePtrs(int level) const;
 
     /**
-     * Cached BConv tables for key-switch digit @p digit at @p level
-     * (digit primes -> every other prime of the extended basis).
+     * BConv tables for key-switch digit @p digit at @p level (digit
+     * primes -> every other prime of the extended basis), built once
+     * per (level, digit) in the constructor.
      */
     const BaseConverter &digitConverter(int level, int digit) const;
-    /** Cached BConv tables for ModDown: B -> q_0..q_level. */
+    /** BConv tables for ModDown: B -> q_0..q_level. */
     const BaseConverter &modDownConverter(int level) const;
 
     /**
@@ -144,24 +146,21 @@ class CkksContext
     std::vector<u64> p_mod_q_;
     std::vector<u64> p_inv_mod_q_;
     std::vector<std::vector<u64>> q_last_inv_;
+    /** [count] -> &q_tables_[0..count); [level] -> keyTable pointers. */
+    std::vector<std::vector<const NttTables *>> q_table_ptrs_;
+    std::vector<std::vector<const NttTables *>> key_table_ptrs_;
+    /** [level][digit] -> decompose converter; [level] -> ModDown one. */
+    std::vector<std::vector<BaseConverter>> digit_bconv_;
+    std::vector<BaseConverter> moddown_bconv_;
     /**
-     * Guards every lazily filled cache below so concurrent evaluator
-     * callers (the serving runtime) can share one context. Returned
-     * references stay valid across later insertions (std::map nodes
-     * are stable), so the lock only covers lookup/insert.
+     * Guards the automorphism cache so concurrent evaluator callers
+     * (the serving runtime) can share one context: Galois elements
+     * are not known up front, so it fills lazily. Returned references
+     * stay valid across later insertions (std::map nodes are stable),
+     * so the lock only covers lookup/insert.
      */
     mutable std::mutex cache_m_;
     mutable std::map<u64, std::unique_ptr<Automorphism>> auto_cache_;
-    /** (level, digit) -> decompose converter; level -> ModDown one. */
-    mutable std::map<std::pair<int, int>,
-                     std::unique_ptr<BaseConverter>>
-        digit_bconv_cache_;
-    mutable std::map<int, std::unique_ptr<BaseConverter>>
-        moddown_bconv_cache_;
-    mutable std::map<size_t, std::vector<const NttTables *>>
-        q_table_ptrs_cache_;
-    mutable std::map<int, std::vector<const NttTables *>>
-        key_table_ptrs_cache_;
 };
 
 /** An encoded (unencrypted) polynomial with scale bookkeeping. */

@@ -1,6 +1,6 @@
 #include "common/thread_pool.h"
 
-#include "common/logging.h"
+#include <algorithm>
 
 namespace ark {
 
@@ -15,109 +15,70 @@ ThreadPool::ThreadPool(size_t num_threads)
 {
     if (num_threads == 0)
         num_threads = defaultThreads();
-    slots_.reserve(num_threads);
-    for (size_t i = 0; i < num_threads; ++i)
-        slots_.push_back(std::make_unique<Worker>());
     workers_.reserve(num_threads);
     for (size_t i = 0; i < num_threads; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lk(sleep_m_);
-        stop_.store(true);
+        std::lock_guard<std::mutex> lk(m_);
+        stop_ = true;
     }
-    sleep_cv_.notify_all();
+    work_cv_.notify_all();
     for (auto &w : workers_)
         w.join();
 }
 
-void
-ThreadPool::submit(const Task &t, size_t hint)
+std::exception_ptr
+ThreadPool::runClaims(Batch &b)
 {
-    Worker &w = *slots_[hint % slots_.size()];
-    {
-        std::lock_guard<std::mutex> lk(w.m);
-        w.queue.push_back(t);
-    }
-    // Increment under sleep_m_ so it cannot interleave between a
-    // worker's predicate check and its wait (lost-wakeup race).
-    {
-        std::lock_guard<std::mutex> lk(sleep_m_);
-        pending_.fetch_add(1, std::memory_order_release);
-    }
-    sleep_cv_.notify_one();
-}
-
-bool
-ThreadPool::tryRunOne(size_t self)
-{
-    const size_t k = slots_.size();
-    Task t;
-    bool have = false;
-
-    // Own queue first, newest-first: the local end of the deque.
-    if (self < k) {
-        Worker &own = *slots_[self];
-        std::lock_guard<std::mutex> lk(own.m);
-        if (!own.queue.empty()) {
-            t = own.queue.back();
-            own.queue.pop_back();
-            have = true;
-        }
-    }
-    // Steal oldest-first from siblings (external callers always steal).
-    for (size_t off = 1; !have && off <= k; ++off) {
-        Worker &victim = *slots_[(self + off) % k];
-        std::lock_guard<std::mutex> lk(victim.m);
-        if (!victim.queue.empty()) {
-            t = victim.queue.front();
-            victim.queue.pop_front();
-            have = true;
-        }
-    }
-    if (!have)
-        return false;
-
-    pending_.fetch_sub(1, std::memory_order_acquire);
+    // Relaxed suffices: fn and count were published under m_, and the
+    // jobs' results reach the owner through m_ when each thread retires.
     std::exception_ptr err;
-    try {
-        t.batch->fn(t.index);
-    } catch (...) {
-        // Jobs may throw (a serving request validates mid-kernel);
-        // capture the first error for the batch owner instead of
-        // terminating the worker.
-        err = std::current_exception();
+    for (size_t i = b.next.fetch_add(1, std::memory_order_relaxed);
+         i < b.count; i = b.next.fetch_add(1, std::memory_order_relaxed)) {
+        try {
+            b.fn(i);
+        } catch (...) {
+            // Jobs may throw (a serving request validates mid-kernel);
+            // keep claiming so every index runs before the rethrow.
+            if (!err)
+                err = std::current_exception();
+        }
     }
-    // Record completion and notify entirely under the batch mutex:
-    // once the owner (who also checks under the mutex) has observed
-    // completed == count, no thread can still be inside this region,
-    // so destroying the Batch right after is safe.
-    {
-        std::lock_guard<std::mutex> lk(t.batch->m);
-        if (err && !t.batch->error)
-            t.batch->error = err;
-        t.batch->completed += 1;
-        if (t.batch->completed == t.batch->count)
-            t.batch->done_cv.notify_all();
-    }
-    return true;
+    return err;
 }
 
 void
-ThreadPool::workerLoop(size_t self)
+ThreadPool::retire(Batch &b, std::exception_ptr err)
 {
+    if (err && !b.error)
+        b.error = std::move(err);
+    const auto it = std::find(open_.begin(), open_.end(), &b);
+    if (it != open_.end())
+        open_.erase(it);
+}
+
+void
+ThreadPool::workerLoop()
+{
+    std::unique_lock<std::mutex> lk(m_);
     while (true) {
-        if (tryRunOne(self))
-            continue;
-        std::unique_lock<std::mutex> lk(sleep_m_);
-        sleep_cv_.wait(lk, [this] {
-            return stop_.load() || pending_.load() > 0;
-        });
-        if (stop_.load() && pending_.load() == 0)
+        work_cv_.wait(lk, [this] { return stop_ || !open_.empty(); });
+        if (open_.empty())
             return;
+        Batch &b = *open_.front();
+        ++b.active;
+        lk.unlock();
+        std::exception_ptr err = runClaims(b);
+        lk.lock();
+        retire(b, std::move(err));
+        // Notify under m_: the owner cannot see active == 0, and so
+        // cannot destroy the batch, until this thread lets go of m_.
+        if (--b.active == 0)
+            b.left_cv.notify_one();
     }
 }
 
@@ -132,21 +93,19 @@ ThreadPool::parallelFor(size_t count, JobRef fn)
     }
 
     Batch batch(fn, count);
-    for (size_t i = 0; i < count; ++i)
-        submit(Task{&batch, i}, i);
-
-    // The caller helps drain the queues; `slots_.size()` marks it as
-    // an external thief with no queue of its own. Once nothing is
-    // left to steal, every remaining task is in flight on a worker:
-    // wait for completion under the batch mutex (the only place
-    // completion is observed, see Batch::completed).
-    while (tryRunOne(slots_.size())) {
-    }
-    std::exception_ptr err;
     {
-        std::unique_lock<std::mutex> lk(batch.m);
-        batch.done_cv.wait(
-            lk, [&batch, count] { return batch.completed >= count; });
+        std::lock_guard<std::mutex> lk(m_);
+        open_.push_back(&batch);
+    }
+    for (size_t i = 1; i < count && i <= workers_.size(); ++i)
+        work_cv_.notify_one();
+
+    std::exception_ptr err = runClaims(batch);
+    {
+        std::unique_lock<std::mutex> lk(m_);
+        retire(batch, std::move(err));
+        // Off open_ now, so no thread can enter; wait for those inside.
+        batch.left_cv.wait(lk, [&batch] { return batch.active == 0; });
         err = batch.error;
     }
     if (err)

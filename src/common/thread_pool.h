@@ -1,15 +1,16 @@
 /**
  * @file
- * Small work-stealing thread pool: the KernelBackend's pooled executor.
+ * Small batch-claiming thread pool: the KernelBackend's pooled executor.
  *
- * Kernels submit a batch of independent limb jobs with parallelFor();
- * each worker owns a deque and pops its own work LIFO, stealing FIFO
- * from siblings when drained (the classic Cilk discipline, which keeps
- * a worker's cache warm on its own limbs while letting idle workers
- * balance skewed batches). The submitting thread participates in the
- * batch instead of blocking, so a pool of k workers applies k + 1
- * threads to every batch and a single-worker pool still makes
- * progress when the caller is the only runnable thread.
+ * Kernels submit a batch of independent, equal-sized limb jobs with
+ * parallelFor(). The batch is published once on the pool's list of
+ * open batches; the submitting thread and every woken worker then
+ * claim indices from it with one atomic increment each until it runs
+ * dry, so a batch costs a constant number of lock round trips
+ * whatever its size. The submitting thread works too, so a pool of k
+ * workers applies k + 1 threads to every batch and a single-worker
+ * pool still makes progress when the caller is the only runnable
+ * thread.
  */
 
 #pragma once
@@ -17,9 +18,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -52,10 +51,10 @@ class JobRef
 };
 
 /**
- * Fixed-size work-stealing pool. parallelFor may be called from many
+ * Fixed-size batch-claiming pool. parallelFor may be called from many
  * threads concurrently, and from inside a job of the same pool (the
- * nested waiter helps drain queues instead of blocking, so progress
- * is guaranteed); the serving runtime relies on both.
+ * nested caller claims its own batch's indices, so it always makes
+ * progress); the serving runtime relies on both.
  */
 class ThreadPool
 {
@@ -83,46 +82,37 @@ class ThreadPool
     static size_t defaultThreads();
 
   private:
+    /** One parallelFor call, on its caller's stack. */
     struct Batch
     {
         Batch(JobRef f, size_t n) : fn(f), count(n) {}
 
         JobRef fn;
         size_t count;
-        /** Guarded by m (not atomic): completion must be observed
-         *  under the mutex so a finishing worker can never touch the
-         *  stack-allocated Batch after the owner saw it complete. */
-        size_t completed = 0;
-        /** First exception a job of this batch threw (guarded by m);
-         *  rethrown to the parallelFor caller after the batch drains. */
+        /** Next unclaimed index; values past count mean exhausted. */
+        std::atomic<size_t> next{0};
+        /** Workers inside the batch (guarded by m_). The owner may
+         *  destroy the batch only once it is off open_ and this is
+         *  zero, so no thread can still touch it. */
+        size_t active = 0;
+        /** First exception a job threw (guarded by m_). */
         std::exception_ptr error;
-        std::mutex m;
-        std::condition_variable done_cv;
+        std::condition_variable left_cv;
     };
 
-    struct Task
-    {
-        Batch *batch = nullptr;
-        size_t index = 0;
-    };
+    /** Claim and run indices of @p b until it is exhausted; returns
+     *  the first exception a job threw. */
+    static std::exception_ptr runClaims(Batch &b);
+    /** Book a thread's finished claims on @p b (m_ held): record its
+     *  error and take the exhausted batch off open_. */
+    void retire(Batch &b, std::exception_ptr err);
+    void workerLoop();
 
-    struct Worker
-    {
-        std::mutex m;
-        std::deque<Task> queue;
-    };
-
-    void workerLoop(size_t self);
-    /** Pop own-back / steal-front one task and run it. */
-    bool tryRunOne(size_t self);
-    void submit(const Task &t, size_t hint);
-
-    std::vector<std::unique_ptr<Worker>> slots_;
+    std::mutex m_;
+    std::condition_variable work_cv_;
+    std::vector<Batch *> open_; ///< batches with indices left (m_)
+    bool stop_ = false;         ///< guarded by m_
     std::vector<std::thread> workers_;
-    std::atomic<size_t> pending_{0}; ///< queued, not-yet-popped tasks
-    std::atomic<bool> stop_{false};
-    std::mutex sleep_m_;
-    std::condition_variable sleep_cv_;
 };
 
 } // namespace ark

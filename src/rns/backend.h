@@ -14,7 +14,7 @@
  * The engine has two independent axes, as ARK keeps its
  * data-distribution policy apart from each functional unit's datapath:
  *  - the executor maps a kernel's limb (or tile) jobs onto threads:
- *    serial on the calling thread, or a work-stealing ThreadPool;
+ *    serial on the calling thread, or a batch-claiming ThreadPool;
  *  - the kernel table (rns/simd_kernels.h) supplies the per-job bodies:
  *    scalar, avx2, avx512 or avx512ifma, picked by CPUID.
  * Every table entry computes the scalar reference arithmetic bit for

@@ -39,7 +39,8 @@ class Modulus
      */
     u64 reduce(u128 x) const
     {
-        // q_est = floor(x * floor(2^128/q) / 2^128), off by at most 2.
+        // q_est = floor(x * floor(2^128/q) / 2^128), computed exactly:
+        // the dropped low word of lo_lo cannot carry into bit 128.
         const u64 x_lo = static_cast<u64>(x);
         const u64 x_hi = static_cast<u64>(x >> 64);
 
@@ -54,12 +55,13 @@ class Modulus
         const u128 q_est =
             hi_hi + (lo_hi >> 64) + (hi_lo >> 64) + (mid >> 64);
 
-        // The true remainder x - q_est * q is in [0, 3q), so it fits a
-        // word and the correction can run in 64-bit arithmetic:
-        // mod-2^64 truncation of both operands preserves the value.
-        u64 r = x_lo - static_cast<u64>(q_est) * q_;
-        if (r >= 2 * q_)
-            r -= 2 * q_;
+        // floor(2^128/q) = 2^128/q - e with 0 < e < 1 (q is not a power
+        // of two), so x * floor(2^128/q) / 2^128 = x/q - x*e/2^128 lies
+        // in (x/q - 1, x/q] for x < 2^128: q_est is floor(x/q) or one
+        // less, and the remainder x - q_est * q is in [0, 2q). It fits
+        // a word, so the correction runs in 64-bit arithmetic: mod-2^64
+        // truncation of both operands preserves the value.
+        const u64 r = x_lo - static_cast<u64>(q_est) * q_;
         return r >= q_ ? r - q_ : r;
     }
 

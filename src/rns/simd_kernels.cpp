@@ -190,9 +190,7 @@ namespace {
 //       mul32 (the 32x32->64 partial product of the low halves);
 //   mullo64(x, c, c_hi), the low 64 bits of x * c given c_hi = c >> 32
 //       (vpmullq on Vec8, three partials on Vec4);
-//   csub(v, b) = v >= b ? v - b : v for v < 2^63, csubWide the same for
-//       any v < 2b (Barrett's first fold, whose value reaches 3q), and
-//       subMod(a, b, q);
+//   csub(v, b) = v >= b ? v - b : v for v < 2^63, and subMod(a, b, q);
 //   carry(sum, addend) = (sum < addend ? 1 : 0), the carry out of
 //       sum = x + addend, and addCarry(acc, sum, addend) = acc + carry;
 //   selectGt(v, bound, t, f) = v > bound ? t : f;
@@ -259,7 +257,6 @@ struct Vec8
         return _mm512_mask_sub_epi64(v, _mm512_cmpge_epu64_mask(v, b), v,
                                      b);
     }
-    ARK_T512 static R csubWide(R v, R b) { return csub(v, b); }
 
     ARK_T512 static R
     subMod(R a, R b, R q)
@@ -404,16 +401,6 @@ struct Vec4
     csub(R v, R b)
     {
         return sub(v, andv(_mm256_cmpgt_epi64(v, sub(b, set1(1))), b));
-    }
-
-    /** For v < 2b <= 2^64: d = v - b has its sign bit set exactly when
-     *  v < b, so the sign picks v or d with no compare. */
-    ARK_T256 static R
-    csubWide(R v, R b)
-    {
-        const __m256d d = _mm256_castsi256_pd(sub(v, b));
-        return _mm256_castpd_si256(
-            _mm256_blendv_pd(d, _mm256_castsi256_pd(v), d));
     }
 
     ARK_T256 static R

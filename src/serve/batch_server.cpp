@@ -434,7 +434,7 @@ BatchServer::admitJob(ServeJob &&job, bool blocking)
         u32 lowest = 0;
         const bool nonempty = queue.lowestPriority(lowest);
         const AdmissionVerdict verdict = admission_.decide(
-            job.class_id, queue.depth(), shard_workers_[shard],
+            job.class_id, queue.size(), shard_workers_[shard],
             nonempty, lowest);
         if (verdict == AdmissionVerdict::Admit)
             break;
@@ -458,7 +458,7 @@ BatchServer::admitJob(ServeJob &&job, bool blocking)
                            ? AdmitResult::Admitted
                            : AdmitResult::Closed;
         } else {
-            admitted = queue.tryPushResult(std::move(job));
+            admitted = queue.tryPush(std::move(job));
             // A Full refusal that raced a shutdown() past the
             // caller's entry check must report Closed: "retry later"
             // would be a lie once the queues stop admitting.
@@ -489,34 +489,11 @@ BatchServer::admitJob(ServeJob &&job, bool blocking)
         // plenty for a "what does the queue look like" readout.
         size_t depth = 0;
         for (const auto &q : queues_)
-            depth += q->depth();
+            depth += q->size();
         obs::gaugeSet(obs::Gauge::QueueDepth,
                       static_cast<i64>(depth));
     }
     return admitted;
-}
-
-std::future<ServeResult>
-BatchServer::enqueue(size_t workload_index, bool blocking,
-                     AdmitResult &admitted)
-{
-    ARK_ASSERT(workload_index < workloads_.size(),
-               "workload index out of range");
-    if (shut_down_.load())
-        throw std::runtime_error("BatchServer is shut down");
-
-    ServeJob job;
-    job.request.id = next_id_.fetch_add(1);
-    job.request.workload_index = workload_index;
-    std::future<ServeResult> fut = job.promise.get_future();
-
-    admitted = admitJob(std::move(job), blocking);
-    // In-process contract: Full is the caller's load-shedding signal
-    // (trySubmit returns false), Closed means stop retrying (throw).
-    // Shed resolves the future itself with the typed Shed result.
-    if (admitted == AdmitResult::Closed)
-        throw std::runtime_error("BatchServer is shut down");
-    return fut;
 }
 
 AdmitResult
@@ -550,40 +527,32 @@ BatchServer::trySubmitRemote(size_t workload_index,
 std::future<ServeResult>
 BatchServer::submit(size_t workload_index)
 {
-    // Under SLO admission a blocking submit may still be shed: the
-    // returned future then resolves immediately with the typed Shed
-    // result (ServeErrorKind::Shed), never blocking the caller.
-    AdmitResult admitted = AdmitResult::Admitted;
-    return enqueue(workload_index, /*blocking=*/true, admitted);
-}
+    ARK_ASSERT(workload_index < workloads_.size(),
+               "workload index out of range");
+    if (shut_down_.load())
+        throw std::runtime_error("BatchServer is shut down");
 
-bool
-BatchServer::trySubmit(size_t workload_index,
-                       std::future<ServeResult> &out)
-{
-    AdmitResult admitted = AdmitResult::Admitted;
-    auto fut = enqueue(workload_index, /*blocking=*/false, admitted);
-    if (admitted == AdmitResult::Admitted)
-        out = std::move(fut);
-    return admitted == AdmitResult::Admitted;
+    ServeJob job;
+    job.request.id = next_id_.fetch_add(1);
+    job.request.workload_index = workload_index;
+    std::future<ServeResult> fut = job.promise.get_future();
+
+    // A blocking push only refuses with Closed. Under SLO admission a
+    // blocking submit may still be shed: the returned future then
+    // resolves immediately with the typed Shed result
+    // (ServeErrorKind::Shed), never blocking the caller.
+    if (admitJob(std::move(job), /*blocking=*/true) == AdmitResult::Closed)
+        throw std::runtime_error("BatchServer is shut down");
+    return fut;
 }
 
 AdmitResult
-BatchServer::trySubmitResult(size_t workload_index,
-                             std::future<ServeResult> &out)
+BatchServer::trySubmit(size_t workload_index,
+                       std::future<ServeResult> &out)
 {
-    if (shut_down_.load())
-        return AdmitResult::Closed;
-    AdmitResult admitted = AdmitResult::Admitted;
-    try {
-        auto fut =
-            enqueue(workload_index, /*blocking=*/false, admitted);
-        if (admitted == AdmitResult::Admitted)
-            out = std::move(fut);
-    } catch (const std::runtime_error &) {
-        return AdmitResult::Closed; // raced a shutdown()
-    }
-    return admitted;
+    // An in-process request is a remote one on the server's own input
+    // and keys.
+    return trySubmitRemote(workload_index, nullptr, nullptr, out);
 }
 
 std::vector<std::future<ServeResult>>
@@ -848,7 +817,7 @@ BatchServer::liveStats() const
     for (size_t i = 0; i < queues_.size(); ++i) {
         s.shards[i].in_flight = static_cast<size_t>(shard_inflight_[i]);
         s.shards[i].total_done = shard_total_done_[i];
-        s.shards[i].queue_depth = queues_[i]->depth();
+        s.shards[i].queue_depth = queues_[i]->size();
         s.shards[i].queue_capacity = queues_[i]->capacity();
     }
     s.outstanding = outstanding_.load();

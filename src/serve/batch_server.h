@@ -225,21 +225,15 @@ class BatchServer
     std::future<ServeResult> submit(size_t workload_index);
 
     /**
-     * Admission-controlled submit: refuses instead of blocking when
-     * the queue is full. Returns false and leaves @p out untouched on
-     * refusal.
+     * Admission-controlled submit: refuses instead of blocking, with
+     * the typed outcome: Full (capacity), Shed (SLO admission refused
+     * it — back off), or Closed. @p out is set only on Admitted. The
+     * open-loop driver keys its offered/admitted/shed/refused ledger
+     * on this (serve/open_loop.h). Unlike submit() this never throws
+     * on shutdown.
      */
-    bool trySubmit(size_t workload_index, std::future<ServeResult> &out);
-
-    /**
-     * trySubmit() with the typed outcome: Full (capacity), Shed (SLO
-     * admission refused it — back off), or Closed. @p out is set only
-     * on Admitted. The open-loop driver keys its offered/admitted/
-     * shed/refused ledger on this (serve/open_loop.h). Unlike
-     * trySubmit()/submit() this never throws on shutdown.
-     */
-    AdmitResult trySubmitResult(size_t workload_index,
-                                std::future<ServeResult> &out);
+    AdmitResult trySubmit(size_t workload_index,
+                          std::future<ServeResult> &out);
 
     /**
      * Admission-controlled submit of a remote tenant's request: the
@@ -360,9 +354,6 @@ class BatchServer
     void spawnWorker(size_t group);
     ServeResult execute(const ServeRequest &req) const;
     AdmitResult admitJob(ServeJob &&job, bool blocking);
-    std::future<ServeResult> enqueue(size_t workload_index,
-                                     bool blocking,
-                                     AdmitResult &admitted);
     /** Record @p f(obs::MetricsTally &) into this server's registry
      *  and, iff ARK_METRICS is on, the process registry. */
     template <typename F>

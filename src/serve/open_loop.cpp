@@ -30,7 +30,7 @@ runOpenLoop(BatchServer &server,
         std::this_thread::sleep_until(due);
 
         std::future<ServeResult> fut;
-        switch (server.trySubmitResult(ev.workload_index, fut)) {
+        switch (server.trySubmit(ev.workload_index, fut)) {
         case AdmitResult::Admitted:
             stats.admitted += 1;
             futures.push_back(std::move(fut));

@@ -56,7 +56,7 @@ struct OpenLoopStats
 /**
  * Replay @p events (time-sorted, from generateArrivals) against
  * @p server: submit each arrival at its trace time via
- * trySubmitResult, wait for every admitted future, then drain(). The
+ * trySubmit, wait for every admitted future, then drain(). The
  * submit loop never blocks on a full queue — that is the point of
  * open-loop: late is late.
  */

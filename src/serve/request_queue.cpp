@@ -26,14 +26,8 @@ RequestQueue::push(ServeJob &&job)
     return true;
 }
 
-bool
-RequestQueue::tryPush(ServeJob &&job)
-{
-    return tryPushResult(std::move(job)) == AdmitResult::Admitted;
-}
-
 AdmitResult
-RequestQueue::tryPushResult(ServeJob &&job)
+RequestQueue::tryPush(ServeJob &&job)
 {
     {
         std::lock_guard<std::mutex> lk(m_);

@@ -52,13 +52,10 @@ struct ServeJob
 };
 
 /**
- * Typed admission outcome. tryPush() collapses "full" and "closed"
- * into one false, which was fine for in-process callers (shed load
- * either way) but not for the network front-end: the wire protocol
- * reports QUEUE_FULL (retryable), SHED (retryable), and
- * SERVER_SHUTDOWN (fatal) as distinct error codes
- * (docs/wire_format.md §7), so the admission point must say which one
- * happened.
+ * Typed admission outcome. The wire protocol reports QUEUE_FULL
+ * (retryable), SHED (retryable), and SERVER_SHUTDOWN (fatal) as
+ * distinct error codes (docs/wire_format.md §7), so the admission
+ * point must say which one happened.
  */
 enum class AdmitResult {
     Admitted, ///< job enqueued
@@ -83,17 +80,11 @@ class RequestQueue
     bool push(ServeJob &&job);
 
     /**
-     * Enqueue only if space is available right now. Returns false —
-     * leaving @p job intact — when full or closed.
+     * Enqueue only if space is available right now. Full and Closed
+     * are distinguished so the caller can surface the right wire
+     * error code. Leaves @p job intact unless Admitted.
      */
-    bool tryPush(ServeJob &&job);
-
-    /**
-     * tryPush() with a typed refusal: Full and Closed are
-     * distinguished so the caller can surface the right wire error
-     * code. Leaves @p job intact unless Admitted.
-     */
-    AdmitResult tryPushResult(ServeJob &&job);
+    AdmitResult tryPush(ServeJob &&job);
 
     /**
      * Dequeue, blocking while the queue is empty. Returns false once
@@ -126,14 +117,12 @@ class RequestQueue
     /** Lowest priority currently queued. Returns false when empty. */
     bool lowestPriority(u32 &out) const;
 
+    /** Current queued-job count: the sampled queue-depth gauge the
+     *  stats surface reads. */
     size_t size() const;
     size_t capacity() const { return capacity_; }
     bool closed() const;
 
-    /** Current queued-job count — size() under its observability
-     *  name: the sampled gauge the stats surface and the future
-     *  rebalancer read. */
-    size_t depth() const { return size(); }
     /** Highest depth seen since construction / the last resetPeak()
      *  — what ServeReport::shard_queue_peak carries. */
     size_t peakDepth() const;

@@ -55,6 +55,22 @@ TEST(Modulus, BarrettFullRange128)
         u64 expect = static_cast<u64>(x % qv);
         EXPECT_EQ(q.reduce(x), expect);
     }
+
+    // The top of the range, where x * (2^128/q - floor(2^128/q)) /
+    // 2^128 comes closest to 1 and the quotient estimate is most
+    // likely one short: x = k*q - 1 for the largest k with k*q < 2^128,
+    // and 2^128 - 1. reduce() has one fold, so an estimate two short
+    // would show here.
+    const u128 top = ~static_cast<u128>(0);
+    for (u64 v : {97ULL, (1ULL << 61) - 1, (1ULL << 62) - 57}) {
+        Modulus m(v);
+        const u128 below_multiple = top / v * v - 1;
+        for (u128 x : {below_multiple, top}) {
+            EXPECT_EQ(m.reduce(x), static_cast<u64>(x % v))
+                << "q=" << v << " x=" << static_cast<u64>(x >> 64) << ":"
+                << static_cast<u64>(x);
+        }
+    }
 }
 
 TEST(Modulus, ReduceWordMatchesHardwareRemainder)

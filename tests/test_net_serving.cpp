@@ -541,19 +541,19 @@ TEST(NetServing, StatsFramePollsLiveServer)
 TEST(NetServing, QueueAdmissionIsTypedFullVsClosed)
 {
     // The typed surface at its source: Full and Closed are distinct
-    // outcomes of tryPushResult (the wire layer maps them to
+    // outcomes of tryPush (the wire layer maps them to
     // QUEUE_FULL and SERVER_SHUTDOWN).
     RequestQueue q(1);
     ServeJob a;
     a.request.id = 1;
-    EXPECT_EQ(q.tryPushResult(std::move(a)), AdmitResult::Admitted);
+    EXPECT_EQ(q.tryPush(std::move(a)), AdmitResult::Admitted);
     ServeJob b;
     b.request.id = 2;
-    EXPECT_EQ(q.tryPushResult(std::move(b)), AdmitResult::Full);
+    EXPECT_EQ(q.tryPush(std::move(b)), AdmitResult::Full);
     q.close();
     ServeJob c;
     c.request.id = 3;
-    EXPECT_EQ(q.tryPushResult(std::move(c)), AdmitResult::Closed);
+    EXPECT_EQ(q.tryPush(std::move(c)), AdmitResult::Closed);
 }
 
 TEST(NetServing, RemoteQueueFullSurfacesOverTheWire)

@@ -241,8 +241,10 @@ TEST(Serving, SubmitAfterShutdownThrows)
                        s.inputs, cfg);
     server.shutdown();
     EXPECT_THROW(server.submit(0), std::runtime_error);
+    // The non-blocking call reports shutdown instead of throwing.
     std::future<ServeResult> out;
-    EXPECT_THROW(server.trySubmit(0, out), std::runtime_error);
+    EXPECT_EQ(server.trySubmit(0, out), AdmitResult::Closed);
+    EXPECT_FALSE(out.valid());
 }
 
 TEST(RequestQueue, BackpressureAndAdmissionControl)
@@ -256,22 +258,22 @@ TEST(RequestQueue, BackpressureAndAdmissionControl)
         return j;
     };
 
-    EXPECT_TRUE(q.tryPush(makeJob(1)));
+    EXPECT_EQ(q.tryPush(makeJob(1)), AdmitResult::Admitted);
     EXPECT_TRUE(q.push(makeJob(2)));
     EXPECT_EQ(q.size(), 2u);
     // Full: admission control refuses instead of blocking.
     ServeJob overflow = makeJob(3);
-    EXPECT_FALSE(q.tryPush(std::move(overflow)));
+    EXPECT_EQ(q.tryPush(std::move(overflow)), AdmitResult::Full);
 
     ServeJob out;
     ASSERT_TRUE(q.pop(out));
     EXPECT_EQ(out.request.id, 1u); // FIFO
-    EXPECT_TRUE(q.tryPush(makeJob(4)));
+    EXPECT_EQ(q.tryPush(makeJob(4)), AdmitResult::Admitted);
 
     // close() refuses producers but lets consumers drain.
     q.close();
     EXPECT_TRUE(q.closed());
-    EXPECT_FALSE(q.tryPush(makeJob(5)));
+    EXPECT_EQ(q.tryPush(makeJob(5)), AdmitResult::Closed);
     EXPECT_FALSE(q.push(makeJob(6)));
     ASSERT_TRUE(q.pop(out));
     EXPECT_EQ(out.request.id, 2u);

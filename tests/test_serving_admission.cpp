@@ -233,10 +233,10 @@ makeJob(u64 id, u32 priority)
 TEST(RequestQueue, EvictLowestBelowTakesLowestThenLatest)
 {
     RequestQueue q(8);
-    ASSERT_TRUE(q.tryPush(makeJob(1, 0)));
-    ASSERT_TRUE(q.tryPush(makeJob(2, 1)));
-    ASSERT_TRUE(q.tryPush(makeJob(3, 0)));
-    ASSERT_TRUE(q.tryPush(makeJob(4, 2)));
+    ASSERT_EQ(q.tryPush(makeJob(1, 0)), AdmitResult::Admitted);
+    ASSERT_EQ(q.tryPush(makeJob(2, 1)), AdmitResult::Admitted);
+    ASSERT_EQ(q.tryPush(makeJob(3, 0)), AdmitResult::Admitted);
+    ASSERT_EQ(q.tryPush(makeJob(4, 2)), AdmitResult::Admitted);
 
     ServeJob victim;
     // Lowest priority below the floor wins; among the two priority-0
@@ -265,11 +265,11 @@ TEST(RequestQueue, LowestPriorityTracksQueueContents)
     u32 lowest = 99;
     EXPECT_FALSE(q.lowestPriority(lowest)) << "empty queue: no floor";
 
-    ASSERT_TRUE(q.tryPush(makeJob(1, 3)));
+    ASSERT_EQ(q.tryPush(makeJob(1, 3)), AdmitResult::Admitted);
     ASSERT_TRUE(q.lowestPriority(lowest));
     EXPECT_EQ(lowest, 3u);
-    ASSERT_TRUE(q.tryPush(makeJob(2, 1)));
-    ASSERT_TRUE(q.tryPush(makeJob(3, 2)));
+    ASSERT_EQ(q.tryPush(makeJob(2, 1)), AdmitResult::Admitted);
+    ASSERT_EQ(q.tryPush(makeJob(3, 2)), AdmitResult::Admitted);
     ASSERT_TRUE(q.lowestPriority(lowest));
     EXPECT_EQ(lowest, 1u);
 
@@ -306,12 +306,12 @@ TEST(Serving, ImpossibleTargetShedsEveryNewcomer)
     EXPECT_EQ(r.error_kind, ServeErrorKind::Shed);
     EXPECT_NE(r.error.find("shed"), std::string::npos) << r.error;
 
-    // trySubmit(): refusal, future untouched.
+    // trySubmit(): the typed verdict, future untouched — every time.
     std::future<ServeResult> out;
-    EXPECT_FALSE(server.trySubmit(0, out));
-
-    // trySubmitResult(): the typed verdict.
-    EXPECT_EQ(server.trySubmitResult(0, out), AdmitResult::Shed);
+    EXPECT_EQ(server.trySubmit(0, out), AdmitResult::Shed);
+    EXPECT_FALSE(out.valid());
+    EXPECT_EQ(server.trySubmit(0, out), AdmitResult::Shed);
+    EXPECT_FALSE(out.valid());
 
     ServeReport rep = server.drain();
     EXPECT_EQ(rep.shed, 3u);
@@ -442,7 +442,7 @@ TEST(Serving, AdmissionLedgerIsConservedUnderConcurrentProducers)
         for (size_t i = 0; i < per_lane; ++i) {
             const size_t wl = rng.next() % s.workloads.size();
             std::future<ServeResult> out;
-            switch (server.trySubmitResult(wl, out)) {
+            switch (server.trySubmit(wl, out)) {
               case AdmitResult::Admitted:
                 admitted.fetch_add(1);
                 futs[lane].push_back(std::move(out));
@@ -490,7 +490,7 @@ TEST(Serving, AdmissionLedgerIsConservedUnderConcurrentProducers)
     server.shutdown();
     pool.parallelFor(lanes, [&](size_t lane) {
         std::future<ServeResult> out;
-        EXPECT_EQ(server.trySubmitResult(lane % s.workloads.size(), out),
+        EXPECT_EQ(server.trySubmit(lane % s.workloads.size(), out),
                   AdmitResult::Closed);
         EXPECT_FALSE(out.valid());
     });

@@ -1,6 +1,6 @@
 /**
  * @file
- * Stress tests for the work-stealing thread pool — precisely the
+ * Stress tests for the batch-claiming thread pool — precisely the
  * cases the serving runtime hits: many concurrent parallelFor
  * callers, nested submits from inside jobs of the same pool,
  * exceptions thrown from tasks, and pool teardown right after heavy
@@ -10,6 +10,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,27 +35,35 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce)
 
 TEST(ThreadPool, ConcurrentCallersShareOnePool)
 {
+    // Thousands of 2- and 3-index batches run dry while woken workers
+    // are still arriving, so threads regularly enter a batch whose
+    // indices are all claimed and must leave it without a claim.
     ThreadPool pool(4);
-    std::atomic<size_t> total{0};
-    const size_t callers = 6, rounds = 40, batch = 16;
-    std::vector<std::thread> threads;
-    for (size_t c = 0; c < callers; ++c) {
-        threads.emplace_back([&] {
-            for (size_t r = 0; r < rounds; ++r)
-                pool.parallelFor(batch,
-                                 [&](size_t) { total.fetch_add(1); });
-        });
+    const size_t callers = 6;
+    const std::pair<size_t, size_t> shapes[] = {
+        {2, 2000}, {3, 1000}, {16, 40}}; // {batch, rounds}
+    for (const auto &[batch, rounds] : shapes) {
+        std::atomic<size_t> total{0};
+        std::vector<std::thread> threads;
+        for (size_t c = 0; c < callers; ++c) {
+            threads.emplace_back([&, batch = batch, rounds = rounds] {
+                for (size_t r = 0; r < rounds; ++r)
+                    pool.parallelFor(batch,
+                                     [&](size_t) { total.fetch_add(1); });
+            });
+        }
+        for (auto &t : threads)
+            t.join();
+        EXPECT_EQ(total.load(), callers * rounds * batch)
+            << "batch " << batch;
     }
-    for (auto &t : threads)
-        t.join();
-    EXPECT_EQ(total.load(), callers * rounds * batch);
 }
 
 TEST(ThreadPool, NestedSubmitsOnSamePool)
 {
-    // A job may call parallelFor on its own pool: the nested waiter
-    // helps drain instead of blocking, so this must complete even on
-    // a single-worker pool.
+    // A job may call parallelFor on its own pool: the nested caller
+    // claims its own batch's indices instead of blocking, so this must
+    // complete even on a single-worker pool.
     for (size_t workers : {size_t(1), size_t(2), size_t(4)}) {
         ThreadPool pool(workers);
         std::atomic<size_t> inner_runs{0};
