@@ -3,6 +3,8 @@
  * Full CKKS bootstrapping on the real library: exhaust the level
  * budget with squarings, refresh with bootstrap() (Min-KS schedule,
  * OF-Limb plaintexts), and keep computing — with a precision report.
+ * Ends by projecting the kernels a bootstrap executed onto the ARK
+ * machine model, next to the model's own bootstrap trace.
  */
 
 #include <cmath>
@@ -10,6 +12,9 @@
 
 #include "boot/bootstrapper.h"
 #include "ckks/encryptor.h"
+#include "core/traffic_analyzer.h"
+#include "sim/simulator.h"
+#include "workloads/programs.h"
 
 using namespace ark;
 
@@ -72,5 +77,31 @@ main()
     for (size_t i = 0; i < m.size(); ++i)
         sq_err = std::max(sq_err, std::abs(sq_out[i] - m[i] * m[i]));
     std::printf("post-bootstrap squaring error: %.2e\n", sq_err);
+
+    // Bootstrap the same input again with every key already generated,
+    // so the tallies hold the bootstrap's kernels and no keygen.
+    ctx.backend().resetStats();
+    (void)boot.bootstrap(eval, ct, keys);
+    const KernelStats measured = ctx.backend().stats();
+    ArkSimulator sim(MachineConfig::arkBase(),
+                     SimAlgo{cfg.schedule,
+                             cfg.pt_mode == PlaintextMode::OFLimb});
+    const SimResult projected = sim.runMeasured(measured, params);
+    const TrafficPoint traffic =
+        TrafficAnalyzer(params).analyzeMeasured(measured);
+    const SimResult model =
+        sim.run(bootstrapProgram(params, cfg.schedule));
+    const double mib = 1024.0 * 1024.0;
+    std::printf("\nARK projection (arkBase machine) of a warm bootstrap, "
+                "%llu kernel calls:\n",
+                static_cast<unsigned long long>(measured.totalCalls()));
+    std::printf("  executed, no evk reuse: %6.1f us, evk %6.2f MiB, "
+                "plaintext %5.2f MiB\n",
+                projected.seconds * 1e6, traffic.evk_bytes / mib,
+                traffic.plaintext_bytes / mib);
+    std::printf("  modelled, evk cached:   %6.1f us, evk %6.2f MiB, "
+                "plaintext %5.2f MiB\n",
+                model.seconds * 1e6, model.evk_bytes / mib,
+                (model.hbm_bytes - model.evk_bytes) / mib);
     return 0;
 }

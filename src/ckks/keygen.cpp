@@ -29,19 +29,6 @@ expandSeededEvkA(const CkksContext &ctx, u64 seed)
     return out;
 }
 
-RnsPoly
-expandSeededPkA(const CkksContext &ctx, u64 seed)
-{
-    Rng rng(seed);
-    const auto moduli = ctx.levelModuli(ctx.maxLevel());
-    RnsPoly p(ctx.degree(), moduli.size(), Rep::Eval);
-    for (size_t l = 0; l < moduli.size(); ++l) {
-        auto v = rng.uniformVector(ctx.degree(), moduli[l].value());
-        std::copy(v.begin(), v.end(), p.limb(l));
-    }
-    return p;
-}
-
 KeyGenerator::KeyGenerator(const CkksContext &ctx, Rng &rng)
     : ctx_(ctx), rng_(rng)
 {
@@ -181,33 +168,6 @@ EvalKey
 KeyGenerator::evkConjugate(const SecretKey &sk)
 {
     return evkGalois(sk, galoisEltConjugate(ctx_.degree()));
-}
-
-PublicKey
-KeyGenerator::publicKeySeeded(const SecretKey &sk, u64 a_seed)
-{
-    const int L = ctx_.maxLevel();
-    const auto q_moduli = ctx_.levelModuli(L);
-    const size_t nq = q_moduli.size();
-    const size_t n = ctx_.degree();
-    KernelBackend &kb = ctx_.backend();
-
-    PublicKey pk;
-    pk.a = expandSeededPkA(ctx_, a_seed);
-    auto e = rng_.errorVector(n);
-    RnsPoly ep = polyFromSigned(e, q_moduli);
-    kb.nttForward(ep, ctx_.qTables());
-
-    RnsPoly s(n, nq, Rep::Eval);
-    for (size_t l = 0; l < nq; ++l)
-        std::copy(sk.s.limb(l), sk.s.limb(l) + n, s.limb(l));
-    RnsPoly as(n, nq, Rep::Eval);
-    kb.mulEval(pk.a, s, q_moduli, as);
-    pk.b = RnsPoly(n, nq, Rep::Eval);
-    kb.sub(ep, as, q_moduli, pk.b);
-    pk.a_seed = a_seed;
-    pk.seeded = true;
-    return pk;
 }
 
 EvalKey

@@ -21,10 +21,6 @@ namespace ark {
  */
 std::vector<RnsPoly> expandSeededEvkA(const CkksContext &ctx, u64 seed);
 
-/** Expand the uniform `a` half of a seed-compressed public key (q
- *  basis only, limb-major; docs/wire_format.md §6). */
-RnsPoly expandSeededPkA(const CkksContext &ctx, u64 seed);
-
 /** Generates all key material from a context and a seeded RNG. */
 class KeyGenerator
 {
@@ -50,13 +46,12 @@ class KeyGenerator
 
     /**
      * Seed-compressible variants: the uniform `a` halves come from
-     * Rng(@p a_seed) via expandSeededEvkA/expandSeededPkA instead of
+     * Rng(@p a_seed) via expandSeededEvkA instead of
      * this generator's Rng (errors and payload still do), so the wire
      * layer can ship the key as seed + b halves at ~2x savings
      * (docs/wire_format.md §6). Distinct keys MUST use distinct
      * seeds; WireClient derives per-key seeds from a master seed.
      */
-    PublicKey publicKeySeeded(const SecretKey &sk, u64 a_seed);
     EvalKey evkMultSeeded(const SecretKey &sk, u64 a_seed);
     EvalKey evkRotationSeeded(const SecretKey &sk, i64 r, u64 a_seed);
     EvalKey evkGaloisSeeded(const SecretKey &sk, u64 galois_elt,

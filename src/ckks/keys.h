@@ -24,28 +24,21 @@ struct SecretKey
     RnsPoly s;
 };
 
-/**
- * Public encryption key at max level (q limbs only, Eval rep).
- *
- * When `seeded` is set, `a` was expanded from `a_seed` in the
- * canonical order of docs/wire_format.md §6, so the wire layer ships
- * only (seed, b) — half the bytes. The in-memory key is always fully
- * expanded; the seed is carried so re-serialization stays compressed.
- */
+/** Public encryption key at max level (q limbs only, Eval rep). */
 struct PublicKey
 {
     RnsPoly b;
     RnsPoly a;
-    u64 a_seed = 0;
-    bool seeded = false;
 };
 
 /**
  * Evaluation key: dnum pairs over the extended basis, Eval rep.
  *
- * `seeded`/`a_seed` mirror PublicKey: the uniform a_d halves were
- * drawn from Rng(a_seed) in the canonical digit-major, limb-major
- * order (docs/wire_format.md §6), so serialization can omit them.
+ * When `seeded` is set, the uniform a_d halves were drawn from
+ * Rng(a_seed) in the canonical digit-major, limb-major order
+ * (docs/wire_format.md §6), so the wire layer ships only the seed and
+ * the b halves. The in-memory key is always fully expanded; the seed
+ * is carried so re-serialization stays compressed.
  */
 struct EvalKey
 {

@@ -21,17 +21,6 @@ powMod(u64 a, u64 e, u64 m)
 }
 
 u64
-gcd(u64 a, u64 b)
-{
-    while (b != 0) {
-        u64 t = a % b;
-        a = b;
-        b = t;
-    }
-    return a;
-}
-
-u64
 invMod(u64 a, u64 m)
 {
     // Extended Euclid on signed 128-bit to avoid overflow.
@@ -131,13 +120,6 @@ rootOfUnity(u64 order, u64 p)
     ARK_ASSERT((p - 1) % order == 0, "order must divide p - 1");
     u64 g = primitiveRoot(p);
     return powMod(g, (p - 1) / order, p);
-}
-
-u64
-roundToU64(double x)
-{
-    ARK_ASSERT(x >= 0.0, "roundToU64 expects a non-negative value");
-    return static_cast<u64>(std::llround(x));
 }
 
 i128

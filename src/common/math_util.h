@@ -79,9 +79,6 @@ u64 powMod(u64 a, u64 e, u64 m);
 /** Modular inverse of a mod m (m prime or gcd(a,m)=1); panics otherwise. */
 u64 invMod(u64 a, u64 m);
 
-/** Greatest common divisor. */
-u64 gcd(u64 a, u64 b);
-
 /** Deterministic Miller-Rabin primality test, exact for all 64-bit ints. */
 bool isPrime(u64 n);
 
@@ -96,9 +93,6 @@ u64 primitiveRoot(u64 p);
  * Requires order | (p - 1).
  */
 u64 rootOfUnity(u64 order, u64 p);
-
-/** Round a positive double to u64 with half-up rounding. */
-u64 roundToU64(double x);
 
 /**
  * Round a long double of magnitude < 2^95 to a signed 128-bit integer.

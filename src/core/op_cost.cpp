@@ -56,18 +56,6 @@ CostModel::keySwitch(int level) const
 }
 
 OpCost
-CostModel::hmult(int level) const
-{
-    OpCost c = keySwitch(level);
-    const double n = static_cast<double>(p_.degree);
-    c.other += 4.0 * (level + 1) * n; // tensor d0,d1,d2
-    OpCost r = rescale(level);
-    c.ntt += r.ntt;
-    c.other += r.other;
-    return c;
-}
-
-OpCost
 CostModel::hrot(int level) const
 {
     // Automorphism itself is a permutation (no mults); the cost is the

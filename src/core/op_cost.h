@@ -44,9 +44,6 @@ class CostModel
     /** Generalized key-switching (Alg. 2) at level @p level. */
     OpCost keySwitch(int level) const;
 
-    /** HMult at level @p level (tensor + key switch + rescale). */
-    OpCost hmult(int level) const;
-
     /** HRot at level @p level (automorphism + key switch). */
     OpCost hrot(int level) const;
 

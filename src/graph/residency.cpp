@@ -1,23 +1,12 @@
 #include "graph/residency.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
 #include "common/logging.h"
 #include "core/hdft_plan.h"
 
 namespace ark {
-
-const char *
-evictionPolicyName(EvictionPolicy p)
-{
-    switch (p) {
-      case EvictionPolicy::LRU: return "LRU";
-      case EvictionPolicy::Belady: return "Belady";
-    }
-    return "?";
-}
 
 bool
 EvkSlotCache::access(int evk, size_t step, size_t next_use)
@@ -66,19 +55,6 @@ nextUseSteps(const std::vector<int> &evk_seq)
         last_seen[evk_seq[s]] = s;
     }
     return next;
-}
-
-std::string
-ResidencyReport::toString() const
-{
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "evk residency (%zu slots, %s): %zu hits / %zu "
-                  "misses (%.1f%% hit), %.2f MiB streamed",
-                  capacity_evks, evictionPolicyName(eviction), hits,
-                  misses, 100.0 * hitRate(),
-                  evk_bytes / (1024.0 * 1024.0));
-    return buf;
 }
 
 ResidencyReport

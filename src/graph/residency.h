@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "graph/he_graph.h"
@@ -36,8 +35,6 @@ enum class EvictionPolicy {
     LRU,    ///< online least-recently-used (the simulator's default)
     Belady, ///< offline optimal (farthest next use, with bypass)
 };
-
-const char *evictionPolicyName(EvictionPolicy p);
 
 /**
  * The slot-capacity evk cache replay shared by the residency planner
@@ -112,9 +109,6 @@ struct ResidencyReport
                            static_cast<double>(total)
                      : 0.0;
     }
-
-    /** One-line human-readable summary. */
-    std::string toString() const;
 };
 
 /**

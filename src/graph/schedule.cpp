@@ -159,11 +159,4 @@ scheduleGraph(const HeGraph &g, SchedulePolicy policy,
     return sp;
 }
 
-ScheduledProgram
-scheduleProgram(const SimProgram &prog, SchedulePolicy policy,
-                size_t capacity_evks)
-{
-    return scheduleGraph(liftProgram(prog), policy, capacity_evks);
-}
-
 } // namespace ark

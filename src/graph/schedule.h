@@ -75,9 +75,4 @@ std::vector<size_t> scheduleOrder(const HeGraph &g,
 ScheduledProgram scheduleGraph(const HeGraph &g, SchedulePolicy policy,
                                size_t capacity_evks);
 
-/** Convenience: lift + schedule a simulator trace in one call. */
-ScheduledProgram scheduleProgram(const SimProgram &prog,
-                                 SchedulePolicy policy,
-                                 size_t capacity_evks);
-
 } // namespace ark

@@ -200,11 +200,6 @@ WireClient::reconnect()
     reconnects_ += 1;
     if (had_session) {
         openSessionOnWire(tenant_name_);
-        if (cached_pk_) {
-            ByteWriter w;
-            writePublicKey(w, *cached_pk_);
-            keyAck(roundTrip(FrameType::PublicKey, w.take()));
-        }
         for (const CachedEvalKey &k : cached_evks_)
             uploadEvalKey(k.purpose, k.galois_elt, k.key);
     }
@@ -290,15 +285,6 @@ WireClient::uploadRotationKey(i64 amount, const EvalKey &key)
     const u64 elt = galoisElt(amount, ctx_->degree());
     cached_evks_.push_back({EvalKeyPurpose::Galois, elt, key});
     return uploadEvalKey(EvalKeyPurpose::Galois, elt, key);
-}
-
-u64
-WireClient::uploadPublicKey(const PublicKey &pk)
-{
-    cached_pk_ = std::make_unique<PublicKey>(pk);
-    ByteWriter w;
-    writePublicKey(w, pk);
-    return keyAck(roundTrip(FrameType::PublicKey, w.take()));
 }
 
 WireClient::SubmitOutcome

@@ -19,7 +19,7 @@
  * (NetTimeout when a per-op deadline set via setOpTimeoutMs lapses).
  *
  * Resilience (docs/robustness.md): the client remembers everything it
- * told the server — tenant name, uploaded public/eval keys — so
+ * told the server — tenant name, uploaded eval keys — so
  * reconnect() can rebuild a dead session from scratch: fresh TCP
  * connect, hello re-exchange (the parameter-set hash must still
  * match), session reopen, key re-upload. submitWithRetry() drives
@@ -117,8 +117,6 @@ class WireClient
      *  bench_sharding reports as per-tenant evk cache pressure. */
     u64 uploadMultiplicationKey(const EvalKey &key);
     u64 uploadRotationKey(i64 amount, const EvalKey &key);
-    /** Upload the tenant public key (§5.8). */
-    u64 uploadPublicKey(const PublicKey &pk);
 
     /** Outcome of one §5.12 SUBMIT / §5.19 SUBMIT2. */
     struct SubmitOutcome
@@ -235,7 +233,6 @@ class WireClient
     size_t reconnects_ = 0;
     u64 next_ping_nonce_ = 1;
     u64 next_request_id_ = 0;
-    std::unique_ptr<PublicKey> cached_pk_;
     std::vector<CachedEvalKey> cached_evks_;
 };
 

@@ -195,7 +195,6 @@ WireServer::serveConnection(Connection &conn)
     bool session_open = false;
     u64 session_id = 0;
     std::unique_ptr<KeyCache> tenant_keys;
-    std::unique_ptr<PublicKey> tenant_pk; // held for future use (§5.8)
 
     auto closeSession = [&] {
         if (session_open) {
@@ -314,7 +313,6 @@ WireServer::serveConnection(Connection &conn)
                     static_cast<i64>(active_sessions_.load()));
                 tenant_keys =
                     std::make_unique<KeyCache>(ctx.degree());
-                tenant_pk.reset();
                 ByteWriter w;
                 w.putU64(session_id);
                 stream.sendFrame(FrameType::SessionAccept,
@@ -335,21 +333,6 @@ WireServer::serveConnection(Connection &conn)
                 else
                     tenant_keys->insertGalois(wk.galois_elt,
                                               std::move(wk.key));
-                ByteWriter w;
-                w.putU64(tenant_keys->byteSize());
-                stream.sendFrame(FrameType::KeyAck, params_hash_,
-                                 w.take());
-                break;
-              }
-
-              case FrameType::PublicKey: {
-                if (!session_open)
-                    throw FatalWireError{
-                        WireCode::UnknownSession,
-                        "key upload before OPEN_SESSION"};
-                tenant_pk = std::make_unique<PublicKey>(
-                    readPublicKey(r, ctx));
-                r.finish();
                 ByteWriter w;
                 w.putU64(tenant_keys->byteSize());
                 stream.sendFrame(FrameType::KeyAck, params_hash_,

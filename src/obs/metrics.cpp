@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 namespace ark {
@@ -43,17 +42,6 @@ phaseName(Phase p)
     case Phase::Execute: return "execute";
     case Phase::Respond: return "respond";
     case Phase::E2e: return "e2e";
-    }
-    return "?";
-}
-
-const char *
-gaugeName(Gauge g)
-{
-    switch (g) {
-    case Gauge::QueueDepth: return "queue_depth";
-    case Gauge::InFlight: return "in_flight";
-    case Gauge::ActiveSessions: return "active_sessions";
     }
     return "?";
 }
@@ -131,40 +119,6 @@ MetricsTally::merge(const MetricsTally &other)
         counters[i] += other.counters[i];
     for (size_t i = 0; i < kPhaseCount; ++i)
         phases[i].merge(other.phases[i]);
-}
-
-std::string
-MetricsSnapshot::toString() const
-{
-    std::string out;
-    char buf[192];
-    out += "metrics:\n";
-    for (size_t i = 0; i < kCounterCount; ++i) {
-        std::snprintf(buf, sizeof buf, "  %-16s %llu\n",
-                      counterName(static_cast<Counter>(i)),
-                      static_cast<unsigned long long>(counters[i]));
-        out += buf;
-    }
-    for (size_t i = 0; i < kGaugeCount; ++i) {
-        std::snprintf(buf, sizeof buf, "  %-16s %lld\n",
-                      gaugeName(static_cast<Gauge>(i)),
-                      static_cast<long long>(gauges[i]));
-        out += buf;
-    }
-    for (size_t i = 0; i < kPhaseCount; ++i) {
-        const Histogram &h = phases[i];
-        if (h.count == 0)
-            continue;
-        std::snprintf(
-            buf, sizeof buf,
-            "  %-10s n=%llu mean=%.3fms p50=%.3fms p99=%.3fms "
-            "max=%.3fms\n",
-            phaseName(static_cast<Phase>(i)),
-            static_cast<unsigned long long>(h.count), h.meanMs(),
-            h.quantileMs(0.50), h.quantileMs(0.99), h.max_ms);
-        out += buf;
-    }
-    return out;
 }
 
 MetricsRegistry &

@@ -30,7 +30,6 @@
 #include <atomic>
 #include <cstddef>
 #include <mutex>
-#include <string>
 
 #include "common/thread_shards.h"
 #include "common/types.h"
@@ -85,7 +84,6 @@ enum class Gauge : size_t
     ActiveSessions, ///< open wire sessions
 };
 constexpr size_t kGaugeCount = 3;
-const char *gaugeName(Gauge g);
 
 /**
  * Fixed-bucket latency histogram with geometric edges, 8 per octave:
@@ -147,10 +145,6 @@ struct MetricsTally
 struct MetricsSnapshot : MetricsTally
 {
     std::array<i64, kGaugeCount> gauges{};
-
-    /** Human-readable multi-line block (the periodic emitter's and
-     *  `remote_client --stats`'s output format). */
-    std::string toString() const;
 };
 
 /** A sharded registry: global() for the process, or one per owner. */

@@ -683,16 +683,6 @@ parseBackendKind(const char *name, BackendKind &out)
     return false;
 }
 
-bool
-parseBackendThreads(const char *s, size_t &out)
-{
-    u64 v = 0;
-    if (!parseU64(s, 0, kMaxBackendThreads, v))
-        return false;
-    out = static_cast<size_t>(v);
-    return true;
-}
-
 BackendKind
 backendKindFromEnv(BackendKind fallback)
 {

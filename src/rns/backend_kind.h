@@ -39,13 +39,6 @@ bool parseBackendKind(const char *name, BackendKind &out);
  *  overflowed or wrapped values like ARK_THREADS=-1). */
 constexpr size_t kMaxBackendThreads = 4096;
 
-/**
- * Parse a thread count: digits only, <= kMaxBackendThreads (0 means
- * hardware concurrency). Returns false on junk — signs, whitespace,
- * trailing characters, or out-of-range values.
- */
-bool parseBackendThreads(const char *s, size_t &out);
-
 /** ARK_BACKEND env override, else @p fallback; exits with a clear
  *  error naming the offending value on junk input. */
 BackendKind backendKindFromEnv(BackendKind fallback);

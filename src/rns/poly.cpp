@@ -39,13 +39,6 @@ RnsPoly::resizeLimbs(size_t keep)
     data_.resize(keep * degree_);
 }
 
-void
-RnsPoly::extendLimbs(size_t extra)
-{
-    num_limbs_ += extra;
-    data_.resize(num_limbs_ * degree_, 0);
-}
-
 RnsPoly
 polyFromSigned(const std::vector<i64> &coeffs,
                const std::vector<Modulus> &moduli)

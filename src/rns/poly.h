@@ -41,9 +41,6 @@ class RnsPoly
     /** Drop limbs beyond @p keep (HRescale / ModDown bookkeeping). */
     void resizeLimbs(size_t keep);
 
-    /** Append @p extra zeroed limbs (limb extension). */
-    void extendLimbs(size_t extra);
-
     bool sameShape(const RnsPoly &o) const
     {
         return degree_ == o.degree_ && num_limbs_ == o.num_limbs_;

@@ -110,14 +110,4 @@ PolyPool::stats() const
     return s;
 }
 
-void
-PolyPool::trim()
-{
-    for (Stripe &st : stripes_) {
-        std::lock_guard<std::mutex> lk(st.m);
-        st.free.clear();
-        st.cached_words = 0;
-    }
-}
-
 } // namespace ark

@@ -81,9 +81,6 @@ class PolyPool
     };
     Stats stats() const;
 
-    /** Drop every cached buffer (memory back to the heap). */
-    void trim();
-
   private:
     /** Free-list stripes; a power of two so the thread ticket maps on
      *  with a mask. Eight comfortably spreads the serving runtime's

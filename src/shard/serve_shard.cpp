@@ -1,26 +1,11 @@
 #include "shard/serve_shard.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 
 #include "common/logging.h"
 
 namespace ark {
-
-std::string
-ServeShardPlan::toString() const
-{
-    size_t max_evks = 0;
-    for (const auto &s : evks_of_shard)
-        max_evks = std::max(max_evks, s.size());
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "serve shard plan: %zu shards over %zu workloads, "
-                  "max %zu rotation evks/shard",
-                  shards, shard_of_workload.size(), max_evks);
-    return buf;
-}
 
 ServeShardPlan
 planServeShards(const std::vector<ServeWorkload> &workloads,

@@ -21,7 +21,6 @@
 
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "serve/workload.h"
@@ -40,9 +39,6 @@ struct ServeShardPlan
     std::vector<std::vector<i64>> evks_of_shard;
     /** Total ops routed to each shard (the balance objective). */
     std::vector<size_t> weight_of_shard;
-
-    /** One-line human-readable summary. */
-    std::string toString() const;
 };
 
 /**

@@ -1,7 +1,6 @@
 #include "shard/shard_plan.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/logging.h"
 
@@ -18,18 +17,6 @@ shardOpWeight(const SimOp &op)
       case SimOpKind::Elementwise: return 1;
     }
     return 1;
-}
-
-std::string
-ShardPlan::toString() const
-{
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "shard plan: %zu shards, %zu evk clusters, "
-                  "max %zu evks/shard, %zu cut edges",
-                  shards, shard_of_evk.size(), maxEvksPerShard(),
-                  cut_edges.size());
-    return buf;
 }
 
 namespace {

@@ -37,7 +37,6 @@
 
 #include <map>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "graph/he_graph.h"
@@ -74,9 +73,6 @@ struct ShardPlan
             m = std::max(m, s.size());
         return m;
     }
-
-    /** One-line human-readable summary. */
-    std::string toString() const;
 };
 
 /**

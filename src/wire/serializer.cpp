@@ -49,15 +49,6 @@ polyWireBytes(const RnsPoly &p)
     return sizeof(u32) + sizeof(u16) + sizeof(u8) + p.byteSize();
 }
 
-/** §5.10/§5.11: a scale is a finite factor > 0. */
-void
-checkScale(double scale, const char *what)
-{
-    if (!(std::isfinite(scale) && scale > 0))
-        badField(std::string(what) + " scale " + std::to_string(scale) +
-                 " is not finite and > 0");
-}
-
 } // namespace
 
 u64
@@ -141,29 +132,6 @@ readPoly(ByteReader &r, size_t expect_degree,
 }
 
 void
-writePlaintext(ByteWriter &w, const Plaintext &pt)
-{
-    w.putF64(pt.scale);
-    w.putI32(pt.level);
-    writePoly(w, pt.poly);
-}
-
-Plaintext
-readPlaintext(ByteReader &r, const CkksContext &ctx)
-{
-    Plaintext pt;
-    pt.scale = r.getF64();
-    checkScale(pt.scale, "plaintext");
-    pt.level = r.getI32();
-    if (pt.level < 0 || pt.level > ctx.maxLevel())
-        badField("plaintext level " + std::to_string(pt.level));
-    pt.poly = readPoly(r, ctx.degree(), ctx.qModuli());
-    if (pt.poly.numLimbs() != static_cast<size_t>(pt.level) + 1)
-        badField("plaintext limb count does not match its level");
-    return pt;
-}
-
-void
 writeCiphertext(ByteWriter &w, const Ciphertext &ct)
 {
     w.reserve(sizeof(double) + sizeof(u32) + polyWireBytes(ct.b) +
@@ -179,7 +147,9 @@ readCiphertext(ByteReader &r, const CkksContext &ctx)
 {
     Ciphertext ct;
     ct.scale = r.getF64();
-    checkScale(ct.scale, "ciphertext");
+    if (!(std::isfinite(ct.scale) && ct.scale > 0)) // §5.11
+        badField("ciphertext scale " + std::to_string(ct.scale) +
+                 " is not finite and > 0");
     ct.slots = r.getU32();
     ct.b = readPoly(r, ctx.degree(), ctx.qModuli());
     ct.a = readPoly(r, ctx.degree(), ctx.qModuli());
@@ -255,42 +225,6 @@ readEvalKey(ByteReader &r, const CkksContext &ctx)
             key.a.push_back(readHalf("a"));
     }
     return out;
-}
-
-void
-writePublicKey(ByteWriter &w, const PublicKey &pk)
-{
-    w.reserve(sizeof(u8) + sizeof(u64) + polyWireBytes(pk.b) +
-              (pk.seeded ? 0 : polyWireBytes(pk.a)));
-    w.putU8(pk.seeded ? 1 : 0); // §5.8 flags: bit0 = seed-compressed
-    w.putU64(pk.seeded ? pk.a_seed : 0);
-    writePoly(w, pk.b);
-    if (!pk.seeded)
-        writePoly(w, pk.a);
-}
-
-PublicKey
-readPublicKey(ByteReader &r, const CkksContext &ctx)
-{
-    const u8 flags = r.getU8();
-    if (flags > 1)
-        badField("public-key flags " + std::to_string(flags));
-    const bool seeded = (flags & 1) != 0;
-    const u64 seed = r.getU64();
-    PublicKey pk;
-    pk.b = readPoly(r, ctx.degree(), ctx.qModuli());
-    if (pk.b.numLimbs() != ctx.qModuli().size())
-        badField("public-key b poly must span q_0..q_L");
-    if (seeded) {
-        pk.a = expandSeededPkA(ctx, seed);
-        pk.a_seed = seed;
-        pk.seeded = true;
-    } else {
-        pk.a = readPoly(r, ctx.degree(), ctx.qModuli());
-        if (!pk.a.sameShape(pk.b))
-            badField("public-key a poly shape mismatch");
-    }
-    return pk;
 }
 
 } // namespace ark

@@ -1,7 +1,7 @@
 /**
  * @file
  * Wire serialization of the CKKS payload types: parameter sets,
- * polynomials, plaintexts, ciphertexts, and keys — the frame *bodies*
+ * polynomials, ciphertexts, and evaluation keys — the frame *bodies*
  * of docs/wire_format.md §5 (the envelope lives in wire/wire_format.h,
  * the transport in net/).
  *
@@ -10,10 +10,10 @@
  * residue against its limb's modulus, and every scale for being
  * finite and positive, and throw WireError(BadField) on anything
  * inconsistent — a malformed peer can never construct an out-of-shape
- * polynomial or hand the kernels a non-canonical word. Evaluation and public
+ * polynomial or hand the kernels a non-canonical word. Evaluation
  * keys ship seed-compressed when the key carries an `a_seed`
  * (§6): the uniform `a` halves are omitted and re-expanded by the
- * reader via expandSeededEvkA/expandSeededPkA, cutting key-transfer
+ * reader via expandSeededEvkA, cutting key-transfer
  * bytes roughly in half (asserted >= 1.9x in tests/test_wire_format).
  */
 
@@ -47,10 +47,6 @@ void writePoly(ByteWriter &w, const RnsPoly &p);
 RnsPoly readPoly(ByteReader &r, size_t expect_degree,
                  const std::vector<Modulus> &moduli);
 
-/** §5.10 PLAINTEXT body. */
-void writePlaintext(ByteWriter &w, const Plaintext &pt);
-Plaintext readPlaintext(ByteReader &r, const CkksContext &ctx);
-
 /** §5.11 CIPHERTEXT body (also embedded in SUBMIT §5.12 and
  *  RESPONSE §5.13). */
 void writeCiphertext(ByteWriter &w, const Ciphertext &ct);
@@ -77,9 +73,5 @@ struct WireEvalKey
     EvalKey key;
 };
 WireEvalKey readEvalKey(ByteReader &r, const CkksContext &ctx);
-
-/** §5.8 PUBLIC_KEY body, seed-compressed when key.seeded (§6). */
-void writePublicKey(ByteWriter &w, const PublicKey &pk);
-PublicKey readPublicKey(ByteReader &r, const CkksContext &ctx);
 
 } // namespace ark

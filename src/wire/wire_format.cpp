@@ -248,14 +248,6 @@ ByteReader::getString()
     return s;
 }
 
-void
-ByteReader::getBytes(void *out, size_t n)
-{
-    need(n);
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-}
-
 u64
 ByteReader::getU64s(u64 *out, size_t n)
 {

@@ -52,9 +52,9 @@ enum class FrameType : u16 {
     OpenSession = 0x05,  ///< §5.5
     SessionAccept = 0x06,///< §5.6
     EvalKey = 0x07,      ///< §5.7
-    PublicKey = 0x08,    ///< §5.8
+    PublicKey = 0x08,    ///< §5.8 reserved, answered with PROTOCOL
     KeyAck = 0x09,       ///< §5.9
-    Plaintext = 0x0A,    ///< §5.10
+    Plaintext = 0x0A,    ///< §5.10 reserved, answered with PROTOCOL
     Ciphertext = 0x0B,   ///< §5.11
     Submit = 0x0C,       ///< §5.12
     Response = 0x0D,     ///< §5.13
@@ -190,7 +190,6 @@ class ByteReader
     int getI32() { return static_cast<int>(getU32()); }
     double getF64();
     std::string getString();
-    void getBytes(void *out, size_t n);
     /** Read @p n LE u64 words into @p out and return the largest, so
      *  the caller range-checks them in the same pass as the copy. */
     u64 getU64s(u64 *out, size_t n);

@@ -21,6 +21,7 @@
  * logs the seed on failure so any break replays exactly.
  */
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -327,6 +328,38 @@ TEST(ChaosServing, PingAndDeadlineSubmit2RoundTrip)
     EXPECT_TRUE(plain.ok) << plain.error;
     EXPECT_EQ(plain.checksum, out.checksum);
     client.closeSession();
+}
+
+TEST(ChaosServing, OpTimeoutBoundsAStalledSubmit)
+{
+    BatchServerConfig cfg;
+    cfg.workers = 1;
+    ChaosStack s(cfg);
+    WireClient client("127.0.0.1", s.net->port());
+    client.openSession("tenant-timeout");
+    const RemoteWorkload &wl = client.workloads()[0];
+    Rng rng(1919);
+    TenantKeys tk(client.context(), rng, wl.rotations, 9300);
+    uploadKeys(client, tk);
+    const Ciphertext input = encryptInput(client, tk.sk, rng);
+
+    // The worker holds the job at the stall gate with no real-time
+    // cap, so no RESPONSE comes: only the client's per-op deadline
+    // can end the single-attempt submit.
+    fault::FaultPlan plan;
+    plan.permille[static_cast<size_t>(fault::Site::WorkerStall)] =
+        1000;
+    plan.stall_ms = 0;
+    ArmedPlane armed(plan);
+    client.setOpTimeoutMs(200);
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW((void)client.submit(0, input), NetTimeout);
+    const double waited_s = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+    EXPECT_LT(waited_s, 5.0);
+    awaitStalled(1); // the server did receive the request
+    fault::FaultInjector::global().releaseStalls();
 }
 
 // ------------------------------------------- sleep-free server chaos

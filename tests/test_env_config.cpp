@@ -81,34 +81,42 @@ TEST(EnvConfig, ParseBackendKindRejectsJunk)
     EXPECT_FALSE(parseBackendKind("parallel,4", kind));
 }
 
+/** ARK_THREADS' parse: digits only, 0 (hardware concurrency) up to
+ *  kMaxBackendThreads, as backendThreadsFromEnv calls envU64. */
+bool
+parseThreads(const char *s, u64 &out)
+{
+    return parseU64(s, 0, kMaxBackendThreads, out);
+}
+
 TEST(EnvConfig, ParseBackendThreadsAcceptsIntegers)
 {
-    size_t t = 99;
-    EXPECT_TRUE(parseBackendThreads("0", t));
+    u64 t = 99;
+    EXPECT_TRUE(parseThreads("0", t));
     EXPECT_EQ(t, 0u); // 0 = hardware concurrency
-    EXPECT_TRUE(parseBackendThreads("8", t));
+    EXPECT_TRUE(parseThreads("8", t));
     EXPECT_EQ(t, 8u);
-    EXPECT_TRUE(parseBackendThreads("4096", t));
+    EXPECT_TRUE(parseThreads("4096", t));
     EXPECT_EQ(t, kMaxBackendThreads);
-    EXPECT_TRUE(parseBackendThreads("007", t));
+    EXPECT_TRUE(parseThreads("007", t));
     EXPECT_EQ(t, 7u);
 }
 
 TEST(EnvConfig, ParseBackendThreadsRejectsJunk)
 {
-    size_t t = 0;
-    EXPECT_FALSE(parseBackendThreads(nullptr, t));
-    EXPECT_FALSE(parseBackendThreads("", t));
-    EXPECT_FALSE(parseBackendThreads("-1", t)); // strtoul would wrap!
-    EXPECT_FALSE(parseBackendThreads("+4", t));
-    EXPECT_FALSE(parseBackendThreads(" 4", t));
-    EXPECT_FALSE(parseBackendThreads("4 ", t));
-    EXPECT_FALSE(parseBackendThreads("4threads", t));
-    EXPECT_FALSE(parseBackendThreads("1e3", t));
-    EXPECT_FALSE(parseBackendThreads("0x10", t));
-    EXPECT_FALSE(parseBackendThreads("4097", t)); // above the cap
+    u64 t = 0;
+    EXPECT_FALSE(parseThreads(nullptr, t));
+    EXPECT_FALSE(parseThreads("", t));
+    EXPECT_FALSE(parseThreads("-1", t)); // strtoul would wrap!
+    EXPECT_FALSE(parseThreads("+4", t));
+    EXPECT_FALSE(parseThreads(" 4", t));
+    EXPECT_FALSE(parseThreads("4 ", t));
+    EXPECT_FALSE(parseThreads("4threads", t));
+    EXPECT_FALSE(parseThreads("1e3", t));
+    EXPECT_FALSE(parseThreads("0x10", t));
+    EXPECT_FALSE(parseThreads("4097", t)); // above the cap
     // Would overflow unsigned long: must be rejected, not truncated.
-    EXPECT_FALSE(parseBackendThreads("99999999999999999999999", t));
+    EXPECT_FALSE(parseThreads("99999999999999999999999", t));
 }
 
 TEST(EnvConfig, EnvReadersUseValidValues)

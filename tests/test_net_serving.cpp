@@ -7,8 +7,8 @@
  * backends; per-tenant session and key-upload flow; and the §7 typed
  * error surface (UNKNOWN_SESSION, SESSION_LIMIT, MISSING_KEY,
  * UNKNOWN_WORKLOAD, SERVER_SHUTDOWN, BAD_FIELD on a non-canonical
- * residue, protocol violations), per docs/wire_format.md and
- * docs/serving.md.
+ * residue, protocol violations, the retired PUBLIC_KEY and PLAINTEXT
+ * frames), per docs/wire_format.md and docs/serving.md.
  */
 
 #include <cmath>
@@ -465,6 +465,81 @@ TEST(NetServing, WrongParamsHashIsFatalMismatch)
     EXPECT_EQ(static_cast<WireCode>(r.getU16()),
               WireCode::ParamsMismatch);
     EXPECT_EQ(r.getU8(), 1); // fatal
+}
+
+TEST(NetServing, RetiredFramesAreFatalProtocolErrors)
+{
+    ServerStack s(BackendKind::Scalar);
+    const u64 hash = paramsHash(s.ctx->params());
+    Rng rng(31);
+    KeyGenerator keygen(*s.ctx, rng);
+    const SecretKey sk = keygen.secretKey();
+    const PublicKey pk = keygen.publicKey(sk);
+    const Plaintext pt = s.encoder->encode(
+        std::vector<Complex>(s.ctx->params().num_slots, Complex(0.5, 0)),
+        s.ctx->maxLevel());
+
+    // Well-formed bodies in the retired §5.8 / §5.10 layouts, each
+    // sent on its own open session.
+    ByteWriter pk_body;
+    pk_body.putU8(0);  // flags: not seed-compressed
+    pk_body.putU64(0); // seed
+    writePoly(pk_body, pk.b);
+    writePoly(pk_body, pk.a);
+    ByteWriter pt_body;
+    pt_body.putF64(pt.scale);
+    pt_body.putI32(pt.level);
+    writePoly(pt_body, pt.poly);
+
+    for (auto [type, body] :
+         {std::pair{FrameType::PublicKey, pk_body.take()},
+          std::pair{FrameType::Plaintext, pt_body.take()}}) {
+        TcpStream raw = TcpStream::connect("127.0.0.1", s.net->port());
+        {
+            ByteWriter w;
+            w.putU16(kWireVersion);
+            w.putU16(kWireVersion);
+            w.putString("retired-frames");
+            raw.sendFrame(FrameType::ClientHello, 0, w.take());
+        }
+        for (int i = 0; i < 3; ++i) // SERVER_HELLO, PARAMS, WORKLOADS
+            (void)raw.recvFrame(kDefaultMaxFrameBytes);
+        {
+            ByteWriter w;
+            w.putString("tenant-retired");
+            raw.sendFrame(FrameType::OpenSession, hash, w.take());
+        }
+        ASSERT_EQ(raw.recvFrame(kDefaultMaxFrameBytes).header.type,
+                  FrameType::SessionAccept);
+
+        raw.sendFrame(type, hash, body);
+        TcpStream::Frame f = raw.recvFrame(kDefaultMaxFrameBytes);
+        ASSERT_EQ(f.header.type, FrameType::Error)
+            << frameTypeName(type) << " answered with "
+            << frameTypeName(f.header.type);
+        ByteReader r(f.body);
+        EXPECT_EQ(static_cast<WireCode>(r.getU16()), WireCode::Protocol)
+            << frameTypeName(type);
+        EXPECT_EQ(r.getU8(), 1) << frameTypeName(type); // fatal
+    }
+
+    // The server keeps serving: a fresh session runs a request.
+    WireClient client("127.0.0.1", s.net->port());
+    client.openSession("tenant-after");
+    Rng tenant_rng(32);
+    TenantKeys tk(client.context(), tenant_rng,
+                  client.workloads()[0].rotations, 9500);
+    uploadKeys(client, tk);
+    CkksEncoder encoder(client.context());
+    CkksEncryptor encryptor(client.context(), tenant_rng);
+    const Ciphertext input = encryptor.encryptSymmetric(
+        encoder.encode(std::vector<Complex>(client.params().num_slots,
+                                            Complex(0.4, -0.2)),
+                       client.context().maxLevel()),
+        tk.sk);
+    const WireClient::SubmitOutcome out = client.submit(0, input);
+    EXPECT_TRUE(out.ok) << out.error;
+    client.closeSession();
 }
 
 TEST(NetServing, StatsFramePollsLiveServer)

@@ -330,20 +330,6 @@ TEST_F(ObsTest, ConcurrentCountersMergeExactly)
               0u);
 }
 
-TEST_F(ObsTest, SnapshotToStringNamesEveryMetric)
-{
-    obs::MetricsRegistry reg;
-    reg.count(Counter::AdmitRefused, 3);
-    reg.observe(Phase::QueueWait, 0.25);
-    reg.gaugeSet(Gauge::QueueDepth, 7);
-    const std::string text = reg.snapshot().toString();
-    EXPECT_NE(text.find("admit_refused"), std::string::npos);
-    EXPECT_NE(text.find("queue_wait"), std::string::npos);
-    EXPECT_NE(text.find("queue_depth"), std::string::npos);
-    // Phases with no observations stay out of the rendering.
-    EXPECT_EQ(text.find("respond"), std::string::npos);
-}
-
 TEST_F(ObsTest, TraceJsonRoundTrip)
 {
     obs::setTraceEnabled(true);

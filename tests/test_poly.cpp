@@ -172,18 +172,11 @@ TEST_F(PolyTest, FromSignedHandlesNegatives)
     }
 }
 
-TEST_F(PolyTest, ResizeAndExtendLimbs)
+TEST_F(PolyTest, ResizeLimbs)
 {
     auto a = randomPoly(Rep::Coeff, 12);
     a.resizeLimbs(2);
     EXPECT_EQ(a.numLimbs(), 2u);
-    a.extendLimbs(3);
-    EXPECT_EQ(a.numLimbs(), 5u);
-    // Extended limbs are zeroed.
-    for (size_t l = 2; l < 5; ++l) {
-        for (size_t i = 0; i < degree_; ++i)
-            EXPECT_EQ(a.limb(l)[i], 0u);
-    }
 }
 
 TEST_F(PolyTest, MulOnCoeffRepDies)

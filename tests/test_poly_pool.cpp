@@ -89,18 +89,6 @@ TEST(PolyPoolTest, ReleasedPolyIsEmptyAndEmptyReleaseIsNoop)
     EXPECT_EQ(pool.stats().released, 1u);
 }
 
-TEST(PolyPoolTest, TrimDropsCachedBuffers)
-{
-    PolyPool pool;
-    pool.release(pool.acquire(64, 2, Rep::Coeff));
-    EXPECT_EQ(pool.stats().cached_buffers, 1u);
-    pool.trim();
-    EXPECT_EQ(pool.stats().cached_buffers, 0u);
-    // Next acquire misses again.
-    RnsPoly p = pool.acquire(64, 2, Rep::Coeff);
-    EXPECT_EQ(pool.stats().misses, 2u);
-}
-
 TEST(PolyPoolTest, FreeListIsBounded)
 {
     PolyPool pool;

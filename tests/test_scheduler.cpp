@@ -52,8 +52,8 @@ constexpr SchedulePolicy kPolicies[] = {
 TEST(HeGraphBuilder, SourceOrderRoundTripsEveryTrace)
 {
     for (const SimProgram &prog : paperTraces()) {
-        const ScheduledProgram sp =
-            scheduleProgram(prog, SchedulePolicy::SourceOrder, 2);
+        const ScheduledProgram sp = scheduleGraph(
+            liftProgram(prog), SchedulePolicy::SourceOrder, 2);
         ASSERT_EQ(sp.scheduled.ops.size(), prog.ops.size());
         for (size_t i = 0; i < prog.ops.size(); ++i) {
             EXPECT_TRUE(sameOp(sp.scheduled.ops[i], prog.ops[i]))
@@ -171,7 +171,6 @@ TEST(Residency, AccountingIsExactAndConsistent)
     EXPECT_EQ(hits, r.hits);
     EXPECT_EQ(misses, r.misses);
     EXPECT_DOUBLE_EQ(bytes, r.evk_bytes);
-    EXPECT_FALSE(r.toString().empty());
 }
 
 TEST(Residency, BeladyNeverWorseThanLru)
@@ -218,7 +217,7 @@ TEST(Simulator, RunScheduledAgreesWithResidencyPredictor)
         const size_t slots = sim.evkSlotCapacity(p);
         for (SchedulePolicy pol : kPolicies) {
             const ScheduledProgram sp =
-                scheduleProgram(prog, pol, slots);
+                scheduleGraph(liftProgram(prog), pol, slots);
             const ScheduledSimResult r = sim.runScheduled(sp);
             EXPECT_EQ(static_cast<size_t>(r.scheduled.evk_misses),
                       sp.residency.misses)
@@ -236,8 +235,9 @@ TEST(Simulator, SourceOrderScheduleMatchesPlainRun)
     const SimProgram prog = bootstrapProgram(p, KeySchedule::MinKS);
     ArkSimulator sim(MachineConfig::arkBase(),
                      SimAlgo{KeySchedule::MinKS, true});
-    const ScheduledProgram sp = scheduleProgram(
-        prog, SchedulePolicy::SourceOrder, sim.evkSlotCapacity(p));
+    const ScheduledProgram sp =
+        scheduleGraph(liftProgram(prog), SchedulePolicy::SourceOrder,
+                      sim.evkSlotCapacity(p));
     const ScheduledSimResult r = sim.runScheduled(sp);
     const SimResult plain = sim.run(prog);
     EXPECT_DOUBLE_EQ(r.scheduled.cycles, plain.cycles);
@@ -261,8 +261,8 @@ TEST(Simulator, EvkClusterReducesTrafficUnderPressure)
     for (const SimProgram &prog :
          {bootstrapProgram(p, KeySchedule::MinKS),
           resnetProgram(p, KeySchedule::MinKS)}) {
-        const ScheduledSimResult r = sim.runScheduled(scheduleProgram(
-            prog, SchedulePolicy::EvkCluster, slots));
+        const ScheduledSimResult r = sim.runScheduled(scheduleGraph(
+            liftProgram(prog), SchedulePolicy::EvkCluster, slots));
         EXPECT_GT(r.evk_saved_bytes, 0.0) << prog.name;
         EXPECT_GT(r.speedup, 1.2) << prog.name;
     }
