@@ -311,7 +311,7 @@ openLoopTable(const CkksParams &base, bool smoke)
     acfg.rate_per_sec = 3.0 * capacity_rps;
     acfg.duration_s = smoke ? 0.4 : 1.5;
     acfg.seed = 20220618;
-    // A 2x flash crowd mid-trace: the rebalance/shedding pressure is
+    // A 2x flash crowd mid-trace: the shedding pressure is
     // not uniform in production either.
     acfg.bursts = {{acfg.duration_s * 0.5, acfg.duration_s * 0.2, 2.0}};
     acfg = arrivalConfigFromEnv(acfg); // ARK_ARRIVAL_* overrides

@@ -22,8 +22,7 @@ clusterAdmissionOrder(const std::vector<ServeWorkload> &workloads,
                       const std::vector<size_t> &request_workloads)
 {
     // Workloads sharing an evk signature (serve/workload.h,
-    // groupByEvkSignature — the same grouping the shard router
-    // partitions in space) share their entire evk working set.
+    // groupByEvkSignature) share their entire evk working set.
     std::vector<size_t> sig_group(workloads.size());
     {
         const auto groups = groupByEvkSignature(workloads);

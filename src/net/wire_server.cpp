@@ -149,15 +149,14 @@ WireServer::collectStats() const
 
     const ServerLiveStats live = server_.liveStats();
     st.outstanding = live.outstanding;
-    st.shards.reserve(live.shards.size());
-    for (const ShardLiveStats &s : live.shards) {
-        StatsShardEntry e;
-        e.queue_depth = s.queue_depth;
-        e.queue_capacity = s.queue_capacity;
-        e.in_flight = s.in_flight;
-        e.total_done = s.total_done;
-        st.shards.push_back(e);
-    }
+    // The frame keeps its per-queue list (docs/wire_format.md §5.16);
+    // a server has one queue, so it always sends one entry.
+    StatsShardEntry e;
+    e.queue_depth = live.queue_depth;
+    e.queue_capacity = live.queue_capacity;
+    e.in_flight = live.in_flight;
+    e.total_done = live.total_done;
+    st.shards.push_back(e);
 
     // The registry merges to zeros when ARK_METRICS is off — the
     // frame shape is identical either way (the client need not know

@@ -10,9 +10,9 @@
  * held in an uploaded-mode KeyCache owned by the session, so tenants
  * never share key material — and submits ciphertexts. Submissions
  * route through BatchServer::trySubmitRemote, i.e. through the SAME
- * bounded admission queues, evk-affinity shard router, and worker
- * pool as in-process traffic; the wire layer adds transport and
- * tenancy, not a second execution path.
+ * bounded admission queue and worker pool as in-process traffic; the
+ * wire layer adds transport and tenancy, not a second execution
+ * path.
  *
  * Error discipline (§7): admission refusals map to typed ERROR frames
  * (QUEUE_FULL is retryable, the session survives; SESSION_LIMIT and

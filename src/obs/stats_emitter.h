@@ -4,7 +4,8 @@
  * string at a fixed interval and hands it to a sink (stderr by
  * default). WireServer starts one when ARK_STATS_INTERVAL_MS is set,
  * rendering BatchServer::liveStats() + the metrics snapshot, so a
- * running server prints live queue depths without any client polling.
+ * running server prints its live queue depth without any client
+ * polling.
  */
 
 #pragma once

@@ -44,7 +44,7 @@ AdmissionController::predictedP99Ms(size_t class_id,
                                     size_t workers) const
 {
     ARK_ASSERT(class_id < state_.size(), "class id out of range");
-    ARK_ASSERT(workers > 0, "a shard needs at least one worker");
+    ARK_ASSERT(workers > 0, "a queue needs at least one worker");
 
     double mean_ms, tail_ms;
     {

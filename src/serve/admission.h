@@ -4,7 +4,7 @@
  *
  * Every request belongs to an SLO class (priority + end-to-end p50/p99
  * latency targets). At admission the controller predicts the p99 a new
- * request would see behind the shard's current queue — queueing delay
+ * request would see behind the server's current queue — queueing delay
  * from depth and the class's observed mean service time, plus the
  * class's observed service-time p99 tail — and compares it against the
  * class target. When the prediction exceeds the target the server
@@ -78,9 +78,6 @@ struct AdmissionConfig
     /** Prior mean service time (ms) used until min_samples arrive;
      *  0 = no prior, predictions stay disabled until warmed. */
     double expected_service_ms = 0;
-    /** Online rebalance period in ms; 0 = never. Checked against the
-     *  injected ServeClock at admission (see BatchServer). */
-    u64 rebalance_interval_ms = 0;
 };
 
 /** Verdict for one admission attempt. */
@@ -108,7 +105,7 @@ class AdmissionController
 
     /**
      * Predicted end-to-end p99 (ms) for a class-@p class_id request
-     * admitted behind @p queue_depth queued jobs on a shard drained by
+     * admitted behind @p queue_depth queued jobs on a queue drained by
      * @p workers workers: (depth + 1) / workers * mean_service +
      * service_p99. Returns 0 while the class lacks both min_samples
      * and a prior — "no prediction", which always admits.
@@ -119,7 +116,7 @@ class AdmissionController
     /**
      * The admission decision for one incoming request.
      * @p lowest_queued_priority is the minimum priority currently in
-     * the target shard's queue (meaningful only when
+     * the server's queue (meaningful only when
      * @p queue_nonempty). Always Admit when disabled or the class has
      * no p99 target.
      */

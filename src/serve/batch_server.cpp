@@ -24,62 +24,6 @@ applySchedule(std::vector<ServeWorkload> workloads, SchedulePolicy p)
     return workloads;
 }
 
-/**
- * Divide @p total items (queue slots, worker threads) across shards
- * in proportion to @p weights: largest-remainder apportionment (ties
- * toward the lower shard index), then a floor of 1 per shard with the
- * overshoot taken back from the largest shares. The result sums to
- * exactly @p total whenever total >= #shards (asserted by the server
- * for workers; a queue budget smaller than the shard count cannot be
- * honored by live queues and keeps the 1-per-shard floor instead).
- */
-std::vector<size_t>
-apportion(size_t total, const std::vector<size_t> &weights)
-{
-    const size_t n = weights.size();
-    size_t total_weight = 0;
-    for (size_t w : weights)
-        total_weight += w;
-
-    std::vector<size_t> shares(n, 0);
-    std::vector<std::pair<size_t, size_t>> rem; // (remainder, shard)
-    size_t assigned = 0;
-    for (size_t s = 0; s < n; ++s) {
-        const size_t w = total_weight > 0 ? weights[s] : 1;
-        const size_t denom = total_weight > 0 ? total_weight : n;
-        shares[s] = total * w / denom;
-        assigned += shares[s];
-        rem.emplace_back(total * w % denom, s);
-    }
-    std::sort(rem.begin(), rem.end(), [](const auto &a, const auto &b) {
-        if (a.first != b.first)
-            return a.first > b.first;
-        return a.second < b.second;
-    });
-    for (size_t i = 0; assigned < total && i < n; ++i, ++assigned)
-        shares[rem[i].second] += 1;
-    for (size_t &s : shares) {
-        if (s == 0) {
-            s = 1;
-            ++assigned;
-        }
-    }
-    // Pay for the floor out of the largest shares (zero-weight shards
-    // exist when there are fewer evk signatures than shards).
-    while (assigned > total) {
-        size_t rich = 0;
-        for (size_t s = 1; s < n; ++s) {
-            if (shares[s] > shares[rich])
-                rich = s;
-        }
-        if (shares[rich] <= 1)
-            break; // total < n: the floor wins
-        shares[rich] -= 1;
-        --assigned;
-    }
-    return shares;
-}
-
 } // namespace
 
 BatchServerConfig
@@ -143,34 +87,13 @@ BatchServer::BatchServer(const CkksContext &ctx, KeyCache &keys,
       admission_(cfg.admission),
       clock_(cfg.clock != nullptr ? *cfg.clock
                                   : SystemServeClock::instance()),
-      shard_plan_(planServeShards(workloads_, cfg.shards)),
-      shard_done_base_(cfg.shards, 0),
-      shard_inflight_(cfg.shards),
-      shard_total_done_(cfg.shards)
+      queue_(cfg.queue_capacity)
 {
     ARK_ASSERT(!workloads_.empty(), "server needs at least one workload");
     ARK_ASSERT(!inputs_.empty(), "server needs at least one input");
     ARK_ASSERT(cfg_.workers > 0, "server needs at least one worker");
-    ARK_ASSERT(cfg_.shards >= 1, "server needs at least one shard");
-    ARK_ASSERT(cfg_.workers >= cfg_.shards,
-               "every shard's queue needs at least one worker");
-    // Keep RequestQueue's capacity-must-be-positive contract loud:
-    // apportion()'s 1-per-shard floor must never paper over a budget
-    // too small to split.
-    ARK_ASSERT(cfg_.queue_capacity >= cfg_.shards,
-               "queue capacity must cover at least one slot per shard");
-
-    // One bounded queue per worker group; the configured capacity is
-    // the whole server's admission budget, apportioned in proportion
-    // to the op weight the plan routed to each shard — affinity
-    // routing deliberately skews traffic, so an even split would shed
-    // load from a hot shard while cold shards sat on idle slots.
-    const std::vector<size_t> caps = apportion(
-        cfg_.queue_capacity, shard_plan_.weight_of_shard);
-    queues_.reserve(cfg_.shards);
-    for (size_t s = 0; s < cfg_.shards; ++s)
-        queues_.push_back(std::make_unique<RequestQueue>(caps[s]));
-    last_rebalance_us_.store(clock_.nowMicros());
+    ARK_ASSERT(cfg_.shards == 1,
+               "a server has exactly one queue: shards must be 1");
     last_watchdog_us_.store(clock_.nowMicros());
 
     // Prewarm every evk the workload set references while still
@@ -186,25 +109,16 @@ BatchServer::BatchServer(const CkksContext &ctx, KeyCache &keys,
     }
     keys_.warm(std::move(amounts));
 
-    // Workers follow the traffic: the same weight-proportional
-    // apportionment as the queue budget (min 1 per group, so every
-    // queue has a consumer) — each group drains its own queue only.
-    const std::vector<size_t> crew =
-        apportion(cfg_.workers, shard_plan_.weight_of_shard);
-    shard_workers_ = crew;
     workers_.reserve(cfg_.workers);
     std::lock_guard<std::mutex> lk(workers_m_);
-    for (size_t group = 0; group < cfg_.shards; ++group) {
-        for (size_t i = 0; i < crew[group]; ++i)
-            spawnWorker(group);
-    }
+    for (size_t i = 0; i < cfg_.workers; ++i)
+        spawnWorker();
 }
 
 void
-BatchServer::spawnWorker(size_t group)
+BatchServer::spawnWorker()
 {
     auto slot = std::make_unique<WorkerSlot>();
-    slot->group = group;
     WorkerSlot *p = slot.get();
     workers_.push_back(std::move(slot));
     p->thread = std::thread([this, p] { workerLoop(p); });
@@ -242,7 +156,7 @@ BatchServer::checkWorkers()
             if (s.thread.joinable())
                 s.thread.join();
             s.superseded.store(true);
-            spawnWorker(s.group);
+            spawnWorker();
             ++replaced;
             continue;
         }
@@ -254,7 +168,7 @@ BatchServer::checkWorkers()
             // slow, the spurious replacement is benign — it finishes
             // its job, sees the flag, and bows out.
             s.superseded.store(true);
-            spawnWorker(s.group);
+            spawnWorker();
             ++replaced;
         }
     }
@@ -276,8 +190,8 @@ BatchServer::maybeWatchdog()
     u64 last_us = last_watchdog_us_.load();
     if (now_us - last_us < interval_ms * 1000)
         return;
-    // One admission wins the sweep for this interval (the
-    // maybeRebalance CAS pattern).
+    // One admission wins the race to sweep this interval; losers
+    // skip (the CAS moved the deadline) instead of dogpiling.
     if (!last_watchdog_us_.compare_exchange_strong(last_us, now_us))
         return;
     checkWorkers();
@@ -317,13 +231,9 @@ BatchServer::releaseOutstanding(bool refused)
         // never observe the old count after its predicate check.
         std::lock_guard<std::mutex> lk(idle_m_);
         outstanding_.fetch_sub(1);
-        if (refused && window_open_ && outstanding_.load() == 0) {
-            u64 done = 0;
-            for (size_t s = 0; s < shard_total_done_.size(); ++s)
-                done += shard_total_done_[s].load() - shard_done_base_[s];
-            if (done == 0)
-                window_open_ = false;
-        }
+        if (refused && window_open_ && outstanding_.load() == 0 &&
+            total_done_.load() == done_base_)
+            window_open_ = false;
     }
     idle_cv_.notify_all();
 }
@@ -345,8 +255,7 @@ BatchServer::settleUnexecuted(ServeJob &&job, ServeErrorKind kind,
 }
 
 void
-BatchServer::complete(ServeJob &&job, ServeResult r, size_t group,
-                      bool executed)
+BatchServer::complete(ServeJob &&job, ServeResult r, bool executed)
 {
     // Settle the request against its SLO class's end-to-end budget,
     // and feed the admission controller's service model.
@@ -369,7 +278,7 @@ BatchServer::complete(ServeJob &&job, ServeResult r, size_t group,
         t.observe(obs::Phase::E2e, e2e_ms);
     });
     obs::gaugeAdd(obs::Gauge::InFlight, -1);
-    shard_total_done_[group].fetch_add(1);
+    total_done_.fetch_add(1);
     job.promise.set_value(std::move(r));
     releaseOutstanding();
 }
@@ -389,21 +298,10 @@ BatchServer::admitJob(ServeJob &&job, bool blocking)
     // from the injected clock so tests replay it deterministically.
     job.submit_us = clock_.nowMicros();
 
-    // The periodic rebalance and the worker watchdog both ride on
-    // admissions — no extra thread, and a server with no traffic has
-    // nothing to rebalance or resuscitate anyway.
-    maybeRebalance();
+    // The worker watchdog rides on admissions — no extra thread, and
+    // a server with no traffic has nothing to resuscitate anyway.
     maybeWatchdog();
 
-    // Evk-affinity routing: the request joins the queue of the worker
-    // group that owns its workload's rotation-evk signature. Read
-    // under the plan lock — the rebalancer swaps the table live.
-    size_t shard;
-    {
-        std::lock_guard<std::mutex> lk(plan_m_);
-        shard = shard_plan_.shard_of_workload[workload_index];
-    }
-    RequestQueue &queue = *queues_[shard];
     // Stamp only when someone will read it: the disabled path takes
     // no extra clock read (the overhead gate's contract).
     if (observed)
@@ -430,17 +328,17 @@ BatchServer::admitJob(ServeJob &&job, bool blocking)
     // lower-priority is queued shed the newcomer itself. Bounded: a
     // pass either admits, evicts one victim, or sheds the newcomer.
     AdmitResult admitted = AdmitResult::Admitted;
-    for (size_t pass = 0; pass <= queue.capacity(); ++pass) {
+    for (size_t pass = 0; pass <= queue_.capacity(); ++pass) {
         u32 lowest = 0;
-        const bool nonempty = queue.lowestPriority(lowest);
+        const bool nonempty = queue_.lowestPriority(lowest);
         const AdmissionVerdict verdict = admission_.decide(
-            job.class_id, queue.size(), shard_workers_[shard],
+            job.class_id, queue_.size(), cfg_.workers,
             nonempty, lowest);
         if (verdict == AdmissionVerdict::Admit)
             break;
         if (verdict == AdmissionVerdict::EvictLower) {
             ServeJob victim;
-            if (queue.evictLowestBelow(job.priority, victim))
+            if (queue_.evictLowestBelow(job.priority, victim))
                 settleUnexecuted(std::move(victim), ServeErrorKind::Shed,
                                  "shed by SLO admission control (evicted "
                                  "from queue for higher-priority work)",
@@ -454,16 +352,16 @@ BatchServer::admitJob(ServeJob &&job, bool blocking)
     if (admitted == AdmitResult::Admitted) {
         if (blocking) {
             // A blocking push only fails when the queue was closed.
-            admitted = queue.push(std::move(job))
+            admitted = queue_.push(std::move(job))
                            ? AdmitResult::Admitted
                            : AdmitResult::Closed;
         } else {
-            admitted = queue.tryPush(std::move(job));
+            admitted = queue_.tryPush(std::move(job));
             // A Full refusal that raced a shutdown() past the
             // caller's entry check must report Closed: "retry later"
             // would be a lie once the queues stop admitting.
             if (admitted == AdmitResult::Full &&
-                (shut_down_.load() || queue.closed()))
+                (shut_down_.load() || queue_.closed()))
                 admitted = AdmitResult::Closed;
         }
     }
@@ -487,11 +385,8 @@ BatchServer::admitJob(ServeJob &&job, bool blocking)
                  .count());
         // Sampled depth gauge: one sample per admission attempt is
         // plenty for a "what does the queue look like" readout.
-        size_t depth = 0;
-        for (const auto &q : queues_)
-            depth += q->size();
         obs::gaugeSet(obs::Gauge::QueueDepth,
-                      static_cast<i64>(depth));
+                      static_cast<i64>(queue_.size()));
     }
     return admitted;
 }
@@ -651,14 +546,13 @@ BatchServer::execute(const ServeRequest &req) const
 void
 BatchServer::workerLoop(WorkerSlot *slot)
 {
-    const size_t group = slot->group;
     // Register this thread's metrics shard before the first request's
     // transient buffers: allocated later, the long-lived shard can sit
     // above freed memory in the thread's malloc arena and keep it from
     // being trimmed (about +1 MiB peak RSS on a 2-worker server).
     metrics_.update([](obs::MetricsTally &) {});
     ServeJob job;
-    while (queues_[group]->pop(job)) {
+    while (queue_.pop(job)) {
         // 0 is the idle sentinel; an injected clock may legitimately
         // read 0 at the first pop, so clamp the stamp to 1.
         slot->busy_since_us.store(std::max<u64>(clock_.nowMicros(), 1));
@@ -700,8 +594,7 @@ BatchServer::workerLoop(WorkerSlot *slot)
             r.id = job.request.id;
             r.error = "injected worker crash";
             r.error_kind = ServeErrorKind::Other;
-            complete(std::move(job), std::move(r), group,
-                     /*executed=*/false);
+            complete(std::move(job), std::move(r), /*executed=*/false);
             break;
         }
 
@@ -722,7 +615,7 @@ BatchServer::workerLoop(WorkerSlot *slot)
                      pop_tp - job.enqueue_tp)
                      .count());
         }
-        shard_inflight_[group].fetch_add(1);
+        inflight_.fetch_add(1);
         ServeResult r;
         {
             // dispatch: pop -> execution start (the bookkeeping
@@ -741,8 +634,8 @@ BatchServer::workerLoop(WorkerSlot *slot)
             obs::ScopedSpan execute_span("execute", rid);
             r = execute(job.request);
         }
-        shard_inflight_[group].fetch_sub(1);
-        complete(std::move(job), std::move(r), group, /*executed=*/true);
+        inflight_.fetch_sub(1);
+        complete(std::move(job), std::move(r), /*executed=*/true);
         slot->busy_since_us.store(0);
         // A superseded worker (the watchdog already spawned its
         // replacement) exits after settling its job instead of
@@ -753,73 +646,14 @@ BatchServer::workerLoop(WorkerSlot *slot)
     slot->exited.store(true);
 }
 
-ServeShardPlan
-BatchServer::shardPlan() const
-{
-    std::lock_guard<std::mutex> lk(plan_m_);
-    return shard_plan_;
-}
-
-void
-BatchServer::maybeRebalance()
-{
-    const u64 interval_ms = cfg_.admission.rebalance_interval_ms;
-    if (interval_ms == 0 || queues_.size() < 2)
-        return;
-    const u64 now_us = clock_.nowMicros();
-    u64 last_us = last_rebalance_us_.load();
-    if (now_us - last_us < interval_ms * 1000)
-        return;
-    // One admission wins the race to re-plan this interval; losers
-    // skip (the CAS moved the deadline) instead of dogpiling.
-    if (!last_rebalance_us_.compare_exchange_strong(last_us, now_us))
-        return;
-    rebalanceNow();
-}
-
-bool
-BatchServer::rebalanceNow()
-{
-    ServeShardSignal signal;
-    signal.peak_depth.reserve(queues_.size());
-    for (const auto &q : queues_)
-        signal.peak_depth.push_back(q->peakDepth());
-    return rebalanceNow(signal);
-}
-
-bool
-BatchServer::rebalanceNow(const ServeShardSignal &signal)
-{
-    std::lock_guard<std::mutex> lk(plan_m_);
-    ServeShardPlan next =
-        replanServeShards(workloads_, shard_plan_, signal);
-    if (next.shard_of_workload == shard_plan_.shard_of_workload)
-        return false;
-    // Routing-only swap: requests already queued or executing finish
-    // on their old shard (nothing is dropped, nothing re-routes
-    // mid-flight); only FUTURE admissions follow the new table. The
-    // evk material every group might need was prewarmed at
-    // construction, so a migrated group's keys are already resident.
-    shard_plan_ = std::move(next);
-    rebalance_count_.fetch_add(1);
-    // The consumed signal is stale for the new table: start the next
-    // observation window clean.
-    for (const auto &q : queues_)
-        q->resetPeak();
-    return true;
-}
-
 ServerLiveStats
 BatchServer::liveStats() const
 {
     ServerLiveStats s;
-    s.shards.resize(queues_.size());
-    for (size_t i = 0; i < queues_.size(); ++i) {
-        s.shards[i].in_flight = static_cast<size_t>(shard_inflight_[i]);
-        s.shards[i].total_done = shard_total_done_[i];
-        s.shards[i].queue_depth = queues_[i]->size();
-        s.shards[i].queue_capacity = queues_[i]->capacity();
-    }
+    s.queue_depth = queue_.size();
+    s.queue_capacity = queue_.capacity();
+    s.in_flight = static_cast<size_t>(inflight_.load());
+    s.total_done = total_done_.load();
     s.outstanding = outstanding_.load();
     return s;
 }
@@ -839,14 +673,7 @@ BatchServer::drain()
 
     ServeReport rep;
     rep.schedule = schedulePolicyName(cfg_.schedule);
-    for (size_t s = 0; s < queues_.size(); ++s) {
-        const u64 total = shard_total_done_[s].load();
-        rep.shard_requests.push_back(
-            static_cast<size_t>(total - shard_done_base_[s]));
-        shard_done_base_[s] = total;
-        rep.shard_queue_peak.push_back(queues_[s]->peakDepth());
-        queues_[s]->resetPeak();
-    }
+    done_base_ = total_done_.load();
     rep.failed = counted(obs::Counter::RequestsFailed);
     rep.requests = counted(obs::Counter::RequestsDone) + rep.failed;
     rep.shed = counted(obs::Counter::RequestsShed);
@@ -887,12 +714,10 @@ BatchServer::shutdownImpl(bool graceful)
     if (shut_down_.exchange(true))
         return;
     std::vector<ServeJob> refused;
-    for (auto &q : queues_) {
-        if (graceful)
-            q->closeNow(refused);
-        else
-            q->close();
-    }
+    if (graceful)
+        queue_.closeNow(refused);
+    else
+        queue_.close();
     // Graceful drain: every queued-but-unstarted job gets the typed
     // refusal (its wire surface is SERVER_SHUTDOWN), so no client is
     // left holding a promise that never resolves.

@@ -4,16 +4,13 @@
  *
  * The BatchServer admits many concurrent workload requests (lowered
  * from the paper's workload traces, serve/workload.h), queues them
- * through bounded RequestQueues (backpressure + admission control),
- * and executes them on a fixed set of worker threads. In sharded mode
- * (BatchServerConfig::shards > 1) the workers split into groups, each
- * with its own queue, and requests route to the group owning their
- * workload's rotation-evk signature (shard/serve_shard.h). All workers
- * share one immutable CkksContext (whose KernelBackend may itself be
- * the limb-parallel engine), one KeyCache of evk material, and one
- * PlaintextStore — the re-entrancy of that shared hot path is what
- * PR 2 hardened (per-thread KernelStats shards, mutex-guarded lazy
- * caches, exception-safe thread pool).
+ * through one bounded RequestQueue (backpressure + admission control),
+ * and executes them on a fixed set of worker threads that all drain
+ * that queue. All workers share one immutable CkksContext (whose
+ * KernelBackend may itself be the limb-parallel engine), one KeyCache
+ * of evk material, and one PlaintextStore — a hot path made
+ * re-entrant by per-thread KernelStats shards, mutex-guarded lazy
+ * caches and an exception-safe thread pool.
  *
  * Determinism: request execution itself is deterministic (evaluator
  * ops are pure given key material), so N concurrent requests produce
@@ -47,7 +44,6 @@
 #include "serve/clock.h"
 #include "serve/metrics.h"
 #include "serve/request_queue.h"
-#include "shard/serve_shard.h"
 
 namespace ark {
 
@@ -70,29 +66,22 @@ struct BatchServerConfig
      */
     SchedulePolicy schedule = SchedulePolicy::SourceOrder;
     /**
-     * Sharded mode (shard/serve_shard.h). With shards > 1 the workers
-     * split into that many groups, each draining its own bounded
-     * queue (queue_capacity divides across groups in proportion to
-     * the op weight the plan routes to each, at least 1 per group),
-     * and every request routes to the group owning its workload's
-     * rotation-evk signature — evk-affinity routing, so each group's
-     * hot key set stays small and disjoint-ish. Requires
-     * workers >= shards. Results are bit-identical to the single
-     * queue (shards = 1, the default): routing only picks *where* a
-     * pure function runs.
+     * Always 1: every server has one queue that all its workers
+     * drain; the constructor refuses any other value. Kept only
+     * because the end-to-end benchmark (arkbench/) still assigns it;
+     * the next change to arkbench/ deletes the field.
      */
     size_t shards = 1;
     /**
      * SLO-aware admission control (serve/admission.h): per-class
-     * latency targets, priority shedding, and the online-rebalance
-     * period. Disabled by default — the classic server admits
-     * everything up to queue capacity, byte for byte the previous
-     * behaviour. Targets are honored for goodput accounting even
-     * while `enabled` is false.
+     * latency targets and priority shedding. Disabled by default —
+     * the classic server admits everything up to queue capacity,
+     * byte for byte the previous behaviour. Targets are honored for
+     * goodput accounting even while `enabled` is false.
      */
     AdmissionConfig admission;
     /**
-     * Time source for every admission/shedding/rebalance decision and
+     * Time source for every admission/shedding/watchdog decision and
      * for end-to-end latency. Null = SystemServeClock (production).
      * Tests inject a ManualServeClock so the adaptive layer replays
      * deterministically without sleeps (serve/clock.h). Borrowed,
@@ -123,10 +112,10 @@ struct BatchServerConfig
     // ARK_WORKER_STUCK_MS / ARK_IDLE_TIMEOUT_MS / ARK_IO_TIMEOUT_MS).
 
     /** Worker-watchdog period in milliseconds (0 = watchdog off, the
-     *  default). The watchdog rides admissions like the rebalancer
-     *  (no extra thread): every interval it joins+respawns exited
-     *  workers and supersedes ones stuck past worker_stuck_ms.
-     *  checkWorkers() runs one sweep on demand (tests). */
+     *  default). The watchdog rides admissions (no extra thread):
+     *  every interval it joins+respawns exited workers and
+     *  supersedes ones stuck past worker_stuck_ms. checkWorkers()
+     *  runs one sweep on demand (tests). */
     u64 watchdog_interval_ms = 0;
     /** A worker busy on ONE job longer than this (against the
      *  injected clock) is considered stuck: the watchdog spawns a
@@ -155,23 +144,17 @@ struct BatchServerConfig
  */
 BatchServerConfig serveConfigFromEnv(BatchServerConfig cfg = {});
 
-/** One worker group's live state (see BatchServer::liveStats). */
-struct ShardLiveStats
-{
-    size_t queue_depth = 0;    ///< queued (admitted, unstarted) jobs
-    size_t queue_capacity = 0; ///< this shard's admission budget
-    size_t in_flight = 0;      ///< popped and currently executing
-    u64 total_done = 0;        ///< completions since server start
-};
-
 /** Point-in-time server state for the live stats surface (the STATS
  *  wire frame and the periodic emitter). Unlike drain()'s ServeReport
  *  this does not wait for quiescence — it is a racy-but-consistent
  *  sample of a running server. */
 struct ServerLiveStats
 {
-    std::vector<ShardLiveStats> shards;
-    size_t outstanding = 0; ///< admitted but not yet completed
+    size_t queue_depth = 0;    ///< queued (admitted, unstarted) jobs
+    size_t queue_capacity = 0; ///< the queue's admission budget
+    size_t in_flight = 0;      ///< popped and currently executing
+    u64 total_done = 0;        ///< completions since server start
+    size_t outstanding = 0;    ///< admitted but not yet completed
 };
 
 /** Multi-threaded request executor over shared CKKS state. */
@@ -208,12 +191,6 @@ class BatchServer
     const ServeClock &clock() const { return clock_; }
     /** Live (not exited, not superseded) worker threads. */
     size_t workers() const;
-    /** Worker groups (1 = the classic single-queue server). */
-    size_t shards() const { return queues_.size(); }
-    /** The affinity routing table (trivial when shards() == 1).
-     *  Returned by value: the online rebalancer may swap the live
-     *  table under its own lock at any admission. */
-    ServeShardPlan shardPlan() const;
     /** The admission controller (class catalog + live predictions). */
     const AdmissionController &admission() const { return admission_; }
 
@@ -238,12 +215,12 @@ class BatchServer
     /**
      * Admission-controlled submit of a remote tenant's request: the
      * ciphertext deserialized from its SUBMIT frame plus its uploaded
-     * key cache (null = use the server's own keys). Routes through
-     * the SAME shard queues as in-process traffic — remote requests
-     * exercise the admission, scheduling, and sharding planes
-     * unchanged. Returns the typed admission outcome; @p out is set
-     * only on Admitted. Never throws on shutdown (returns Closed):
-     * the wire layer turns Closed into a SERVER_SHUTDOWN error frame.
+     * key cache (null = use the server's own keys). Joins the SAME
+     * queue as in-process traffic — remote requests exercise the
+     * admission and scheduling planes unchanged. Returns the typed
+     * admission outcome; @p out is set only on Admitted. Never throws
+     * on shutdown (returns Closed): the wire layer turns Closed into
+     * a SERVER_SHUTDOWN error frame.
      *
      * @p reserved_id (from reserveRequestId()) lets the caller know
      * the request id *before* admission, so spans recorded around the
@@ -266,27 +243,9 @@ class BatchServer
      *  passes it back through trySubmitRemote. */
     u64 reserveRequestId() { return next_id_.fetch_add(1); }
 
-    /** Sample the running server's per-shard queue depth / in-flight
-     *  counts (no quiescence wait; see ServerLiveStats). */
+    /** Sample the running server's queue depth / in-flight counts
+     *  (no quiescence wait; see ServerLiveStats). */
     ServerLiveStats liveStats() const;
-
-    /**
-     * Online shard rebalance (shard/serve_shard.h): measure the load
-     * signal accumulated since the last rebalance (per-shard queue
-     * peak depth) and, on a clear imbalance,
-     * migrate one evk-signature group to the coldest shard. Only the
-     * routing table swaps — queued and in-flight requests finish
-     * where they are, so nothing is dropped and results stay
-     * bit-identical. Returns true when the plan changed. Also runs
-     * periodically from admissions when
-     * AdmissionConfig::rebalance_interval_ms > 0 (against the
-     * injected clock).
-     */
-    bool rebalanceNow();
-    /** Rebalance against an explicit signal (deterministic tests). */
-    bool rebalanceNow(const ServeShardSignal &signal);
-    /** Routing-table swaps since server start. */
-    size_t rebalances() const { return rebalance_count_.load(); }
 
     /**
      * Admit a whole batch. In schedule-aware mode the admission order
@@ -339,7 +298,6 @@ class BatchServer
     struct WorkerSlot
     {
         std::thread thread;
-        size_t group = 0;
         /** clock() stamp when the current job was popped; 0 = idle. */
         std::atomic<u64> busy_since_us{0};
         /** The thread returned (injected crash / queue closed). */
@@ -350,8 +308,8 @@ class BatchServer
     };
 
     void workerLoop(WorkerSlot *slot);
-    /** Append a fresh slot+thread for @p group (workers_m_ held). */
-    void spawnWorker(size_t group);
+    /** Append a fresh slot+thread (workers_m_ held). */
+    void spawnWorker();
     ServeResult execute(const ServeRequest &req) const;
     AdmitResult admitJob(ServeJob &&job, bool blocking);
     /** Record @p f(obs::MetricsTally &) into this server's registry
@@ -360,11 +318,10 @@ class BatchServer
     void book(const F &f);
     void book(obs::Counter c, u64 n = 1);
     void book(obs::Phase p, double ms);
-    /** Settle @p job as a request of group @p group that completed
-     *  with @p r: book it, resolve its promise, release it. Only a
-     *  job that actually @p executed adds an execute-time sample. */
-    void complete(ServeJob &&job, ServeResult r, size_t group,
-                  bool executed);
+    /** Settle @p job as a request that completed with @p r: book it,
+     *  resolve its promise, release it. Only a job that actually
+     *  @p executed adds an execute-time sample. */
+    void complete(ServeJob &&job, ServeResult r, bool executed);
     /** Settle @p job without executing it (shed, deadline expired,
      *  refused at drain): a typed @p kind error booked as @p counter.
      *  @p refused: @p job is a newcomer refused at admission, which
@@ -376,12 +333,10 @@ class BatchServer
      *  hold was a refused admission, so close the window again if
      *  nothing else ran in it (it must not skew the next wall clock). */
     void releaseOutstanding(bool refused = false);
-    /** Fire rebalanceNow() when the configured interval elapsed. */
-    void maybeRebalance();
     /** Fire checkWorkers() when watchdog_interval_ms elapsed. */
     void maybeWatchdog();
-    /** Close queues (optionally extracting still-queued jobs), then
-     *  join every worker thread. */
+    /** Close the queue (optionally extracting still-queued jobs),
+     *  then join every worker thread. */
     void shutdownImpl(bool graceful);
 
     const CkksContext &ctx_;
@@ -394,19 +349,8 @@ class BatchServer
     AdmissionController admission_;
     const ServeClock &clock_;
 
-    /** The live routing table (guarded by plan_m_: the rebalancer
-     *  swaps it while admissions read it). */
-    mutable std::mutex plan_m_;
-    ServeShardPlan shard_plan_;
-    /** Worker-thread count per group (fixed at construction; the
-     *  admission prediction's drain denominator). */
-    std::vector<size_t> shard_workers_;
-    std::atomic<u64> last_rebalance_us_{0};
-    std::atomic<size_t> rebalance_count_{0};
-
-    /** One queue per worker group; index = shard. unique_ptr because
-     *  RequestQueue pins a mutex (neither copyable nor movable). */
-    std::vector<std::unique_ptr<RequestQueue>> queues_;
+    /** The one queue every worker drains. */
+    RequestQueue queue_;
     /** Worker slots, including superseded/exited ones awaiting their
      *  shutdown join (guarded by workers_m_; slots themselves are
      *  lock-free for the owning thread). */
@@ -430,15 +374,14 @@ class BatchServer
     bool window_open_ = false;
     std::chrono::steady_clock::time_point window_start_{};
     KernelStats stats_baseline_;
-    /** shard_total_done_ at the last drain (the window's baseline). */
-    std::vector<u64> shard_done_base_;
+    /** total_done_ at the last drain (the window's baseline). */
+    u64 done_base_ = 0;
 
     /** This server's outcomes: drain() snapshots and zeroes it. */
     obs::MetricsRegistry metrics_;
-    /** Live per-group counters; unlike the window they survive
-     *  drain(). */
-    std::vector<std::atomic<u64>> shard_inflight_;
-    std::vector<std::atomic<u64>> shard_total_done_;
+    /** Live counters; unlike the window they survive drain(). */
+    std::atomic<u64> inflight_{0};
+    std::atomic<u64> total_done_{0};
 };
 
 } // namespace ark

@@ -1,17 +1,16 @@
 /**
  * @file
  * Injectable serving clock: the one time source every admission,
- * shedding, and rebalance decision reads.
+ * shedding, deadline and watchdog decision reads.
  *
  * The adaptive serving layer is time-dependent (SLO targets are
- * wall-time budgets; the rebalancer fires on an interval), which would
+ * wall-time budgets; the watchdog fires on an interval), which would
  * make its tests either sleep-ridden or flaky. Instead, everything in
  * src/serve/ that needs "now" takes a ServeClock: production wires the
  * steady-clock-backed SystemServeClock (the default when
  * BatchServerConfig::clock is null), tests wire a ManualServeClock and
  * advance it explicitly — every decision replays bit-identically with
- * zero wall-clock sleeps (tests/test_serving_admission.cpp,
- * tests/test_serving_rebalance.cpp).
+ * zero wall-clock sleeps (tests/test_serving_admission.cpp).
  *
  * The unit is microseconds since an arbitrary epoch: fine enough for
  * sub-millisecond service times at test parameters, wide enough (u64)

@@ -53,24 +53,6 @@ ServeReport::toString() const
                       e2e.max_ms);
         out += buf;
     }
-    if (shard_requests.size() > 1) {
-        out += "\nshards:";
-        for (size_t s = 0; s < shard_requests.size(); ++s) {
-            std::snprintf(buf, sizeof buf, " [%zu] %zu", s,
-                          shard_requests[s]);
-            out += buf;
-        }
-        out += " requests";
-    }
-    if (shard_queue_peak.size() > 1) {
-        out += "\nqueue peaks:";
-        for (size_t s = 0; s < shard_queue_peak.size(); ++s) {
-            std::snprintf(buf, sizeof buf, " [%zu] %zu", s,
-                          shard_queue_peak[s]);
-            out += buf;
-        }
-        out += " queued max";
-    }
     return out;
 }
 

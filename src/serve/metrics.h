@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "obs/metrics.h"
@@ -40,14 +39,6 @@ struct ServeReport
     /** Scheduling policy the server ran the window under
      *  (graph/schedule.h policy name; "source-order" = plain FCFS). */
     std::string schedule = "source-order";
-    /** Completions per worker group in the window (size = the
-     *  server's shard count; a single-queue server reports one
-     *  entry). Sums to `requests`. */
-    std::vector<size_t> shard_requests;
-    /** Highest queued-job count each shard's queue reached during the
-     *  window (RequestQueue::peakDepth, reset at drain) — the
-     *  congestion signal the future rebalancer will read. */
-    std::vector<size_t> shard_queue_peak;
     size_t requests = 0;
     size_t failed = 0;
     /** Requests the SLO admission controller shed in the window —

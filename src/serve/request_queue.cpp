@@ -20,7 +20,6 @@ RequestQueue::push(ServeJob &&job)
     if (closed_)
         return false;
     q_.push_back(std::move(job));
-    peak_ = std::max(peak_, q_.size());
     lk.unlock();
     not_empty_.notify_one();
     return true;
@@ -36,7 +35,6 @@ RequestQueue::tryPush(ServeJob &&job)
         if (q_.size() >= capacity_)
             return AdmitResult::Full;
         q_.push_back(std::move(job));
-        peak_ = std::max(peak_, q_.size());
     }
     not_empty_.notify_one();
     return AdmitResult::Admitted;
@@ -132,20 +130,6 @@ RequestQueue::closed() const
 {
     std::lock_guard<std::mutex> lk(m_);
     return closed_;
-}
-
-size_t
-RequestQueue::peakDepth() const
-{
-    std::lock_guard<std::mutex> lk(m_);
-    return peak_;
-}
-
-void
-RequestQueue::resetPeak()
-{
-    std::lock_guard<std::mutex> lk(m_);
-    peak_ = q_.size();
 }
 
 } // namespace ark

@@ -123,11 +123,6 @@ class RequestQueue
     size_t capacity() const { return capacity_; }
     bool closed() const;
 
-    /** Highest depth seen since construction / the last resetPeak()
-     *  — what ServeReport::shard_queue_peak carries. */
-    size_t peakDepth() const;
-    void resetPeak();
-
   private:
     const size_t capacity_;
     mutable std::mutex m_;
@@ -135,7 +130,6 @@ class RequestQueue
     std::condition_variable not_empty_;
     std::deque<ServeJob> q_;
     bool closed_ = false;
-    size_t peak_ = 0;
 };
 
 } // namespace ark

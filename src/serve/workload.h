@@ -68,20 +68,17 @@ struct ServeWorkload
     /** Distinct rotation amounts referenced (the evk working set). */
     std::vector<i64> rotationAmounts() const;
     /**
-     * The canonical evk signature: rotationAmounts() sorted. The ONE
-     * definition both the admission clusterer
-     * (graph/serve_schedule.h) and the shard router
-     * (shard/serve_shard.h) key on, so temporal and spatial grouping
-     * can never disagree about which workloads share a working set.
+     * The canonical evk signature: rotationAmounts() sorted — what
+     * the admission clusterer (graph/serve_schedule.h) keys on to
+     * decide which workloads share a working set.
      */
     std::vector<i64> evkSignature() const;
 };
 
 /**
  * Group workload indices by identical evkSignature(), groups ordered
- * by first appearance in @p workloads — the shared structure the
- * admission clusterer groups in time and the shard router partitions
- * in space.
+ * by first appearance in @p workloads — the structure the admission
+ * clusterer groups in time.
  */
 std::vector<std::vector<size_t>>
 groupByEvkSignature(const std::vector<ServeWorkload> &workloads);

@@ -19,7 +19,7 @@
 
 namespace ark {
 
-/** One worker group's live state on the wire. */
+/** One queue's live state on the wire (a server sends one). */
 struct StatsShardEntry
 {
     u64 queue_depth = 0;

@@ -602,6 +602,13 @@ TEST(NetServing, StatsFramePollsLiveServer)
     EXPECT_EQ(done, 1u);
     EXPECT_GE(polls, 1u); // the first poll counted itself
     EXPECT_EQ(execute_count, 1.0);
+    // The server has one queue, so its one entry accounts for every
+    // completed request and holds nothing once the response arrived.
+    EXPECT_EQ(st.shards[0].total_done, done);
+    EXPECT_EQ(st.shards[0].queue_capacity,
+              s.server->config().queue_capacity);
+    EXPECT_EQ(st.shards[0].queue_depth, 0u);
+    EXPECT_EQ(st.shards[0].in_flight, 0u);
 
     // The human rendering names the load-bearing numbers.
     const std::string text = st.toString();

@@ -247,6 +247,22 @@ TEST(Serving, SubmitAfterShutdownThrows)
     EXPECT_FALSE(out.valid());
 }
 
+TEST(Serving, MoreThanOneShardIsRefused)
+{
+    // Every server drains one queue; a config asking for two is a
+    // programming error, refused before any worker starts.
+    Stack s(BackendKind::Scalar);
+    BatchServerConfig cfg;
+    cfg.workers = 2;
+    cfg.shards = 2;
+    EXPECT_DEATH(
+        {
+            BatchServer server(*s.ctx, *s.keys, *s.store, s.workloads,
+                               s.inputs, cfg);
+        },
+        "shards must be 1");
+}
+
 TEST(RequestQueue, BackpressureAndAdmissionControl)
 {
     RequestQueue q(2);

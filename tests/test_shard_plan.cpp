@@ -3,10 +3,9 @@
  * Shard-planning invariants (src/shard/ + ArkSimulator::runSharded):
  * every evk cluster lands on exactly one shard, per-shard evk sets
  * partition the program's evk set, sharded residency accounting sums
- * consistently with the unsharded run, per-shard evk HBM traffic sits
+ * consistently with the unsharded run, and per-shard evk HBM traffic sits
  * strictly below the single-chip EvkCluster baseline under scratchpad
- * pressure (the PR's acceptance gate), and the serving-plane planner
- * co-locates identical evk signatures.
+ * pressure.
  */
 
 #include <set>
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/builder.h"
-#include "shard/serve_shard.h"
 #include "shard/shard_plan.h"
 #include "sim/simulator.h"
 #include "workloads/programs.h"
@@ -198,54 +196,6 @@ TEST(ShardedSim, OneShardMatchesSingleChipSchedule)
     EXPECT_DOUBLE_EQ(r.per_shard[0].hbm_bytes, single.hbm_bytes);
     EXPECT_DOUBLE_EQ(r.link_bytes, 0);
     EXPECT_DOUBLE_EQ(r.seconds, r.per_shard[0].seconds);
-}
-
-TEST(ServeShardPlan, IdenticalSignaturesCoLocateAndBalance)
-{
-    // Synthetic workloads: two signature families, several members.
-    auto mk = [](std::vector<i64> rots, size_t filler) {
-        ServeWorkload w;
-        w.name = "wl";
-        for (i64 r : rots)
-            w.ops.push_back({ServeOpKind::Rotate, r, 0, 0});
-        for (size_t i = 0; i < filler; ++i)
-            w.ops.push_back({ServeOpKind::AddScalar, 0, 0, 0.5});
-        return w;
-    };
-    std::vector<ServeWorkload> wls = {
-        mk({1, 2}, 4), mk({3, 4}, 4), mk({2, 1}, 2), mk({4, 3}, 2),
-    };
-
-    const ServeShardPlan plan = planServeShards(wls, 2);
-    ASSERT_EQ(plan.shard_of_workload.size(), wls.size());
-    // {1,2} and {2,1} share a signature, as do {3,4} and {4,3}.
-    EXPECT_EQ(plan.shard_of_workload[0], plan.shard_of_workload[2]);
-    EXPECT_EQ(plan.shard_of_workload[1], plan.shard_of_workload[3]);
-    // Two equal-weight families across two shards must split.
-    EXPECT_NE(plan.shard_of_workload[0], plan.shard_of_workload[1]);
-    EXPECT_EQ(plan.weight_of_shard[0], plan.weight_of_shard[1]);
-
-    // Determinism.
-    const ServeShardPlan again = planServeShards(wls, 2);
-    EXPECT_EQ(plan.shard_of_workload, again.shard_of_workload);
-}
-
-TEST(ServeShardPlan, OverlappingSignaturesPreferTheSameShard)
-{
-    auto mk = [](std::vector<i64> rots) {
-        ServeWorkload w;
-        for (i64 r : rots)
-            w.ops.push_back({ServeOpKind::Rotate, r, 0, 0});
-        return w;
-    };
-    // Heaviest first: {1,2,3} seeds a shard; {1,2} overlaps it and
-    // should follow despite the load; {7,8} opens the other shard.
-    std::vector<ServeWorkload> wls = {
-        mk({1, 2, 3}), mk({7, 8}), mk({1, 2}),
-    };
-    const ServeShardPlan plan = planServeShards(wls, 2);
-    EXPECT_EQ(plan.shard_of_workload[0], plan.shard_of_workload[2]);
-    EXPECT_NE(plan.shard_of_workload[0], plan.shard_of_workload[1]);
 }
 
 } // namespace
