@@ -7,7 +7,8 @@
  * reference kernels (Harvey lazy NTT vs strict NTT, fused cache-blocked
  * BConv vs the two-stage pipeline, pooled vs fresh allocation), the
  * vector kernel table against the scalar lazy kernels at the host's
- * best ISA tier, and prints the serial-vs-pool executor table.
+ * best ISA tier, the BConv tile's avx512 body against its avx512ifma
+ * one, and prints the serial-vs-pool executor table.
  * `--json PATH` emits the same numbers machine-readably (consumed by
  * scripts/check_bench_regression.py and archived as a CI artifact)
  * together with the dispatched SIMD tier and detected CPU features, so
@@ -27,6 +28,7 @@
 
 #include "bench_util.h"
 #include "boot/bootstrapper.h"
+#include "ckks/context.h"
 #include "ckks/encryptor.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -438,6 +440,91 @@ runSimdComparison(bool smoke)
 }
 
 // ---------------------------------------------------------------------------
+// The BConv tile per tier at testBoot's key-switch shapes
+// ---------------------------------------------------------------------------
+
+/**
+ * The avx512 (Shoup64) and avx512ifma (Ifma52) BConv tiles on
+ * testBoot's two key-switch conversions, both 7 -> 21 limbs at
+ * N = 4096: ModUp of digit 0 (q0 and six 42-bit primes into the other
+ * fourteen q primes and the seven special primes below 2^50) and
+ * ModDown (the special primes into q0..q20). A tier's body stays only
+ * if it beats the tier below by 1.2x; `speedup` is that ratio. Both
+ * tiers' outputs must match the scalar tile's.
+ */
+void
+runBconvTierComparison(bool smoke)
+{
+    KernelBackend scalar(SimdTier::Scalar);
+    KernelBackend avx512(SimdTier::Avx512);
+    KernelBackend ifma(SimdTier::Avx512Ifma);
+    std::printf("BConv tile per tier at testBoot's key-switch shapes "
+                "(7 -> 21 limbs)\n");
+    if (avx512.tier() != SimdTier::Avx512 ||
+        ifma.tier() != SimdTier::Avx512Ifma) {
+        std::printf("  (skipped: needs avx512ifma, tier is %s)\n\n",
+                    simdTierName(ifma.tier()));
+        return;
+    }
+    const CkksParams params = CkksParams::testBoot();
+    const PrimeChains chains = primeChains(params);
+    const size_t n = params.degree;
+    const size_t a = static_cast<size_t>(params.alpha());
+    std::vector<Modulus> digit0, modup_out, special, q_all;
+    for (size_t i = 0; i < chains.q.size(); ++i) {
+        q_all.emplace_back(chains.q[i]);
+        (i < a ? digit0 : modup_out).emplace_back(chains.q[i]);
+    }
+    for (u64 p : chains.p) {
+        special.emplace_back(p);
+        modup_out.emplace_back(p);
+    }
+    TablePrinter t({"kernel", "N", "scalar (ms)", "avx512 (ms)",
+                    "avx512ifma (ms)", "ifma vs avx512"});
+    const int reps = smoke ? 5 : 25;
+    const int iters = smoke ? 5 : 20;
+    const auto row = [&](const char *name, const BaseConverter &bc) {
+        const size_t nb = bc.inBase().size(), nc = bc.outBase().size();
+        Rng rng(15);
+        RnsPoly in(n, nb, Rep::Coeff);
+        for (size_t l = 0; l < nb; ++l) {
+            auto v = rng.uniformVector(n, bc.inBase()[l].value());
+            std::copy(v.begin(), v.end(), in.limb(l));
+        }
+        const RnsPoly ref = scalar.bconv(bc, in);
+        const auto time_ms = [&](KernelBackend &kb) {
+            RnsPoly got = kb.bconv(bc, in);
+            bool same = true;
+            for (size_t l = 0; same && l < nc; ++l)
+                same = std::memcmp(got.limb(l), ref.limb(l),
+                                   n * sizeof(u64)) == 0;
+            checkParity(same, (std::string(kb.name()) + " " + name +
+                               " != scalar")
+                                  .c_str());
+            kb.pool().release(std::move(got));
+            return timeMs(reps, [&] {
+                for (int i = 0; i < iters; ++i)
+                    kb.pool().release(kb.bconv(bc, in));
+            }) / iters;
+        };
+        const double scalar_ms = time_ms(scalar);
+        const double avx512_ms = time_ms(avx512);
+        const double ifma_ms = time_ms(ifma);
+        const double speedup = addComparison(
+            name, {{"n", n}, {"in_limbs", nb}, {"out_limbs", nc}},
+            "avx512_ms", avx512_ms, "avx512ifma_ms", ifma_ms);
+        t.addRow({name, std::to_string(n), TablePrinter::fmt(scalar_ms, 3),
+                  TablePrinter::fmt(avx512_ms, 3),
+                  TablePrinter::fmt(ifma_ms, 3),
+                  TablePrinter::fmt(speedup, 2)});
+    };
+    row("simd_bconv_modup", BaseConverter(digit0, modup_out));
+    row("simd_bconv_moddown", BaseConverter(special, q_all));
+    t.print();
+    std::printf("\n");
+}
+
+// ---------------------------------------------------------------------------
 // Fused cache-blocked BConv vs the two-stage pipeline
 // ---------------------------------------------------------------------------
 
@@ -759,7 +846,8 @@ const char *kUsage =
     "\n"
     "Usage: bench_micro_kernels [--smoke] [--json PATH] [--help]\n"
     "  (no flags)  lazy-vs-strict NTT, simd-vs-scalar kernels (best\n"
-    "            host ISA), fused-vs-two-stage BConv, pooled-vs-fresh\n"
+    "            host ISA), the BConv tile at avx512 vs avx512ifma,\n"
+    "            fused-vs-two-stage BConv, pooled-vs-fresh\n"
     "            alloc, serial-vs-pool executor table (kernels and\n"
     "            a warm testBoot bootstrap)\n"
     "  --smoke   reduced sizes/reps for CI; parity checks still gate\n"
@@ -785,6 +873,7 @@ main(int argc, char **argv)
 
     ark::runNttComparison(smoke);
     ark::runSimdComparison(smoke);
+    ark::runBconvTierComparison(smoke);
     ark::runBconvComparison(smoke);
     ark::runPoolComparison(smoke);
     if (!smoke)

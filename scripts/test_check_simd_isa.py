@@ -25,6 +25,13 @@ AVX2_MUL_EVAL = (f"0000000000003000 <void {NS}avx2::mulEvalLimb<"
                  f"{NS}avx2::Shoup64>(ark::Modulus const&, "
                  "unsigned long const*, unsigned long const*, "
                  "unsigned long*, unsigned long)>:")
+BCONV_ARGS = ("(ark::BaseConverter const&, ark::RnsPoly const&, "
+              "unsigned long, unsigned long, unsigned long*, "
+              "ark::RnsPoly&)>:")
+BCONV_SHOUP = (f"0000000000005000 <void {NS}avx512::bconvTile<"
+               f"{NS}avx512::Shoup64>{BCONV_ARGS}")
+BCONV_IFMA = (f"0000000000006000 <void {NS}avx512::bconvTile<"
+              f"{NS}avx512::Ifma52>{BCONV_ARGS}")
 VEC4_CSUB = (f"0000000000004000 <{NS}Vec4::csub(long long "
              "__vector(4), long long __vector(4))>:")
 
@@ -81,6 +88,15 @@ class ScanTest(unittest.TestCase):
                        "vpsubq %ymm17,%ymm0,%ymm0",
                        "vpmadd52luq %ymm1,%ymm2,%ymm3")))
         self.assertEqual(stray, {name(VEC4_CSUB): 3})
+
+    def test_bconv_tile_follows_its_policy(self):
+        madd = insn("vpmadd52huq %zmm1,%zmm2,%zmm3")
+        stray, total = scan([BCONV_SHOUP, madd, "", BCONV_IFMA, madd])
+        self.assertEqual(stray, {name(BCONV_SHOUP): 1})
+        self.assertEqual(total, 2)
+        stray, _ = scan([BCONV_IFMA, madd,
+                         insn("vpmullq %zmm1,%zmm2,%zmm3")])
+        self.assertEqual(stray, {})
 
 
 if __name__ == "__main__":

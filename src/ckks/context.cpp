@@ -1,6 +1,7 @@
 #include "ckks/context.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
@@ -13,8 +14,9 @@ primeChains(const CkksParams &params)
 {
     // q0 is generated at log_q0 bits and q1..qL balanced around the
     // scale, since rescale divides by them. The special primes are the
-    // largest below 2^log_special: only their product P matters, and at
-    // log_special = 60 every one of them stays below the vector NTT
+    // largest below 2^log_special: only their product P matters (the
+    // CkksContext constructor checks that it covers every digit), and
+    // at log_special <= 60 every one of them stays below the vector NTT
     // bodies' 2^60 bound.
     const size_t n = params.degree;
     PrimeChains chains;
@@ -41,6 +43,23 @@ CkksContext::CkksContext(CkksParams params)
                "dnum must divide L + 1 (paper Table I)");
 
     const PrimeChains chains = primeChains(params_);
+    // ModDown divides the key-switch error, which grows with the digit
+    // Q_j being switched, by P. P must exceed the largest digit by
+    // kSpecialMarginBits, or that error reaches the message: at
+    // testSmall, special primes below 2^50 (P ~ Q_0) lost 4-5 bits.
+    double log_p = 0;
+    for (u64 p : chains.p)
+        log_p += std::log2(static_cast<double>(p));
+    double log_digit = 0;
+    for (int d = 0; d < params_.dnum; ++d) {
+        double log_q = 0;
+        for (int j = d * a; j < (d + 1) * a; ++j)
+            log_q += std::log2(static_cast<double>(chains.q[j]));
+        log_digit = std::max(log_digit, log_q);
+    }
+    ARK_ASSERT(log_p >= log_digit + kSpecialMarginBits,
+               "the special primes' product P must exceed the largest "
+               "digit Q_j by kSpecialMarginBits bits");
     for (u64 q : chains.q) {
         q_moduli_.emplace_back(q);
         q_tables_.emplace_back(n, Modulus(q));

@@ -36,6 +36,10 @@ struct PrimeChains
 /** The prime chains a CkksContext for @p params uses. */
 PrimeChains primeChains(const CkksParams &params);
 
+/** Bits by which a CkksContext requires the special primes' product P
+ *  to exceed the largest digit Q_j. */
+constexpr double kSpecialMarginBits = 16;
+
 /** Shared precomputation for a CKKS instance. */
 class CkksContext
 {

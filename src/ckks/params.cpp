@@ -144,7 +144,11 @@ CkksParams::testBoot()
     p.dnum = 3;
     p.log_q0 = 60;
     p.log_scale = 42;
-    p.log_special = 60;
+    // Seven special primes below 2^50 give P ~ 2^350 against a largest
+    // digit Q_0 ~ 2^312, and keep every key-switch limb but q0 on the
+    // IFMA kernel bodies. The other presets keep 60 bits: at 50, P
+    // would barely cover their digits.
+    p.log_special = 50;
     p.boot_levels = 16;
     // Very sparse secret so the ModRaise overflow I stays small enough
     // for the toy EvalMod range (|I'| <= 8 * (h+1)/2 after SubSum).

@@ -16,7 +16,8 @@ BaseConverter::BaseConverter(std::vector<Modulus> in_base,
     // Accumulating up to 256 products of two <2^60 words stays inside
     // 128 bits; all ARK parameter sets have |B| <= 30 input limbs.
     // Also guarantees tileCoeffs() >= 8.
-    ARK_ASSERT(nb <= 256, "too many input limbs for lazy accumulation");
+    ARK_ASSERT(nb <= kMaxInLimbs,
+               "too many input limbs for lazy accumulation");
     tile_coeffs_ = std::max<size_t>(kTileWords / nb, 1) & ~size_t(7);
     tile_coeffs_ = std::max<size_t>(tile_coeffs_, 8);
 

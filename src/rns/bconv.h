@@ -83,6 +83,15 @@ class BaseConverter
         return base_table_[i * in_base_.size() + j];
     }
 
+    /** Row i of the base table: the |B| entries phat_j mod q_i. */
+    const u64 *baseRow(size_t i) const
+    {
+        return base_table_.data() + i * in_base_.size();
+    }
+
+    /** Largest input base the class accepts. */
+    static constexpr size_t kMaxInLimbs = 256;
+
     /** Scale-stage constant phat_j^-1 mod p_j (for kernel backends). */
     u64 phatInvModP(size_t j) const { return phat_inv_mod_pj_[j]; }
     /** Shoup companion of phatInvModP. */

@@ -620,88 +620,72 @@ struct Ifma52
         const R t = V::add(acc, mulModLazy(a, b, md));
         return V::csub(V::csub(t, md.two_q), md.q);
     }
+
+    // The BConv tile's hooks (bconvTile in rns/simd_schedules.inc).
+
+    /** vpmadd52 reads the low 52 bits of y: accAdd takes y < 2^52
+     *  whole, and accAddTop adds the rest of a wider one. */
+    static constexpr u64 kAccMaxY = (1ULL << 52) - 1;
+
+    /** The MAC's sum in two 52-bit columns: lo gains the low 52 bits
+     *  of each product, hi the bits from 52 up, so the sum is
+     *  lo + hi * 2^52 (exact while accFits holds). */
+    struct Acc
+    {
+        R lo, hi;
+    };
+
+    /** acc += y * r for r < 2^52, reading y mod 2^52 (y_lo):
+     *  lo += (y_lo * r) mod 2^52, hi += floor(y_lo * r / 2^52). */
+    ARK_TIFMA static void
+    accAdd(Acc *acc, R y, R r)
+    {
+        acc->lo = _mm512_madd52lo_epu64(acc->lo, y, r);
+        acc->hi = _mm512_madd52hi_epu64(acc->hi, y, r);
+    }
+
+    /** The part of y * r that accAdd drops for y >= 2^52:
+     *  hi += (y >> 52) * r, below 2^60 for y < 2^62 and r < 2^50, so
+     *  vpmullq's low 64 bits are the whole product. With it, hi gains
+     *  exactly floor(y * r / 2^52). */
+    ARK_TIFMA static void
+    accAddTop(Acc *acc, R y, R r)
+    {
+        const R top = _mm512_srli_epi64(y, 52);
+        acc->hi = V::add(acc->hi, V::mullo64(top, r, r));
+    }
+
+    /** lo + hi * 2^52 as (lo, hi) 64-bit words. */
+    ARK_TIFMA static void
+    accWide(const Acc &acc, R *lo, R *hi)
+    {
+        const R shifted = _mm512_slli_epi64(acc.hi, 52);
+        *lo = V::add(acc.lo, shifted);
+        *hi = V::addCarry(_mm512_srli_epi64(acc.hi, 12), *lo, shifted);
+    }
+
+    /**
+     * Lane bounds of nb products y_j * r with y_j < p_j and r < q
+     * (sum_in = the sum of p_j - 1): lo gains below 2^52 per product,
+     * so it holds for nb < 2^12; hi gains floor(y_j * r / 2^52) <=
+     * (p_j - 1)(q - 1) / 2^52, so it holds while (q - 1) * sum_in is
+     * below 2^116. testBoot's digit 0 (q0 plus six 42-bit primes)
+     * reaches about 2^110, testSmall's ModDown (two 60-bit primes into
+     * 40-bit ones) about 2^101.
+     */
+    static bool
+    accFits(u64 q, size_t nb, u128 sum_in)
+    {
+        return nb < (1u << 12) &&
+               static_cast<u128>(q - 1) * sum_in < (u128(1) << 116);
+    }
 };
 
 // ---------------------------------------------------------------------------
-// The AVX-512-only entries: the fused BConv tile, add and sub. The AVX2
-// table keeps the scalar ones: a vector BConv tile of 4 lanes measured
-// below the scalar one.
+// The AVX-512-only entries: add and sub. The AVX2 table keeps the
+// scalar ones, and the scalar BConv tile: a vector BConv tile of 4
+// lanes measured below the scalar one.
 // ---------------------------------------------------------------------------
-
-/** Modulus::mulShoupLazy lane-wise: result in [0, 2q) per lane. */
-ARK_T512 inline R
-mulShoupLazy(R x, R w, R w_hi, R ws, R ws_hi, R q, R q_hi, R m32)
-{
-    return V::sub(V::mullo64(x, w, w_hi),
-                  V::mullo64(mulhi64(x, ws, ws_hi, m32), q, q_hi));
-}
-
-/**
- * The convertTile contract with limb-major scratch
- * (scratch[j * tile + c]) so lanes run across coefficients and no
- * transpose is needed. Each coefficient's MAC accumulates in the same j
- * order as the scalar kernel; regrouping an exact 128-bit sum is exact,
- * so outputs are bit-identical.
- */
-ARK_T512 void
-bconvTile(const BaseConverter &bc, const RnsPoly &in, size_t c0, size_t c1,
-          u64 *scratch, RnsPoly &out)
-{
-    const size_t nb = bc.inBase().size();
-    const size_t nc = bc.outBase().size();
-    const size_t tile = c1 - c0;
-    const R m32 = V::set1(0xffffffffULL);
-
-    // Scale stage: strict Shoup product per lane (lazy + csub q).
-    for (size_t j = 0; j < nb; ++j) {
-        const Modulus &pj = bc.inBase()[j];
-        const u64 s = bc.phatInvModP(j);
-        const u64 ss = bc.phatInvModPShoup(j);
-        const u64 *src = in.limb(j) + c0;
-        u64 *dst = scratch + j * tile;
-        const R q = V::set1(pj.value());
-        const R q_hi = V::set1(pj.value() >> 32);
-        const R vs = V::set1(s), vs_hi = V::set1(s >> 32);
-        const R vss = V::set1(ss), vss_hi = V::set1(ss >> 32);
-        size_t c = 0;
-        for (; c + 8 <= tile; c += 8) {
-            const R r = mulShoupLazy(V::load(src + c), vs, vs_hi, vss,
-                                     vss_hi, q, q_hi, m32);
-            V::store(dst + c, V::csub(r, q));
-        }
-        for (; c < tile; ++c)
-            dst[c] = pj.mulShoup(src[c], s, ss);
-    }
-
-    // MAC stage: 128-bit accumulation per lane as (lo, hi) vector
-    // pairs with explicit carry counting, then the Barrett reduce.
-    for (size_t i = 0; i < nc; ++i) {
-        const Modulus &qi = bc.outBase()[i];
-        const ModV md = loadMod(qi);
-        u64 *dst = out.limb(i) + c0;
-        size_t c = 0;
-        for (; c + 8 <= tile; c += 8) {
-            R acc_lo = _mm512_setzero_si512();
-            R acc_hi = _mm512_setzero_si512();
-            for (size_t j = 0; j < nb; ++j) {
-                const u64 rj = bc.baseTable(i, j);
-                R p_lo, p_hi;
-                mul64(V::load(scratch + j * tile + c), V::set1(rj),
-                      V::set1(rj >> 32), m32, &p_lo, &p_hi);
-                acc_lo = V::add(acc_lo, p_lo);
-                acc_hi = V::addCarry(V::add(acc_hi, p_hi), acc_lo, p_lo);
-            }
-            V::store(dst + c, barrett(acc_lo, acc_hi, md));
-        }
-        for (; c < tile; ++c) {
-            u128 acc = 0;
-            for (size_t j = 0; j < nb; ++j)
-                acc += static_cast<u128>(scratch[j * tile + c]) *
-                       bc.baseTable(i, j);
-            dst[c] = qi.reduce(acc);
-        }
-    }
-}
 
 ARK_T512 void
 addLimb(const Modulus &m, const u64 *a, const u64 *b, u64 *r, size_t n)
@@ -726,7 +710,8 @@ subLimb(const Modulus &m, const u64 *a, const u64 *b, u64 *r, size_t n)
 // ---------------------------------------------------------------------------
 // The IFMA table's entries: Ifma52's products are exact only for
 // q < 2^50, so a wider limb runs the Shoup64 instantiation of the same
-// kernel. This is the tier's one hand-off.
+// kernel. A one-limb kernel hands off whole (IfmaEntry); the BConv tile
+// spans many limbs and picks its policy per limb itself.
 // ---------------------------------------------------------------------------
 
 /** The modulus a kernel call works in: the NTT table's, or the first
@@ -799,7 +784,7 @@ simdKernels(SimdTier tier)
         k.tier = SimdTier::Avx512;
         k.ntt_forward = &avx512::nttForward<Shoup64>;
         k.ntt_inverse = &avx512::nttInverse<Shoup64>;
-        k.bconv_tile = &avx512::bconvTile;
+        k.bconv_tile = &avx512::bconvTile<Shoup64>;
         k.evk_mac_limb = &avx512::evkMacLimb<Shoup64>;
         k.mul_eval_limb = &avx512::mulEvalLimb<Shoup64>;
         k.mul_acc_limb = &avx512::mulAccLimb<Shoup64>;
@@ -811,8 +796,8 @@ simdKernels(SimdTier tier)
         k.plain_reduce_limb = &avx512::plainReduceLimb;
         return k;
     }();
-    // The same schedules with the Ifma52 multiplier (IfmaEntry hands
-    // q >= 2^50 limbs to the Shoup64 ones).
+    // The same schedules with the Ifma52 multiplier (q >= 2^50 limbs
+    // run the Shoup64 ones).
     static const SimdKernels avx512ifma_kernels = [] {
         using namespace avx512;
         SimdKernels k = avx512_kernels;
@@ -829,6 +814,7 @@ simdKernels(SimdTier tier)
             &IfmaEntry<&mulAccLimb<Ifma52>, &mulAccLimb<Shoup64>>::run;
         k.mul_scalar_limb =
             &IfmaEntry<&mulScalarLimb<Ifma52>, &mulScalarLimb<Shoup64>>::run;
+        k.bconv_tile = &bconvTile<Ifma52>;
         return k;
     }();
     switch (std::min(tier, detectSimdTier())) {

@@ -7,10 +7,10 @@
  * The scalar table holds the reference loop bodies. Each vector entry
  * runs the exact same integer arithmetic lane-wise: the Harvey lazy
  * NTT keeps a lazy butterfly domain per lane, the fused BConv tile
- * accumulates the full 128-bit MAC as a (lo, hi) vector pair with
- * explicit carries, the evk MAC, mulEval and the plaintext MAC's final
- * reduce mirror Modulus::reduce's Barrett formula, and the limb
- * embedding mirrors Modulus::reduceWord. The vector constant products
+ * accumulates each coefficient's exact 128-bit MAC sum lane-wise, the
+ * reduces of the BConv tile, the evk MAC, mulEval and the plaintext
+ * MAC mirror Modulus::reduce's Barrett formula, and the limb embedding
+ * mirrors Modulus::reduceWord. The vector constant products
  * take a cheaper Shoup quotient and fold the wider lazy result to the
  * canonical residue, the one value the scalar loop returns. All
  * operations are exact arithmetic applied in the same per-element
@@ -29,9 +29,10 @@
  * products in vpmadd52 ops on 8 lanes for limbs with q < 2^50. The
  * avx2 table lists 4-lane Shoup64 instantiations, the avx512 table
  * 8-lane Shoup64 ones, the avx512ifma table the Ifma52 ones; kernels
- * without a modular product the policies differ in (add, sub, the
- * BConv tile, the limb embedding, the plaintext MAC) take the lane
- * width only.
+ * without a modular product the policies differ in (add, sub, the limb
+ * embedding, the plaintext MAC) take the lane width only. The BConv
+ * tile takes the policy and picks it per limb: under Ifma52, limbs
+ * with q >= 2^50 run the Shoup64 steps.
  *
  * The compiler does not vectorize a loop with a 64x64->128-bit product,
  * a per-word reduction or an unsigned 64-bit compare, so the

@@ -16,14 +16,16 @@
  * cell — serial and a pool of 4, times each ISA tier (skipping tiers
  * the host cannot run) — against serial x scalar, including the
  * sub-vector-degree and wide-modulus fallbacks onto the scalar
- * transforms, the q < 2^50 bound of the IFMA tier's 52-bit kernels, and
- * the element-wise entries (add, sub, MAC, constant product, mulByI).
+ * transforms, the q < 2^50 bound of the IFMA tier's 52-bit kernels
+ * (the BConv tile's on in-bases of mixed widths too), and the
+ * element-wise entries (add, sub, MAC, constant product, mulByI).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "ckks/context.h"
 #include "ckks/params.h"
 #include "common/math_util.h"
 #include "common/random.h"
@@ -31,6 +33,7 @@
 #include "rns/cpu_features.h"
 #include "rns/poly_pool.h"
 #include "rns/primes.h"
+#include "rns/simd_kernels.h"
 
 namespace ark {
 namespace {
@@ -740,6 +743,132 @@ TEST_P(EngineCellParityTest, BconvParityOddBases)
                     << "limb " << l << " coeff " << c;
         }
     }
+}
+
+/** Poly of @p degree over @p base: random residues whose first vector
+ *  is q - 1, or q - 1 throughout when @p top. */
+RnsPoly
+bconvInput(const std::vector<Modulus> &base, size_t degree, Rng &rng,
+           bool top)
+{
+    RnsPoly in(degree, base.size(), Rep::Coeff);
+    for (size_t l = 0; l < base.size(); ++l) {
+        const u64 q = base[l].value();
+        auto v = rng.uniformVector(degree, q);
+        for (size_t c = 0; c < degree; ++c)
+            if (top || c < 8)
+                v[c] = q - 1;
+        std::copy(v.begin(), v.end(), in.limb(l));
+    }
+    return in;
+}
+
+/**
+ * The BConv tile per tier on in-bases of mixed widths: all 42-bit; one
+ * 60-bit prime plus six 42-bit (testBoot's digit 0, whose 60-bit
+ * residues pass 2^52, where the IFMA tile adds (y >> 52) * r); two
+ * 60-bit (testSmall's ModDown). Every out-base holds the primes next
+ * to 2^50 on either side of the IFMA tile's bound and a 60-bit limb.
+ * Inputs are random with a first vector at q - 1, and q - 1 throughout
+ * (the largest lane sums). Then the kernel table's tile alone on
+ * ranges that leave partial blocks, single vectors and words that do
+ * not fill a vector, and the fused nttBconvNtt at testBoot's digit-0
+ * shape.
+ */
+TEST_P(EngineCellParityTest, BconvParityMixedWidths)
+{
+    auto engine = engineAt(GetParam());
+    if (!engine)
+        GTEST_SKIP() << "tier not available on this host";
+    KernelBackend scalar(SimdTier::Scalar);
+
+    const size_t degree = 4096;
+    const PrimeChains boot = primeChains(CkksParams::testBoot());
+    const PrimeChains small = primeChains(CkksParams::testSmall());
+    // testBoot's first special prime is the largest NTT-friendly prime
+    // below 2^50; the next one above 2^50 sits past the IFMA bound.
+    const u64 below = boot.p[0];
+    u64 above = (1ULL << 50) + 1;
+    while (!isPrime(above))
+        above += 2 * degree;
+    ASSERT_LT(below, 1ULL << 50);
+    const auto moduli = [](const std::vector<u64> &primes) {
+        return std::vector<Modulus>(primes.begin(), primes.end());
+    };
+
+    // (in-base, out-base): testBoot's digit 0 goes to the rest of its
+    // key-switch base, testSmall's special primes to its q chain.
+    const std::vector<u64> digit0(boot.q.begin(), boot.q.begin() + 7);
+    std::vector<u64> boot_rest(boot.q.begin() + 7, boot.q.end());
+    boot_rest.insert(boot_rest.end(), boot.p.begin(), boot.p.end());
+    std::vector<u64> boot_out = boot_rest;
+    boot_out.push_back(above);
+    boot_out.push_back(generatePrimesBelow(60, 1, degree, boot.q)[0]);
+    const std::vector<u64> narrow = generatePrimes(42, 7, degree);
+    std::vector<u64> narrow_out = generatePrimes(42, 2, degree, narrow);
+    narrow_out.insert(narrow_out.end(), {small.q[0], below, above});
+    std::vector<u64> small_out = small.q;
+    small_out.insert(small_out.end(), {below, above});
+    const std::vector<std::pair<std::vector<u64>, std::vector<u64>>> cases =
+        {{narrow, narrow_out},
+         {digit0, boot_out},
+         {small.p, small_out}};
+    Rng rng(450);
+    for (const auto &[in_primes, out] : cases) {
+        BaseConverter bc(moduli(in_primes), moduli(out));
+        SCOPED_TRACE("in " + std::to_string(in_primes.size()) + " limbs, "
+                     "first " + std::to_string(in_primes[0]));
+        ASSERT_EQ(std::count_if(out.begin(), out.end(),
+                                [](u64 q) { return q > (1ULL << 59); }),
+                  1);
+        for (bool top : {false, true}) {
+            const RnsPoly in = bconvInput(bc.inBase(), degree, rng, top);
+            const RnsPoly rs = scalar.bconv(bc, in);
+            const RnsPoly rv = engine->bconv(bc, in);
+            for (size_t l = 0; l < rs.numLimbs(); ++l)
+                for (size_t c = 0; c < degree; ++c)
+                    ASSERT_EQ(rs.limb(l)[c], rv.limb(l)[c])
+                        << "top " << top << " limb " << l << " coeff " << c;
+        }
+
+        // Tile ranges of 1 to 63 words from an odd start.
+        const SimdKernels &kernels = simdKernels(engine->tier());
+        const RnsPoly in = bconvInput(bc.inBase(), 128, rng, false);
+        for (size_t len : {size_t(1), size_t(7), size_t(9), size_t(33),
+                           size_t(40), size_t(63)}) {
+            SCOPED_TRACE("tile [3, " + std::to_string(3 + len) + ")");
+            u64 scratch[BaseConverter::kTileWords];
+            RnsPoly rs(128, out.size(), Rep::Coeff);
+            RnsPoly rv(128, out.size(), Rep::Coeff);
+            bc.convertTile(in, 3, 3 + len, scratch, rs);
+            kernels.bconv_tile(bc, in, 3, 3 + len, scratch, rv);
+            for (size_t l = 0; l < out.size(); ++l)
+                for (size_t c = 3; c < 3 + len; ++c)
+                    ASSERT_EQ(rs.limb(l)[c], rv.limb(l)[c])
+                        << "limb " << l << " coeff " << c;
+        }
+    }
+
+    // The fused digit path: INTT of digit 0, the tile, NTT of the rest.
+    std::vector<NttTables> in_tables, out_tables;
+    for (u64 q : digit0)
+        in_tables.emplace_back(degree, Modulus(q));
+    for (u64 q : boot_rest)
+        out_tables.emplace_back(degree, Modulus(q));
+    std::vector<const NttTables *> in_ptrs, out_ptrs;
+    for (const auto &t : in_tables)
+        in_ptrs.push_back(&t);
+    for (const auto &t : out_tables)
+        out_ptrs.push_back(&t);
+    BaseConverter bc(moduli(digit0), moduli(boot_rest));
+    RnsPoly digit = bconvInput(bc.inBase(), degree, rng, false);
+    digit.setRep(Rep::Eval);
+    const RnsPoly rs = scalar.nttBconvNtt(digit, in_ptrs, bc, out_ptrs);
+    const RnsPoly rv = engine->nttBconvNtt(digit, in_ptrs, bc, out_ptrs);
+    for (size_t l = 0; l < rs.numLimbs(); ++l)
+        for (size_t c = 0; c < degree; ++c)
+            ASSERT_EQ(rs.limb(l)[c], rv.limb(l)[c])
+                << "nttBconvNtt limb " << l << " coeff " << c;
 }
 
 /** evk MAC digit path per tier, including the full_nq > nq tail, on

@@ -139,26 +139,31 @@ fnv1a(const std::vector<u64> &words)
 /**
  * Every preset's special primes are the largest NTT-friendly primes
  * below 2^log_special (so all of them stay below 2^60, on the vector
- * NTT bodies), while q0 and the scale primes keep the values of the
- * balanced scan: the hashes pin each q chain as it was before the
- * special primes moved.
+ * NTT bodies), and testBoot's are below 2^50, on the IFMA ones. The
+ * hashes pin each preset's q chain and p chain.
  */
 TEST(PrimeChains, SpecialPrimesBelowTwoToLogSpecialQChainsUnchanged)
 {
-    const std::pair<CkksParams, u64> presets[] = {
-        {CkksParams::ark(), 0xdb43f647befa3847ull},
-        {CkksParams::lattigo(), 0x1e1a562958e3acdfull},
-        {CkksParams::hundredX(), 0x92faece4e6ada24cull},
-        {CkksParams::f1(), 0x54e77aee2afc7986ull},
-        {CkksParams::testTiny(), 0x1c6cb237f2bfb1faull},
-        {CkksParams::testSmall(), 0x139938e49e85b408ull},
-        {CkksParams::testBoot(), 0xbd916d77ab767653ull},
+    struct Pinned
+    {
+        CkksParams params;
+        u64 q_hash, p_hash;
     };
-    for (const auto &[params, q_hash] : presets) {
+    const Pinned presets[] = {
+        {CkksParams::ark(), 0xdb43f647befa3847ull, 0xa7ad0129d5abfab0ull},
+        {CkksParams::lattigo(), 0x1e1a562958e3acdfull, 0x87bfb22d23ab9919ull},
+        {CkksParams::hundredX(), 0x92faece4e6ada24cull, 0x720210ef19d783deull},
+        {CkksParams::f1(), 0x54e77aee2afc7986ull, 0xf65a3c70023032c3ull},
+        {CkksParams::testTiny(), 0x1c6cb237f2bfb1faull, 0x30790796f7fb2e86ull},
+        {CkksParams::testSmall(), 0x139938e49e85b408ull, 0x0fa5f96ebbe99710ull},
+        {CkksParams::testBoot(), 0xbd916d77ab767653ull, 0xd451ca21bc0d46b4ull},
+    };
+    for (const auto &[params, q_hash, p_hash] : presets) {
         SCOPED_TRACE(params.name);
         const PrimeChains chains = primeChains(params);
         ASSERT_EQ(chains.q.size(), static_cast<size_t>(params.max_level) + 1);
         EXPECT_EQ(fnv1a(chains.q), q_hash);
+        EXPECT_EQ(fnv1a(chains.p), p_hash);
         ASSERT_EQ(chains.p.size(), static_cast<size_t>(params.alpha()));
         const u64 top = 1ULL << params.log_special;
         for (size_t i = 0; i < chains.p.size(); ++i) {
@@ -174,6 +179,17 @@ TEST(PrimeChains, SpecialPrimesBelowTwoToLogSpecialQChainsUnchanged)
             }
         }
     }
+    for (u64 p : primeChains(CkksParams::testBoot()).p)
+        EXPECT_LT(p, 1ULL << 50);
+}
+
+/** At testSmall, special primes below 2^50 give P ~ Q_0: the context
+ *  refuses them. */
+TEST(ContextDeath, RejectsSpecialPrimesBelowMargin)
+{
+    CkksParams p = CkksParams::testSmall();
+    p.log_special = 50;
+    EXPECT_DEATH({ CkksContext ctx(p); }, "largest digit");
 }
 
 TEST(ContextDeath, RejectsIndivisibleDnum)
