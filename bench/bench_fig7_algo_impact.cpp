@@ -73,10 +73,16 @@ main()
         auto helr1 = [](const CkksParams &p, KeySchedule s) {
             return helrProgram(p, s, 1);
         };
+        auto resnet = [](const CkksParams &p, KeySchedule s) {
+            return resnetProgram(p, s);
+        };
+        auto sorting = [](const CkksParams &p, KeySchedule s) {
+            return sortingProgram(p, s);
+        };
         const W workloads[] = {
             {"HELR (1 iter)", +helr1, 1.72},
-            {"ResNet-20", &resnetProgram, 2.20},
-            {"Sorting", &sortingProgram, 2.08},
+            {"ResNet-20", +resnet, 2.20},
+            {"Sorting", +sorting, 2.08},
         };
         for (const auto &w : workloads) {
             double base_s = 0;

@@ -1,7 +1,5 @@
 #include "graph/builder.h"
 
-#include "common/logging.h"
-
 namespace ark {
 
 namespace {
@@ -19,23 +17,6 @@ isBarrier(const SimOp &op)
     return op.kind == SimOpKind::Rescale ||
            op.kind == SimOpKind::ModRaise ||
            op.kind == SimOpKind::Elementwise;
-}
-
-/** Serving-plane commutation relation (see builder.h header note). */
-bool
-serveOpsCommute(const ServeOp &a, const ServeOp &b)
-{
-    auto is_add = [](const ServeOp &o) {
-        return o.kind == ServeOpKind::AddScalar;
-    };
-    auto is_rot = [](const ServeOp &o) {
-        return o.kind == ServeOpKind::Rotate;
-    };
-    if (is_add(a) && is_add(b))
-        return true;
-    if ((is_add(a) && is_rot(b)) || (is_rot(a) && is_add(b)))
-        return true;
-    return false;
 }
 
 } // namespace
@@ -93,85 +74,6 @@ liftProgram(const SimProgram &prog)
         phase_members.push_back(i);
     }
     return g;
-}
-
-HeGraph
-liftWorkload(const ServeWorkload &w)
-{
-    HeGraph g;
-    g.name = w.name;
-    g.nodes.resize(w.ops.size());
-    for (size_t i = 0; i < w.ops.size(); ++i) {
-        const ServeOp &op = w.ops[i];
-        SimOp s;
-        switch (op.kind) {
-          case ServeOpKind::Square:
-            s.kind = SimOpKind::KeySwitch;
-            s.evk_id = 0;
-            break;
-          case ServeOpKind::Rescale:
-            s.kind = SimOpKind::Rescale;
-            break;
-          case ServeOpKind::Rotate:
-            s.kind = SimOpKind::KeySwitch;
-            s.evk_id = static_cast<int>(op.rotation);
-            break;
-          case ServeOpKind::MulPlain:
-            s.kind = SimOpKind::PMult;
-            break;
-          case ServeOpKind::AddScalar:
-            s.kind = SimOpKind::Elementwise;
-            break;
-        }
-        s.tag = serveOpName(op.kind);
-        g.nodes[i].op = s;
-        g.nodes[i].index = i;
-    }
-
-    // The workload is a serial fold: op i must stay after op j < i
-    // unless the two commute bit-exactly. The backward scan encodes
-    // that partial order with a transitively reduced edge set:
-    //
-    //  - A Rotate stops at its nearest non-commuting predecessor
-    //    (another Rotate or a full barrier) — rotations chain, so
-    //    everything earlier is ordered transitively through it.
-    //  - An AddScalar's only non-commuting predecessors are full
-    //    barriers, and barriers chain, so it too stops at the first.
-    //  - A full barrier (Square/Rescale/MulPlain commutes with
-    //    nothing) must collect *every* Rotate and AddScalar back to
-    //    the previous barrier: the commuting pairs among them (e.g.
-    //    Rotate vs AddScalar) carry no ordering path it could lean on.
-    auto isFullBarrier = [](const ServeOp &o) {
-        return o.kind == ServeOpKind::Square ||
-               o.kind == ServeOpKind::Rescale ||
-               o.kind == ServeOpKind::MulPlain;
-    };
-    for (size_t i = 0; i < w.ops.size(); ++i) {
-        for (size_t j = i; j-- > 0;) {
-            if (serveOpsCommute(w.ops[j], w.ops[i]))
-                continue;
-            addEdge(g, j, i);
-            if (!isFullBarrier(w.ops[i]) || isFullBarrier(w.ops[j]))
-                break;
-        }
-    }
-    return g;
-}
-
-ServeWorkload
-reorderWorkload(const ServeWorkload &w, const std::vector<size_t> &order)
-{
-    ARK_ASSERT(order.size() == w.ops.size(),
-               "schedule order must cover every op");
-    ServeWorkload out;
-    out.name = w.name;
-    out.input_index = w.input_index;
-    out.ops.reserve(w.ops.size());
-    for (size_t idx : order) {
-        ARK_ASSERT(idx < w.ops.size(), "schedule index out of range");
-        out.ops.push_back(w.ops[idx]);
-    }
-    return out;
 }
 
 } // namespace ark

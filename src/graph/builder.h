@@ -1,38 +1,22 @@
 /**
  * @file
- * Builders that lift linear op sequences into the `HeGraph` dependence
- * IR — one per execution plane, with deliberately different fidelity:
+ * The builder that lifts a simulator trace into the `HeGraph`
+ * dependence IR.
  *
- * - `liftProgram` (simulator plane): phase-granular dependence. A
- *   trace is cut into accumulation phases at its barrier ops (Rescale,
- *   ModRaise, Elementwise joins); within a phase, rotation key
- *   switches and plaintext multiplies are independent siblings (BSGS
- *   babies/giants of a common input, diagonal plaintexts joined only
- *   by the phase barrier) while mult-key switches chain (a
- *   multiplicative depth chain is inherently serial). This
- *   over-approximates slot-level dataflow but preserves exactly the
- *   structure the machine model prices: per-op level, evk identity,
- *   and operand streams.
- *
- * - `liftWorkload` (serving plane): bit-exact commutation dependence.
- *   A ServeWorkload executes as a fold over one ciphertext, so two
- *   ops may be reordered only when their results are bit-identical
- *   either way. The commutation facts used (all verified against the
- *   evaluator implementation): Rotate <-> AddScalar commute (the
- *   Eval-rep automorphism is a pure word permutation, and a CAdd
- *   constant is slot-uniform, hence permutation-invariant; modular
- *   adds then reassociate exactly), and AddScalar <-> AddScalar
- *   commute. Everything else — Square, Rescale, MulPlain, and
- *   Rotate <-> Rotate (key-switch rounding differs per composition
- *   order) — keeps its source order. Any topological order of this
- *   graph therefore yields bit-identical request results
- *   (tests/test_serving.cpp enforces parity against FCFS).
+ * `liftProgram` keeps phase-granular dependence. A trace is cut into
+ * accumulation phases at its barrier ops (Rescale, ModRaise,
+ * Elementwise joins); within a phase, rotation key switches and
+ * plaintext multiplies are independent siblings (BSGS babies/giants of
+ * a common input, diagonal plaintexts joined only by the phase
+ * barrier) while mult-key switches chain (a multiplicative depth chain
+ * is inherently serial). This over-approximates slot-level dataflow
+ * but preserves exactly the structure the machine model prices: per-op
+ * level, evk identity, and operand streams.
  */
 
 #pragma once
 
 #include "graph/he_graph.h"
-#include "serve/workload.h"
 
 namespace ark {
 
@@ -40,19 +24,5 @@ namespace ark {
  *  graph borrows the trace's tags (string_view into static storage or
  *  @p prog's lifetime — see SimOp::tag). */
 HeGraph liftProgram(const SimProgram &prog);
-
-/**
- * Lift an executable serving workload. Node i corresponds to
- * w.ops[i]; node payloads map serve ops onto SimOp kinds (Rotate ->
- * KeySwitch with evk_id = rotation amount, Square -> KeySwitch with
- * the mult key id 0, MulPlain -> PMult, AddScalar -> Elementwise) so
- * the generic scheduler's evk clustering applies unchanged.
- */
-HeGraph liftWorkload(const ServeWorkload &w);
-
-/** Reorder @p w's ops by @p order (order[i] = source index of the op
- *  executed i-th). The order must be topological for liftWorkload(w). */
-ServeWorkload reorderWorkload(const ServeWorkload &w,
-                              const std::vector<size_t> &order);
 
 } // namespace ark

@@ -14,10 +14,8 @@
  * key-reuse lever applied at schedule time) — and a residency planner
  * (graph/residency.h) can bound the scratchpad traffic of that order.
  *
- * Two builders lift into this IR (graph/builder.h): simulator traces
- * (phase-granular dependence, for timing exploration) and serving
- * workloads (bit-exact commutation dependence, for reordering real
- * requests without changing a single output bit).
+ * Simulator traces lift into this IR with phase-granular dependence
+ * (graph/builder.h), for timing exploration.
  */
 
 #pragma once

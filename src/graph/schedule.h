@@ -7,7 +7,7 @@
  *
  * Policies:
  *  - SourceOrder: the identity baseline — replay the trace exactly as
- *    emitted (what the simulator and the FCFS server always did).
+ *    emitted (what the simulator always did).
  *  - EvkCluster: greedy list scheduling that keeps issuing ready ops
  *    sharing the live evk before switching keys, turning interleaved
  *    emission orders (unhoisted BSGS baby/giant alternation,

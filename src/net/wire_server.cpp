@@ -151,12 +151,12 @@ WireServer::collectStats() const
     st.outstanding = live.outstanding;
     // The frame keeps its per-queue list (docs/wire_format.md §5.16);
     // a server has one queue, so it always sends one entry.
-    StatsShardEntry e;
+    StatsQueueEntry e;
     e.queue_depth = live.queue_depth;
     e.queue_capacity = live.queue_capacity;
     e.in_flight = live.in_flight;
     e.total_done = live.total_done;
-    st.shards.push_back(e);
+    st.queues.push_back(e);
 
     // The registry merges to zeros when ARK_METRICS is off — the
     // frame shape is identical either way (the client need not know

@@ -11,21 +11,6 @@
 
 namespace ark {
 
-namespace {
-
-/** Apply the config's intra-request schedule to every workload.
- *  Dependence-safe: reordering follows the bit-exact commutation
- *  graph, so results are unchanged (see graph/serve_schedule.h). */
-std::vector<ServeWorkload>
-applySchedule(std::vector<ServeWorkload> workloads, SchedulePolicy p)
-{
-    for (auto &w : workloads)
-        w = scheduleWorkload(w, p);
-    return workloads;
-}
-
-} // namespace
-
 BatchServerConfig
 serveConfigFromEnv(BatchServerConfig cfg)
 {
@@ -81,7 +66,7 @@ BatchServer::BatchServer(const CkksContext &ctx, KeyCache &keys,
       eval_(ctx),
       keys_(keys),
       plaintexts_(plaintexts),
-      workloads_(applySchedule(std::move(workloads), cfg.schedule)),
+      workloads_(std::move(workloads)),
       inputs_(std::move(inputs)),
       cfg_(cfg),
       admission_(cfg.admission),
@@ -94,14 +79,15 @@ BatchServer::BatchServer(const CkksContext &ctx, KeyCache &keys,
     ARK_ASSERT(cfg_.workers > 0, "server needs at least one worker");
     ARK_ASSERT(cfg_.shards == 1,
                "a server has exactly one queue: shards must be 1");
+    ARK_ASSERT(cfg_.schedule == SchedulePolicy::SourceOrder,
+               "a server runs ops in workload order: schedule must be "
+               "SourceOrder");
     last_watchdog_us_.store(clock_.nowMicros());
 
     // Prewarm every evk the workload set references while still
     // single-threaded: key generation draws from the keygen Rng, so
     // warming here in KeyCache::warm's canonical (sorted) order is
-    // what makes concurrent execution bit-identical to sequential —
-    // and scheduled servers bit-identical to FCFS ones, since the
-    // amount *set* is invariant under dependence-safe reordering.
+    // what makes concurrent execution bit-identical to sequential.
     std::vector<i64> amounts;
     for (const auto &w : workloads_) {
         const std::vector<i64> amts = w.rotationAmounts();
@@ -453,19 +439,9 @@ BatchServer::trySubmit(size_t workload_index,
 std::vector<std::future<ServeResult>>
 BatchServer::submitBatch(const std::vector<size_t> &workload_indices)
 {
-    std::vector<size_t> admission(workload_indices.size());
-    for (size_t i = 0; i < admission.size(); ++i)
-        admission[i] = i;
-    // Only EvkCluster changes server behaviour (matching the
-    // per-request reorder contract); BeladyResidency is a
-    // simulator-plane policy and stays FCFS here.
-    if (cfg_.schedule == SchedulePolicy::EvkCluster)
-        admission =
-            clusterAdmissionOrder(workloads_, workload_indices);
-
     std::vector<std::future<ServeResult>> futs(
         workload_indices.size());
-    for (size_t pos : admission)
+    for (size_t pos : clusterAdmissionOrder(workloads_, workload_indices))
         futs[pos] = submit(workload_indices[pos]);
     return futs;
 }
@@ -672,7 +648,6 @@ BatchServer::drain()
     };
 
     ServeReport rep;
-    rep.schedule = schedulePolicyName(cfg_.schedule);
     done_base_ = total_done_.load();
     rep.failed = counted(obs::Counter::RequestsFailed);
     rep.requests = counted(obs::Counter::RequestsDone) + rep.failed;

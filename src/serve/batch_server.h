@@ -38,7 +38,7 @@
 #include "boot/key_cache.h"
 #include "boot/plaintext_store.h"
 #include "ckks/evaluator.h"
-#include "graph/serve_schedule.h"
+#include "graph/schedule.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
 #include "serve/clock.h"
@@ -56,13 +56,11 @@ struct BatchServerConfig
     /** Bound on admitted-but-unstarted requests (see RequestQueue). */
     size_t queue_capacity = 64;
     /**
-     * Schedule-aware mode (graph/serve_schedule.h). With EvkCluster,
-     * the constructor reorders each workload's ops under the
-     * bit-exact commutation dependence graph (same results,
-     * guaranteed), and submitBatch() sorts queue admission so
-     * requests sharing rotation-evk working sets run back to back.
-     * SourceOrder is plain FCFS, byte for byte the pre-scheduler
-     * behaviour.
+     * Always SourceOrder: a request runs its workload's ops in the
+     * order the workload lists them; the constructor refuses any
+     * other value. Kept only because the end-to-end benchmark
+     * (arkbench/) still assigns it; the next change to arkbench/
+     * deletes the field.
      */
     SchedulePolicy schedule = SchedulePolicy::SourceOrder;
     /**
@@ -248,11 +246,11 @@ class BatchServer
     ServerLiveStats liveStats() const;
 
     /**
-     * Admit a whole batch. In schedule-aware mode the admission order
-     * is clustered so requests sharing rotation evks co-locate
-     * (graph/serve_schedule.h); futures are returned in the CALLER's
-     * order regardless, so result i always answers workload_indices[i].
-     * Blocking, like submit().
+     * Admit a whole batch, in clusterAdmissionOrder (serve/workload.h)
+     * so requests sharing an evk signature run back to back. Futures
+     * are returned in the CALLER's order, so result i always answers
+     * workload_indices[i], bit-identical to submitting the batch one
+     * request at a time. Blocking, like submit().
      */
     std::vector<std::future<ServeResult>>
     submitBatch(const std::vector<size_t> &workload_indices);

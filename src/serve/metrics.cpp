@@ -24,12 +24,12 @@ ServeReport::toString() const
     std::snprintf(
         buf, sizeof buf,
         "requests %zu (%zu failed) in %.3f s  |  %.1f req/s  "
-        "%.1f HE-ops/s  [%s]\n"
+        "%.1f HE-ops/s\n"
         "execute ms: mean %.3f  p50 %.3f  p90 %.3f  p99 %.3f  "
         "max %.3f\n"
         "kernels: %.2f Mwords/s  %.2f Mmults/s",
         requests, failed, wall_seconds, requests_per_sec,
-        he_ops_per_sec, schedule.c_str(), latency.mean_ms,
+        he_ops_per_sec, latency.mean_ms,
         latency.p50_ms, latency.p90_ms, latency.p99_ms,
         latency.max_ms, words_per_sec / 1e6, mults_per_sec / 1e6);
     std::string out = buf;

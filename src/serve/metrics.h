@@ -36,9 +36,6 @@ struct LatencySummary
 /** One drain window's aggregate serving statistics. */
 struct ServeReport
 {
-    /** Scheduling policy the server ran the window under
-     *  (graph/schedule.h policy name; "source-order" = plain FCFS). */
-    std::string schedule = "source-order";
     size_t requests = 0;
     size_t failed = 0;
     /** Requests the SLO admission controller shed in the window —

@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <map>
 
+#include "common/logging.h"
 #include "workloads/programs.h"
 
 namespace ark {
-
-const char *
-serveOpName(ServeOpKind kind)
-{
-    switch (kind) {
-      case ServeOpKind::Square: return "square";
-      case ServeOpKind::Rescale: return "rescale";
-      case ServeOpKind::Rotate: return "rotate";
-      case ServeOpKind::MulPlain: return "mul_plain";
-      case ServeOpKind::AddScalar: return "add_scalar";
-    }
-    return "?";
-}
 
 size_t
 ServeWorkload::levelsNeeded() const
@@ -51,21 +39,32 @@ ServeWorkload::evkSignature() const
     return sig;
 }
 
-std::vector<std::vector<size_t>>
-groupByEvkSignature(const std::vector<ServeWorkload> &workloads)
+std::vector<size_t>
+clusterAdmissionOrder(const std::vector<ServeWorkload> &workloads,
+                      const std::vector<size_t> &request_workloads)
 {
-    std::vector<std::vector<size_t>> groups;
-    std::map<std::vector<i64>, size_t> index; // signature -> group
-    for (size_t wi = 0; wi < workloads.size(); ++wi) {
-        std::vector<i64> sig = workloads[wi].evkSignature();
-        auto it = index.find(sig);
-        if (it == index.end()) {
-            it = index.emplace(std::move(sig), groups.size()).first;
-            groups.emplace_back();
-        }
-        groups[it->second].push_back(wi);
+    // Number each signature by its first appearance in the batch, so
+    // the order depends only on the batch, not on where a workload
+    // sits in the server's workload list.
+    std::map<std::vector<i64>, size_t> group_of_sig;
+    std::vector<size_t> group_of(request_workloads.size());
+    for (size_t i = 0; i < group_of.size(); ++i) {
+        const size_t wi = request_workloads[i];
+        ARK_ASSERT(wi < workloads.size(),
+                   "request references unknown workload");
+        group_of[i] = group_of_sig
+                          .emplace(workloads[wi].evkSignature(),
+                                   group_of_sig.size())
+                          .first->second;
     }
-    return groups;
+    std::vector<size_t> order(group_of.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) {
+                         return group_of[a] < group_of[b];
+                     });
+    return order;
 }
 
 u64
@@ -154,6 +153,12 @@ standardServingMix(const CkksParams &params, const LowerOptions &opt)
     // then re-budgets the op walk onto the *execution* parameters'
     // levels and slots. Only the trace's op mix and evk-identity
     // structure survive, which is exactly what serving exercises.
+    //
+    // The walk spends a level on every Square and MulPlain and stops
+    // when they run out. The first ResNet layer or sorting round
+    // already holds more multiplicative ops than any preset has
+    // levels, so only that much is generated, not the full traces
+    // (21340 and 304200 ops, ~17 MiB per call).
     const CkksParams trace_p = CkksParams::ark();
     const int level = params.max_level;
     const size_t slots = params.num_slots;
@@ -165,9 +170,11 @@ standardServingMix(const CkksParams &params, const LowerOptions &opt)
         lowerProgram(helrProgram(trace_p, KeySchedule::MinKS), level,
                      slots, opt));
     mix.push_back(lowerProgram(
-        resnetProgram(trace_p, KeySchedule::MinKS), level, slots, opt));
+        resnetProgram(trace_p, KeySchedule::MinKS, /*layers=*/1), level,
+        slots, opt));
     mix.push_back(lowerProgram(
-        sortingProgram(trace_p, KeySchedule::MinKS), level, slots, opt));
+        sortingProgram(trace_p, KeySchedule::MinKS, /*rounds=*/1), level,
+        slots, opt));
     for (size_t i = 0; i < mix.size(); ++i)
         mix[i].input_index = i;
     return mix;

@@ -43,8 +43,6 @@ enum class ServeOpKind {
     AddScalar, ///< CAdd (cheap elementwise filler between key switches)
 };
 
-const char *serveOpName(ServeOpKind kind);
-
 /** One executable op instance. */
 struct ServeOp
 {
@@ -69,19 +67,25 @@ struct ServeWorkload
     std::vector<i64> rotationAmounts() const;
     /**
      * The canonical evk signature: rotationAmounts() sorted — what
-     * the admission clusterer (graph/serve_schedule.h) keys on to
-     * decide which workloads share a working set.
+     * clusterAdmissionOrder keys on to decide which workloads share a
+     * working set.
      */
     std::vector<i64> evkSignature() const;
 };
 
 /**
- * Group workload indices by identical evkSignature(), groups ordered
- * by first appearance in @p workloads — the structure the admission
- * clusterer groups in time.
+ * Admission order for a batch (BatchServer::submitBatch): a
+ * permutation of [0, n) over @p request_workloads (the workload index
+ * of each request) that runs requests with identical evkSignature()
+ * back to back, so adjacent requests reuse the hot evk material
+ * instead of alternating working sets. Groups keep first-appearance
+ * order and requests keep FCFS order within a group, so the sort is
+ * stable and deterministic. Each request is a pure function of fixed
+ * key material, so its result does not depend on this order.
  */
-std::vector<std::vector<size_t>>
-groupByEvkSignature(const std::vector<ServeWorkload> &workloads);
+std::vector<size_t>
+clusterAdmissionOrder(const std::vector<ServeWorkload> &workloads,
+                      const std::vector<size_t> &request_workloads);
 
 /** One admitted request: a workload instance with an identity. */
 struct ServeRequest

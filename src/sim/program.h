@@ -49,10 +49,10 @@ struct SimOp
      * Human-readable phase label ("h-idft", "conv-rot", ...).
      *
      * Lifetime contract: the view is non-owning. The workload
-     * generators and serve-op names point it at string literals
-     * (static storage, always safe); any other producer must keep the
-     * referenced storage alive for as long as the op — or any
-     * HeGraph/ScheduledProgram node copied from it — is in use.
+     * generators point it at string literals (static storage, always
+     * safe); any other producer must keep the referenced storage
+     * alive for as long as the op — or any HeGraph/ScheduledProgram
+     * node copied from it — is in use.
      * Copying a SimOp copies the view, not the characters.
      */
     std::string_view tag = "";

@@ -11,8 +11,8 @@ writeStats(ByteWriter &w, const RemoteStats &s)
     w.putU64(s.active_sessions);
     w.putU64(s.sessions_opened);
     w.putU64(s.outstanding);
-    w.putU32(static_cast<u32>(s.shards.size()));
-    for (const StatsShardEntry &e : s.shards) {
+    w.putU32(static_cast<u32>(s.queues.size()));
+    for (const StatsQueueEntry &e : s.queues) {
         w.putU64(e.queue_depth);
         w.putU64(e.queue_capacity);
         w.putU64(e.in_flight);
@@ -42,7 +42,7 @@ namespace {
  * the remaining body cannot possibly satisfy is rejected BEFORE the
  * resize — a corrupted count field must yield a typed error, not a
  * multi-gigabyte allocation (tests/test_wire_fuzz.cpp found exactly
- * that with a bit-flipped num_shards).
+ * that with a bit-flipped num_queues).
  */
 u32
 checkedCount(const ByteReader &r, u32 count, size_t min_entry_bytes)
@@ -64,9 +64,9 @@ readStats(ByteReader &r)
     s.active_sessions = r.getU64();
     s.sessions_opened = r.getU64();
     s.outstanding = r.getU64();
-    const u32 num_shards = checkedCount(r, r.getU32(), 32);
-    s.shards.resize(num_shards);
-    for (StatsShardEntry &e : s.shards) {
+    const u32 num_queues = checkedCount(r, r.getU32(), 32);
+    s.queues.resize(num_queues);
+    for (StatsQueueEntry &e : s.queues) {
         e.queue_depth = r.getU64();
         e.queue_capacity = r.getU64();
         e.in_flight = r.getU64();
@@ -104,13 +104,11 @@ RemoteStats::toString() const
                   static_cast<unsigned long long>(sessions_opened),
                   static_cast<unsigned long long>(outstanding));
     out += buf;
-    for (size_t i = 0; i < shards.size(); ++i) {
-        const StatsShardEntry &e = shards[i];
+    for (const StatsQueueEntry &e : queues) {
         std::snprintf(
             buf, sizeof buf,
-            "shard[%zu]: depth %llu/%llu  in-flight %llu  done "
-            "%llu\n",
-            i, static_cast<unsigned long long>(e.queue_depth),
+            "queue: depth %llu/%llu  in-flight %llu  done %llu\n",
+            static_cast<unsigned long long>(e.queue_depth),
             static_cast<unsigned long long>(e.queue_capacity),
             static_cast<unsigned long long>(e.in_flight),
             static_cast<unsigned long long>(e.total_done));

@@ -20,7 +20,7 @@
 namespace ark {
 
 /** One queue's live state on the wire (a server sends one). */
-struct StatsShardEntry
+struct StatsQueueEntry
 {
     u64 queue_depth = 0;
     u64 queue_capacity = 0;
@@ -54,7 +54,7 @@ struct RemoteStats
     u64 active_sessions = 0;
     u64 sessions_opened = 0;
     u64 outstanding = 0;
-    std::vector<StatsShardEntry> shards;
+    std::vector<StatsQueueEntry> queues;
     std::vector<StatsCounterEntry> counters;
     std::vector<StatsPhaseEntry> phases;
 

@@ -191,7 +191,7 @@ helrProgram(const CkksParams &p, KeySchedule sched, int iterations)
 }
 
 SimProgram
-resnetProgram(const CkksParams &p, KeySchedule sched)
+resnetProgram(const CkksParams &p, KeySchedule sched, int layers)
 {
     // ResNet-20 (Lee et al. [64]): 19 convolution layers + FC, each
     // followed by a high-degree ReLU approximation that forces a
@@ -203,7 +203,7 @@ resnetProgram(const CkksParams &p, KeySchedule sched)
     prog.params = p;
     EvkIds ids;
 
-    for (int layer = 0; layer < 20; ++layer) {
+    for (int layer = 0; layer < layers; ++layer) {
         // Convolution at mid levels: 3x3 kernel over multiplexed
         // channels -> ~36 rotations in arithmetic progression, emitted
         // in the natural tap-walk order: two in-row steps (baby key,
@@ -242,7 +242,7 @@ resnetProgram(const CkksParams &p, KeySchedule sched)
 }
 
 SimProgram
-sortingProgram(const CkksParams &p, KeySchedule sched)
+sortingProgram(const CkksParams &p, KeySchedule sched, int rounds)
 {
     // k-way sorting network (Hong et al. [47]) on a full vector:
     // O(log^2) rounds of polynomial comparators; each comparator is a
@@ -255,7 +255,7 @@ sortingProgram(const CkksParams &p, KeySchedule sched)
     prog.params = p;
     EvkIds ids;
 
-    const int rounds = 60; // 5-way network over 2^15 elements
+    // The full network is 60 rounds: 5-way over 2^15 elements.
     for (int round = 0; round < rounds; ++round) {
         for (int boot = 0; boot < 10; ++boot) {
             // Comparator polynomial segments between bootstraps.

@@ -51,8 +51,12 @@ SimProgram bootstrapProgram(const CkksParams &p, KeySchedule sched,
 SimProgram helrProgram(const CkksParams &p, KeySchedule sched,
                        int iterations = 1);
 
-SimProgram resnetProgram(const CkksParams &p, KeySchedule sched);
+/** ResNet-20 inference; @p layers < 20 emits only the first layers. */
+SimProgram resnetProgram(const CkksParams &p, KeySchedule sched,
+                         int layers = 20);
 
-SimProgram sortingProgram(const CkksParams &p, KeySchedule sched);
+/** The sorting network; @p rounds < 60 emits only the first rounds. */
+SimProgram sortingProgram(const CkksParams &p, KeySchedule sched,
+                          int rounds = 60);
 
 } // namespace ark

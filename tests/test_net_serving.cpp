@@ -553,9 +553,9 @@ TEST(NetServing, StatsFramePollsLiveServer)
     // for dashboards that never submit.
     RemoteStats st = client.stats();
     EXPECT_EQ(st.active_sessions, 0u);
-    ASSERT_EQ(st.shards.size(), 1u);
-    EXPECT_EQ(st.shards[0].total_done, 0u);
-    EXPECT_GT(st.shards[0].queue_capacity, 0u);
+    ASSERT_EQ(st.queues.size(), 1u);
+    EXPECT_EQ(st.queues[0].total_done, 0u);
+    EXPECT_GT(st.queues[0].queue_capacity, 0u);
     // The catalog ships every counter and phase by name, always.
     ASSERT_EQ(st.counters.size(), obs::kCounterCount);
     ASSERT_EQ(st.phases.size(), obs::kPhaseCount);
@@ -582,8 +582,8 @@ TEST(NetServing, StatsFramePollsLiveServer)
     st = client.stats();
     EXPECT_EQ(st.active_sessions, 1u);
     EXPECT_EQ(st.sessions_opened, 1u);
-    ASSERT_EQ(st.shards.size(), 1u);
-    EXPECT_EQ(st.shards[0].total_done, 1u);
+    ASSERT_EQ(st.queues.size(), 1u);
+    EXPECT_EQ(st.queues[0].total_done, 1u);
     u64 done = 0, polls = 0;
     double execute_count = 0;
     for (const StatsCounterEntry &c : st.counters) {
@@ -604,15 +604,15 @@ TEST(NetServing, StatsFramePollsLiveServer)
     EXPECT_EQ(execute_count, 1.0);
     // The server has one queue, so its one entry accounts for every
     // completed request and holds nothing once the response arrived.
-    EXPECT_EQ(st.shards[0].total_done, done);
-    EXPECT_EQ(st.shards[0].queue_capacity,
+    EXPECT_EQ(st.queues[0].total_done, done);
+    EXPECT_EQ(st.queues[0].queue_capacity,
               s.server->config().queue_capacity);
-    EXPECT_EQ(st.shards[0].queue_depth, 0u);
-    EXPECT_EQ(st.shards[0].in_flight, 0u);
+    EXPECT_EQ(st.queues[0].queue_depth, 0u);
+    EXPECT_EQ(st.queues[0].in_flight, 0u);
 
     // The human rendering names the load-bearing numbers.
     const std::string text = st.toString();
-    EXPECT_NE(text.find("shard[0]"), std::string::npos);
+    EXPECT_NE(text.find("queue:"), std::string::npos);
     EXPECT_NE(text.find("requests_done"), std::string::npos);
 
     client.closeSession();

@@ -3,20 +3,16 @@
  * Tests for the dependence-graph scheduler subsystem (src/graph/):
  * lift round-trips, topological validity of every policy, the
  * EvkCluster working-set guarantee, Belady's optimality ordering,
- * predictor/simulator residency agreement, and the serving-plane
- * commutation graph.
+ * and predictor/simulator residency agreement.
  */
 
-#include <algorithm>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/builder.h"
 #include "graph/schedule.h"
-#include "graph/serve_schedule.h"
 #include "sim/simulator.h"
 #include "workloads/programs.h"
 
@@ -265,120 +261,6 @@ TEST(Simulator, EvkClusterReducesTrafficUnderPressure)
             liftProgram(prog), SchedulePolicy::EvkCluster, slots));
         EXPECT_GT(r.evk_saved_bytes, 0.0) << prog.name;
         EXPECT_GT(r.speedup, 1.2) << prog.name;
-    }
-}
-
-TEST(ServeSchedule, WorkloadLiftEncodesCommutation)
-{
-    ServeWorkload w;
-    w.name = "toy";
-    w.ops.push_back({ServeOpKind::Rotate, 1, 0, 0});
-    w.ops.push_back({ServeOpKind::AddScalar, 0, 0, 0.5});
-    w.ops.push_back({ServeOpKind::Rotate, 1, 0, 0});
-    w.ops.push_back({ServeOpKind::Square, 0, 0, 0});
-    w.ops.push_back({ServeOpKind::Rescale, 0, 0, 0});
-
-    const HeGraph g = liftWorkload(w);
-    ASSERT_EQ(g.nodes.size(), 5u);
-    // Rotations chain past the commuting AddScalar...
-    EXPECT_EQ(g.nodes[2].preds, std::vector<size_t>{0});
-    // ...the AddScalar floats (no preds: nothing before it conflicts),
-    EXPECT_TRUE(g.nodes[1].preds.empty());
-    // ...and the Square joins everything since the last barrier.
-    std::vector<size_t> sq = g.nodes[3].preds;
-    std::sort(sq.begin(), sq.end());
-    EXPECT_EQ(sq, (std::vector<size_t>{0, 1, 2}));
-    EXPECT_EQ(g.nodes[4].preds, std::vector<size_t>{3});
-
-    // EvkCluster pulls the same-key rotations together; the schedule
-    // is a valid topological order and a permutation.
-    const auto order = scheduleOrder(g, SchedulePolicy::EvkCluster);
-    EXPECT_TRUE(g.isTopological(order));
-    const ServeWorkload s = scheduleWorkload(w, SchedulePolicy::EvkCluster);
-    ASSERT_EQ(s.ops.size(), w.ops.size());
-    // The scheduler flushes the key-free CAdd first, then runs both
-    // same-key rotations back to back.
-    EXPECT_EQ(s.ops[0].kind, ServeOpKind::AddScalar);
-    EXPECT_EQ(s.ops[1].kind, ServeOpKind::Rotate);
-    EXPECT_EQ(s.ops[2].kind, ServeOpKind::Rotate);
-}
-
-TEST(ServeSchedule, ScheduledWorkloadIsAPermutation)
-{
-    const auto mix = standardServingMix(CkksParams::testTiny());
-    for (const ServeWorkload &w : mix) {
-        const ServeWorkload s =
-            scheduleWorkload(w, SchedulePolicy::EvkCluster);
-        ASSERT_EQ(s.ops.size(), w.ops.size()) << w.name;
-        EXPECT_EQ(s.name, w.name);
-        EXPECT_EQ(s.input_index, w.input_index);
-        auto key = [](const ServeOp &o) {
-            return std::make_tuple(static_cast<int>(o.kind),
-                                   o.rotation, o.pt_index, o.scalar);
-        };
-        std::vector<std::tuple<int, i64, size_t, double>> a, b;
-        for (const auto &o : w.ops)
-            a.push_back(key(o));
-        for (const auto &o : s.ops)
-            b.push_back(key(o));
-        std::sort(a.begin(), a.end());
-        std::sort(b.begin(), b.end());
-        EXPECT_EQ(a, b) << w.name;
-        // The schedule respects the workload's own commutation graph.
-        const HeGraph g = liftWorkload(w);
-        EXPECT_TRUE(g.isTopological(
-            scheduleOrder(g, SchedulePolicy::EvkCluster)));
-        // SourceOrder / BeladyResidency leave serving payloads alone.
-        for (SchedulePolicy pol : {SchedulePolicy::SourceOrder,
-                                   SchedulePolicy::BeladyResidency}) {
-            const ServeWorkload id = scheduleWorkload(w, pol);
-            ASSERT_EQ(id.ops.size(), w.ops.size());
-            for (size_t i = 0; i < w.ops.size(); ++i)
-                EXPECT_EQ(static_cast<int>(id.ops[i].kind),
-                          static_cast<int>(w.ops[i].kind));
-        }
-    }
-}
-
-TEST(ServeSchedule, AdmissionOrderClustersSharedSignatures)
-{
-    const auto mix = standardServingMix(CkksParams::testTiny());
-    ASSERT_GE(mix.size(), 2u);
-    // Round-robin FCFS order interleaves workloads maximally; the
-    // clustered order must group requests of identical signature
-    // while preserving FCFS within each group.
-    std::vector<size_t> reqs;
-    for (size_t i = 0; i < 12; ++i)
-        reqs.push_back(i % mix.size());
-    const auto order = clusterAdmissionOrder(mix, reqs);
-
-    ASSERT_EQ(order.size(), reqs.size());
-    std::set<size_t> seen(order.begin(), order.end());
-    EXPECT_EQ(seen.size(), reqs.size()); // a permutation
-
-    // Grouping key: the rotation-evk signature (workloads may share
-    // one, in which case their requests legitimately pool).
-    auto signature = [&](size_t req) {
-        std::vector<i64> amts = mix[reqs[req]].rotationAmounts();
-        std::sort(amts.begin(), amts.end());
-        return amts;
-    };
-    std::set<std::vector<i64>> distinct;
-    for (size_t i = 0; i < reqs.size(); ++i)
-        distinct.insert(signature(i));
-
-    // A perfectly grouped permutation has exactly n - #groups adjacent
-    // same-signature pairs; round-robin admission has far fewer.
-    size_t adjacent = 0;
-    for (size_t i = 1; i < order.size(); ++i)
-        adjacent += signature(order[i]) == signature(order[i - 1]);
-    EXPECT_EQ(adjacent, reqs.size() - distinct.size());
-
-    // FCFS preserved within each signature group (stable sort).
-    for (size_t i = 1; i < order.size(); ++i) {
-        if (signature(order[i]) == signature(order[i - 1])) {
-            EXPECT_LT(order[i - 1], order[i]);
-        }
     }
 }
 

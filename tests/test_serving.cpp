@@ -2,13 +2,16 @@
  * @file
  * Concurrent batch-serving runtime tests: bit-identical results under
  * concurrency (N concurrent requests == sequential execution, on both
- * kernel backends), bounded-queue backpressure/admission semantics,
+ * kernel backends) and under grouped batch admission (submitBatch ==
+ * per-request submit), bounded-queue backpressure/admission semantics,
  * failure reporting, and drain-report accounting.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "ckks/encryptor.h"
 #include "ckks/keygen.h"
 #include "serve/batch_server.h"
+#include "workloads/programs.h"
 
 namespace ark {
 namespace {
@@ -87,22 +91,26 @@ struct Stack
     }
 
     /** Serve @p n requests (round-robin mix) on @p workers workers and
-     *  return their checksums in submission order. Schedule-aware
-     *  servers admit through submitBatch (clustered admission);
-     *  futures still map to the round-robin request order. */
+     *  return their checksums in request order. They are admitted
+     *  through submitBatch (grouped by evk signature), or with one
+     *  submit() each, in request order, when @p per_request is set. */
     std::vector<u64>
-    serveBatch(size_t workers, size_t n,
-               SchedulePolicy schedule = SchedulePolicy::SourceOrder)
+    serveBatch(size_t workers, size_t n, bool per_request = false)
     {
         BatchServerConfig cfg;
         cfg.workers = workers;
         cfg.queue_capacity = n;
-        cfg.schedule = schedule;
         BatchServer server(*ctx, *keys, *store, workloads, inputs, cfg);
         std::vector<size_t> indices;
         for (size_t i = 0; i < n; ++i)
             indices.push_back(i % workloads.size());
-        auto futs = server.submitBatch(indices);
+        std::vector<std::future<ServeResult>> futs;
+        if (per_request) {
+            for (size_t wi : indices)
+                futs.push_back(server.submit(wi));
+        } else {
+            futs = server.submitBatch(indices);
+        }
         std::vector<u64> sums;
         for (auto &f : futs) {
             ServeResult r = f.get();
@@ -130,36 +138,17 @@ TEST(Serving, ConcurrentMatchesSequentialParallelBackend)
     EXPECT_EQ(sequential, concurrent);
 }
 
-TEST(Serving, ScheduledExecutionMatchesFcfs)
+TEST(Serving, BatchAdmissionMatchesPerRequestSubmit)
 {
-    // The schedule-aware mode reorders each request's ops under the
-    // bit-exact commutation graph and clusters queue admission; both
-    // must leave every result bit-identical to plain FCFS.
-    Stack s(BackendKind::Scalar);
-    const auto fcfs = s.serveBatch(2, 16);
-    const auto scheduled =
-        s.serveBatch(2, 16, SchedulePolicy::EvkCluster);
-    EXPECT_EQ(fcfs, scheduled);
-}
-
-TEST(Serving, ScheduledExecutionMatchesFcfsParallelBackend)
-{
-    Stack s(BackendKind::Parallel, 2);
-    const auto fcfs = s.serveBatch(4, 16);
-    const auto scheduled =
-        s.serveBatch(4, 16, SchedulePolicy::EvkCluster);
-    EXPECT_EQ(fcfs, scheduled);
-}
-
-TEST(Serving, ScheduledServersAgreeAcrossBackends)
-{
-    // Scheduling composes with kernel-backend parity: a scheduled
-    // scalar server and a scheduled parallel server (fresh stacks,
-    // same seed) produce identical bits.
+    // submitBatch reorders admission only: every result equals the
+    // one a submit() loop gets, in the caller's order, on the scalar
+    // engine and on the pooled one.
     Stack scalar(BackendKind::Scalar);
-    Stack parallel(BackendKind::Parallel, 3);
-    EXPECT_EQ(scalar.serveBatch(2, 12, SchedulePolicy::EvkCluster),
-              parallel.serveBatch(4, 12, SchedulePolicy::EvkCluster));
+    EXPECT_EQ(scalar.serveBatch(2, 16, /*per_request=*/true),
+              scalar.serveBatch(2, 16));
+    Stack pooled(BackendKind::Parallel, 2);
+    EXPECT_EQ(pooled.serveBatch(4, 16, /*per_request=*/true),
+              pooled.serveBatch(4, 16));
 }
 
 TEST(Serving, BackendsProduceIdenticalResults)
@@ -263,6 +252,69 @@ TEST(Serving, MoreThanOneShardIsRefused)
         "shards must be 1");
 }
 
+TEST(Serving, ScheduleOtherThanSourceOrderIsRefused)
+{
+    // A server runs each request's ops in workload order; asking for
+    // any other schedule is a programming error, refused before any
+    // worker starts.
+    Stack s(BackendKind::Scalar);
+    for (SchedulePolicy p : {SchedulePolicy::EvkCluster,
+                             SchedulePolicy::BeladyResidency}) {
+        BatchServerConfig cfg;
+        cfg.workers = 2;
+        cfg.schedule = p;
+        EXPECT_DEATH(
+            {
+                BatchServer server(*s.ctx, *s.keys, *s.store,
+                                   s.workloads, s.inputs, cfg);
+            },
+            "schedule must be SourceOrder");
+    }
+}
+
+TEST(Serving, AdmissionOrderClustersSharedSignatures)
+{
+    const auto mix = standardServingMix(CkksParams::testTiny());
+    ASSERT_GE(mix.size(), 2u);
+    // Round-robin FCFS order interleaves workloads maximally; the
+    // clustered order must group requests of identical signature
+    // while preserving FCFS within each group.
+    std::vector<size_t> reqs;
+    for (size_t i = 0; i < 12; ++i)
+        reqs.push_back(i % mix.size());
+    const auto order = clusterAdmissionOrder(mix, reqs);
+
+    ASSERT_EQ(order.size(), reqs.size());
+    std::set<size_t> seen(order.begin(), order.end());
+    EXPECT_EQ(seen.size(), reqs.size()); // a permutation
+
+    // Grouping key: the rotation-evk signature (workloads may share
+    // one, in which case their requests legitimately pool).
+    auto signature = [&](size_t req) {
+        std::vector<i64> amts = mix[reqs[req]].rotationAmounts();
+        std::sort(amts.begin(), amts.end());
+        return amts;
+    };
+    std::set<std::vector<i64>> distinct;
+    for (size_t i = 0; i < reqs.size(); ++i)
+        distinct.insert(signature(i));
+
+    // A perfectly grouped permutation has exactly n - #groups adjacent
+    // same-signature pairs; round-robin admission has far fewer.
+    size_t adjacent = 0;
+    for (size_t i = 1; i < order.size(); ++i)
+        adjacent += signature(order[i]) == signature(order[i - 1]);
+    EXPECT_EQ(adjacent, reqs.size() - distinct.size());
+
+    // FCFS preserved within each signature group (stable sort).
+    for (size_t i = 1; i < order.size(); ++i) {
+        if (signature(order[i]) == signature(order[i - 1])) {
+            EXPECT_LT(order[i - 1], order[i]);
+        }
+    }
+}
+
+
 TEST(RequestQueue, BackpressureAndAdmissionControl)
 {
     RequestQueue q(2);
@@ -323,6 +375,37 @@ TEST(Serving, WorkloadLoweringIsDeterministicAndBudgeted)
         for (i64 r : a[i].rotationAmounts()) {
             EXPECT_GE(r, 1);
             EXPECT_LE(r, static_cast<i64>(opt.max_rotation_keys));
+        }
+    }
+}
+
+TEST(Serving, ServingMixLowersTheFullTraces)
+{
+    // standardServingMix generates only the first ResNet layer and
+    // sorting round; lowering must never read past them, on any preset.
+    const CkksParams trace_p = CkksParams::ark();
+    const SimProgram resnet =
+        resnetProgram(trace_p, KeySchedule::MinKS);
+    const SimProgram sorting =
+        sortingProgram(trace_p, KeySchedule::MinKS);
+    LowerOptions opt;
+    opt.max_ops = 128;
+    for (const CkksParams &p :
+         {CkksParams::testTiny(), CkksParams::testSmall(),
+          CkksParams::testBoot(), trace_p}) {
+        const auto mix = standardServingMix(p, opt);
+        ASSERT_EQ(mix.size(), 4u);
+        for (const auto &[w, full] :
+             {std::pair{&mix[2], &resnet}, std::pair{&mix[3], &sorting}}) {
+            const ServeWorkload want =
+                lowerProgram(*full, p.max_level, p.num_slots, opt);
+            ASSERT_EQ(w->ops.size(), want.ops.size()) << p.name;
+            for (size_t k = 0; k < want.ops.size(); ++k) {
+                EXPECT_EQ(static_cast<int>(w->ops[k].kind),
+                          static_cast<int>(want.ops[k].kind));
+                EXPECT_EQ(w->ops[k].rotation, want.ops[k].rotation);
+                EXPECT_EQ(w->ops[k].pt_index, want.ops[k].pt_index);
+            }
         }
     }
 }

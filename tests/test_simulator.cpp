@@ -80,8 +80,8 @@ TEST_F(SimTest, DoubleHbmHelpsHelrMost)
 TEST_F(SimTest, LimbWiseOnlyDistributionDegrades)
 {
     auto p = CkksParams::ark();
-    for (auto make : {&resnetProgram, &sortingProgram}) {
-        auto prog = make(p, KeySchedule::MinKS);
+    for (const SimProgram &prog : {resnetProgram(p, KeySchedule::MinKS),
+                                   sortingProgram(p, KeySchedule::MinKS)}) {
         double alt = seconds(prog, MachineConfig::altDataDistribution(),
                              KeySchedule::MinKS, true);
         double base = seconds(prog, MachineConfig::arkBase(),

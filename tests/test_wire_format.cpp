@@ -160,7 +160,7 @@ TEST(WireStats, StatsBodyRoundTrip)
     s.active_sessions = 2;
     s.sessions_opened = 17;
     s.outstanding = 5;
-    s.shards = {{3, 16, 1, 901}, {0, 8, 2, 77}};
+    s.queues = {{3, 16, 1, 901}, {0, 8, 2, 77}};
     s.counters = {{"admit_accepted", 978}, {"evk_hit", 12345}};
     s.phases = {{"execute", 978, 4.25, 4.0, 9.5, 22.75},
                 {"queue_wait", 978, 0.5, 0.25, 2.0, 3.5}};
@@ -175,11 +175,11 @@ TEST(WireStats, StatsBodyRoundTrip)
     EXPECT_EQ(d.active_sessions, s.active_sessions);
     EXPECT_EQ(d.sessions_opened, s.sessions_opened);
     EXPECT_EQ(d.outstanding, s.outstanding);
-    ASSERT_EQ(d.shards.size(), 2u);
-    EXPECT_EQ(d.shards[0].queue_depth, 3u);
-    EXPECT_EQ(d.shards[0].queue_capacity, 16u);
-    EXPECT_EQ(d.shards[1].in_flight, 2u);
-    EXPECT_EQ(d.shards[1].total_done, 77u);
+    ASSERT_EQ(d.queues.size(), 2u);
+    EXPECT_EQ(d.queues[0].queue_depth, 3u);
+    EXPECT_EQ(d.queues[0].queue_capacity, 16u);
+    EXPECT_EQ(d.queues[1].in_flight, 2u);
+    EXPECT_EQ(d.queues[1].total_done, 77u);
     ASSERT_EQ(d.counters.size(), 2u);
     EXPECT_EQ(d.counters[0].name, "admit_accepted");
     EXPECT_EQ(d.counters[1].value, 12345u);

@@ -132,7 +132,7 @@ TEST(WireFuzz, EveryBodyDecoderRejectsMutationsTyped)
 
     RemoteStats stats;
     stats.uptime_ms = 1234;
-    stats.shards = {{3, 16, 1, 901}, {0, 8, 2, 77}};
+    stats.queues = {{3, 16, 1, 901}, {0, 8, 2, 77}};
     stats.counters = {{"admit_accepted", 978}, {"requests_shed", 5}};
     stats.phases = {{"execute", 978, 4.25, 4.0, 9.5, 22.75}};
 
