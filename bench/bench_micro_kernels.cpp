@@ -7,8 +7,9 @@
  * reference kernels (Harvey lazy NTT vs strict NTT, fused cache-blocked
  * BConv vs the two-stage pipeline, pooled vs fresh allocation), the
  * vector kernel table against the scalar lazy kernels at the host's
- * best ISA tier, the BConv tile's avx512 body against its avx512ifma
- * one, and prints the serial-vs-pool executor table.
+ * best ISA tier, the avx512 bodies of the IFMA-width kernels (BConv
+ * tile, plaintext MAC, limb embedding) against their avx512ifma ones,
+ * and prints the serial-vs-pool executor table.
  * `--json PATH` emits the same numbers machine-readably (consumed by
  * scripts/check_bench_regression.py and archived as a CI artifact)
  * together with the dispatched SIMD tier and detected CPU features, so
@@ -35,6 +36,7 @@
 #include "rns/bconv.h"
 #include "rns/poly_pool.h"
 #include "rns/primes.h"
+#include "rns/simd_kernels.h"
 
 namespace ark {
 namespace {
@@ -440,26 +442,61 @@ runSimdComparison(bool smoke)
 }
 
 // ---------------------------------------------------------------------------
-// The BConv tile per tier at testBoot's key-switch shapes
+// The IFMA bodies per tier at testBoot's shapes
 // ---------------------------------------------------------------------------
 
 /**
- * The avx512 (Shoup64) and avx512ifma (Ifma52) BConv tiles on
- * testBoot's two key-switch conversions, both 7 -> 21 limbs at
- * N = 4096: ModUp of digit 0 (q0 and six 42-bit primes into the other
- * fourteen q primes and the seven special primes below 2^50) and
- * ModDown (the special primes into q0..q20). A tier's body stays only
- * if it beats the tier below by 1.2x; `speedup` is that ratio. Both
- * tiers' outputs must match the scalar tile's.
+ * Median per-call wall time of fn(), in milliseconds, over rounds of
+ * @p calls calls run until @p min_ms of wall time has passed (at least
+ * three rounds): rows of 5-50 us kernels timed as a few single calls
+ * move 10-30% between runs on a shared host.
+ */
+template <typename Fn>
+double
+timeForMs(double min_ms, int calls, Fn &&fn)
+{
+    using clock = std::chrono::steady_clock;
+    std::vector<double> rounds;
+    const auto start = clock::now();
+    while (rounds.size() < 3 ||
+           std::chrono::duration<double, std::milli>(clock::now() - start)
+                   .count() < min_ms) {
+        const auto t0 = clock::now();
+        for (int i = 0; i < calls; ++i)
+            fn();
+        rounds.push_back(
+            std::chrono::duration<double, std::milli>(clock::now() - t0)
+                .count() /
+            calls);
+    }
+    std::nth_element(rounds.begin(), rounds.begin() + rounds.size() / 2,
+                     rounds.end());
+    return rounds[rounds.size() / 2];
+}
+
+/**
+ * The avx512 (Shoup64) and avx512ifma (Ifma52) bodies of the
+ * IFMA-width kernels at testBoot's shapes, N = 4096:
+ *  - the BConv tile on both key-switch conversions, 7 -> 21 limbs:
+ *    ModUp of digit 0 (q0 and six 42-bit primes into the other
+ *    fourteen q primes and the seven special primes below 2^50) and
+ *    ModDown (the special primes into q0..q20);
+ *  - the plaintext MAC entry on a CtS giant step, 16 terms on each of
+ *    q0..q20 (q0 runs Shoup64 on both tiers), one limb's 48 rows at a
+ *    time so they stay cache-resident, as the generated OF-Limb rows
+ *    are;
+ *  - the limb embedding of one centered q0 limb into q0..q20.
+ * A tier's body stays only if it beats the tier below by 1.2x;
+ * `speedup` is that ratio. Both tiers' outputs must match the scalar
+ * table's. Each time is timeForMs's median.
  */
 void
-runBconvTierComparison(bool smoke)
+runIfmaTierComparison(bool smoke)
 {
     KernelBackend scalar(SimdTier::Scalar);
     KernelBackend avx512(SimdTier::Avx512);
     KernelBackend ifma(SimdTier::Avx512Ifma);
-    std::printf("BConv tile per tier at testBoot's key-switch shapes "
-                "(7 -> 21 limbs)\n");
+    std::printf("IFMA-width kernels per tier at testBoot's shapes\n");
     if (avx512.tier() != SimdTier::Avx512 ||
         ifma.tier() != SimdTier::Avx512Ifma) {
         std::printf("  (skipped: needs avx512ifma, tier is %s)\n\n",
@@ -481,11 +518,28 @@ runBconvTierComparison(bool smoke)
     }
     TablePrinter t({"kernel", "N", "scalar (ms)", "avx512 (ms)",
                     "avx512ifma (ms)", "ifma vs avx512"});
-    const int reps = smoke ? 5 : 25;
-    const int iters = smoke ? 5 : 20;
-    const auto row = [&](const char *name, const BaseConverter &bc) {
+    const double min_ms = smoke ? 20 : 300;
+    const auto add_row = [&](const char *name, Params row_params,
+                             double scalar_ms, double avx512_ms,
+                             double ifma_ms) {
+        const double speedup =
+            addComparison(name, std::move(row_params), "avx512_ms",
+                          avx512_ms, "avx512ifma_ms", ifma_ms);
+        t.addRow({name, std::to_string(n), TablePrinter::fmt(scalar_ms, 3),
+                  TablePrinter::fmt(avx512_ms, 3),
+                  TablePrinter::fmt(ifma_ms, 3),
+                  TablePrinter::fmt(speedup, 2)});
+    };
+    const auto same = [&](const RnsPoly &x, const RnsPoly &y) {
+        for (size_t l = 0; l < x.numLimbs(); ++l)
+            if (std::memcmp(x.limb(l), y.limb(l), n * sizeof(u64)) != 0)
+                return false;
+        return true;
+    };
+    Rng rng(15);
+
+    const auto bconv_row = [&](const char *name, const BaseConverter &bc) {
         const size_t nb = bc.inBase().size(), nc = bc.outBase().size();
-        Rng rng(15);
         RnsPoly in(n, nb, Rep::Coeff);
         for (size_t l = 0; l < nb; ++l) {
             auto v = rng.uniformVector(n, bc.inBase()[l].value());
@@ -494,32 +548,78 @@ runBconvTierComparison(bool smoke)
         const RnsPoly ref = scalar.bconv(bc, in);
         const auto time_ms = [&](KernelBackend &kb) {
             RnsPoly got = kb.bconv(bc, in);
-            bool same = true;
-            for (size_t l = 0; same && l < nc; ++l)
-                same = std::memcmp(got.limb(l), ref.limb(l),
-                                   n * sizeof(u64)) == 0;
-            checkParity(same, (std::string(kb.name()) + " " + name +
-                               " != scalar")
-                                  .c_str());
+            checkParity(same(got, ref), (std::string(kb.name()) + " " +
+                                         name + " != scalar")
+                                            .c_str());
             kb.pool().release(std::move(got));
-            return timeMs(reps, [&] {
-                for (int i = 0; i < iters; ++i)
-                    kb.pool().release(kb.bconv(bc, in));
-            }) / iters;
+            return timeForMs(min_ms, 10, [&] {
+                kb.pool().release(kb.bconv(bc, in));
+            });
         };
         const double scalar_ms = time_ms(scalar);
         const double avx512_ms = time_ms(avx512);
-        const double ifma_ms = time_ms(ifma);
-        const double speedup = addComparison(
-            name, {{"n", n}, {"in_limbs", nb}, {"out_limbs", nc}},
-            "avx512_ms", avx512_ms, "avx512ifma_ms", ifma_ms);
-        t.addRow({name, std::to_string(n), TablePrinter::fmt(scalar_ms, 3),
-                  TablePrinter::fmt(avx512_ms, 3),
-                  TablePrinter::fmt(ifma_ms, 3),
-                  TablePrinter::fmt(speedup, 2)});
+        add_row(name, {{"n", n}, {"in_limbs", nb}, {"out_limbs", nc}},
+                scalar_ms, avx512_ms, time_ms(ifma));
     };
-    row("simd_bconv_modup", BaseConverter(digit0, modup_out));
-    row("simd_bconv_moddown", BaseConverter(special, q_all));
+    bconv_row("simd_bconv_modup", BaseConverter(digit0, modup_out));
+    bconv_row("simd_bconv_moddown", BaseConverter(special, q_all));
+
+    // The plaintext MAC: per limb, 16 terms of random residues, timed
+    // on each table and summed over the limbs.
+    const size_t terms = 16, limbs = q_all.size();
+    double mac_ms[3] = {0, 0, 0};
+    for (const Modulus &q : q_all) {
+        std::vector<std::vector<u64>> rows;
+        std::vector<const u64 *> pt, b, av;
+        for (size_t r = 0; r < 3 * terms; ++r)
+            rows.push_back(rng.uniformVector(n, q.value()));
+        for (size_t k = 0; k < terms; ++k) {
+            pt.push_back(rows[3 * k].data());
+            b.push_back(rows[3 * k + 1].data());
+            av.push_back(rows[3 * k + 2].data());
+        }
+        std::vector<u64> ref_b(n), ref_a(n);
+        const KernelBackend *tiers[3] = {&scalar, &avx512, &ifma};
+        for (size_t tier = 0; tier < 3; ++tier) {
+            const SimdKernels &kt = simdKernels(tiers[tier]->tier());
+            std::vector<u64> out_b(n), out_a(n);
+            kt.plain_mul_sum_limb(q, pt.data(), b.data(), av.data(), terms,
+                                  out_b.data(), out_a.data(), n);
+            if (tier == 0) {
+                ref_b = out_b;
+                ref_a = out_a;
+            }
+            checkParity(out_b == ref_b && out_a == ref_a,
+                        (std::string(simdTierName(kt.tier)) +
+                         " simd_plain_mul_sum != scalar")
+                            .c_str());
+            mac_ms[tier] += timeForMs(min_ms / limbs, 20, [&] {
+                kt.plain_mul_sum_limb(q, pt.data(), b.data(), av.data(),
+                                      terms, out_b.data(), out_a.data(), n);
+            });
+        }
+    }
+    add_row("simd_plain_mul_sum",
+            {{"n", n}, {"terms", terms}, {"limbs", limbs}}, mac_ms[0],
+            mac_ms[1], mac_ms[2]);
+
+    // The limb embedding: one centered q0 limb into every q limb.
+    const std::vector<u64> src = rng.uniformVector(n, q_all[0].value());
+    RnsPoly ref(n, limbs, Rep::Coeff);
+    scalar.limbEmbed(src, q_all[0], q_all, ref);
+    const auto embed_ms = [&](KernelBackend &kb) {
+        RnsPoly got(n, limbs, Rep::Coeff);
+        kb.limbEmbed(src, q_all[0], q_all, got);
+        checkParity(same(got, ref), (std::string(kb.name()) +
+                                     " simd_limb_embed != scalar")
+                                        .c_str());
+        return timeForMs(min_ms, 20,
+                         [&] { kb.limbEmbed(src, q_all[0], q_all, got); });
+    };
+    const double embed_scalar = embed_ms(scalar);
+    const double embed_avx512 = embed_ms(avx512);
+    add_row("simd_limb_embed", {{"n", n}, {"limbs", limbs}}, embed_scalar,
+            embed_avx512, embed_ms(ifma));
     t.print();
     std::printf("\n");
 }
@@ -846,7 +946,9 @@ const char *kUsage =
     "\n"
     "Usage: bench_micro_kernels [--smoke] [--json PATH] [--help]\n"
     "  (no flags)  lazy-vs-strict NTT, simd-vs-scalar kernels (best\n"
-    "            host ISA), the BConv tile at avx512 vs avx512ifma,\n"
+    "            host ISA), the IFMA-width kernels (BConv tile,\n"
+    "            plaintext MAC, limb embedding) at avx512 vs\n"
+    "            avx512ifma,\n"
     "            fused-vs-two-stage BConv, pooled-vs-fresh\n"
     "            alloc, serial-vs-pool executor table (kernels and\n"
     "            a warm testBoot bootstrap)\n"
@@ -873,7 +975,7 @@ main(int argc, char **argv)
 
     ark::runNttComparison(smoke);
     ark::runSimdComparison(smoke);
-    ark::runBconvTierComparison(smoke);
+    ark::runIfmaTierComparison(smoke);
     ark::runBconvComparison(smoke);
     ark::runPoolComparison(smoke);
     if (!smoke)

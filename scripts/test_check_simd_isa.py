@@ -32,6 +32,20 @@ BCONV_SHOUP = (f"0000000000005000 <void {NS}avx512::bconvTile<"
                f"{NS}avx512::Shoup64>{BCONV_ARGS}")
 BCONV_IFMA = (f"0000000000006000 <void {NS}avx512::bconvTile<"
               f"{NS}avx512::Ifma52>{BCONV_ARGS}")
+PLAIN_ARGS = ("(ark::Modulus const&, unsigned long const* const*, "
+              "unsigned long const* const*, unsigned long const* const*, "
+              "unsigned long, unsigned long*, unsigned long*, "
+              "unsigned long)>:")
+PLAIN_SHOUP = (f"0000000000007000 <void {NS}avx512::plainMulSumLimb<"
+               f"{NS}avx512::Shoup64>{PLAIN_ARGS}")
+PLAIN_IFMA = (f"0000000000008000 <void {NS}avx512::plainMulSumLimb<"
+              f"{NS}avx512::Ifma52>{PLAIN_ARGS}")
+EMBED_ARGS = ("(ark::Modulus const&, unsigned long const*, unsigned long, "
+              "unsigned long*, unsigned long)>:")
+EMBED_SHOUP = (f"0000000000009000 <void {NS}avx512::limbEmbed<"
+               f"{NS}avx512::Shoup64>{EMBED_ARGS}")
+EMBED_IFMA = (f"000000000000a000 <void {NS}avx512::limbEmbed<"
+              f"{NS}avx512::Ifma52>{EMBED_ARGS}")
 VEC4_CSUB = (f"0000000000004000 <{NS}Vec4::csub(long long "
              "__vector(4), long long __vector(4))>:")
 
@@ -97,6 +111,17 @@ class ScanTest(unittest.TestCase):
         stray, _ = scan([BCONV_IFMA, madd,
                          insn("vpmullq %zmm1,%zmm2,%zmm3")])
         self.assertEqual(stray, {})
+
+    def test_plain_mac_and_embed_follow_their_policy(self):
+        madd = insn("vpmadd52luq %zmm1,%zmm2,%zmm3")
+        for shoup, ifma in ((PLAIN_SHOUP, PLAIN_IFMA),
+                            (EMBED_SHOUP, EMBED_IFMA)):
+            stray, total = scan([ifma, madd, madd])
+            self.assertEqual(stray, {})
+            self.assertEqual(total, 2)
+            stray, total = scan([ifma, madd, "", shoup, madd])
+            self.assertEqual(stray, {name(shoup): 1})
+            self.assertEqual(total, 2)
 
 
 if __name__ == "__main__":

@@ -247,8 +247,8 @@ KernelBackend::limbEmbed(const std::vector<u64> &src, const Modulus &src_q,
     recordStats(KernelOp::LimbEmbed, out.numLimbs(),
                   2 * out.numLimbs() * n, 0);
     run(out.numLimbs(), [&](size_t l) {
-        kernels_.limb_embed(src.data(), n, src_q.value(), out_moduli[l],
-                            out.limb(l));
+        kernels_.limb_embed(out_moduli[l], src.data(), src_q.value(),
+                            out.limb(l), n);
     });
 }
 
@@ -281,16 +281,6 @@ KernelBackend::evkMulAcc(const RnsPoly &digit, const RnsPoly &evk_b,
                               evk_b.limb(evk_limb), evk_a.limb(evk_limb),
                               acc_b.limb(l), acc_a.limb(l), n);
     });
-}
-
-size_t
-plainMacFoldTerms(const Modulus &q)
-{
-    const u128 max_product = static_cast<u128>(q.value() - 1) *
-                             (q.value() - 1);
-    const u128 terms = (~static_cast<u128>(0) - (q.value() - 1)) /
-                       max_product;
-    return terms > SIZE_MAX ? SIZE_MAX : static_cast<size_t>(terms);
 }
 
 void
@@ -333,37 +323,47 @@ KernelBackend::plainMulSum(const std::vector<PlainMulTerm> &terms,
                 2 * k * limbs * n);
     notePlaintextWords((generated + stored * limbs) * n);
 
+    // Scratch rows per job: a chunk's generated limbs, plus a
+    // partial-sum pair when there is more than one chunk.
+    const bool chunked = k > kPlainMulSumChunk;
+    const size_t rows =
+        std::min<size_t>(generated, kPlainMulSumChunk) + (chunked ? 2 : 0);
     const u64 q0 = moduli[0].value();
     run(limbs, [&](size_t l) {
         const Modulus &q = moduli[l];
-        const size_t fold = plainMacFoldTerms(q);
-        // Row 0: the generated plaintext limb; rows 1-4: the b and a
-        // accumulators (lo, hi), zeroed because the MAC adds into them.
-        RnsPoly scratch = pool_.acquire(n, 5, Rep::Coeff);
-        u64 *gen = scratch.limb(0);
-        u64 *acc = scratch.limb(1);
-        std::memset(acc, 0, 4 * n * sizeof(u64));
-        size_t pending = 0;
-        for (const PlainMulTerm &t : terms) {
-            const u64 *pt = gen;
-            if (t.pt->rep() == Rep::Coeff) {
-                kernels_.limb_embed(t.pt->limb(0), n, q0, q, gen);
-                kernels_.ntt_forward(gen, *tables[l]);
-            } else {
-                pt = t.pt->limb(l);
+        RnsPoly scratch =
+            rows > 0 ? pool_.acquire(n, rows, Rep::Coeff) : RnsPoly();
+        u64 *part_b = chunked ? scratch.limb(rows - 2) : nullptr;
+        u64 *part_a = chunked ? scratch.limb(rows - 1) : nullptr;
+        const u64 *pt[kPlainMulSumChunk], *b[kPlainMulSumChunk],
+            *a[kPlainMulSumChunk];
+        // One kernel call per chunk of terms; the chunks' sums combine
+        // by modular add. k = 0 leaves the zero sum.
+        for (size_t t0 = 0; t0 == 0 || t0 < k; t0 += kPlainMulSumChunk) {
+            const size_t kk = std::min<size_t>(k - t0, kPlainMulSumChunk);
+            size_t gen = 0;
+            for (size_t j = 0; j < kk; ++j) {
+                const PlainMulTerm &t = terms[t0 + j];
+                if (t.pt->rep() == Rep::Coeff) {
+                    u64 *row = scratch.limb(gen++);
+                    kernels_.limb_embed(q, t.pt->limb(0), q0, row, n);
+                    kernels_.ntt_forward(row, *tables[l]);
+                    pt[j] = row;
+                } else {
+                    pt[j] = t.pt->limb(l);
+                }
+                b[j] = t.b->limb(l);
+                a[j] = t.a->limb(l);
             }
-            if (pending == fold) {
-                kernels_.plain_reduce_limb(q, acc, n, acc, acc + 2 * n);
-                std::memset(acc + n, 0, n * sizeof(u64));
-                std::memset(acc + 3 * n, 0, n * sizeof(u64));
-                pending = 0;
+            if (t0 == 0) {
+                kernels_.plain_mul_sum_limb(q, pt, b, a, kk, out_b.limb(l),
+                                            out_a.limb(l), n);
+                continue;
             }
-            kernels_.plain_mac_limb(pt, t.b->limb(l), t.a->limb(l), acc,
-                                    n);
-            ++pending;
+            kernels_.plain_mul_sum_limb(q, pt, b, a, kk, part_b, part_a, n);
+            kernels_.add_limb(q, out_b.limb(l), part_b, out_b.limb(l), n);
+            kernels_.add_limb(q, out_a.limb(l), part_a, out_a.limb(l), n);
         }
-        kernels_.plain_reduce_limb(q, acc, n, out_b.limb(l),
-                                   out_a.limb(l));
         pool_.release(std::move(scratch));
     });
     out_b.setRep(Rep::Eval);

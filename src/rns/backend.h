@@ -54,13 +54,9 @@ struct PlainMulTerm
     const RnsPoly *pt;
 };
 
-/**
- * Products of two residues mod @p q a 128-bit accumulator that
- * already holds a residue can absorb: floor((2^128 - q) / (q - 1)^2),
- * at least 256 for q < 2^60. plainMulSum folds (reduces and restarts)
- * its accumulators before exceeding it.
- */
-size_t plainMacFoldTerms(const Modulus &q);
+/** Terms per plain_mul_sum_limb call in KernelBackend::plainMulSum:
+ *  the generated OF-Limb rows of one chunk are its scratch. */
+constexpr size_t kPlainMulSumChunk = 16;
 
 struct SimdKernels;
 class ThreadPool;
@@ -158,11 +154,12 @@ class KernelBackend
      * Fused plaintext multiply-sum, the BSGS giant-step inner sum:
      * out_b = sum_k b_k * pt_k and out_a = sum_k a_k * pt_k over the
      * out_b.numLimbs() limbs of @p moduli (q_0 first; @p tables
-     * alike). One job per output limb: an OF-Limb term's limb is
-     * embedded from its q_0 residues and forward-NTT'd in per-job
-     * scratch, a stored term's limb is read in place, and both
-     * products accumulate in 128-bit words that are reduced once per
-     * output word (folding every plainMacFoldTerms terms). The result
+     * alike). One job per output limb, in chunks of at most
+     * kPlainMulSumChunk terms: an OF-Limb term's limb is embedded from
+     * its q_0 residues and forward-NTT'd into per-job scratch, a stored
+     * term's limb is read in place, and one plain_mul_sum_limb call
+     * sums the chunk's products, reducing each output word once; the
+     * chunks' sums combine by modular add. The result
      * equals the mulEval + add chain bit for bit; neither the
      * plaintexts nor the products are materialized. Records the work
      * under LimbEmbed and NttForward (generated limbs), MulAccEval

@@ -24,6 +24,13 @@ Modulus::Modulus(u64 q) : q_(q)
     barrett_lo_ = static_cast<u64>(lo);
     barrett52_ =
         static_cast<u64>((static_cast<u128>(1) << (bits_ + 50)) / q);
+    u128 pow = 1;
+    for (int e = 0; e < 3; ++e) {
+        pow52_[e] = static_cast<u64>(pow % q);
+        pow52_shoup_[e] =
+            static_cast<u64>((static_cast<u128>(pow52_[e]) << 52) / q);
+        pow = static_cast<u128>(pow52_[e]) << 52;
+    }
 }
 
 u64

@@ -153,6 +153,12 @@ class Modulus
     /** floor(2^(bits() + 50) / q), the quotient constant of the IFMA
      *  kernels' 52-bit Barrett product (below 2^52 for any q). */
     u64 barrett52() const { return barrett52_; }
+    /** 2^(52 e) mod q for e = 0, 1, 2: the column weights of the IFMA
+     *  kernels' 52-bit fold reduce. */
+    u64 pow52(int e) const { return pow52_[e]; }
+    /** floor(pow52(e) * 2^52 / q), its 52-bit Shoup word (below 2^52
+     *  for any q). */
+    u64 pow52Shoup(int e) const { return pow52_shoup_[e]; }
     /// @}
 
     bool operator==(const Modulus &o) const { return q_ == o.q_; }
@@ -164,6 +170,8 @@ class Modulus
     u64 barrett_hi_ = 0;
     u64 barrett_lo_ = 0;
     u64 barrett52_ = 0;
+    u64 pow52_[3] = {};
+    u64 pow52_shoup_[3] = {};
 };
 
 } // namespace ark

@@ -45,6 +45,8 @@ NttTables::NttTables(size_t degree, Modulus modulus)
 
     n_inv_ = q_.inv(static_cast<u64>(n_) % q_.value());
     n_inv_shoup_ = q_.shoupPrecompute(n_inv_);
+    last_n_inv_ = n_ > 1 ? q_.mul(inv_root_powers_[1], n_inv_) : n_inv_;
+    last_n_inv_shoup_ = q_.shoupPrecompute(last_n_inv_);
 }
 
 void

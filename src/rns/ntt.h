@@ -89,6 +89,11 @@ class NttTables
     }
     u64 nInv() const { return n_inv_; }
     u64 nInvShoup() const { return n_inv_shoup_; }
+    /** The last inverse stage's twiddle times 1/N
+     *  (invRootPowers()[1] * nInv() mod q), so a vector inverse scales
+     *  inside that stage instead of in a pass of its own. */
+    u64 lastNInv() const { return last_n_inv_; }
+    u64 lastNInvShoup() const { return last_n_inv_shoup_; }
     /// @}
 
   private:
@@ -104,6 +109,8 @@ class NttTables
     std::vector<u64> inv_root_powers_shoup_;
     u64 n_inv_;
     u64 n_inv_shoup_;
+    u64 last_n_inv_;
+    u64 last_n_inv_shoup_;
 };
 
 } // namespace ark

@@ -1,6 +1,7 @@
 #include "rns/simd_kernels.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "rns/bconv.h"
 #include "rns/modulus.h"
@@ -23,6 +24,16 @@
 #endif
 
 namespace ark {
+
+size_t
+plainMacFoldTerms(const Modulus &q)
+{
+    const u128 max_product = static_cast<u128>(q.value() - 1) *
+                             (q.value() - 1);
+    const u128 terms = (~static_cast<u128>(0) - (q.value() - 1)) /
+                       max_product;
+    return terms > SIZE_MAX ? SIZE_MAX : static_cast<size_t>(terms);
+}
 
 namespace {
 
@@ -108,8 +119,8 @@ mulScalarLimbScalar(const Modulus &m, const u64 *a, const u64 *b, u64 s,
 }
 
 void
-limbEmbedScalar(const u64 *src, size_t n, u64 src_q, const Modulus &m,
-                u64 *dst)
+limbEmbedScalar(const Modulus &m, const u64 *src, u64 src_q, u64 *dst,
+                size_t n)
 {
     const u64 half = src_q / 2;
     const u64 q0_mod = m.reduceWord(src_q);
@@ -121,50 +132,38 @@ limbEmbedScalar(const u64 *src, size_t n, u64 src_q, const Modulus &m,
     }
 }
 
-/** plainMacLimbScalar on words [i, n) of the rows: the vector bodies
- *  run it on the words that do not fill a whole vector. */
+/** plainMulSumLimbScalar on words [i, n): the vector bodies run it on
+ *  the words that do not fill a whole vector. */
 void
-plainMacWords(const u64 *pt, const u64 *b, const u64 *a, u64 *acc,
-              size_t n, size_t i)
+plainMulSumWords(const Modulus &m, const u64 *const *pt, const u64 *const *b,
+                 const u64 *const *a, size_t k, u64 *out_b, u64 *out_a,
+                 size_t n, size_t i)
 {
-    u64 *b_lo = acc, *b_hi = acc + n, *a_lo = acc + 2 * n,
-        *a_hi = acc + 3 * n;
+    const size_t fold = plainMacFoldTerms(m);
     for (; i < n; ++i) {
-        const u128 sb = ((static_cast<u128>(b_hi[i]) << 64) | b_lo[i]) +
-                        static_cast<u128>(pt[i]) * b[i];
-        const u128 sa = ((static_cast<u128>(a_hi[i]) << 64) | a_lo[i]) +
-                        static_cast<u128>(pt[i]) * a[i];
-        b_lo[i] = static_cast<u64>(sb);
-        b_hi[i] = static_cast<u64>(sb >> 64);
-        a_lo[i] = static_cast<u64>(sa);
-        a_hi[i] = static_cast<u64>(sa >> 64);
+        u128 sb = 0, sa = 0;
+        for (size_t t0 = 0; t0 < k; t0 += fold) {
+            if (t0 > 0) {
+                sb = m.reduce(sb);
+                sa = m.reduce(sa);
+            }
+            const size_t t1 = std::min(k, t0 + fold);
+            for (size_t t = t0; t < t1; ++t) {
+                sb += static_cast<u128>(pt[t][i]) * b[t][i];
+                sa += static_cast<u128>(pt[t][i]) * a[t][i];
+            }
+        }
+        out_b[i] = m.reduce(sb);
+        out_a[i] = m.reduce(sa);
     }
 }
 
 void
-plainMacLimbScalar(const u64 *pt, const u64 *b, const u64 *a, u64 *acc,
-                   size_t n)
+plainMulSumLimbScalar(const Modulus &m, const u64 *const *pt,
+                      const u64 *const *b, const u64 *const *a, size_t k,
+                      u64 *out_b, u64 *out_a, size_t n)
 {
-    plainMacWords(pt, b, a, acc, n, 0);
-}
-
-/** plainReduceLimbScalar on words [i, n). */
-void
-plainReduceWords(const Modulus &m, const u64 *acc, size_t n, u64 *out_b,
-                 u64 *out_a, size_t i)
-{
-    for (; i < n; ++i) {
-        out_b[i] = m.reduce((static_cast<u128>(acc[n + i]) << 64) | acc[i]);
-        out_a[i] = m.reduce((static_cast<u128>(acc[3 * n + i]) << 64) |
-                            acc[2 * n + i]);
-    }
-}
-
-void
-plainReduceLimbScalar(const Modulus &m, const u64 *acc, size_t n,
-                      u64 *out_b, u64 *out_a)
-{
-    plainReduceWords(m, acc, n, out_b, out_a, 0);
+    plainMulSumWords(m, pt, b, a, k, out_b, out_a, n, 0);
 }
 
 } // namespace
@@ -521,9 +520,17 @@ struct Ifma52
     /** Exclusive modulus bound: 4q < 2^52. */
     static constexpr u64 kMaxQ = 1ULL << 50;
 
+    /** Twiddle w and its 52-bit Shoup word floor(w * 2^52 / q), which is
+     *  the stored 64-bit one >> 12, so no twiddle table is added. */
+    struct Tw
+    {
+        R w, w52;
+    };
     /** mulMod's Barrett constants ride along: with L = bits(q),
      *  c1 = floor(ab / 2^(L-2)) is below 2^(L+2) <= 2^52 and
-     *  k = Modulus::barrett52() = floor(2^(L+50) / q) below 2^51. */
+     *  k = Modulus::barrett52() = floor(2^(L+50) / q) below 2^51. So do
+     *  the fold reduce's column weights 2^(52 e) mod q as Shoup
+     *  twiddles (Modulus::pow52). */
     struct Mod
     {
         R q, two_q;
@@ -532,12 +539,7 @@ struct Ifma52
         R mask;  ///< 2^52 - 1
         __m128i shift_lo, shift_hi; ///< L - 2 and 52 - (L - 2)
         R k;
-    };
-    /** Twiddle w and its 52-bit Shoup word floor(w * 2^52 / q), which is
-     *  the stored 64-bit one >> 12, so no twiddle table is added. */
-    struct Tw
-    {
-        R w, w52;
+        Tw col[3]; ///< 1, 2^52 and 2^104 mod q
     };
 
     ARK_TIFMA static Mod
@@ -552,7 +554,10 @@ struct Ifma52
                 V::set1((1ULL << 52) - 1),
                 _mm_cvtsi64_si128(bits - 2),
                 _mm_cvtsi64_si128(54 - bits),
-                V::set1(m.barrett52())};
+                V::set1(m.barrett52()),
+                {{V::set1(m.pow52(0)), V::set1(m.pow52Shoup(0))},
+                 {V::set1(m.pow52(1)), V::set1(m.pow52Shoup(1))},
+                 {V::set1(m.pow52(2)), V::set1(m.pow52Shoup(2))}}};
     }
 
     ARK_TIFMA static Tw
@@ -610,18 +615,67 @@ struct Ifma52
     ARK_TIFMA static R
     mulMod(R a, R b, const Mod &md)
     {
-        return V::csub(V::csub(mulModLazy(a, b, md), md.two_q), md.q);
+        return canon4q(mulModLazy(a, b, md), md);
     }
 
     /** acc + [0, 3q) < 4q, so two folds reach the canonical residue. */
     ARK_TIFMA static R
     mulAddMod(R a, R b, R acc, const Mod &md)
     {
-        const R t = V::add(acc, mulModLazy(a, b, md));
-        return V::csub(V::csub(t, md.two_q), md.q);
+        return canon4q(V::add(acc, mulModLazy(a, b, md)), md);
     }
 
-    // The BConv tile's hooks (bconvTile in rns/simd_schedules.inc).
+    /**
+     * The 52-bit fold reduce: the canonical residue of
+     * S = lo + hi * 2^52 for any lanes with S < 2^116. Carrying lo's
+     * top bits into hi gives h = floor(S / 2^52) < 2^64 exactly, so S
+     * is the three 52-bit columns (lo mod 2^52) + (h mod 2^52) * 2^52
+     * + (h >> 52) * 2^104 (the top one below 2^12). Each column times
+     * its weight 2^(52 e) mod q is a Shoup product in [0, 2q): the sum
+     * of the first two folds below 2q, the third brings it below 4q,
+     * and two conditional subtracts finish.
+     */
+    ARK_TIFMA static R
+    foldReduce(R lo, R hi, const Mod &md)
+    {
+        const R h = V::add(hi, _mm512_srli_epi64(lo, 52));
+        const R r = V::add(reduceLazy(V::andv(lo, md.mask), md),
+                           mulShoup(V::andv(h, md.mask), md.col[1], md));
+        const R top = mulShoup(_mm512_srli_epi64(h, 52), md.col[2], md);
+        return canon4q(V::add(V::csub(r, md.two_q), top), md);
+    }
+
+    /** x mod q in [0, 2q) for x < 2^52: mulShoup by 1, whose x * w is
+     *  x itself. */
+    ARK_TIFMA static R
+    reduceLazy(R x, const Mod &md)
+    {
+        const R quot = _mm512_madd52hi_epu64(_mm512_setzero_si512(), x,
+                                             md.col[0].w52);
+        return V::andv(_mm512_madd52lo_epu64(x, quot, md.neg_q), md.mask);
+    }
+
+    /** [0, 4q) -> [0, q). */
+    ARK_TIFMA static R
+    canon4q(R v, const Mod &md)
+    {
+        return V::csub(V::csub(v, md.two_q), md.q);
+    }
+
+    /** v mod q for any 64-bit v: the first two columns of foldReduce,
+     *  (v mod 2^52) + (v >> 52) * 2^52, in place of reduceWord's
+     *  64-bit quotient. */
+    ARK_TIFMA static R
+    reduceWord(R v, const Mod &md)
+    {
+        return canon4q(
+            V::add(reduceLazy(V::andv(v, md.mask), md),
+                   mulShoup(_mm512_srli_epi64(v, 52), md.col[1], md)),
+            md);
+    }
+
+    // The dot products' hooks (bconvTile and plainMulSumLimb in
+    // rns/simd_schedules.inc).
 
     /** vpmadd52 reads the low 52 bits of y: accAdd takes y < 2^52
      *  whole, and accAddTop adds the rest of a wider one. */
@@ -655,13 +709,10 @@ struct Ifma52
         acc->hi = V::add(acc->hi, V::mullo64(top, r, r));
     }
 
-    /** lo + hi * 2^52 as (lo, hi) 64-bit words. */
-    ARK_TIFMA static void
-    accWide(const Acc &acc, R *lo, R *hi)
+    ARK_TIFMA static R
+    accReduce(const Acc &acc, const Mod &md)
     {
-        const R shifted = _mm512_slli_epi64(acc.hi, 52);
-        *lo = V::add(acc.lo, shifted);
-        *hi = V::addCarry(_mm512_srli_epi64(acc.hi, 12), *lo, shifted);
+        return foldReduce(acc.lo, acc.hi, md);
     }
 
     /**
@@ -669,9 +720,11 @@ struct Ifma52
      * (sum_in = the sum of p_j - 1): lo gains below 2^52 per product,
      * so it holds for nb < 2^12; hi gains floor(y_j * r / 2^52) <=
      * (p_j - 1)(q - 1) / 2^52, so it holds while (q - 1) * sum_in is
-     * below 2^116. testBoot's digit 0 (q0 plus six 42-bit primes)
-     * reaches about 2^110, testSmall's ModDown (two 60-bit primes into
-     * 40-bit ones) about 2^101.
+     * below 2^116, which is also foldReduce's bound on the sum S (its
+     * h = floor(S / 2^52) stays below 2^64, its top column below
+     * 2^12). testBoot's digit 0 (q0 plus six 42-bit primes) reaches
+     * about 2^110, so its top column is nonzero; testSmall's ModDown
+     * (two 60-bit primes into 40-bit ones) about 2^101.
      */
     static bool
     accFits(u64 q, size_t nb, u128 sum_in)
@@ -679,6 +732,15 @@ struct Ifma52
         return nb < (1u << 12) &&
                static_cast<u128>(q - 1) * sum_in < (u128(1) << 116);
     }
+
+    /**
+     * The plaintext MAC's lane bound, for residues below q < 2^50: a
+     * run restarts lo from a residue and adds below 2^52 per term, so
+     * lo stays below 2^64 for 2^12 - 1 terms; the sum stays below
+     * q + 2^12 (q - 1)^2 < 2^112, inside foldReduce's 2^116. A
+     * testBoot giant step (at most 16 terms per call) never folds.
+     */
+    static size_t macFoldTerms(const Modulus &) { return (1u << 12) - 1; }
 };
 
 // ---------------------------------------------------------------------------
@@ -757,11 +819,10 @@ const SimdKernels &
 simdKernels(SimdTier tier)
 {
     static const SimdKernels scalar_kernels{
-        SimdTier::Scalar,   &nttForwardScalar,    &nttInverseScalar,
-        &bconvTileScalar,   &evkMacLimbScalar,    &mulEvalLimbScalar,
-        &mulAccLimbScalar,  &addLimbScalar,       &subLimbScalar,
-        &mulScalarLimbScalar, &limbEmbedScalar,   &plainMacLimbScalar,
-        &plainReduceLimbScalar};
+        SimdTier::Scalar,     &nttForwardScalar,  &nttInverseScalar,
+        &bconvTileScalar,     &evkMacLimbScalar,  &mulEvalLimbScalar,
+        &mulAccLimbScalar,    &addLimbScalar,     &subLimbScalar,
+        &mulScalarLimbScalar, &limbEmbedScalar,   &plainMulSumLimbScalar};
 #ifdef ARK_SIMD_X86
     // Each tier starts from the one below it and replaces the entries
     // it has bodies for.
@@ -773,9 +834,8 @@ simdKernels(SimdTier tier)
         k.ntt_inverse = &avx2::nttInverse<Shoup64>;
         k.evk_mac_limb = &avx2::evkMacLimb<Shoup64>;
         k.mul_eval_limb = &avx2::mulEvalLimb<Shoup64>;
-        k.limb_embed = &avx2::limbEmbed;
-        k.plain_mac_limb = &avx2::plainMacLimb;
-        k.plain_reduce_limb = &avx2::plainReduceLimb;
+        k.limb_embed = &avx2::limbEmbed<Shoup64>;
+        k.plain_mul_sum_limb = &avx2::plainMulSumLimb<Shoup64>;
         return k;
     }();
     static const SimdKernels avx512_kernels = [] {
@@ -791,9 +851,8 @@ simdKernels(SimdTier tier)
         k.add_limb = &avx512::addLimb;
         k.sub_limb = &avx512::subLimb;
         k.mul_scalar_limb = &avx512::mulScalarLimb<Shoup64>;
-        k.limb_embed = &avx512::limbEmbed;
-        k.plain_mac_limb = &avx512::plainMacLimb;
-        k.plain_reduce_limb = &avx512::plainReduceLimb;
+        k.limb_embed = &avx512::limbEmbed<Shoup64>;
+        k.plain_mul_sum_limb = &avx512::plainMulSumLimb<Shoup64>;
         return k;
     }();
     // The same schedules with the Ifma52 multiplier (q >= 2^50 limbs
@@ -814,6 +873,10 @@ simdKernels(SimdTier tier)
             &IfmaEntry<&mulAccLimb<Ifma52>, &mulAccLimb<Shoup64>>::run;
         k.mul_scalar_limb =
             &IfmaEntry<&mulScalarLimb<Ifma52>, &mulScalarLimb<Shoup64>>::run;
+        k.limb_embed =
+            &IfmaEntry<&limbEmbed<Ifma52>, &limbEmbed<Shoup64>>::run;
+        k.plain_mul_sum_limb = &IfmaEntry<&plainMulSumLimb<Ifma52>,
+                                          &plainMulSumLimb<Shoup64>>::run;
         k.bconv_tile = &bconvTile<Ifma52>;
         return k;
     }();

@@ -5,18 +5,15 @@
  * rns/cpu_features.h for the tier probe).
  *
  * The scalar table holds the reference loop bodies. Each vector entry
- * runs the exact same integer arithmetic lane-wise: the Harvey lazy
- * NTT keeps a lazy butterfly domain per lane, the fused BConv tile
- * accumulates each coefficient's exact 128-bit MAC sum lane-wise, the
- * reduces of the BConv tile, the evk MAC, mulEval and the plaintext
- * MAC mirror Modulus::reduce's Barrett formula, and the limb embedding
- * mirrors Modulus::reduceWord. The vector constant products
- * take a cheaper Shoup quotient and fold the wider lazy result to the
- * canonical residue, the one value the scalar loop returns. All
- * operations are exact arithmetic applied in the same per-element
- * order as the scalar loops, so results are bit-identical by
- * construction (tests/test_backend_parity.cpp enforces it on every
- * kernel).
+ * lands on the one value the scalar loop returns, the canonical
+ * residue: the Harvey lazy NTT keeps a lazy butterfly domain per lane,
+ * the dot products (the fused BConv tile and the plaintext MAC) sum
+ * each word's products exactly and reduce once, with Modulus::reduce's
+ * Barrett formula or, under Ifma52, a 52-bit fold reduce, and the
+ * constant products and the limb embedding take a cheaper quotient and
+ * fold the wider lazy result. All steps are exact arithmetic, so
+ * results are bit-identical by construction
+ * (tests/test_backend_parity*.cpp enforce it on every kernel).
  *
  * Each vector kernel is written once (rns/simd_schedules.inc), over
  * a lane-width policy and a multiplier policy, the way ARK's NTTU runs
@@ -28,25 +25,24 @@
  * (x86 has no packed 64x64->128 multiply), or Ifma52, exact 52-bit
  * products in vpmadd52 ops on 8 lanes for limbs with q < 2^50. The
  * avx2 table lists 4-lane Shoup64 instantiations, the avx512 table
- * 8-lane Shoup64 ones, the avx512ifma table the Ifma52 ones; kernels
- * without a modular product the policies differ in (add, sub, the limb
- * embedding, the plaintext MAC) take the lane width only. The BConv
- * tile takes the policy and picks it per limb: under Ifma52, limbs
- * with q >= 2^50 run the Shoup64 steps.
+ * 8-lane Shoup64 ones, the avx512ifma table the Ifma52 ones; add and
+ * sub, which have no product, take the lane width only. The BConv tile
+ * takes the policy and picks it per limb: under Ifma52, limbs with
+ * q >= 2^50 run the Shoup64 steps.
  *
  * The compiler does not vectorize a loop with a 64x64->128-bit product,
  * a per-word reduction or an unsigned 64-bit compare, so the
  * element-wise kernels of the key-switch and rescale paths (add, sub,
- * the Shoup product with a per-limb constant, mulEval, the MAC and the
- * limb embedding) have entries here. neg and addScalar stay plain
- * loops in KernelBackend.
+ * the Shoup product with a per-limb constant, mulEval, the MAC, the
+ * limb embedding and the plaintext MAC) have entries here. neg and
+ * addScalar stay plain loops in KernelBackend.
  *
  * Every entry of every table is non-null and accepts every input: a
  * tier without a body for a kernel carries the entry of the tier
  * below, and the vector NTT entries run the scalar transform
  * themselves for degrees too small to fill their register windows
  * (N < 16) and for q >= 2^60 (the IFMA ones hand q >= 2^50 to the
- * Shoup64 instantiation).
+ * Shoup64 instantiation), and the plaintext MAC takes any term count.
  */
 
 #pragma once
@@ -101,20 +97,27 @@ struct SimdKernels
                             u64 s, u64 *r, size_t n);
     /** One limb of the centered embedding: dst = (src centered mod
      *  src_q) mod m. */
-    void (*limb_embed)(const u64 *src, size_t n, u64 src_q,
-                       const Modulus &m, u64 *dst);
+    void (*limb_embed)(const Modulus &m, const u64 *src, u64 src_q,
+                       u64 *dst, size_t n);
     /**
-     * One limb of the plaintext MAC: @p acc holds four rows of n
-     * words, the 128-bit accumulators (lo row, hi row) of b then of
-     * a; they gain pt * b and pt * a (no reduction).
+     * One limb of the plaintext MAC: out_b = sum_t pt[t] * b[t] and
+     * out_a = sum_t pt[t] * a[t] mod m over the @p k terms, each sum
+     * reduced once per word (restarting from the residue past the
+     * body's fold bound, so any k is exact).
      */
-    void (*plain_mac_limb)(const u64 *pt, const u64 *b, const u64 *a,
-                           u64 *acc, size_t n);
-    /** Reduce plain_mac_limb's rows mod m into @p out_b / @p out_a,
-     *  which may alias the two lo rows. */
-    void (*plain_reduce_limb)(const Modulus &m, const u64 *acc, size_t n,
-                              u64 *out_b, u64 *out_a);
+    void (*plain_mul_sum_limb)(const Modulus &m, const u64 *const *pt,
+                               const u64 *const *b, const u64 *const *a,
+                               size_t k, u64 *out_b, u64 *out_a, size_t n);
 };
+
+/**
+ * Products of two residues mod @p q a 128-bit accumulator that
+ * already holds a residue can absorb: floor((2^128 - q) / (q - 1)^2),
+ * at least 256 for q < 2^60 and 16 for any q < 2^62. The scalar and
+ * Shoup64 plaintext-MAC bodies reduce and restart from the residue
+ * before exceeding it.
+ */
+size_t plainMacFoldTerms(const Modulus &q);
 
 /**
  * Kernel table for @p tier, clamped to what this binary was compiled

@@ -769,8 +769,9 @@ bconvInput(const std::vector<Modulus> &base, size_t degree, Rng &rng,
  * residues pass 2^52, where the IFMA tile adds (y >> 52) * r); two
  * 60-bit (testSmall's ModDown). Every out-base holds the primes next
  * to 2^50 on either side of the IFMA tile's bound and a 60-bit limb.
- * Inputs are random with a first vector at q - 1, and q - 1 throughout
- * (the largest lane sums). Then the kernel table's tile alone on
+ * Inputs are random with a first vector at q - 1, q - 1 throughout,
+ * and inputs whose scaled residues are all p_j - 1 (the largest lane
+ * sums). Then the kernel table's tile alone on
  * ranges that leave partial blocks, single vectors and words that do
  * not fill a vector, and the fused nttBconvNtt at testBoot's digit-0
  * shape.
@@ -830,6 +831,23 @@ TEST_P(EngineCellParityTest, BconvParityMixedWidths)
                     ASSERT_EQ(rs.limb(l)[c], rv.limb(l)[c])
                         << "top " << top << " limb " << l << " coeff " << c;
         }
+        // Inputs whose scaled residues y_j are all p_j - 1: the largest
+        // MAC sums, about 2^110 on testBoot's digit 0, so the IFMA
+        // tile's fold reduce carries lo into hi, hi passes 2^52 and the
+        // 2^104 column is nonzero.
+        RnsPoly in_max(degree, bc.inBase().size(), Rep::Coeff);
+        for (size_t j = 0; j < bc.inBase().size(); ++j) {
+            const Modulus &pj = bc.inBase()[j];
+            const u64 x = pj.mul(pj.value() - 1, pj.inv(bc.phatInvModP(j)));
+            std::fill(in_max.limb(j), in_max.limb(j) + degree, x);
+        }
+        const RnsPoly ms = scalar.bconv(bc, in_max);
+        const RnsPoly mv = engine->bconv(bc, in_max);
+        for (size_t l = 0; l < ms.numLimbs(); ++l)
+            for (size_t c = 0; c < degree; ++c)
+                ASSERT_EQ(ms.limb(l)[c], mv.limb(l)[c])
+                    << "maximal scaled residues, limb " << l << " coeff "
+                    << c;
 
         // Tile ranges of 1 to 63 words from an odd start.
         const SimdKernels &kernels = simdKernels(engine->tier());

@@ -8,8 +8,11 @@
  *
  * Covers every engine cell (serial and a pool of 4, times each kernel
  * table tier the host runs), both plaintext modes, strided matrices,
- * zero diagonals and empty giant steps, and sums long enough over
- * 60-bit primes that the 128-bit accumulators must fold. The work the
+ * zero diagonals and empty giant steps, sums long enough over 60-bit
+ * primes that the 128-bit accumulators must fold, testBoot's chain
+ * shape (a 60-bit q_0 and primes below 2^50, so the IFMA tier runs
+ * both of its bodies) at term counts around the chunk size, and the
+ * table entry alone past each body's fold bound. The work the
  * fused kernel records (NTT and MAD mults, embedded words, plaintext
  * stream) must equal what the explicit path records, so measured-stats
  * consumers price it unchanged.
@@ -21,11 +24,14 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "boot/linear_transform.h"
+#include "ckks/context.h"
 #include "ckks/encryptor.h"
 #include "rns/backend.h"
 #include "rns/primes.h"
+#include "rns/simd_kernels.h"
 #include "serve/workload.h"
 
 namespace ark {
@@ -78,15 +84,15 @@ expectSamePricedWork(const KernelStats &got, const KernelStats &want)
     EXPECT_EQ(got.plaintext_words, want.plaintext_words);
 }
 
-class PlainMulSumKernel : public ::testing::TestWithParam<size_t>
+/** One modulus chain: random operands, the explicit reference path and
+ *  the sweep over every engine cell. */
+class PlainMulSumChain
 {
-  protected:
-    static constexpr size_t kLimbs = 3;
-
-    void SetUp() override
+  public:
+    PlainMulSumChain(size_t degree, const std::vector<u64> &primes)
+        : degree_(degree), limbs_(primes.size())
     {
-        degree_ = GetParam();
-        for (u64 q : generatePrimes(60, kLimbs, degree_)) {
+        for (u64 q : primes) {
             moduli_.emplace_back(q);
             tables_.emplace_back(degree_, Modulus(q));
         }
@@ -94,14 +100,26 @@ class PlainMulSumKernel : public ::testing::TestWithParam<size_t>
             table_ptrs_.push_back(&t);
     }
 
+    const std::vector<Modulus> &moduli() const { return moduli_; }
+
     RnsPoly randomPoly(size_t limbs, Rep rep, Rng &rng) const
     {
         RnsPoly p(degree_, limbs, rep);
         for (size_t l = 0; l < limbs; ++l) {
             auto v = rng.uniformVector(degree_,
-                                       moduli_[l % kLimbs].value());
+                                       moduli_[l % limbs_].value());
             std::copy(v.begin(), v.end(), p.limb(l));
         }
+        return p;
+    }
+
+    /** Every word q - 1 (an OF-Limb source: q_0 - 1, the centered -1). */
+    RnsPoly maxPoly(size_t limbs, Rep rep) const
+    {
+        RnsPoly p(degree_, limbs, rep);
+        for (size_t l = 0; l < limbs; ++l)
+            std::fill(p.limb(l), p.limb(l) + degree_,
+                      moduli_[l % limbs_].value() - 1);
         return p;
     }
 
@@ -124,11 +142,11 @@ class PlainMulSumKernel : public ::testing::TestWithParam<size_t>
               KernelStats &stats) const
     {
         KernelBackend kb(SimdTier::Scalar);
-        RnsPoly sum_b(degree_, kLimbs, Rep::Eval);
-        RnsPoly sum_a(degree_, kLimbs, Rep::Eval);
-        RnsPoly prod(degree_, kLimbs, Rep::Eval);
+        RnsPoly sum_b(degree_, limbs_, Rep::Eval);
+        RnsPoly sum_a(degree_, limbs_, Rep::Eval);
+        RnsPoly prod(degree_, limbs_, Rep::Eval);
         for (const PlainMulTerm &t : terms) {
-            RnsPoly pt(degree_, kLimbs, Rep::Coeff);
+            RnsPoly pt(degree_, limbs_, Rep::Coeff);
             if (t.pt->rep() == Rep::Coeff) {
                 std::vector<u64> src(t.pt->limb(0), t.pt->limb(0) + degree_);
                 kb.limbEmbed(src, moduli_[0], moduli_, pt);
@@ -136,8 +154,8 @@ class PlainMulSumKernel : public ::testing::TestWithParam<size_t>
                 kb.notePlaintextWords(degree_);
             } else {
                 pt = *t.pt;
-                pt.resizeLimbs(kLimbs);
-                kb.notePlaintextWords(kLimbs * degree_);
+                pt.resizeLimbs(limbs_);
+                kb.notePlaintextWords(limbs_ * degree_);
             }
             kb.mulEval(*t.b, pt, moduli_, prod);
             kb.add(sum_b, prod, moduli_, sum_b);
@@ -154,10 +172,10 @@ class PlainMulSumKernel : public ::testing::TestWithParam<size_t>
         const auto [ref_b, ref_a] = reference(terms, ref_stats);
         for (Engine &e : allEngines()) {
             SCOPED_TRACE(e.name);
-            RnsPoly out_b(degree_, kLimbs, Rep::Eval);
-            RnsPoly out_a(degree_, kLimbs, Rep::Eval);
+            RnsPoly out_b(degree_, limbs_, Rep::Eval);
+            RnsPoly out_a(degree_, limbs_, Rep::Eval);
             e.backend->plainMulSum(terms, moduli_, table_ptrs_, out_b, out_a);
-            for (size_t l = 0; l < kLimbs; ++l) {
+            for (size_t l = 0; l < limbs_; ++l) {
                 for (size_t i = 0; i < degree_; ++i) {
                     ASSERT_EQ(out_b.limb(l)[i], ref_b.limb(l)[i])
                         << "b limb " << l << " word " << i;
@@ -169,44 +187,57 @@ class PlainMulSumKernel : public ::testing::TestWithParam<size_t>
         }
     }
 
-    size_t degree_ = 0;
+  private:
+    size_t degree_;
+    size_t limbs_;
     std::vector<Modulus> moduli_;
     std::vector<NttTables> tables_;
     std::vector<const NttTables *> table_ptrs_;
 };
 
+class PlainMulSumKernel : public ::testing::TestWithParam<size_t>
+{
+  protected:
+    static constexpr size_t kLimbs = 3;
+
+    PlainMulSumKernel()
+        : chain_(GetParam(), generatePrimes(60, kLimbs, GetParam()))
+    {
+    }
+
+    PlainMulSumChain chain_;
+};
+
 /** Random OF-Limb and stored terms, interleaved, past the fold bound. */
 TEST_P(PlainMulSumKernel, MixedTermsFoldBitIdentically)
 {
-    const size_t k = foldingTermCount();
+    const size_t k = chain_.foldingTermCount();
     ASSERT_GT(k, 256u);
-    Rng rng(0x5EED + degree_);
+    Rng rng(0x5EED + GetParam());
     std::vector<RnsPoly> polys;
     polys.reserve(3 * k);
     std::vector<PlainMulTerm> terms;
     for (size_t t = 0; t < k; ++t) {
-        polys.push_back(randomPoly(kLimbs, Rep::Eval, rng));
-        polys.push_back(randomPoly(kLimbs, Rep::Eval, rng));
+        polys.push_back(chain_.randomPoly(kLimbs, Rep::Eval, rng));
+        polys.push_back(chain_.randomPoly(kLimbs, Rep::Eval, rng));
         // OF-Limb: centered q_0 residues; stored: one limb more than
         // the output, which the kernel must drop.
-        polys.push_back(t % 2 == 0 ? randomPoly(1, Rep::Coeff, rng)
-                                   : randomPoly(kLimbs + 1, Rep::Eval, rng));
+        polys.push_back(t % 2 == 0
+                            ? chain_.randomPoly(1, Rep::Coeff, rng)
+                            : chain_.randomPoly(kLimbs + 1, Rep::Eval, rng));
         const size_t at = polys.size();
         terms.push_back({&polys[at - 3], &polys[at - 2], &polys[at - 1]});
     }
-    expectParity(terms);
+    chain_.expectParity(terms);
 }
 
 /** Every operand q - 1: unfolded, the 128-bit sums would overflow. */
 TEST_P(PlainMulSumKernel, MaximalOperandsFoldBitIdentically)
 {
-    const size_t k = foldingTermCount();
-    RnsPoly max(degree_, kLimbs, Rep::Eval);
-    for (size_t l = 0; l < kLimbs; ++l)
-        std::fill(max.limb(l), max.limb(l) + degree_,
-                  moduli_[l].value() - 1);
+    const size_t k = chain_.foldingTermCount();
+    const RnsPoly max = chain_.maxPoly(kLimbs, Rep::Eval);
     std::vector<PlainMulTerm> terms(k, PlainMulTerm{&max, &max, &max});
-    expectParity(terms);
+    chain_.expectParity(terms);
 }
 
 INSTANTIATE_TEST_SUITE_P(Degrees, PlainMulSumKernel,
@@ -214,6 +245,120 @@ INSTANTIATE_TEST_SUITE_P(Degrees, PlainMulSumKernel,
                          [](const auto &info) {
                              return "n" + std::to_string(info.param);
                          });
+
+/**
+ * testBoot's chain shape: a 60-bit q_0 (the Shoup64 body on the IFMA
+ * tier) and primes below 2^50 (the Ifma52 body), the largest one just
+ * below the bound. Term counts around kPlainMulSumChunk, so the kernel
+ * runs one chunk, a full one, and several whose sums combine by
+ * modular add. Degree 64 fills whole blocks, degree 8 a single vector
+ * (and, on the 4-lane table, one block).
+ */
+class PlainMulSumMixedWidths
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>>
+{
+  protected:
+    static std::vector<u64> bootPrimes()
+    {
+        const PrimeChains boot = primeChains(CkksParams::testBoot());
+        return {boot.q[0], boot.q[1], boot.q[2], boot.p[0]};
+    }
+
+    PlainMulSumMixedWidths()
+        : degree_(std::get<0>(GetParam())), k_(std::get<1>(GetParam())),
+          chain_(degree_, bootPrimes())
+    {
+    }
+
+    size_t degree_;
+    size_t k_;
+    PlainMulSumChain chain_;
+};
+
+TEST_P(PlainMulSumMixedWidths, RandomTermsMatchExplicitPath)
+{
+    const size_t limbs = chain_.moduli().size();
+    ASSERT_GE(chain_.moduli()[0].value(), 1ULL << 59);
+    for (size_t l = 1; l < limbs; ++l)
+        ASSERT_LT(chain_.moduli()[l].value(), 1ULL << 50);
+    Rng rng(0xB007 + 100 * degree_ + k_);
+    std::vector<RnsPoly> polys;
+    polys.reserve(3 * k_);
+    std::vector<PlainMulTerm> terms;
+    for (size_t t = 0; t < k_; ++t) {
+        polys.push_back(chain_.randomPoly(limbs, Rep::Eval, rng));
+        polys.push_back(chain_.randomPoly(limbs, Rep::Eval, rng));
+        // Runs of each mode, so some chunks generate every limb and
+        // some read only stored ones.
+        polys.push_back((t / 3) % 2 == 0
+                            ? chain_.randomPoly(1, Rep::Coeff, rng)
+                            : chain_.randomPoly(limbs + 1, Rep::Eval, rng));
+        const size_t at = polys.size();
+        terms.push_back({&polys[at - 3], &polys[at - 2], &polys[at - 1]});
+    }
+    chain_.expectParity(terms);
+}
+
+/** Every ciphertext and stored operand q - 1, every OF-Limb source the
+ *  centered -1: the largest products, and chunk sums whose plain
+ *  (unreduced) add would leave [0, q). */
+TEST_P(PlainMulSumMixedWidths, MaximalOperandsMatchExplicitPath)
+{
+    const size_t limbs = chain_.moduli().size();
+    const RnsPoly max = chain_.maxPoly(limbs, Rep::Eval);
+    const RnsPoly max_src = chain_.maxPoly(1, Rep::Coeff);
+    std::vector<PlainMulTerm> terms;
+    for (size_t t = 0; t < k_; ++t)
+        terms.push_back({&max, &max, t % 4 == 3 ? &max_src : &max});
+    chain_.expectParity(terms);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BootChain, PlainMulSumMixedWidths,
+    ::testing::Combine(::testing::Values(size_t(8), size_t(64)),
+                       ::testing::Values(size_t(1), size_t(15), size_t(16),
+                                         size_t(17), size_t(35))),
+    [](const auto &info) {
+        return "n" + std::to_string(std::get<0>(info.param)) + "_k" +
+               std::to_string(std::get<1>(info.param));
+    });
+
+/**
+ * The kernel table's entry alone, past each body's fold bound: 4100
+ * terms of q - 1 operands (the Ifma52 body restarts after 4095, the
+ * scalar and Shoup64 ones after plainMacFoldTerms(q) terms), on 27
+ * words, so blocks, single vectors and the scalar words all run.
+ */
+TEST(PlainMulSumEntry, FoldsPastEveryBodysBound)
+{
+    const size_t n = 27, k = 4100;
+    const PrimeChains boot = primeChains(CkksParams::testBoot());
+    for (u64 qv : {boot.q[0], boot.q[1], boot.p[0]}) {
+        const Modulus q(qv);
+        SCOPED_TRACE("q " + std::to_string(qv));
+        const std::vector<u64> max(n, qv - 1);
+        const u64 prod = q.mul(qv - 1, qv - 1);
+        u64 want = 0;
+        for (size_t t = 0; t < k; ++t)
+            want = q.add(want, prod);
+        const std::vector<const u64 *> rows(k, max.data());
+        for (SimdTier tier : {SimdTier::Scalar, SimdTier::Avx2,
+                              SimdTier::Avx512, SimdTier::Avx512Ifma}) {
+            const SimdKernels &kernels = simdKernels(tier);
+            if (kernels.tier != tier)
+                continue;
+            SCOPED_TRACE(simdTierName(tier));
+            std::vector<u64> out_b(n), out_a(n);
+            kernels.plain_mul_sum_limb(q, rows.data(), rows.data(),
+                                       rows.data(), k, out_b.data(),
+                                       out_a.data(), n);
+            for (size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(out_b[i], want) << "word " << i;
+                ASSERT_EQ(out_a[i], want) << "word " << i;
+            }
+        }
+    }
+}
 
 TEST(PlainMulSumFold, BoundCoversSixtyBitPrimes)
 {
