@@ -4,8 +4,9 @@
  *
  * The default mode is SELF-TIMED and dependency-free: it verifies and
  * times the lazy-reduction kernel pass against the strict pre-PR
- * reference kernels (Harvey lazy NTT vs strict NTT, fused cache-blocked
- * BConv vs the two-stage pipeline, pooled vs fresh allocation), the
+ * reference kernels of ark_test_support (tests/support/; Harvey lazy
+ * NTT vs strict NTT, fused cache-blocked BConv vs the two-stage
+ * pipeline), pooled vs fresh allocation, the
  * vector kernel table against the scalar lazy kernels at the host's
  * best ISA tier, the avx512 bodies of the IFMA-width kernels (BConv
  * tile, plaintext MAC, limb embedding) against their avx512ifma ones,
@@ -37,6 +38,7 @@
 #include "rns/poly_pool.h"
 #include "rns/primes.h"
 #include "rns/simd_kernels.h"
+#include "support/reference_kernels.h"
 
 namespace ark {
 namespace {
@@ -117,10 +119,10 @@ runNttComparison(bool smoke)
         {
             auto a = v, b = v;
             tables.forward(a.data());
-            tables.forwardStrict(b.data());
+            ref::nttForwardStrict(tables, b.data());
             checkParity(a == b, "lazy forward NTT != strict");
             tables.inverse(a.data());
-            tables.inverseStrict(b.data());
+            ref::nttInverseStrict(tables, b.data());
             checkParity(a == b, "lazy inverse NTT != strict");
             checkParity(a == v, "lazy NTT round-trip != identity");
         }
@@ -142,7 +144,7 @@ runNttComparison(bool smoke)
         auto fwd = v;
         const double fwd_strict = timeMs(reps, [&] {
             for (int i = 0; i < iters; ++i)
-                tables.forwardStrict(fwd.data());
+                ref::nttForwardStrict(tables, fwd.data());
         }) / iters;
         const double fwd_lazy = timeMs(reps, [&] {
             for (int i = 0; i < iters; ++i)
@@ -153,7 +155,7 @@ runNttComparison(bool smoke)
         auto inv = v;
         const double inv_strict = timeMs(reps, [&] {
             for (int i = 0; i < iters; ++i)
-                tables.inverseStrict(inv.data());
+                ref::nttInverseStrict(tables, inv.data());
         }) / iters;
         const double inv_lazy = timeMs(reps, [&] {
             for (int i = 0; i < iters; ++i)
@@ -676,7 +678,7 @@ runBconvComparison(bool smoke)
         // two-stage pipeline.
         {
             RnsPoly fused_kb = kb->bconv(bc, in);
-            RnsPoly two = bc.matmulStage(bc.scaleStage(in));
+            RnsPoly two = ref::bconvTwoStage(bc, in);
             bool same = fused_kb.numLimbs() == two.numLimbs();
             for (size_t l = 0; same && l < two.numLimbs(); ++l)
                 same = std::memcmp(fused_kb.limb(l), two.limb(l),
@@ -685,7 +687,7 @@ runBconvComparison(bool smoke)
         }
 
         const double two_stage_ms = timeMs(reps, [&] {
-            RnsPoly out = bc.matmulStage(bc.scaleStage(in));
+            RnsPoly out = ref::bconvTwoStage(bc, in);
             (void)out;
         });
         const double fused_ms = timeMs(reps, [&] {

@@ -60,37 +60,6 @@ SlotMatrix::inverse() const
     return inv;
 }
 
-std::vector<Complex>
-SlotMatrix::apply(const std::vector<Complex> &v) const
-{
-    ARK_ASSERT(v.size() == n, "vector size mismatch");
-    std::vector<Complex> out(n, Complex(0, 0));
-    for (size_t r = 0; r < n; ++r) {
-        for (size_t c = 0; c < n; ++c)
-            out[r] += at(r, c) * v[c];
-    }
-    return out;
-}
-
-SlotMatrix
-SlotMatrix::multiply(const SlotMatrix &o) const
-{
-    ARK_ASSERT(n == o.n, "matrix size mismatch");
-    SlotMatrix out;
-    out.n = n;
-    out.data.assign(n * n, Complex(0, 0));
-    for (size_t r = 0; r < n; ++r) {
-        for (size_t k = 0; k < n; ++k) {
-            Complex v = at(r, k);
-            if (std::abs(v) == 0.0)
-                continue;
-            for (size_t c = 0; c < n; ++c)
-                out.at(r, c) += v * o.at(k, c);
-        }
-    }
-    return out;
-}
-
 LinearTransform::LinearTransform(const CkksContext &ctx,
                                  const CkksEncoder &encoder,
                                  const SlotMatrix &m, size_t diag_stride,
@@ -149,19 +118,12 @@ LinearTransform::apply(const CkksEvaluator &eval, const Ciphertext &ct,
                        LtStats *stats) const
 {
     ARK_ASSERT(ct.slots == n_, "slot count mismatch");
-    switch (sched) {
-      case KeySchedule::Baseline:
-        return applyBaseline(eval, ct, keys, stats);
-      case KeySchedule::MinKS:
-        return applyIterative(eval, ct, sched, keys, stats);
-      case KeySchedule::MinimalKS:
-        // The Halevi-Shoup intermediate schedule differs from Min-KS
-        // only in the pre-rotation bookkeeping of the chained H-IDFT;
-        // its functional behaviour here is identical, and its evk
-        // accounting is handled by the analytical model in src/core.
-        return applyIterative(eval, ct, sched, keys, stats);
-    }
-    ARK_PANIC("unreachable");
+    ARK_ASSERT(sched != KeySchedule::MinimalKS,
+               "MinimalKS is modelled only (core/, sim/, workloads/); "
+               "a transform runs Baseline or MinKS");
+    return sched == KeySchedule::Baseline
+               ? applyBaseline(eval, ct, keys, stats)
+               : applyIterative(eval, ct, keys, stats);
 }
 
 std::optional<Ciphertext>
@@ -246,10 +208,9 @@ LinearTransform::applyBaseline(const CkksEvaluator &eval,
 
 Ciphertext
 LinearTransform::applyIterative(const CkksEvaluator &eval,
-                                const Ciphertext &ct, KeySchedule sched,
-                                KeyCache &keys, LtStats *stats) const
+                                const Ciphertext &ct, KeyCache &keys,
+                                LtStats *stats) const
 {
-    (void)sched;
     const i64 baby_amt = static_cast<i64>(stride_);
     const i64 giant_amt = static_cast<i64>(bs_ * stride_);
     const EvalKey &evk_baby = keys.rotation(baby_amt);

@@ -7,7 +7,8 @@
  *    Halevi-Shoup for the baby steps) — Fig. 1(a) / Eq. 8.
  *  - MinimalKS: the strategy of [Halevi-Shoup 42]: iterate rotations so
  *    baby steps share one evk and giant steps share one evk, plus the
- *    pre-rotation key — Fig. 1(b).
+ *    pre-rotation key — Fig. 1(b). Only the analytical models (core/,
+ *    sim/, workloads/) run it; LinearTransform::apply refuses it.
  *  - MinKS: ARK's minimum key-switching — the pre-rotation is
  *    eliminated by folding it into the diagonal ordering, so each
  *    BSGS evaluation needs exactly TWO evks — Fig. 1(c).
@@ -56,8 +57,6 @@ struct SlotMatrix
     static SlotMatrix identity(size_t n);
     /** Numerical inverse by Gaussian elimination (for W^-1). */
     SlotMatrix inverse() const;
-    std::vector<Complex> apply(const std::vector<Complex> &v) const;
-    SlotMatrix multiply(const SlotMatrix &o) const;
 };
 
 /** Statistics of one homomorphic transform evaluation. */
@@ -85,7 +84,9 @@ class LinearTransform
                     const SlotMatrix &m, size_t diag_stride,
                     PlaintextMode pt_mode, double scale = 0);
 
-    /** Apply to a ciphertext; appends one rescale (consumes 1 level). */
+    /** Apply to a ciphertext with @p sched, Baseline or MinKS (a
+     *  MinimalKS request aborts: that schedule is modelled only);
+     *  appends one rescale (consumes 1 level). */
     Ciphertext apply(const CkksEvaluator &eval, const Ciphertext &ct,
                      KeySchedule sched, KeyCache &keys,
                      LtStats *stats = nullptr) const;
@@ -100,8 +101,8 @@ class LinearTransform
                              const Ciphertext &ct, KeyCache &keys,
                              LtStats *stats) const;
     Ciphertext applyIterative(const CkksEvaluator &eval,
-                              const Ciphertext &ct, KeySchedule sched,
-                              KeyCache &keys, LtStats *stats) const;
+                              const Ciphertext &ct, KeyCache &keys,
+                              LtStats *stats) const;
     /**
      * Giant step @p j's inner sum, sum_i babies[i] * w_{j,i} over the
      * nonzero diagonals, as one KernelBackend::plainMulSum call (adds

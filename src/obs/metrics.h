@@ -79,7 +79,7 @@ const char *phaseName(Phase p);
 /** Current-level values (set/adjusted, not accumulated). */
 enum class Gauge : size_t
 {
-    QueueDepth = 0, ///< sampled total queued jobs across shards
+    QueueDepth = 0, ///< sampled queued jobs in the server's one queue
     InFlight,       ///< jobs admitted but not yet completed
     ActiveSessions, ///< open wire sessions
 };

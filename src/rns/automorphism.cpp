@@ -70,19 +70,4 @@ Automorphism::applyEval(const u64 *in, u64 *out) const
         out[j] = in[eval_source_[j]];
 }
 
-RnsPoly
-Automorphism::apply(const RnsPoly &p,
-                    const std::vector<Modulus> &moduli) const
-{
-    ARK_ASSERT(p.degree() == n_, "degree mismatch");
-    RnsPoly out(p.degree(), p.numLimbs(), p.rep());
-    for (size_t l = 0; l < p.numLimbs(); ++l) {
-        if (p.rep() == Rep::Coeff)
-            applyCoeff(p.limb(l), out.limb(l), moduli[l]);
-        else
-            applyEval(p.limb(l), out.limb(l));
-    }
-    return out;
-}
-
 } // namespace ark

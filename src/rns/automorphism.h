@@ -46,10 +46,6 @@ class Automorphism
     /** Apply to a polynomial in Eval rep (out-of-place, permutation). */
     void applyEval(const u64 *in, u64 *out) const;
 
-    /** Apply to every limb of @p p, returning a new polynomial. */
-    RnsPoly apply(const RnsPoly &p,
-                  const std::vector<Modulus> &moduli) const;
-
   private:
     u64 g_;
     size_t n_;

@@ -449,12 +449,20 @@ KernelBackend::bconv(const BaseConverter &bc, const RnsPoly &in)
     obs::ScopedSpan span("bconv");
     recordStats(KernelOp::BConv, nb + nc, (nb + nc) * n,
                   nb * n + nb * nc * n);
+    RnsPoly out = pool_.acquire(n, nc, Rep::Coeff);
+    bconvTiles(bc, in, out);
+    return out;
+}
 
+void
+KernelBackend::bconvTiles(const BaseConverter &bc, const RnsPoly &in,
+                          RnsPoly &out) const
+{
     // Fused scale + matmul, one coefficient tile per job: each tile's
     // transposed scratch lives on the executing thread's stack, the
     // output column blocks are disjoint, and the per-coefficient math
     // matches the two-stage reference bit for bit.
-    RnsPoly out = pool_.acquire(n, nc, Rep::Coeff);
+    const size_t n = in.degree();
     const size_t tile = bc.tileCoeffs();
     const size_t num_tiles = (n + tile - 1) / tile;
     run(num_tiles, [&](size_t t) {
@@ -463,7 +471,6 @@ KernelBackend::bconv(const BaseConverter &bc, const RnsPoly &in)
         kernels_.bconv_tile(bc, in, c0, std::min(c0 + tile, n), scratch,
                             out);
     });
-    return out;
 }
 
 RnsPoly
@@ -525,14 +532,7 @@ KernelBackend::nttBconvNtt(const RnsPoly &digit,
     // (see BaseConverter::convertTile) — no materialized scaled
     // polynomial beyond the INTT output already in hand.
     RnsPoly out = pool_.acquire(n, nc, Rep::Coeff);
-    const size_t tile = bc.tileCoeffs();
-    const size_t num_tiles = (n + tile - 1) / tile;
-    run(num_tiles, [&](size_t t) {
-        alignas(64) u64 scratch[BaseConverter::kTileWords];
-        const size_t c0 = t * tile;
-        kernels_.bconv_tile(bc, scaled, c0, std::min(c0 + tile, n),
-                            scratch, out);
-    });
+    bconvTiles(bc, scaled, out);
     pool_.release(std::move(scaled));
 
     // Stage 3: forward-NTT each produced limb in place.

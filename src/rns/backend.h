@@ -238,6 +238,12 @@ class KernelBackend
     template <typename Fn>
     void run(size_t jobs, const Fn &fn) const;
 
+    /** The fused BConv tile pass of bconv and nttBconvNtt: @p in
+     *  (Coeff rep over bc.inBase()) into @p out, one coefficient tile
+     *  per job. */
+    void bconvTiles(const BaseConverter &bc, const RnsPoly &in,
+                    RnsPoly &out) const;
+
     /** Tally one kernel call into the calling thread's shard. */
     void recordStats(KernelOp op, u64 limbs, u64 words, u64 mults);
     /** Tally evk operand-stream words (EvkMulAcc). */

@@ -51,53 +51,4 @@ BaseConverter::BaseConverter(std::vector<Modulus> in_base,
     }
 }
 
-RnsPoly
-BaseConverter::scaleStage(const RnsPoly &in) const
-{
-    ARK_ASSERT(in.rep() == Rep::Coeff, "BConv needs Coeff rep");
-    ARK_ASSERT(in.numLimbs() == in_base_.size(),
-               "input limb count must match input base");
-    const size_t n = in.degree();
-    RnsPoly scaled(n, in_base_.size(), Rep::Coeff);
-    for (size_t j = 0; j < in_base_.size(); ++j) {
-        const Modulus &pj = in_base_[j];
-        const u64 s = phat_inv_mod_pj_[j];
-        const u64 ss = phat_inv_mod_pj_shoup_[j];
-        const u64 *src = in.limb(j);
-        u64 *dst = scaled.limb(j);
-        for (size_t c = 0; c < n; ++c)
-            dst[c] = pj.mulShoup(src[c], s, ss);
-    }
-    return scaled;
-}
-
-RnsPoly
-BaseConverter::matmulStage(const RnsPoly &scaled) const
-{
-    // Frozen pre-PR reference kernel (limb-strided MAC, pre-PR
-    // Barrett correction) kept for parity tests and lazy-vs-strict
-    // benchmarking, like NttTables::forwardStrict. Bit-identical to
-    // the fused tile path by construction.
-    const size_t nb = in_base_.size();
-    const size_t nc = out_base_.size();
-    const size_t n = scaled.degree();
-
-    RnsPoly out(n, nc, Rep::Coeff);
-    for (size_t i = 0; i < nc; ++i) {
-        const Modulus &qi = out_base_[i];
-        u64 *dst = out.limb(i);
-        for (size_t c = 0; c < n; ++c) {
-            u128 acc = 0;
-            for (size_t j = 0; j < nb; ++j) {
-                u64 y = scaled.limb(j)[c];
-                // y < p_j may exceed q_i; the MAC multiplies raw words
-                // and the final Barrett reduction handles the excess.
-                acc += static_cast<u128>(y) * base_table_[i * nb + j];
-            }
-            dst[c] = qi.reduceReference(acc);
-        }
-    }
-    return out;
-}
-
 } // namespace ark

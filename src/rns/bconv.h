@@ -62,21 +62,6 @@ class BaseConverter
     void convertTile(const RnsPoly &in, size_t c0, size_t c1,
                      u64 *scratch, RnsPoly &out) const;
 
-    /**
-     * First BConv stage only: multiply limb j by phat_j^-1 mod p_j.
-     * ARK fuses this stage into the NTTU's BConv-mult unit on the INTT
-     * path (Fig. 5); exposed separately so tests and the simulator can
-     * account for it there. Reference path: KernelBackend::bconv runs
-     * the fused tile (convertTile) and never materializes this
-     * intermediate. Both stages return freshly allocated polys.
-     */
-    RnsPoly scaleStage(const RnsPoly &in) const;
-
-    /** Second BConv stage: the base-table matrix multiply (reference
-     *  path; matmulStage(scaleStage(in)) is bit-identical to the
-     *  fused tile pass). */
-    RnsPoly matmulStage(const RnsPoly &scaled) const;
-
     /** Base-table entry (phat_j mod q_i). */
     u64 baseTable(size_t i, size_t j) const
     {
@@ -140,7 +125,7 @@ BaseConverter::convertTile(const RnsPoly &in, size_t c0, size_t c1,
     // chains hide the add-with-carry latency. Every coefficient's own
     // sum still accumulates in reference j order, and regrouping a
     // u128 sum whose true value fits 128 bits is exact — so the
-    // result is bit-identical to matmulStage.
+    // result is bit-identical to the two-stage reference.
     auto tableRow = [&](size_t i, u64 *buf) -> const u64 * {
         // Copy the row to a small local buffer when it fits: the
         // compiler cannot prove base_table_ never aliases dst, and

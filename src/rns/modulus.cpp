@@ -33,26 +33,4 @@ Modulus::Modulus(u64 q) : q_(q)
     }
 }
 
-u64
-Modulus::reduceReference(u128 x) const
-{
-    // Pre-PR correction tail: compare-and-subtract on the full
-    // 128-bit remainder estimate. Kept verbatim for the reference
-    // kernels; reduce() (modulus.h) does the same correction in one
-    // word.
-    u64 x_lo = static_cast<u64>(x);
-    u64 x_hi = static_cast<u64>(x >> 64);
-    u128 lo_lo = static_cast<u128>(x_lo) * barrett_lo_;
-    u128 lo_hi = static_cast<u128>(x_lo) * barrett_hi_;
-    u128 hi_lo = static_cast<u128>(x_hi) * barrett_lo_;
-    u128 hi_hi = static_cast<u128>(x_hi) * barrett_hi_;
-    u128 mid = (lo_lo >> 64) + static_cast<u64>(lo_hi) +
-               static_cast<u64>(hi_lo);
-    u128 q_est = hi_hi + (lo_hi >> 64) + (hi_lo >> 64) + (mid >> 64);
-    u128 r = x - q_est * q_;
-    while (r >= q_)
-        r -= q_;
-    return static_cast<u64>(r);
-}
-
 } // namespace ark

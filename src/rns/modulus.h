@@ -79,15 +79,6 @@ class Modulus
         return r >= q_ ? r - q_ : r;
     }
 
-    /**
-     * The pre-lazy-pass reduce, frozen verbatim (128-bit correction
-     * loop instead of reduce()'s word-sized conditional subtracts).
-     * Only the strict reference kernels (BaseConverter::matmulStage)
-     * call this, so lazy-vs-strict benchmarks compare against the
-     * true pre-PR arithmetic; always bit-identical to reduce().
-     */
-    u64 reduceReference(u128 x) const;
-
     /** (a * b) mod q via Barrett. */
     u64 mul(u64 a, u64 b) const
     {

@@ -57,7 +57,7 @@ NttTables::forward(u64 *a) const
     // Shoup product lazily in [0, 2q), and emits u + v / u - v + 2q in
     // [0, 4q) — no per-butterfly canonical correction. One
     // normalization sweep at the end restores [0, q) words, so the
-    // output is bit-identical to forwardStrict.
+    // output is bit-identical to the strict reference transform.
     const u64 two_q = q_.twoQ();
     size_t t = n_ >> 1;
     size_t m = 1;
@@ -157,52 +157,6 @@ NttTables::inverse(u64 *a) const
                 const u64 s = u + v;
                 x[j] = s >= two_q ? s - two_q : s;
                 y[j] = q_.mulShoupLazy(u - v + two_q, w, ws);
-            }
-            j1 += 2 * t;
-        }
-        t <<= 1;
-    }
-    for (size_t j = 0; j < n_; ++j)
-        a[j] = q_.mulShoup(a[j], n_inv_, n_inv_shoup_);
-}
-
-void
-NttTables::forwardStrict(u64 *a) const
-{
-    const u64 q = q_.value();
-    size_t t = n_;
-    for (size_t m = 1; m < n_; m <<= 1) {
-        t >>= 1;
-        for (size_t i = 0; i < m; ++i) {
-            const size_t j1 = 2 * i * t;
-            const u64 w = root_powers_[m + i];
-            const u64 ws = root_powers_shoup_[m + i];
-            for (size_t j = j1; j < j1 + t; ++j) {
-                u64 x = a[j];
-                u64 y = q_.mulShoup(a[j + t], w, ws);
-                a[j] = addMod(x, y, q);
-                a[j + t] = subMod(x, y, q);
-            }
-        }
-    }
-}
-
-void
-NttTables::inverseStrict(u64 *a) const
-{
-    const u64 q = q_.value();
-    size_t t = 1;
-    for (size_t m = n_; m > 1; m >>= 1) {
-        const size_t h = m >> 1;
-        size_t j1 = 0;
-        for (size_t i = 0; i < h; ++i) {
-            const u64 w = inv_root_powers_[h + i];
-            const u64 ws = inv_root_powers_shoup_[h + i];
-            for (size_t j = j1; j < j1 + t; ++j) {
-                u64 x = a[j];
-                u64 y = a[j + t];
-                a[j] = addMod(x, y, q);
-                a[j + t] = q_.mulShoup(subMod(x, y, q), w, ws);
             }
             j1 += 2 * t;
         }

@@ -13,9 +13,9 @@
  * per-butterfly conditional correction, and a single normalization
  * sweep at the end of the transform restores canonical [0, q) words.
  * The inverse keeps values in [0, 2q) and folds its normalization
- * into the final 1/N scaling pass. forwardStrict / inverseStrict keep
- * the fully-reduced reference butterflies; outputs are bit-identical
- * (tests/test_backend_parity.cpp enforces it), so the lazy pass is a
+ * into the final 1/N scaling pass. Outputs are bit-identical to the
+ * fully-reduced reference butterflies (ark_test_support's strict pair;
+ * tests/test_backend_parity.cpp enforces it), so the lazy pass is a
  * pure speedup.
  *
  * The forward transform maps the coefficient representation to the
@@ -56,23 +56,14 @@ class NttTables
     /** In-place inverse negacyclic NTT (eval -> coeff, natural order). */
     void inverse(u64 *data) const;
 
-    /**
-     * Reference forward transform with fully-reduced (strict)
-     * butterflies — the pre-lazy kernel, kept for parity tests and
-     * before/after benchmarking. Bit-identical to forward().
-     */
-    void forwardStrict(u64 *data) const;
-
-    /** Reference inverse transform; bit-identical to inverse(). */
-    void inverseStrict(u64 *data) const;
-
     void forward(std::vector<u64> &data) const { forward(data.data()); }
     void inverse(std::vector<u64> &data) const { inverse(data.data()); }
 
     /// @name Raw table access for the SIMD kernel engine
     /// (rns/simd_kernels.cpp), which runs the same Harvey lazy
     /// butterflies lane-wise and needs the twiddles and their Shoup
-    /// companions directly.
+    /// companions directly, and for the strict reference transforms
+    /// in ark_test_support.
     /// @{
     const std::vector<u64> &rootPowers() const { return root_powers_; }
     const std::vector<u64> &rootPowersShoup() const

@@ -34,6 +34,7 @@
 #include "rns/poly_pool.h"
 #include "rns/primes.h"
 #include "rns/simd_kernels.h"
+#include "support/reference_kernels.h"
 
 namespace ark {
 namespace {
@@ -227,8 +228,7 @@ TEST_P(BackendParityTest, BConvMatchesScalarAndReference)
     expectIdentical(rs, rp);
     expectIdentical(rs, rv);
     // Cross-check against the two-stage reference pipeline.
-    RnsPoly ref = bc.matmulStage(bc.scaleStage(in));
-    expectIdentical(rs, ref);
+    expectIdentical(rs, ref::bconvTwoStage(bc, in));
 }
 
 TEST_P(BackendParityTest, AutomorphismBothReps)
@@ -273,7 +273,7 @@ TEST_P(BackendParityTest, FusedNttBconvNttMatchesUnfusedPipeline)
     // pipeline bit for bit.
     RnsPoly unfused = digit;
     scalar_->nttInverse(unfused, table_ptrs_);
-    RnsPoly conv = bc.matmulStage(bc.scaleStage(unfused));
+    RnsPoly conv = ref::bconvTwoStage(bc, unfused);
     scalar_->nttForward(conv, out_ptrs);
     expectIdentical(fused_s, conv);
 }
@@ -396,11 +396,11 @@ TEST(LazyStrictParityTest, NttAcrossParameterSetPrimes)
                 auto lazy = v;
                 auto strict = v;
                 tables.forward(lazy.data());
-                tables.forwardStrict(strict.data());
+                ref::nttForwardStrict(tables, strict.data());
                 EXPECT_EQ(lazy, strict) << "forward diverged, q=" << q;
 
                 tables.inverse(lazy.data());
-                tables.inverseStrict(strict.data());
+                ref::nttInverseStrict(tables, strict.data());
                 EXPECT_EQ(lazy, strict) << "inverse diverged, q=" << q;
                 EXPECT_EQ(lazy, v) << "round-trip not identity, q=" << q;
             }
@@ -422,10 +422,10 @@ TEST(LazyStrictParityTest, NttSmallDegrees)
             auto v = rng.uniformVector(degree, q);
             auto lazy = v, strict = v;
             tables.forward(lazy.data());
-            tables.forwardStrict(strict.data());
+            ref::nttForwardStrict(tables, strict.data());
             EXPECT_EQ(lazy, strict) << "N=" << degree << " q=" << q;
             tables.inverse(lazy.data());
-            tables.inverseStrict(strict.data());
+            ref::nttInverseStrict(tables, strict.data());
             EXPECT_EQ(lazy, strict) << "N=" << degree << " q=" << q;
             EXPECT_EQ(lazy, v);
         }
@@ -460,7 +460,7 @@ TEST(LazyStrictParityTest, FusedBconvMatchesTwoStage)
             }
 
             RnsPoly fused = KernelBackend(SimdTier::Scalar).bconv(bc, in);
-            RnsPoly two = bc.matmulStage(bc.scaleStage(in));
+            RnsPoly two = ref::bconvTwoStage(bc, in);
             ASSERT_EQ(fused.numLimbs(), two.numLimbs());
             for (size_t l = 0; l < fused.numLimbs(); ++l) {
                 for (size_t c = 0; c < degree; ++c) {

@@ -123,7 +123,7 @@ TEST_F(EncoderTest, AutomorphismRotatesSlots)
         const Automorphism &am =
             ctx_->automorphism(galoisElt(r, ctx_->degree()));
         Plaintext rot = pt;
-        rot.poly = am.apply(pt.poly, moduli);
+        rot.poly = ctx_->backend().automorphism(am, pt.poly, moduli);
         auto back = enc_->decode(rot, m.size());
         for (size_t i = 0; i < m.size(); ++i) {
             Complex expect = m[(i + r) % m.size()];
@@ -141,7 +141,7 @@ TEST_F(EncoderTest, ConjugationAutomorphism)
     const Automorphism &am =
         ctx_->automorphism(galoisEltConjugate(ctx_->degree()));
     Plaintext conj = pt;
-    conj.poly = am.apply(pt.poly, moduli);
+    conj.poly = ctx_->backend().automorphism(am, pt.poly, moduli);
     auto back = enc_->decode(conj, m.size());
     for (size_t i = 0; i < m.size(); ++i)
         EXPECT_LT(std::abs(back[i] - std::conj(m[i])), 1e-5);

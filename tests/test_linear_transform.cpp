@@ -3,7 +3,8 @@
  * Tests for BSGS homomorphic linear transforms: correctness against
  * plain matrix-vector products, equivalence of the Baseline and Min-KS
  * key schedules, OF-Limb plaintext reconstruction, and the evk-count
- * reduction Min-KS guarantees.
+ * reduction Min-KS guarantees. MinimalKS is modelled only, so a
+ * transform refuses it.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "boot/linear_transform.h"
 #include "ckks/encryptor.h"
+#include "support/reference_kernels.h"
 
 namespace ark {
 namespace {
@@ -86,7 +88,7 @@ TEST(SlotMatrix, InverseRoundTrip)
     m.data.resize(256);
     for (auto &v : m.data)
         v = Complex(rng.uniformReal() * 2 - 1, rng.uniformReal() * 2 - 1);
-    auto id = m.multiply(m.inverse());
+    auto id = ref::slotMatrixMultiply(m, m.inverse());
     for (size_t r = 0; r < 16; ++r) {
         for (size_t c = 0; c < 16; ++c) {
             Complex expect = r == c ? Complex(1, 0) : Complex(0, 0);
@@ -104,7 +106,7 @@ TEST_F(LtTest, BaselineMatchesPlainMatVec)
     LtStats stats;
     auto out = decrypt(lt.apply(*eval_, encrypt(z), KeySchedule::Baseline,
                                 keys, &stats));
-    auto expect = m.apply(z);
+    auto expect = ref::slotMatrixApply(m, z);
     for (size_t i = 0; i < slots_; ++i)
         EXPECT_LT(std::abs(out[i] - expect[i]), 1e-2) << "slot " << i;
     EXPECT_GT(stats.rotations, 0u);
@@ -146,6 +148,16 @@ TEST_F(LtTest, MinKsUsesExactlyTwoEvks)
               lt.babySteps() - 1 + lt.giantSteps() - 1);
     EXPECT_GT(keys_base.distinctGaloisKeys(),
               keys_minks.distinctGaloisKeys());
+}
+
+TEST_F(LtTest, MinimalKsIsRefused)
+{
+    LinearTransform lt(*ctx_, *enc_, randomMatrix(6), 1,
+                       PlaintextMode::Full);
+    KeyCache keys(*keygen_, sk_, ctx_->degree());
+    const Ciphertext ct = encrypt(randomVector(7));
+    EXPECT_DEATH((void)lt.apply(*eval_, ct, KeySchedule::MinimalKS, keys),
+                 "MinimalKS is modelled only");
 }
 
 TEST_F(LtTest, OfLimbMatchesFullPlaintexts)
@@ -216,7 +228,7 @@ TEST_F(LtTest, StridedTransformMatchesPlain)
     KeyCache keys(*keygen_, sk_, ctx_->degree());
     auto out =
         decrypt(lt.apply(*eval_, encrypt(z), KeySchedule::MinKS, keys));
-    auto expect = m.apply(z);
+    auto expect = ref::slotMatrixApply(m, z);
     for (size_t i = 0; i < slots_; ++i)
         EXPECT_LT(std::abs(out[i] - expect[i]), 1e-2);
 }

@@ -4,7 +4,8 @@
  * concurrency (N concurrent requests == sequential execution, on both
  * kernel backends) and under grouped batch admission (submitBatch ==
  * per-request submit), bounded-queue backpressure/admission semantics,
- * failure reporting, and drain-report accounting.
+ * failure reporting, drain-report accounting, and the values remote
+ * responses decrypt to against a cleartext replay of each workload.
  */
 
 #include <algorithm>
@@ -21,10 +22,15 @@
 #include "ckks/encryptor.h"
 #include "ckks/keygen.h"
 #include "serve/batch_server.h"
+#include "support/serve_oracle.h"
 #include "workloads/programs.h"
 
 namespace ark {
 namespace {
+
+/** Precision floor of a served testTiny response against its replay;
+ *  the four workloads of the mix below read 28 to 31 bits. */
+constexpr double kMinServeBits = 24.0;
 
 /**
  * Full serving stack for one backend, built from a fixed seed so two
@@ -40,6 +46,8 @@ struct Stack
     std::unique_ptr<KeyCache> keys;
     std::unique_ptr<CkksEncoder> encoder;
     std::unique_ptr<PlaintextStore> store;
+    /** The message of the store's one plaintext (and of the inputs). */
+    std::vector<Complex> msg;
     std::vector<ServeWorkload> workloads;
     std::vector<Ciphertext> inputs;
 
@@ -62,11 +70,11 @@ struct Stack
         store = std::make_unique<PlaintextStore>(*ctx,
                                                  PlaintextMode::OFLimb);
         const size_t slots = p.num_slots;
-        std::vector<Complex> m(slots);
+        msg.resize(slots);
         for (size_t i = 0; i < slots; ++i)
-            m[i] = Complex(0.6 + 0.001 * static_cast<double>(i % 11),
-                           0.02);
-        store->insert(encoder->encode(m, ctx->maxLevel()));
+            msg[i] = Complex(0.6 + 0.001 * static_cast<double>(i % 11),
+                             0.02);
+        store->insert(encoder->encode(msg, ctx->maxLevel()));
 
         LowerOptions opt;
         opt.max_ops = 20;
@@ -84,7 +92,7 @@ struct Stack
 
         for (int k = 0; k < 2; ++k) {
             Ciphertext ct = encryptor.encryptSymmetric(
-                encoder->encode(m, ctx->maxLevel()), sk);
+                encoder->encode(msg, ctx->maxLevel()), sk);
             ct.slots = slots;
             inputs.push_back(std::move(ct));
         }
@@ -158,6 +166,48 @@ TEST(Serving, BackendsProduceIdenticalResults)
     Stack scalar(BackendKind::Scalar);
     Stack parallel(BackendKind::Parallel, 3);
     EXPECT_EQ(scalar.serveBatch(2, 12), parallel.serveBatch(4, 12));
+}
+
+TEST(Serving, RemoteResponsesDecryptToTheReplay)
+{
+    // One mixed batch of remote requests, each on its own random
+    // input: every response decrypts to the cleartext replay of its
+    // workload within the precision floor.
+    Stack s(BackendKind::Scalar);
+    const size_t slots = s.msg.size();
+    CkksEncryptor encryptor(*s.ctx, s.rng);
+    CkksDecryptor decryptor(*s.ctx, s.sk);
+    BatchServerConfig cfg;
+    cfg.workers = 2;
+    BatchServer server(*s.ctx, *s.keys, *s.store, s.workloads, s.inputs,
+                       cfg);
+
+    std::vector<std::vector<Complex>> in_msgs;
+    std::vector<std::future<ServeResult>> futs(s.workloads.size());
+    for (size_t w = 0; w < s.workloads.size(); ++w) {
+        std::vector<Complex> m(slots);
+        for (Complex &x : m)
+            x = Complex(s.rng.uniformReal() * 2 - 1,
+                        s.rng.uniformReal() * 2 - 1) * 0.63;
+        auto ct = std::make_shared<Ciphertext>(encryptor.encryptSymmetric(
+            s.encoder->encode(m, s.ctx->maxLevel()), s.sk));
+        ct->slots = slots;
+        in_msgs.push_back(std::move(m));
+        ASSERT_EQ(server.trySubmitRemote(w, ct, nullptr, futs[w]),
+                  AdmitResult::Admitted);
+    }
+    for (size_t w = 0; w < s.workloads.size(); ++w) {
+        SCOPED_TRACE(s.workloads[w].name);
+        const ServeResult r = futs[w].get();
+        ASSERT_TRUE(r.ok) << r.error;
+        ASSERT_NE(r.output, nullptr);
+        const std::vector<Complex> want =
+            ref::replayServeWorkload(s.workloads[w], in_msgs[w], {s.msg});
+        const double bits = ref::precisionBits(
+            s.encoder->decode(decryptor.decrypt(*r.output), slots), want);
+        EXPECT_GE(bits, kMinServeBits);
+    }
+    server.drain();
 }
 
 TEST(Serving, FailedRequestIsReportedNotFatal)
